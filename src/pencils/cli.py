@@ -99,6 +99,8 @@ def _cmd_syzygy_table(args, parser):
 
 
 def _cmd_verify(args, parser):
+    if args.trials < 1:
+        parser.error(f"--trials must be at least 1, got {args.trials}")
     d = args.d
     if args.r is not None:
         r_values = [args.r]

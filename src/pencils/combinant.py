@@ -20,10 +20,10 @@ class Pencil:
 
     Independence is detected via the first combinant: C1 = (A, B)_1 is a
     scalar multiple of the Jacobian and vanishes exactly when A, B are
-    dependent.
+    dependent.  The C1 computed for that check is kept as `combinant(1)`.
     """
 
-    __slots__ = ("a", "b", "order")
+    __slots__ = ("a", "b", "order", "_c1")
 
     def __init__(self, a: BinaryForm, b: BinaryForm):
         if a.order != b.order:
@@ -32,11 +32,13 @@ class Pencil:
             )
         if a.order < 2:
             raise ValueError("pencil order must be at least 2")
-        if transvectant(a, b, 1).is_zero():
+        c1 = transvectant(a, b, 1)
+        if c1.is_zero():
             raise DegeneratePencilError("the two forms are linearly dependent")
         self.a = a
         self.b = b
         self.order = a.order
+        self._c1 = c1
 
     def max_combinant_index(self) -> int:
         return (self.order + 1) // 2
@@ -45,6 +47,8 @@ class Pencil:
         """C_{2r-1} = (A, B)_{2r-1}, of order 2d - 4r + 2."""
         if not 1 <= r <= self.max_combinant_index():
             raise ValueError(f"combinant index r={r} outside 1..{self.max_combinant_index()}")
+        if r == 1:
+            return self._c1
         return transvectant(self.a, self.b, 2 * r - 1)
 
     def __repr__(self):

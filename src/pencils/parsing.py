@@ -132,8 +132,6 @@ def parse_form(text: str) -> BinaryForm:
         sign = 1
         kind, value, pos = cur.peek()
         if kind == "op" and value in "+-":
-            if not first and value == "+":
-                pass
             cur.advance()
             sign = -1 if value == "-" else 1
         elif not first:

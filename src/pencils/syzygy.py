@@ -17,7 +17,6 @@ weight-2r syzygies by weight multiplicity counting.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
 from math import factorial
 
 from .combinant import CombinantSequence, Pencil, combinant_sequence
@@ -164,13 +163,7 @@ def recover_combinant(pencil: Pencil, r: int) -> BinaryForm:
     rest across and dividing exactly by C_1 isolates C_{2r-1}.  The result
     always equals the direct transvectant (A, B)_{2r-1}.
     """
-    d = pencil.order
-    _check_dr(d, r)
-    table = syzygy_table(d, r)
-    seq = combinant_sequence(pencil)
-    partial = _recovery_sum(seq, table)
-    quotient = exact_divide(-partial, seq.c(1))
-    return quotient * (Fraction(1) / table.alpha(1, r))
+    return recover_from_combinants(combinant_sequence(pencil), r)
 
 
 def recover_from_combinants(seq: CombinantSequence, r: int) -> BinaryForm:
@@ -249,18 +242,33 @@ def syzygy_space_dim(d: int, r: int) -> int:
     Counted as the multiplicity of the order-4(d-r) irreducible inside the
     fourth exterior power of the order-d space: the number of 4-element
     exponent subsets of {0..d} of total weight 4(d-r), minus the number at
-    weight 4(d-r)+2.
+    weight 4(d-r)+2.  Weight 4(d-r) means the subset's indices sum to 2r,
+    and 4(d-r)+2 means 2r-1.  The number of subsets with index sum s is the
+    coefficient of q^(s-6) in the Gaussian binomial [d+1 choose 4]_q, as
+    6 = 0+1+2+3 is the least sum.
     """
     if d < 4:
         raise ValueError("need order at least 4")
     if not 1 <= r <= (d + 1) // 2:
         raise ValueError(f"weight index r={r} outside 1..floor((d+1)/2) for d={d}")
-    # Weight 4(d-r) means the subset's indices sum to 2r; 4(d-r)+2 means 2r-1.
-    count_at = [0, 0]
-    for subset in combinations(range(d + 1), 4):
-        s = sum(subset)
-        if s == 2 * r:
-            count_at[0] += 1
-        elif s == 2 * r - 1:
-            count_at[1] += 1
-    return count_at[0] - count_at[1]
+    top = 2 * r - 6
+    if top < 0:
+        return 0
+    counts = _gaussian_binomial_head(d + 1, 4, top)
+    return counts[top] - (counts[top - 1] if top else 0)
+
+
+def _gaussian_binomial_head(n: int, k: int, top: int) -> list[int]:
+    """Coefficients of q^0 .. q^top of [n choose k]_q = prod_i (1-q^(n-k+i))/(1-q^i).
+
+    Each factor is applied to the truncated power series in place, so the
+    cost is O(k * top) integer additions.
+    """
+    coeffs = [1] + [0] * top
+    for i in range(1, k + 1):
+        step = n - k + i
+        for t in range(top, step - 1, -1):
+            coeffs[t] -= coeffs[t - step]
+        for t in range(i, top + 1):
+            coeffs[t] += coeffs[t - i]
+    return coeffs

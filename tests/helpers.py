@@ -1,10 +1,12 @@
 """Shared deterministic generators and small oracles for the test suite."""
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
+from itertools import combinations
 
-from pencils.forms import MultiForm, ZERO_MONOMIAL, slot_index
+from pencils.forms import BinaryForm, MultiForm, ZERO_MONOMIAL, slot_index
 
 
 def random_multiform(pair_degrees: dict, seed: int, bound: int = 4) -> MultiForm:
@@ -72,3 +74,47 @@ def coefficient_rank(forms) -> int:
         if row_idx == len(rows):
             break
     return rank
+
+
+def _diff_mixed(form: BinaryForm, d1: int, d2: int) -> BinaryForm:
+    out = form
+    for _ in range(d1):
+        out = out.diff(1)
+    for _ in range(d2):
+        out = out.diff(2)
+    return out
+
+
+def transvectant_by_derivatives(f: BinaryForm, g: BinaryForm, q: int) -> BinaryForm:
+    """Oracle: the alternating derivative sum with its factorial prefactor.
+
+    (f, g)_q = (m-q)!(n-q)!/(m! n!) * sum_i (-1)^i C(q,i)
+    * d^q f/(dx1^(q-i) dx2^i) * d^q g/(dx1^i dx2^(q-i)),
+    with each mixed partial built by chained `BinaryForm.diff` over Fractions.
+    """
+    m, n = f.order, g.order
+    if not 0 <= q <= min(m, n):
+        raise ValueError(f"transvectant index {q} outside 0..min({m},{n})")
+    prefactor = Fraction(
+        math.factorial(m - q) * math.factorial(n - q),
+        math.factorial(m) * math.factorial(n),
+    )
+    total = BinaryForm.zero(m + n - 2 * q)
+    for i in range(q + 1):
+        left = _diff_mixed(f, q - i, i)
+        right = _diff_mixed(g, i, q - i)
+        sign = -1 if i % 2 else 1
+        total = total + (sign * math.comb(q, i)) * (left * right)
+    return prefactor * total
+
+
+def enumerated_syzygy_dims(d: int) -> list[int]:
+    """Oracle: syzygy_space_dim(d, r) for r = 1..floor((d+1)/2), by enumeration.
+
+    Counts the 4-element subsets of {0..d} with index sum 2r, minus those
+    with sum 2r-1, over every subset.
+    """
+    sums = [0] * (4 * d)
+    for subset in combinations(range(d + 1), 4):
+        sums[sum(subset)] += 1
+    return [sums[2 * r] - sums[2 * r - 1] for r in range(1, (d + 1) // 2 + 1)]

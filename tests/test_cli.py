@@ -119,6 +119,15 @@ class TestVerify:
             "r=5: 2/2 syzygies vanish",
         ]
 
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_no_trials_is_refused(self, capsys, trials):
+        with pytest.raises(SystemExit) as info:
+            main(["verify", "--d", "7", "--r", "3", "--trials", trials])
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error:" in captured.err and "--trials" in captured.err
+
 
 class TestRecover:
     def test_verified_output(self, capsys):

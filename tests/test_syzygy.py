@@ -19,6 +19,8 @@ from pencils import (
     transvectant,
 )
 
+from helpers import enumerated_syzygy_dims
+
 
 class TestTheta:
     def test_boundary_value_formula(self):
@@ -206,6 +208,11 @@ class TestSyzygySpaceDim:
         for d in range(5, 20):
             assert syzygy_space_dim(d, 1) == 0
             assert syzygy_space_dim(d, 2) == 0
+
+    def test_matches_subset_enumeration(self):
+        for d in range(4, 30):
+            dims = [syzygy_space_dim(d, r) for r in range(1, (d + 1) // 2 + 1)]
+            assert dims == enumerated_syzygy_dims(d), d
 
     def test_range_checks(self):
         with pytest.raises(ValueError):

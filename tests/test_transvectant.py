@@ -1,11 +1,29 @@
-"""Transvectant contracts: frozen small cases, symmetry, equivariance."""
+"""Transvectant contracts: frozen small cases, symmetry, equivariance, oracle."""
+from fractions import Fraction
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pencils import BinaryForm, random_form, transvectant
 
-from helpers import random_unimodular
+from helpers import random_unimodular, transvectant_by_derivatives
+
+# Denominators of at least 2 keep most coefficients non-integer.
+_rationals = st.builds(Fraction, st.integers(-30, 30), st.integers(2, 12))
+
+
+def _rational_forms(order):
+    dense = st.lists(_rationals, min_size=order + 1, max_size=order + 1)
+    return st.just(BinaryForm.zero(order)) | dense.map(lambda cs: BinaryForm(order, cs))
+
+
+@st.composite
+def _transvectant_cases(draw):
+    m, n = draw(st.integers(0, 12)), draw(st.integers(0, 12))
+    top = min(m, n)
+    q = draw(st.sampled_from((0, top)) | st.integers(0, top))
+    return draw(_rational_forms(m)), draw(_rational_forms(n)), q
 
 
 def test_zeroth_transvectant_is_product():
@@ -87,3 +105,21 @@ def test_sl2_equivariance(q, seed):
     left = transvectant(f.compose(matrix), g.compose(matrix), q)
     right = transvectant(f, g, q).compose(matrix)
     assert left == right
+
+
+_SEVENTHS = BinaryForm(7, [Fraction(k - 3, k + 2) for k in range(8)])
+_TWELFTHS = BinaryForm(12, [Fraction(k, 5) for k in range(13)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(_transvectant_cases())
+@example((_SEVENTHS, _TWELFTHS, 0))
+@example((_TWELFTHS, _SEVENTHS, 7))
+@example((_TWELFTHS, BinaryForm.zero(9), 9))
+@example((_TWELFTHS, _TWELFTHS * Fraction(-3, 2), 12))
+@example((BinaryForm.zero(0), BinaryForm.zero(0), 0))
+def test_matches_derivative_sum_oracle(case):
+    f, g, q = case
+    result = transvectant(f, g, q)
+    assert result == transvectant_by_derivatives(f, g, q)
+    assert result.order == f.order + g.order - 2 * q
