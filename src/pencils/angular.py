@@ -392,9 +392,6 @@ class NineJArray:
     def twice_rows(self) -> tuple:
         return tuple(tuple(e.twice for e in row) for row in self.rows)
 
-    def entry(self, row: int, col: int) -> HalfInt:
-        return self.rows[row][col]
-
     def entry_sum_twice(self) -> int:
         return sum(e.twice for row in self.rows for e in row)
 

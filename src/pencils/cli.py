@@ -28,6 +28,10 @@ from .syzygy import (
 )
 from .transvectant import transvectant
 
+# Largest order `oracle-theta` accepts: the chain's cost grows steeply with
+# d, and its slowest case at d = 16 runs for a few seconds.
+ORACLE_THETA_MAX_D = 16
+
 
 def _add_format_flags(parser):
     parser.add_argument("--format", choices=("text", "json"), default="text")
@@ -138,6 +142,8 @@ def _cmd_recover(args, parser):
 
 
 def _cmd_oracle_theta(args, parser):
+    if args.d > ORACLE_THETA_MAX_D:
+        parser.error(f"--d must be at most {ORACLE_THETA_MAX_D} for oracle-theta, got {args.d}")
     f = LinearSymbol.parse(args.f)
     result = omega_chain(args.d, args.r, args.i, args.j, f)
     formula = theta(args.d, args.r, args.i, args.j)
@@ -258,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_recover)
 
     p = sub.add_parser("oracle-theta", help="differential-operator check of a coefficient")
-    p.add_argument("--d", type=int, required=True)
+    p.add_argument("--d", type=int, required=True, help=f"order, at most {ORACLE_THETA_MAX_D}")
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--i", type=int, required=True)
     p.add_argument("--j", type=int, required=True)

@@ -7,11 +7,18 @@ multihomogeneous form over several named pairs, used by the
 differential-operator machinery.
 
 Pairs are named by single letters from `PAIRS`; pair ``"x"`` stands for the
-scalar variables x1, x2, and so on.  A MultiForm monomial is a flat 14-slot
-exponent tuple over the fixed ordering x1,x2,y1,y2,...,t1,t2, which keeps
-sparse maps hashable and iteration deterministic.
+scalar variables x1, x2, and so on.  A MultiForm monomial is one packed
+`int` with `_WIDTH` bits per exponent slot over the fixed ordering
+x1,x2,y1,y2,...,t1,t2 (slot k at bit ``_WIDTH * k``).  Multiplying two
+monomials is one integer addition, a derivative is one subtraction of a
+precomputed unit, and reading an exponent is a shift and a mask.  No
+operation lets an exponent reach ``2**_WIDTH``, where it would carry into
+the next slot: each raises `ValueError` instead.  The coefficients of a
+MultiForm are `int` numerators over one common denominator.  Its public
+surface (`MultiForm(degrees, terms)`, `.terms`, `coefficient`) speaks in
+14-slot exponent tuples and `Fraction` coefficients.
 
-All coefficients are `fractions.Fraction`, so every operation is exact and
+All coefficients are exact rationals, so every operation is exact and
 equality is decisive.  Values are immutable once constructed; operations
 return new objects and are safe to share between threads.
 """
@@ -30,6 +37,9 @@ ZERO_MONOMIAL = (0,) * _NSLOTS
 
 _SCALARS = (int, Fraction)
 
+_WIDTH = 16  # bits per packed exponent slot
+_MAX_EXPONENT = (1 << _WIDTH) - 1  # also the mask of one slot
+
 
 def check_pair(pair: str) -> str:
     if pair not in _PAIR_INDEX:
@@ -43,6 +53,32 @@ def slot_index(pair: str, component: int) -> int:
     if component not in (1, 2):
         raise ValueError("variable component must be 1 or 2")
     return 2 * _PAIR_INDEX[pair] + component - 1
+
+
+def _shift(pair: str, component: int) -> int:
+    """Bit offset of a scalar variable's slot in a packed monomial."""
+    return _WIDTH * slot_index(pair, component)
+
+
+def _pack(mono: tuple) -> int:
+    return sum(e << (_WIDTH * k) for k, e in enumerate(mono))
+
+
+def _unpack(key: int) -> tuple:
+    return tuple((key >> (_WIDTH * k)) & _MAX_EXPONENT for k in range(_NSLOTS))
+
+
+def _slot_maxima(keys) -> list:
+    return [
+        max(((m >> (_WIDTH * k)) & _MAX_EXPONENT for m in keys), default=0)
+        for k in range(_NSLOTS)
+    ]
+
+
+def _check_top(top: int) -> int:
+    if top > _MAX_EXPONENT:
+        raise ValueError(f"exponent {top} exceeds the packed-monomial limit {_MAX_EXPONENT}")
+    return top
 
 
 def to_fraction(value) -> Fraction:
@@ -231,9 +267,16 @@ class MultiForm:
     form keeps whatever degrees it was declared with.  Equality compares the
     stored monomials only; the degree declaration is metadata (two zero
     forms produced along different routes always compare equal).
+
+    The form is stored as ``{packed monomial: int numerator}`` over one
+    positive denominator `_den`, kept reduced so that
+    ``gcd(_den, *numerators) == 1`` and ``_den == 1`` for the zero form;
+    the stored triple is therefore canonical.  `_top` is an upper bound on
+    the largest slot exponent, checked before any slot could carry into
+    the next.
     """
 
-    __slots__ = ("_degrees", "_terms")
+    __slots__ = ("_degrees", "_terms", "_den", "_top")
 
     def __init__(self, degrees: dict, terms: dict):
         clean_deg = {}
@@ -244,7 +287,8 @@ class MultiForm:
                 raise ValueError(f"negative degree for pair {pair!r}")
             if n:
                 clean_deg[pair] = n
-        clean_terms = {}
+        fracs = {}
+        top = 0
         for mono, coeff in terms.items():
             coeff = to_fraction(coeff)
             if not coeff:
@@ -252,33 +296,46 @@ class MultiForm:
             mono = tuple(int(e) for e in mono)
             if len(mono) != _NSLOTS or any(e < 0 for e in mono):
                 raise ValueError(f"bad exponent vector {mono!r}")
-            clean_terms[mono] = coeff
+            top = max(top, _check_top(max(mono)))
+            fracs[_pack(mono)] = coeff
+        # Over the lcm of reduced denominators, gcd(den, *numerators) is 1.
+        den = math.lcm(*(c.denominator for c in fracs.values()))
+        clean_terms = {m: c.numerator * (den // c.denominator) for m, c in fracs.items()}
         self._degrees = clean_deg
         self._terms = clean_terms
+        self._den = den
+        self._top = top
 
     @classmethod
-    def _raw(cls, degrees: dict, terms: dict) -> "MultiForm":
-        # Internal fast path: inputs already normalized.
+    def _raw(cls, degrees: dict, terms: dict, den: int, top: int) -> "MultiForm":
+        # Internal fast path: packed keys, nonzero int numerators over den > 0,
+        # `top` already checked; only the reduction by the gcd is left.
+        if den != 1:
+            g = math.gcd(den, *terms.values())
+            if g != 1:
+                den //= g
+                terms = {m: c // g for m, c in terms.items()}
         obj = object.__new__(cls)
         obj._degrees = degrees
         obj._terms = terms
+        obj._den = den
+        obj._top = top
         return obj
 
     @classmethod
     def constant(cls, value) -> "MultiForm":
         value = to_fraction(value)
-        return cls._raw({}, {ZERO_MONOMIAL: value} if value else {})
+        return cls._raw({}, {0: value.numerator} if value else {}, value.denominator, 0)
 
     @classmethod
     def variable(cls, pair: str, component: int) -> "MultiForm":
-        s = slot_index(pair, component)
-        mono = tuple(1 if k == s else 0 for k in range(_NSLOTS))
-        return cls._raw({pair: 1}, {mono: Fraction(1)})
+        return cls._raw({pair: 1}, {1 << _shift(pair, component): 1}, 1, 1)
 
     @property
     def terms(self) -> dict:
-        """Monomial -> coefficient map.  Treat as read-only."""
-        return self._terms
+        """Exponent tuple -> Fraction coefficient map, built on each call."""
+        den = self._den
+        return {_unpack(m): Fraction(c, den) for m, c in self._terms.items()}
 
     @property
     def degrees(self) -> dict:
@@ -297,14 +354,17 @@ class MultiForm:
 
     def is_homogeneous(self) -> bool:
         """Check every monomial against the declared multidegree."""
-        for mono in self._terms:
+        for mono in map(_unpack, self._terms):
             for k, pair in enumerate(PAIRS):
                 if mono[2 * k] + mono[2 * k + 1] != self._degrees.get(pair, 0):
                     return False
         return True
 
     def coefficient(self, mono) -> Fraction:
-        return self._terms.get(tuple(mono), Fraction(0))
+        mono = tuple(mono)
+        if len(mono) != _NSLOTS or not all(0 <= e <= _MAX_EXPONENT for e in mono):
+            return Fraction(0)
+        return Fraction(self._terms.get(_pack(mono), 0), self._den)
 
     def _merged_add_degrees(self, other: "MultiForm") -> dict:
         if self._degrees == other._degrees:
@@ -321,15 +381,18 @@ class MultiForm:
         if not isinstance(other, MultiForm):
             return NotImplemented
         deg = self._merged_add_degrees(other)
-        terms = dict(self._terms)
+        den = math.lcm(self._den, other._den)
+        scale, other_scale = den // self._den, den // other._den
+        terms = {m: c * scale for m, c in self._terms.items()}
+        get = terms.get
         for mono, coeff in other._terms.items():
-            cur = terms.get(mono)
-            total = coeff if cur is None else cur + coeff
+            # coeff is nonzero, so a zero total means mono was already present.
+            total = get(mono, 0) + coeff * other_scale
             if total:
                 terms[mono] = total
-            elif cur is not None:
+            else:
                 del terms[mono]
-        return MultiForm._raw(deg, terms)
+        return MultiForm._raw(deg, terms, den, max(self._top, other._top))
 
     def __sub__(self, other):
         if not isinstance(other, MultiForm):
@@ -337,32 +400,38 @@ class MultiForm:
         return self + (-other)
 
     def __neg__(self):
-        return MultiForm._raw(dict(self._degrees), {m: -c for m, c in self._terms.items()})
+        return MultiForm._raw(
+            dict(self._degrees), {m: -c for m, c in self._terms.items()}, self._den, self._top
+        )
 
     def __mul__(self, other):
         if isinstance(other, _SCALARS):
             q = Fraction(other)
-            if not q:
-                return MultiForm._raw(dict(self._degrees), {})
-            return MultiForm._raw(
-                dict(self._degrees), {m: c * q for m, c in self._terms.items()}
-            )
+            n = q.numerator
+            terms = {m: c * n for m, c in self._terms.items()} if n else {}
+            return MultiForm._raw(dict(self._degrees), terms, self._den * q.denominator, self._top)
         if not isinstance(other, MultiForm):
             return NotImplemented
         deg = dict(self._degrees)
         for pair, n in other._degrees.items():
             deg[pair] = deg.get(pair, 0) + n
+        top = self._top + other._top
+        if top > _MAX_EXPONENT:
+            # The bound may overshoot: the exact top of a product is the
+            # largest sum of the two factors' per-slot maxima.
+            top = _check_top(
+                max(a + b for a, b in zip(_slot_maxima(self._terms), _slot_maxima(other._terms)))
+            )
         out: dict = {}
+        get = out.get
+        inner = other._terms.items()
         for m1, c1 in self._terms.items():
-            for m2, c2 in other._terms.items():
-                key = tuple(a + b for a, b in zip(m1, m2))
-                cur = out.get(key)
-                total = c1 * c2 if cur is None else cur + c1 * c2
-                if total:
-                    out[key] = total
-                elif cur is not None:
-                    del out[key]
-        return MultiForm._raw(deg, out)
+            for m2, c2 in inner:
+                key = m1 + m2
+                out[key] = get(key, 0) + c1 * c2
+        return MultiForm._raw(
+            deg, {m: c for m, c in out.items() if c}, self._den * other._den, top
+        )
 
     __rmul__ = __mul__
 
@@ -376,23 +445,18 @@ class MultiForm:
 
     def diff(self, pair: str, component: int) -> "MultiForm":
         """Formal partial derivative; the pair's degree drops by one."""
-        s = slot_index(pair, component)
-        out: dict = {}
+        shift = _shift(pair, component)
+        unit = 1 << shift
+        out = {}
         for mono, coeff in self._terms.items():
-            e = mono[s]
+            e = (mono >> shift) & _MAX_EXPONENT
             if e:
-                key = mono[:s] + (e - 1,) + mono[s + 1 :]
-                cur = out.get(key)
-                total = coeff * e if cur is None else cur + coeff * e
-                if total:
-                    out[key] = total
-                elif cur is not None:
-                    del out[key]
+                out[mono - unit] = coeff * e
         deg = dict(self._degrees)
         old = deg.pop(pair, 0)
         if old > 1:
             deg[pair] = old - 1
-        return MultiForm._raw(deg, out)
+        return MultiForm._raw(deg, out, self._den, self._top)
 
     def substituted(self, from1: str, from2: str, to: str) -> "MultiForm":
         """Replace both source pairs' variables by the target pair's.
@@ -407,27 +471,30 @@ class MultiForm:
             raise ValueError("substitution pairs must be three distinct pairs")
         if to in self._degrees:
             raise ValueError(f"target pair {to!r} is already active")
-        sa, sb = 2 * _PAIR_INDEX[from1], 2 * _PAIR_INDEX[from2]
-        st = 2 * _PAIR_INDEX[to]
+        ia, ib = slot_index(from1, 1), slot_index(from2, 1)
+        sa, sb, st = _WIDTH * ia, _WIDTH * ib, _shift(to, 1)
+        pair_mask = (1 << (2 * _WIDTH)) - 1
+        keep = ~((pair_mask << sa) | (pair_mask << sb) | (pair_mask << st))
+        top = 2 * self._top
+        if top > _MAX_EXPONENT:
+            # The bound may overshoot: take the merged exponents term by term.
+            merged = max(
+                (max(e[ia] + e[ib], e[ia + 1] + e[ib + 1]) for e in map(_unpack, self._terms)),
+                default=0,
+            )
+            top = max(self._top, _check_top(merged))
         out: dict = {}
+        get = out.get
         for mono, coeff in self._terms.items():
-            lst = list(mono)
-            a1, a2, b1, b2 = lst[sa], lst[sa + 1], lst[sb], lst[sb + 1]
-            lst[sa] = lst[sa + 1] = lst[sb] = lst[sb + 1] = 0
-            lst[st] = a1 + b1
-            lst[st + 1] = a2 + b2
-            key = tuple(lst)
-            cur = out.get(key)
-            total = coeff if cur is None else cur + coeff
-            if total:
-                out[key] = total
-            elif cur is not None:
-                del out[key]
+            # Adding the two pairs' 32-bit fields adds slot to slot: no slot
+            # carries, because every merged exponent is within `top`.
+            key = (mono & keep) + ((((mono >> sa) & pair_mask) + ((mono >> sb) & pair_mask)) << st)
+            out[key] = get(key, 0) + coeff
         deg = dict(self._degrees)
-        merged = deg.pop(from1, 0) + deg.pop(from2, 0)
-        if merged:
-            deg[to] = merged
-        return MultiForm._raw(deg, out)
+        merged_degree = deg.pop(from1, 0) + deg.pop(from2, 0)
+        if merged_degree:
+            deg[to] = merged_degree
+        return MultiForm._raw(deg, {m: c for m, c in out.items() if c}, self._den, top)
 
     def as_binary_form(self, pair: str) -> BinaryForm:
         """Convert a form whose only active pair is `pair` to a BinaryForm."""
@@ -436,19 +503,19 @@ class MultiForm:
         if stray:
             raise ValueError(f"form still involves pairs {stray}")
         order = self._degrees.get(pair, 0)
-        s = 2 * _PAIR_INDEX[pair]
+        shift = _shift(pair, 1)
         coeffs = [Fraction(0)] * (order + 1)
         for mono, coeff in self._terms.items():
-            k = mono[s + 1]
-            if mono[s] != order - k:
+            k = (mono >> (shift + _WIDTH)) & _MAX_EXPONENT
+            if (mono >> shift) & _MAX_EXPONENT != order - k:
                 raise DegreeMismatchError("form is not homogeneous of its declared degree")
-            coeffs[k] = coeff
+            coeffs[k] = Fraction(coeff, self._den)
         return BinaryForm(order, coeffs)
 
     def __eq__(self, other):
         if not isinstance(other, MultiForm):
             return NotImplemented
-        return self._terms == other._terms
+        return self._den == other._den and self._terms == other._terms
 
     def __repr__(self):
         return f"<MultiForm degrees={self._degrees} terms={len(self._terms)}>"
@@ -459,17 +526,17 @@ def linear_power(f: LinearSymbol, pair: str, n: int) -> MultiForm:
     check_pair(pair)
     if n < 0:
         raise ValueError("exponent must be nonnegative")
-    s = 2 * _PAIR_INDEX[pair]
-    coeffs = _linear_pow_coeffs(f.f1, f.f2, n)
-    terms = {}
-    for k, c in enumerate(coeffs):
-        if not c:
-            continue
-        mono = [0] * _NSLOTS
-        mono[s] = n - k
-        mono[s + 1] = k
-        terms[tuple(mono)] = c
-    return MultiForm._raw({pair: n} if n else {}, terms)
+    _check_top(n)
+    # f1*p1 + f2*p2 = (a*p1 + b*p2) / (D1*D2) with integers a, b.
+    a = f.f1.numerator * f.f2.denominator
+    b = f.f2.numerator * f.f1.denominator
+    ks = range(n + 1) if a and b else (n,) if b else (0,)
+    s1, s2 = _shift(pair, 1), _shift(pair, 2)
+    terms = {
+        ((n - k) << s1) + (k << s2): math.comb(n, k) * a ** (n - k) * b**k for k in ks
+    }
+    den = (f.f1.denominator * f.f2.denominator) ** n
+    return MultiForm._raw({pair: n} if n else {}, terms, den, n)
 
 
 def exact_divide(numerator: BinaryForm, denominator: BinaryForm) -> BinaryForm:

@@ -14,16 +14,17 @@ formula.
 """
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 from math import factorial
 
 from .errors import FormulaViolationError
 from .forms import (
+    _MAX_EXPONENT,
     BinaryForm,
     LinearSymbol,
     MultiForm,
-    ZERO_MONOMIAL,
-    _PAIR_INDEX,
+    _shift,
     check_pair,
     linear_power,
 )
@@ -38,17 +39,9 @@ def bracket(pair1: str, pair2: str) -> MultiForm:
     check_pair(pair2)
     if pair1 == pair2:
         raise ValueError("bracket needs two distinct pairs")
-    s1, s2 = 2 * _PAIR_INDEX[pair1], 2 * _PAIR_INDEX[pair2]
-    plus = [0] * len(ZERO_MONOMIAL)
-    plus[s1] = 1
-    plus[s2 + 1] = 1
-    minus = [0] * len(ZERO_MONOMIAL)
-    minus[s2] = 1
-    minus[s1 + 1] = 1
-    return MultiForm._raw(
-        {pair1: 1, pair2: 1},
-        {tuple(plus): Fraction(1), tuple(minus): Fraction(-1)},
-    )
+    plus = (1 << _shift(pair1, 1)) + (1 << _shift(pair2, 2))
+    minus = (1 << _shift(pair2, 1)) + (1 << _shift(pair1, 2))
+    return MultiForm._raw({pair1: 1, pair2: 1}, {plus: 1, minus: -1}, 1, 1)
 
 
 def omega(form: MultiForm, pair1: str, pair2: str) -> MultiForm:
@@ -61,39 +54,29 @@ def omega(form: MultiForm, pair1: str, pair2: str) -> MultiForm:
     check_pair(pair2)
     if pair1 == pair2:
         raise ValueError("operator needs two distinct pairs")
-    s1, s2 = 2 * _PAIR_INDEX[pair1], 2 * _PAIR_INDEX[pair2]
+    a1, a2 = _shift(pair1, 1), _shift(pair1, 2)
+    b1, b2 = _shift(pair2, 1), _shift(pair2, 2)
+    step_ab = (1 << a1) + (1 << b2)
+    step_ba = (1 << b1) + (1 << a2)
+    mask = _MAX_EXPONENT
     out: dict = {}
-    for mono, coeff in form.terms.items():
-        e_a1, e_b2 = mono[s1], mono[s2 + 1]
-        if e_a1 and e_b2:
-            lst = list(mono)
-            lst[s1] -= 1
-            lst[s2 + 1] -= 1
-            key = tuple(lst)
-            cur = out.get(key)
-            total = coeff * (e_a1 * e_b2) if cur is None else cur + coeff * (e_a1 * e_b2)
-            if total:
-                out[key] = total
-            elif cur is not None:
-                del out[key]
-        e_b1, e_a2 = mono[s2], mono[s1 + 1]
-        if e_b1 and e_a2:
-            lst = list(mono)
-            lst[s2] -= 1
-            lst[s1 + 1] -= 1
-            key = tuple(lst)
-            cur = out.get(key)
-            total = -coeff * (e_b1 * e_a2) if cur is None else cur - coeff * (e_b1 * e_a2)
-            if total:
-                out[key] = total
-            elif cur is not None:
-                del out[key]
+    get = out.get
+    for mono, coeff in form._terms.items():
+        # d^2/(dp1 dq2) - d^2/(dq1 dp2), each a product of two exponents.
+        e = ((mono >> a1) & mask) * ((mono >> b2) & mask)
+        if e:
+            key = mono - step_ab
+            out[key] = get(key, 0) + coeff * e
+        e = ((mono >> b1) & mask) * ((mono >> a2) & mask)
+        if e:
+            key = mono - step_ba
+            out[key] = get(key, 0) - coeff * e
     deg = dict(form.degrees)
     for pair in (pair1, pair2):
         old = deg.pop(pair, 0)
         if old > 1:
             deg[pair] = old - 1
-    return MultiForm._raw(deg, out)
+    return MultiForm._raw(deg, {m: c for m, c in out.items() if c}, form._den, form._top)
 
 
 def h_factor(m: int, n: int, q: int) -> Fraction:
@@ -186,33 +169,15 @@ def beta_chain(q_form: MultiForm, d: int, r: int, i: int, j: int) -> BinaryForm:
     return out.as_binary_form("t")
 
 
-class CConstants:
+class CConstants(namedtuple("CConstants", "c1 c1p c2 c2p c3 c3p c3pp")):
     """The seven contraction constants of the two-stage evaluation of one
     zeta summand; primes mark the second stage, with the last two in their
     boundary-safe unconditional forms."""
 
-    __slots__ = ("c1", "c1p", "c2", "c2p", "c3", "c3p", "c3pp")
-
-    def __init__(self, c1, c1p, c2, c2p, c3, c3p, c3pp):
-        self.c1 = c1
-        self.c1p = c1p
-        self.c2 = c2
-        self.c2p = c2p
-        self.c3 = c3
-        self.c3p = c3p
-        self.c3pp = c3pp
-
-    def as_tuple(self):
-        return (self.c1, self.c1p, self.c2, self.c2p, self.c3, self.c3p, self.c3pp)
-
-    def __eq__(self, other):
-        if not isinstance(other, CConstants):
-            return NotImplemented
-        return self.as_tuple() == other.as_tuple()
+    __slots__ = ()
 
     def __repr__(self):
-        names = ("c1", "c1p", "c2", "c2p", "c3", "c3p", "c3pp")
-        body = ", ".join(f"{n}={v}" for n, v in zip(names, self.as_tuple()))
+        body = ", ".join(f"{n}={v}" for n, v in zip(self._fields, self))
         return f"CConstants({body})"
 
 
@@ -279,20 +244,11 @@ def c_aggregate(d: int, r: int, i: int, j: int) -> Fraction:
     return h_factor(d, d, 2 * i - 1) * h_factor(d, d, 2 * j - 1) * inner
 
 
-class OmegaChainResult:
+class OmegaChainResult(namedtuple("OmegaChainResult", "d r i j f output ratio")):
     """Outcome of one full chain evaluation: the output form and its ratio
     against the reference power f_t^(4(d-r))."""
 
-    __slots__ = ("d", "r", "i", "j", "f", "output", "ratio")
-
-    def __init__(self, d, r, i, j, f, output, ratio):
-        self.d = d
-        self.r = r
-        self.i = i
-        self.j = j
-        self.f = f
-        self.output = output
-        self.ratio = ratio
+    __slots__ = ()
 
     def __repr__(self):
         return (

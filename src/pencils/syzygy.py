@@ -16,6 +16,7 @@ weight-2r syzygies by weight multiplicity counting.
 """
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 from math import factorial
 
@@ -189,7 +190,11 @@ def gamma(r: int, d: int) -> Fraction:
     )
 
 
-class PositivityCertificate:
+class PositivityCertificate(
+    namedtuple(
+        "PositivityCertificate", "r d gamma boundary_value dn_difference dn_factored"
+    )
+):
     """Exact witnesses that gamma(r, d) < 1, hence alpha_{1,r} > 0.
 
     `dn_difference` is D - N computed from the two displayed products in the
@@ -198,15 +203,7 @@ class PositivityCertificate:
     its boundary value gamma(r, 2r-1) = 2/r once d > 2r-1.
     """
 
-    __slots__ = ("r", "d", "gamma", "boundary_value", "dn_difference", "dn_factored")
-
-    def __init__(self, r, d, gamma_value, boundary_value, dn_difference, dn_factored):
-        self.r = r
-        self.d = d
-        self.gamma = gamma_value
-        self.boundary_value = boundary_value
-        self.dn_difference = dn_difference
-        self.dn_factored = dn_factored
+    __slots__ = ()
 
     def __repr__(self):
         return (
@@ -241,34 +238,21 @@ def syzygy_space_dim(d: int, r: int) -> int:
 
     Counted as the multiplicity of the order-4(d-r) irreducible inside the
     fourth exterior power of the order-d space: the number of 4-element
-    exponent subsets of {0..d} of total weight 4(d-r), minus the number at
-    weight 4(d-r)+2.  Weight 4(d-r) means the subset's indices sum to 2r,
-    and 4(d-r)+2 means 2r-1.  The number of subsets with index sum s is the
-    coefficient of q^(s-6) in the Gaussian binomial [d+1 choose 4]_q, as
-    6 = 0+1+2+3 is the least sum.
+    exponent subsets of {0..d} with index sum 2r, minus the number with
+    index sum 2r-1.  Those counts are the coefficients of q^(2r-6) and
+    q^(2r-7) in the Gaussian binomial [d+1 choose 4]_q.
+
+    The bound d never binds: a subset with index sum at most 2r has its
+    largest index at most 2r - 3 <= d - 2, because the other three sum to
+    at least 0+1+2 and 2r <= d+1.  So the two counts are the numbers of
+    partitions of 2r-6 and 2r-7 into at most four parts, and their
+    difference counts the partitions of 2r-6 into parts 2, 3 and 4.  The
+    3s come in pairs, so halving gives the partitions of r-3 into parts
+    1, 2 and 3, whose number is the integer nearest (r-3+3)^2/12, that is
+    (r*r + 6) // 12.  This is 0 for r = 1, 2, where no syzygy exists.
     """
     if d < 4:
         raise ValueError("need order at least 4")
     if not 1 <= r <= (d + 1) // 2:
         raise ValueError(f"weight index r={r} outside 1..floor((d+1)/2) for d={d}")
-    top = 2 * r - 6
-    if top < 0:
-        return 0
-    counts = _gaussian_binomial_head(d + 1, 4, top)
-    return counts[top] - (counts[top - 1] if top else 0)
-
-
-def _gaussian_binomial_head(n: int, k: int, top: int) -> list[int]:
-    """Coefficients of q^0 .. q^top of [n choose k]_q = prod_i (1-q^(n-k+i))/(1-q^i).
-
-    Each factor is applied to the truncated power series in place, so the
-    cost is O(k * top) integer additions.
-    """
-    coeffs = [1] + [0] * top
-    for i in range(1, k + 1):
-        step = n - k + i
-        for t in range(top, step - 1, -1):
-            coeffs[t] -= coeffs[t - step]
-        for t in range(i, top + 1):
-            coeffs[t] += coeffs[t - i]
-    return coeffs
+    return (r * r + 6) // 12

@@ -118,3 +118,129 @@ def enumerated_syzygy_dims(d: int) -> list[int]:
     for subset in combinations(range(d + 1), 4):
         sums[sum(subset)] += 1
     return [sums[2 * r] - sums[2 * r - 1] for r in range(1, (d + 1) // 2 + 1)]
+
+
+def gaussian_binomial_head(n: int, k: int, top: int) -> list[int]:
+    """Oracle: coefficients of q^0 .. q^top of [n choose k]_q.
+
+    [n choose k]_q = prod_i (1-q^(n-k+i))/(1-q^i), each factor applied to
+    the truncated power series in place: O(k * top) integer additions.
+    """
+    coeffs = [1] + [0] * top
+    for i in range(1, k + 1):
+        step = n - k + i
+        for t in range(top, step - 1, -1):
+            coeffs[t] -= coeffs[t - step]
+        for t in range(i, top + 1):
+            coeffs[t] += coeffs[t - i]
+    return coeffs
+
+
+# Oracle for MultiForm arithmetic: sparse {exponent tuple: Fraction} maps
+# with no zero values, one tuple entry per slot x1, x2, ..., t1, t2.
+
+
+def _accumulate(out: dict, key: tuple, value) -> None:
+    total = out.get(key, 0) + value
+    if total:
+        out[key] = total
+    else:
+        out.pop(key, None)
+
+
+def tuple_add(f: dict, g: dict) -> dict:
+    out = dict(f)
+    for mono, coeff in g.items():
+        _accumulate(out, mono, coeff)
+    return out
+
+
+def tuple_neg(f: dict) -> dict:
+    return {mono: -coeff for mono, coeff in f.items()}
+
+
+def tuple_scale(f: dict, q) -> dict:
+    q = Fraction(q)
+    return {mono: coeff * q for mono, coeff in f.items()} if q else {}
+
+
+def tuple_mul(f: dict, g: dict) -> dict:
+    out: dict = {}
+    for m1, c1 in f.items():
+        for m2, c2 in g.items():
+            _accumulate(out, tuple(a + b for a, b in zip(m1, m2)), c1 * c2)
+    return out
+
+
+def tuple_diff(f: dict, pair: str, component: int) -> dict:
+    s = slot_index(pair, component)
+    out: dict = {}
+    for mono, coeff in f.items():
+        if mono[s]:
+            _accumulate(out, mono[:s] + (mono[s] - 1,) + mono[s + 1 :], coeff * mono[s])
+    return out
+
+
+def tuple_substituted(f: dict, from1: str, from2: str, to: str) -> dict:
+    sa, sb, st = (slot_index(p, 1) for p in (from1, from2, to))
+    out: dict = {}
+    for mono, coeff in f.items():
+        lst = list(mono)
+        a1, a2, b1, b2 = lst[sa], lst[sa + 1], lst[sb], lst[sb + 1]
+        lst[sa] = lst[sa + 1] = lst[sb] = lst[sb + 1] = 0
+        lst[st], lst[st + 1] = a1 + b1, a2 + b2
+        _accumulate(out, tuple(lst), coeff)
+    return out
+
+
+def tuple_omega(f: dict, pair1: str, pair2: str) -> dict:
+    """d^2/(dp1 dq2) - d^2/(dq1 dp2) for p = pair1, q = pair2."""
+    first = tuple_diff(tuple_diff(f, pair1, 1), pair2, 2)
+    second = tuple_diff(tuple_diff(f, pair2, 1), pair1, 2)
+    return tuple_add(first, tuple_neg(second))
+
+
+def _tuple_monomial(exponents: dict) -> tuple:
+    mono = [0] * len(ZERO_MONOMIAL)
+    for (pair, component), e in exponents.items():
+        mono[slot_index(pair, component)] = e
+    return tuple(mono)
+
+
+def tuple_bracket(pair1: str, pair2: str) -> dict:
+    return {
+        _tuple_monomial({(pair1, 1): 1, (pair2, 2): 1}): Fraction(1),
+        _tuple_monomial({(pair2, 1): 1, (pair1, 2): 1}): Fraction(-1),
+    }
+
+
+def tuple_linear_power(f, pair: str, n: int) -> dict:
+    out: dict = {_tuple_monomial({}): Fraction(1)}
+    linear = {
+        _tuple_monomial({(pair, 1): 1}): f.f1,
+        _tuple_monomial({(pair, 2): 1}): f.f2,
+    }
+    linear = {mono: coeff for mono, coeff in linear.items() if coeff}
+    for _ in range(n):
+        out = tuple_mul(out, linear)
+    return out
+
+
+def tuple_zeta_image(d: int, r: int, f) -> dict:
+    """Oracle for `omega.zeta_image`: the same six signed summands."""
+
+    def summand(a, b, c, e):
+        form = tuple_bracket(a, b)
+        for _ in range(2 * r - 1):
+            form = tuple_mul(form, tuple_bracket(c, e))
+        for pair, n in ((a, d - 1), (b, d - 1), (c, d - 2 * r + 1), (e, d - 2 * r + 1)):
+            form = tuple_mul(form, tuple_linear_power(f, pair, n))
+        return form
+
+    total: dict = {}
+    for sign, pairs in (
+        (1, "xyzw"), (-1, "xzyw"), (1, "xwyz"), (-1, "ywxz"), (1, "zwxy"), (-1, "zyxw"),
+    ):
+        term = summand(*pairs)
+        total = tuple_add(total, term if sign > 0 else tuple_neg(term))
+    return total

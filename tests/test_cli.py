@@ -159,6 +159,22 @@ class TestOracleTheta:
         assert "MATCH" in out
 
 
+    def test_largest_accepted_order(self, capsys):
+        code, out, _ = run(
+            capsys, "oracle-theta", "--d", "16", "--r", "3", "--i", "1", "--j", "1"
+        )
+        assert code == 0
+        assert out.splitlines() == ["oracle ratio:  10", "formula theta: 10", "MATCH"]
+
+    def test_order_above_cap_is_refused(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["oracle-theta", "--d", "17", "--r", "3", "--i", "1", "--j", "1"])
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error:" in captured.err and "--d" in captured.err
+
+
 class TestGamma:
     def test_text(self, capsys):
         code, out, _ = run(capsys, "gamma", "--r", "3", "--d", "7")
@@ -180,6 +196,11 @@ class TestDimSyzygy:
         code, out, _ = run(capsys, "dim-syzygy", "--d", "7", "--r", "3")
         assert code == 0
         assert out.strip() == "1"
+
+    def test_huge_order_is_constant_time(self, capsys):
+        code, out, _ = run(capsys, "dim-syzygy", "--d", "1000000000", "--r", "500000000")
+        assert code == 0
+        assert out.strip() == "20833333333333333"
 
 
 class TestNinej:

@@ -1,8 +1,9 @@
 """Core exact-algebra contracts: rationals, BinaryForm, MultiForm, division."""
+import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pencils import (
@@ -13,11 +14,21 @@ from pencils import (
     NotDivisibleError,
     exact_divide,
     linear_power,
+    omega,
     random_form,
 )
 from pencils.forms import PAIRS, slot_index, to_fraction
 
-from helpers import random_multiform
+from helpers import (
+    random_multiform,
+    tuple_add,
+    tuple_diff,
+    tuple_mul,
+    tuple_neg,
+    tuple_omega,
+    tuple_scale,
+    tuple_substituted,
+)
 
 small_fractions = st.fractions(min_value=-10, max_value=10, max_denominator=12)
 
@@ -284,3 +295,130 @@ class TestLinearPower:
     def test_degenerate_symbol_rejected(self):
         with pytest.raises(ValueError):
             LinearSymbol(0, 0)
+
+
+def monomial(**exponents) -> tuple:
+    """Exponent tuple from keywords such as x1=2, y2=1."""
+    mono = [0] * (2 * len(PAIRS))
+    for name, e in exponents.items():
+        mono[slot_index(name[0], int(name[1]))] = e
+    return tuple(mono)
+
+
+def tuple_forms(degrees: dict):
+    """Sparse {exponent tuple: Fraction} maps homogeneous of the given degrees."""
+    per_pair = [
+        [{f"{pair}1": n - k, f"{pair}2": k} for k in range(n + 1)]
+        for pair, n in degrees.items()
+    ]
+    keys = [
+        monomial(**{name: e for part in parts for name, e in part.items()})
+        for parts in itertools.product(*per_pair)
+    ]
+    return st.dictionaries(st.sampled_from(keys), small_fractions.filter(bool), max_size=8)
+
+
+def with_forms(degree_maps, count):
+    return degree_maps.flatmap(
+        lambda deg: st.tuples(st.just(deg), *(tuple_forms(deg) for _ in range(count)))
+    )
+
+
+XYZ_DEGREES = st.fixed_dictionaries(
+    {"x": st.integers(0, 3), "y": st.integers(0, 3), "z": st.integers(0, 2)}
+)
+XW_DEGREES = st.fixed_dictionaries({"x": st.integers(0, 2), "w": st.integers(0, 2)})
+F = Fraction
+
+
+class TestPackedMatchesTupleOracle:
+    """The packed-int MultiForm against the tuple/Fraction oracle, term for term."""
+
+    @staticmethod
+    def check(form, expected):
+        assert form.terms == expected
+        # Equal as stored forms too, so the numerators and denominator are
+        # reduced exactly as the constructor reduces them.
+        assert form == MultiForm(form.degrees, expected)
+
+    @given(same=with_forms(XYZ_DEGREES, 2), other=with_forms(XW_DEGREES, 1), q=small_fractions)
+    @example(same=({"x": 2, "y": 1, "z": 0}, {}, {}), other=({"x": 1, "w": 0}, {}), q=F(0))
+    @example(
+        same=(
+            {"x": 1, "y": 1, "z": 0},
+            {monomial(x1=1, y2=1): F(1, 2), monomial(x2=1, y1=1): F(-1, 2)},
+            {monomial(x1=1, y2=1): F(-1, 2), monomial(x1=1, y1=1): F(3, 4)},
+        ),
+        other=({"x": 1, "w": 1}, {monomial(x2=1, w1=1): F(2, 3)}),
+        q=F(0),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_operations(self, same, other, q):
+        degrees, a, b = same
+        other_degrees, c = other
+        fa, fb, fc = MultiForm(degrees, a), MultiForm(degrees, b), MultiForm(other_degrees, c)
+        self.check(fa, a)
+        self.check(fa + fb, tuple_add(a, b))
+        self.check(fa - fb, tuple_add(a, tuple_neg(b)))
+        self.check(-fa, tuple_neg(a))
+        self.check(fa * q, tuple_scale(a, q))
+        self.check(q * fa, tuple_scale(a, q))
+        self.check(fa * fb, tuple_mul(a, b))
+        self.check(fa * fc, tuple_mul(a, c))
+        for pair in ("x", "y", "z"):
+            for component in (1, 2):
+                self.check(fa.diff(pair, component), tuple_diff(a, pair, component))
+        self.check(fa.substituted("x", "y", "u"), tuple_substituted(a, "x", "y", "u"))
+        self.check(fa.substituted("z", "x", "t"), tuple_substituted(a, "z", "x", "t"))
+        self.check(omega(fa, "x", "y"), tuple_omega(a, "x", "y"))
+        self.check(omega(fa, "z", "x"), tuple_omega(a, "z", "x"))
+        self.check(omega(fa * fc, "w", "y"), tuple_omega(tuple_mul(a, c), "w", "y"))
+
+
+LIMIT = 2**16 - 1  # largest exponent a packed slot holds
+
+
+class TestPackedExponentLimit:
+    def test_constructor(self):
+        f = MultiForm({"x": LIMIT}, {monomial(x1=LIMIT): 3})
+        assert f.coefficient(monomial(x1=LIMIT)) == 3
+        with pytest.raises(ValueError):
+            MultiForm({"x": LIMIT + 1}, {monomial(x1=LIMIT + 1): 3})
+        with pytest.raises(ValueError):
+            MultiForm({"x": 1}, {monomial(x1=1): 1, monomial(t2=LIMIT + 1): 1})
+
+    def test_linear_power(self):
+        assert linear_power(LinearSymbol(2, 0), "x", LIMIT).terms == {
+            monomial(x1=LIMIT): 2**LIMIT
+        }
+        assert linear_power(LinearSymbol(0, 1), "t", LIMIT).terms == {monomial(t2=LIMIT): 1}
+        with pytest.raises(ValueError):
+            linear_power(LinearSymbol(0, 1), "t", LIMIT + 1)
+
+    def test_product(self):
+        x1 = MultiForm.variable("x", 1)
+        high = MultiForm({"x": LIMIT - 1}, {monomial(x1=LIMIT - 1): 1})
+        assert (high * x1).terms == {monomial(x1=LIMIT): 1}
+        with pytest.raises(ValueError):
+            (high * x1) * x1
+        # Exponents in different slots do not add up.
+        left = MultiForm({"x": 40000}, {monomial(x1=40000): 1})
+        right = MultiForm({"x": 40000}, {monomial(x2=40000): 1})
+        assert (left * right).terms == {monomial(x1=40000, x2=40000): 1}
+        with pytest.raises(ValueError):
+            left * left
+
+    def test_substituted(self):
+        for rest, fits in ((LIMIT - 40000, True), (LIMIT + 1 - 40000, False)):
+            form = MultiForm({"x": 40000, "y": rest}, {monomial(x1=40000, y1=rest): 1})
+            if fits:
+                assert form.substituted("x", "y", "u").terms == {monomial(u1=LIMIT): 1}
+            else:
+                with pytest.raises(ValueError):
+                    form.substituted("x", "y", "u")
+        # Large exponents that land in different target slots are fine.
+        crossed = MultiForm(
+            {"x": 40000, "y": 40000},
+            {monomial(x1=40000, y2=40000): 1, monomial(x2=40000, y1=40000): -1},
+        )
+        assert crossed.substituted("x", "y", "u").terms == {}

@@ -26,7 +26,7 @@ from pencils import (
 )
 from pencils.forms import _PAIR_INDEX
 
-from helpers import random_multiform
+from helpers import random_multiform, tuple_zeta_image
 
 F12 = LinearSymbol(1, 2)
 
@@ -183,6 +183,15 @@ class TestZetaImage:
         z = zeta_image(7, 3, F12)
         assert all(z.degree(p) == 7 for p in "xyzw")
         assert z.is_homogeneous()
+
+    @pytest.mark.parametrize("d", [5, 6])
+    @pytest.mark.parametrize("symbol", ["1,2", "2,-3", "1/2,-3/5"])
+    def test_matches_tuple_oracle(self, d, symbol):
+        f = LinearSymbol.parse(symbol)
+        z = zeta_image(d, 3, f)
+        expected = tuple_zeta_image(d, 3, f)
+        assert z.terms == expected
+        assert z == MultiForm(z.degrees, expected)
 
     def test_range_check(self):
         with pytest.raises(ValueError):

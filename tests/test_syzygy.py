@@ -19,7 +19,7 @@ from pencils import (
     transvectant,
 )
 
-from helpers import enumerated_syzygy_dims
+from helpers import enumerated_syzygy_dims, gaussian_binomial_head
 
 
 class TestTheta:
@@ -213,6 +213,15 @@ class TestSyzygySpaceDim:
         for d in range(4, 30):
             dims = [syzygy_space_dim(d, r) for r in range(1, (d + 1) // 2 + 1)]
             assert dims == enumerated_syzygy_dims(d), d
+
+    def test_matches_gaussian_binomial(self):
+        for d in range(4, 200):
+            top = max(2 * ((d + 1) // 2) - 6, 0)
+            counts = gaussian_binomial_head(d + 1, 4, top)
+            for r in range(1, (d + 1) // 2 + 1):
+                k = 2 * r - 6
+                expected = 0 if k < 0 else counts[k] - (counts[k - 1] if k else 0)
+                assert syzygy_space_dim(d, r) == expected, (d, r)
 
     def test_range_checks(self):
         with pytest.raises(ValueError):
