@@ -28,9 +28,32 @@ from .syzygy import (
 )
 from .transvectant import transvectant
 
+# Input caps: each command refuses larger input with exit 2, so every run it
+# accepts ends within a few seconds.
+#
 # Largest order `oracle-theta` accepts: the chain's cost grows steeply with
 # d, and its slowest case at d = 16 runs for a few seconds.
 ORACLE_THETA_MAX_D = 16
+# Largest order `syzygy-table` accepts: the table has about r^2/4 theta
+# values of factorials of up to 2d; d = 300 at the top weight r = 150 prints
+# 1.3 MB in about 1.4 s.
+SYZYGY_TABLE_MAX_D = 300
+# Largest order `gamma` accepts: gamma(r, d) has about d/4 digits, and
+# Python refuses to print an int of more than 4300; d = 10000 stays below
+# 2600 digits and runs in well under a second.
+GAMMA_MAX_D = 10000
+# Largest order and coefficient bound of the random pencils of `verify` and
+# `recover`, and the most `verify` trials: every weight at d = 20 takes
+# about 0.16 s per trial, so 20 trials take about 3 s.
+PENCIL_MAX_D = 20
+PENCIL_MAX_BOUND = 10**9
+VERIFY_MAX_TRIALS = 20
+
+
+def _check_cap(parser, args, option, cap):
+    value = getattr(args, option[2:])
+    if value > cap:
+        parser.error(f"{option} must be at most {cap} for {args.command}, got {value}")
 
 
 def _add_format_flags(parser):
@@ -93,6 +116,7 @@ def _cmd_combinants(args, parser):
 
 
 def _cmd_syzygy_table(args, parser):
+    _check_cap(parser, args, "--d", SYZYGY_TABLE_MAX_D)
     table = syzygy_table(args.d, args.r)
     if _fmt(args) == "json":
         print(json.dumps(table_to_dict(table)))
@@ -102,9 +126,16 @@ def _cmd_syzygy_table(args, parser):
     return 0
 
 
+def _check_pencil_caps(args, parser):
+    _check_cap(parser, args, "--d", PENCIL_MAX_D)
+    _check_cap(parser, args, "--bound", PENCIL_MAX_BOUND)
+
+
 def _cmd_verify(args, parser):
     if args.trials < 1:
         parser.error(f"--trials must be at least 1, got {args.trials}")
+    _check_pencil_caps(args, parser)
+    _check_cap(parser, args, "--trials", VERIFY_MAX_TRIALS)
     d = args.d
     if args.r is not None:
         r_values = [args.r]
@@ -112,22 +143,24 @@ def _cmd_verify(args, parser):
         r_values = list(range(3, (d + 1) // 2 + 1))
         if not r_values:
             parser.error(f"no valid weight indices for d={d}")
-    failures = 0
-    for r in r_values:
-        good = 0
-        for trial in range(args.trials):
-            pencil = random_pencil(d, args.seed + trial, args.bound)
+    # The pencils depend only on the trial; each one, with the combinants it
+    # keeps, serves every weight.
+    good = dict.fromkeys(r_values, 0)
+    for trial in range(args.trials):
+        pencil = random_pencil(d, args.seed + trial, args.bound)
+        for r in r_values:
             if evaluate_syzygy(pencil, r).is_zero():
-                good += 1
-        line = f"{good}/{args.trials} syzygies vanish"
+                good[r] += 1
+    for r in r_values:
+        line = f"{good[r]}/{args.trials} syzygies vanish"
         if len(r_values) > 1:
             line = f"r={r}: " + line
         print(line)
-        failures += args.trials - good
-    return 0 if failures == 0 else 1
+    return 0 if sum(good.values()) == args.trials * len(r_values) else 1
 
 
 def _cmd_recover(args, parser):
+    _check_pencil_caps(args, parser)
     pencil = random_pencil(args.d, args.seed, args.bound)
     recovered = recover_combinant(pencil, args.r)
     direct = transvectant(pencil.a, pencil.b, 2 * args.r - 1)
@@ -142,8 +175,7 @@ def _cmd_recover(args, parser):
 
 
 def _cmd_oracle_theta(args, parser):
-    if args.d > ORACLE_THETA_MAX_D:
-        parser.error(f"--d must be at most {ORACLE_THETA_MAX_D} for oracle-theta, got {args.d}")
+    _check_cap(parser, args, "--d", ORACLE_THETA_MAX_D)
     f = LinearSymbol.parse(args.f)
     result = omega_chain(args.d, args.r, args.i, args.j, f)
     formula = theta(args.d, args.r, args.i, args.j)
@@ -157,6 +189,7 @@ def _cmd_oracle_theta(args, parser):
 
 
 def _cmd_gamma(args, parser):
+    _check_cap(parser, args, "--d", GAMMA_MAX_D)
     cert = positivity_certificate(args.r, args.d)
     if _fmt(args) == "json":
         print(
@@ -243,24 +276,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_combinants)
 
     p = sub.add_parser("syzygy-table", help="syzygy coefficient table")
-    p.add_argument("--d", type=int, required=True)
+    p.add_argument("--d", type=int, required=True, help=f"order, at most {SYZYGY_TABLE_MAX_D}")
     p.add_argument("--r", type=int, required=True)
     _add_format_flags(p)
     p.set_defaults(handler=_cmd_syzygy_table)
 
     p = sub.add_parser("verify", help="check syzygy vanishing on random pencils")
-    p.add_argument("--d", type=int, required=True)
+    p.add_argument("--d", type=int, required=True, help=f"order, at most {PENCIL_MAX_D}")
     p.add_argument("--r", type=int, default=None)
-    p.add_argument("--trials", type=int, default=10)
+    p.add_argument("--trials", type=int, default=10, help=f"at most {VERIFY_MAX_TRIALS}")
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--bound", type=int, default=10)
+    p.add_argument(
+        "--bound", type=int, default=10, help=f"coefficient bound, at most {PENCIL_MAX_BOUND}"
+    )
     p.set_defaults(handler=_cmd_verify)
 
     p = sub.add_parser("recover", help="recover a combinant and compare to the direct value")
-    p.add_argument("--d", type=int, required=True)
+    p.add_argument("--d", type=int, required=True, help=f"order, at most {PENCIL_MAX_D}")
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--bound", type=int, default=10)
+    p.add_argument(
+        "--bound", type=int, default=10, help=f"coefficient bound, at most {PENCIL_MAX_BOUND}"
+    )
     p.set_defaults(handler=_cmd_recover)
 
     p = sub.add_parser("oracle-theta", help="differential-operator check of a coefficient")
@@ -273,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gamma", help="positivity ratio and its certificate")
     p.add_argument("--r", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
+    p.add_argument("--d", type=int, required=True, help=f"order, at most {GAMMA_MAX_D}")
     _add_format_flags(p)
     p.set_defaults(handler=_cmd_gamma)
 

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from .errors import DegeneratePencilError, DegreeMismatchError
 from .forms import BinaryForm, random_form
-from .transvectant import transvectant
+from .transvectant import _transvectant_ints, transvectant
 
 
 class Pencil:
@@ -20,10 +20,12 @@ class Pencil:
 
     Independence is detected via the first combinant: C1 = (A, B)_1 is a
     scalar multiple of the Jacobian and vanishes exactly when A, B are
-    dependent.  The C1 computed for that check is kept as `combinant(1)`.
+    dependent.  The combinants are kept as integer numerators over one
+    denominator once computed, starting with the C1 of that check, so
+    every weight evaluated on one pencil shares them.
     """
 
-    __slots__ = ("a", "b", "order", "_c1")
+    __slots__ = ("a", "b", "order", "_ints")
 
     def __init__(self, a: BinaryForm, b: BinaryForm):
         if a.order != b.order:
@@ -32,24 +34,45 @@ class Pencil:
             )
         if a.order < 2:
             raise ValueError("pencil order must be at least 2")
-        c1 = transvectant(a, b, 1)
-        if c1.is_zero():
+        nums, den = _transvectant_ints(*a.as_integers(), *b.as_integers(), 1)
+        if not any(nums):
             raise DegeneratePencilError("the two forms are linearly dependent")
         self.a = a
         self.b = b
         self.order = a.order
-        self._c1 = c1
+        self._ints = ((tuple(nums), den),)
 
     def max_combinant_index(self) -> int:
         return (self.order + 1) // 2
+
+    def integer_combinants(self, count: int) -> tuple:
+        """C_1, C_3, ..., C_{2count-1} as (integer numerators, denominator) pairs.
+
+        The numerators are tuples, and each pair is reduced as
+        `_transvectant_ints` returns it.  Every combinant is computed once
+        per pencil; a longer list extends the kept one, which is replaced
+        whole so that concurrent callers never see a partial list.
+        """
+        if not 1 <= count <= self.max_combinant_index():
+            raise ValueError(
+                f"combinant count {count} outside 1..{self.max_combinant_index()}"
+            )
+        ints = self._ints
+        if len(ints) < count:
+            a, da = self.a.as_integers()
+            b, db = self.b.as_integers()
+            for r in range(len(ints) + 1, count + 1):
+                nums, den = _transvectant_ints(a, da, b, db, 2 * r - 1)
+                ints += ((tuple(nums), den),)
+            self._ints = ints
+        return ints[:count]
 
     def combinant(self, r: int) -> BinaryForm:
         """C_{2r-1} = (A, B)_{2r-1}, of order 2d - 4r + 2."""
         if not 1 <= r <= self.max_combinant_index():
             raise ValueError(f"combinant index r={r} outside 1..{self.max_combinant_index()}")
-        if r == 1:
-            return self._c1
-        return transvectant(self.a, self.b, 2 * r - 1)
+        nums, den = self.integer_combinants(r)[r - 1]
+        return BinaryForm.from_integers(nums, Fraction(1, den))
 
     def __repr__(self):
         return f"Pencil(order={self.order})"

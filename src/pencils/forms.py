@@ -18,6 +18,10 @@ MultiForm are `int` numerators over one common denominator.  Its public
 surface (`MultiForm(degrees, terms)`, `.terms`, `coefficient`) speaks in
 14-slot exponent tuples and `Fraction` coefficients.
 
+`BinaryForm.as_integers` and `BinaryForm.from_integers` convert a binary
+form to and from integer numerators over one denominator, the layout in
+which the transvectant kernel, the syzygy sums and `exact_divide` compute.
+
 All coefficients are exact rationals, so every operation is exact and
 equality is decisive.  Values are immutable once constructed; operations
 return new objects and are safe to share between threads.
@@ -146,6 +150,31 @@ class BinaryForm:
             )
         self.order = order
         self.coeffs = coeffs
+
+    @classmethod
+    def from_integers(cls, nums, scale=1) -> "BinaryForm":
+        """The form with coefficients ``c * scale``, of order ``len(nums) - 1``.
+
+        `nums` are ints and `scale` an int or Fraction; the coefficients are
+        the only Fractions built.
+        """
+        if not nums:
+            raise ValueError("a form needs at least one coefficient")
+        scale = Fraction(scale)
+        p, q = scale.numerator, scale.denominator
+        obj = object.__new__(cls)
+        obj.order = len(nums) - 1
+        obj.coeffs = tuple(Fraction(c * p, q) for c in nums)
+        return obj
+
+    def as_integers(self) -> tuple[list, int]:
+        """(numerators, D): D > 0 the lcm of the denominators, ``coeffs[k] == nums[k] / D``.
+
+        The pair is primitive, gcd(D, *nums) == 1, with D == 1 for the zero
+        form, so equal forms give equal pairs.
+        """
+        den = math.lcm(*(c.denominator for c in self.coeffs))
+        return [c.numerator * (den // c.denominator) for c in self.coeffs], den
 
     @classmethod
     def zero(cls, order: int) -> "BinaryForm":
@@ -539,44 +568,62 @@ def linear_power(f: LinearSymbol, pair: str, n: int) -> MultiForm:
     return MultiForm._raw({pair: n} if n else {}, terms, den, n)
 
 
+def _exact_divide_ints(numerator: list, divisor: list) -> tuple[list, int]:
+    """(Q, c) with numerator = (divisor / c) * Q, for integer coefficient lists.
+
+    Both lists are forms (``coeffs[k]`` belongs to ``x2^k``) of orders
+    ``len - 1``; c > 0 is the content of the divisor and Q is integral.  The
+    common x1/x2 powers of the divisor are stripped and the rest is divided
+    by its primitive part.  By Gauss's lemma an integer numerator divisible
+    by a primitive divisor over the rationals has an integer quotient, so
+    every step of the long division is an exact ``//``; a step with a
+    nonzero ``divmod`` remainder, or a nonzero final remainder, means the
+    numerator is not divisible and raises `NotDivisibleError`.
+    """
+    if not any(divisor):
+        raise ZeroDivisionError("division by the zero form")
+    n, e = len(numerator) - 1, len(divisor) - 1
+    if n < e:
+        raise DegreeMismatchError(f"cannot divide order {n} by order {e}")
+    nz = [k for k, c in enumerate(divisor) if c]
+    x2_mult = nz[0]
+    x1_mult = e - nz[-1]
+    # N must carry at least the same x1/x2 powers as D.
+    for k, c in enumerate(numerator):
+        if c and not x2_mult <= k <= n - x1_mult:
+            raise NotDivisibleError("numerator lacks the denominator's monomial factors")
+    content = math.gcd(*divisor)
+    den0 = [c // content for c in divisor[x2_mult : nz[-1] + 1]]
+    rem = list(numerator[x2_mult : n - x1_mult + 1])
+    e0 = len(den0) - 1
+    lead = den0[e0]
+    quot = [0] * (n - e + 1)
+    for k in range(n - e, -1, -1):
+        c, r = divmod(rem[e0 + k], lead)
+        if r:
+            raise NotDivisibleError("division left a nonzero remainder")
+        if c:
+            quot[k] = c
+            for idx in range(e0):
+                rem[k + idx] -= c * den0[idx]
+    if any(rem[:e0]):
+        raise NotDivisibleError("division left a nonzero remainder")
+    return quot, content
+
+
 def exact_divide(numerator: BinaryForm, denominator: BinaryForm) -> BinaryForm:
     """Exact quotient of homogeneous forms; raises if division leaves a remainder.
 
-    Strategy: strip the common x1/x2 powers of the denominator, dehomogenize
-    to one variable, run univariate long division over the rationals, and
-    rehomogenize.  A nonzero remainder signals corrupted input or a bug in
-    the caller, never a rounding artifact.
+    Both forms are brought to integer numerators over one denominator and
+    divided by `_exact_divide_ints`; the divisor's content and the two
+    denominators make up one rational scale of the integer quotient.  A
+    nonzero remainder signals corrupted input or a bug in the caller, never
+    a rounding artifact.
     """
-    if denominator.is_zero():
-        raise ZeroDivisionError("division by the zero form")
-    if numerator.order < denominator.order:
-        raise DegreeMismatchError(
-            f"cannot divide order {numerator.order} by order {denominator.order}"
-        )
-    nz = [k for k, c in enumerate(denominator.coeffs) if c]
-    x2_mult = nz[0]
-    x1_mult = denominator.order - nz[-1]
-    n, e = numerator.order, denominator.order
-    # N must carry at least the same x1/x2 powers as D.
-    for k, c in enumerate(numerator.coeffs):
-        if c and not x2_mult <= k <= n - x1_mult:
-            raise NotDivisibleError("numerator lacks the denominator's monomial factors")
-    den0 = list(denominator.coeffs[x2_mult : nz[-1] + 1])
-    num0 = list(numerator.coeffs[x2_mult : n - x1_mult + 1])
-    e0 = len(den0) - 1
-    n0 = len(num0) - 1
-    lead = den0[e0]
-    quot = [Fraction(0)] * (n0 - e0 + 1)
-    rem = list(num0)
-    for k in range(n0 - e0, -1, -1):
-        c = rem[e0 + k] / lead
-        quot[k] = c
-        if c:
-            for idx in range(e0 + 1):
-                rem[k + idx] -= c * den0[idx]
-    if any(rem):
-        raise NotDivisibleError("division left a nonzero remainder")
-    return BinaryForm(n - e, quot)
+    num, num_den = numerator.as_integers()
+    div, div_den = denominator.as_integers()
+    quot, content = _exact_divide_ints(num, div)
+    return BinaryForm.from_integers(quot, Fraction(div_den, num_den * content))
 
 
 def random_form(order: int, seed: int, coefficient_bound: int = 10) -> BinaryForm:

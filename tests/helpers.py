@@ -6,7 +6,10 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
+from pencils.errors import DegreeMismatchError, NotDivisibleError
 from pencils.forms import BinaryForm, MultiForm, ZERO_MONOMIAL, slot_index
+from pencils.syzygy import syzygy_table
+from pencils.transvectant import transvectant
 
 
 def random_multiform(pair_degrees: dict, seed: int, bound: int = 4) -> MultiForm:
@@ -106,6 +109,66 @@ def transvectant_by_derivatives(f: BinaryForm, g: BinaryForm, q: int) -> BinaryF
         sign = -1 if i % 2 else 1
         total = total + (sign * math.comb(q, i)) * (left * right)
     return prefactor * total
+
+
+def exact_divide_by_fractions(numerator: BinaryForm, denominator: BinaryForm) -> BinaryForm:
+    """Oracle for `exact_divide`: univariate long division over the rationals.
+
+    Strips the common x1/x2 powers of the denominator, dehomogenizes,
+    divides coefficient by coefficient in `Fraction`s and rehomogenizes.
+    """
+    if denominator.is_zero():
+        raise ZeroDivisionError("division by the zero form")
+    if numerator.order < denominator.order:
+        raise DegreeMismatchError(
+            f"cannot divide order {numerator.order} by order {denominator.order}"
+        )
+    nz = [k for k, c in enumerate(denominator.coeffs) if c]
+    x2_mult = nz[0]
+    x1_mult = denominator.order - nz[-1]
+    n, e = numerator.order, denominator.order
+    for k, c in enumerate(numerator.coeffs):
+        if c and not x2_mult <= k <= n - x1_mult:
+            raise NotDivisibleError("numerator lacks the denominator's monomial factors")
+    den0 = list(denominator.coeffs[x2_mult : nz[-1] + 1])
+    num0 = list(numerator.coeffs[x2_mult : n - x1_mult + 1])
+    e0 = len(den0) - 1
+    n0 = len(num0) - 1
+    lead = den0[e0]
+    quot = [Fraction(0)] * (n0 - e0 + 1)
+    rem = list(num0)
+    for k in range(n0 - e0, -1, -1):
+        c = rem[e0 + k] / lead
+        quot[k] = c
+        if c:
+            for idx in range(e0 + 1):
+                rem[k + idx] -= c * den0[idx]
+    if any(rem):
+        raise NotDivisibleError("division left a nonzero remainder")
+    return BinaryForm(n - e, quot)
+
+
+def syzygy_sum_by_fractions(seq, table, skip=None) -> BinaryForm:
+    """Oracle: sum of alpha * transvectant(C_{2i-1}, C_{2j-1}) in `BinaryForm` arithmetic."""
+    r = table.r
+    total = BinaryForm.zero(4 * (seq.order - r))
+    for (i, j), alpha in table.items():
+        if (i, j) != skip:
+            total = total + alpha * transvectant(seq.c(i), seq.c(j), 2 * (r - i - j + 1))
+    return total
+
+
+def evaluate_syzygy_by_fractions(seq, r: int) -> BinaryForm:
+    """Oracle for `evaluate_syzygy`, from the `Fraction` combinant sequence."""
+    return syzygy_sum_by_fractions(seq, syzygy_table(seq.order, r))
+
+
+def recover_by_fractions(seq, r: int) -> BinaryForm:
+    """Oracle for the recovery: the sum without its (1, r) term, divided by -alpha_{1,r} C1."""
+    table = syzygy_table(seq.order, r)
+    partial = syzygy_sum_by_fractions(seq, table, skip=(1, r))
+    quotient = exact_divide_by_fractions(-partial, seq.c(1))
+    return quotient * (Fraction(1) / table.alpha(1, r))
 
 
 def enumerated_syzygy_dims(d: int) -> list[int]:

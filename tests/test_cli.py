@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from pencils import BinaryForm, cli
 from pencils.cli import main
 
 
@@ -129,6 +130,54 @@ class TestVerify:
         assert "error:" in captured.err and "--trials" in captured.err
 
 
+    @pytest.mark.parametrize(
+        "argv,expected",
+        [
+            (["--d", "5", "--trials", "4", "--seed", "11"], "4/4 syzygies vanish\n"),
+            (
+                ["--d", "9", "--trials", "3", "--seed", "5"],
+                "r=3: 3/3 syzygies vanish\nr=4: 3/3 syzygies vanish\nr=5: 3/3 syzygies vanish\n",
+            ),
+        ],
+    )
+    def test_stdout_is_unchanged(self, capsys, argv, expected):
+        # Recorded from the version that rebuilt the pencils for every weight.
+        code, out, _ = run(capsys, "verify", *argv)
+        assert code == 0
+        assert out == expected
+
+    def test_builds_each_pencil_once(self, capsys, monkeypatch):
+        built = []
+
+        def counting(*args):
+            built.append(args)
+            return random_pencil(*args)
+
+        random_pencil = cli.random_pencil
+        monkeypatch.setattr(cli, "random_pencil", counting)
+        code, _, _ = run(capsys, "verify", "--d", "9", "--trials", "3", "--seed", "5")
+        assert code == 0
+        assert built == [(9, 5, 10), (9, 6, 10), (9, 7, 10)]
+
+    def test_failures_are_counted_per_weight(self, capsys, monkeypatch):
+        calls = []
+
+        def failing_once_at_r4(pencil, r):
+            calls.append(r)
+            if calls.count(4) == 1 and r == 4:
+                return BinaryForm(0, [1])
+            return BinaryForm.zero(0)
+
+        monkeypatch.setattr(cli, "evaluate_syzygy", failing_once_at_r4)
+        code, out, _ = run(capsys, "verify", "--d", "9", "--trials", "2")
+        assert code == 1
+        assert out.splitlines() == [
+            "r=3: 2/2 syzygies vanish",
+            "r=4: 1/2 syzygies vanish",
+            "r=5: 2/2 syzygies vanish",
+        ]
+
+
 class TestRecover:
     def test_verified_output(self, capsys):
         code, out, _ = run(capsys, "recover", "--d", "7", "--r", "4", "--seed", "5")
@@ -173,6 +222,35 @@ class TestOracleTheta:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "error:" in captured.err and "--d" in captured.err
+
+
+class TestInputCaps:
+    """Each cap accepts its own value and refuses one more with exit 2."""
+
+    CASES = [
+        ("syzygy-table", ["--r", "3"], "--d", cli.SYZYGY_TABLE_MAX_D),
+        ("gamma", ["--r", "3"], "--d", cli.GAMMA_MAX_D),
+        ("verify", ["--r", "3", "--trials", "1"], "--d", cli.PENCIL_MAX_D),
+        ("verify", ["--d", "5"], "--trials", cli.VERIFY_MAX_TRIALS),
+        ("verify", ["--d", "5", "--trials", "1"], "--bound", cli.PENCIL_MAX_BOUND),
+        ("recover", ["--r", "3"], "--d", cli.PENCIL_MAX_D),
+        ("recover", ["--d", "5", "--r", "3"], "--bound", cli.PENCIL_MAX_BOUND),
+    ]
+
+    @pytest.mark.parametrize("command,rest,option,cap", CASES)
+    def test_cap_is_accepted(self, capsys, command, rest, option, cap):
+        code, out, _ = run(capsys, command, *rest, option, str(cap))
+        assert code == 0
+        assert out
+
+    @pytest.mark.parametrize("command,rest,option,cap", CASES)
+    def test_above_cap_is_refused(self, capsys, command, rest, option, cap):
+        with pytest.raises(SystemExit) as info:
+            main([command, *rest, option, str(cap + 1)])
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error:" in captured.err and option in captured.err
 
 
 class TestGamma:

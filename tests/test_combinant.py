@@ -1,5 +1,7 @@
 """Pencil and combinant contracts: invariance, Wronskian, membership defect."""
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -64,6 +66,55 @@ def test_swapping_members_negates_every_combinant():
     swapped = Pencil(pencil.b, pencil.a)
     for r in range(1, pencil.max_combinant_index() + 1):
         assert swapped.combinant(r) == -1 * pencil.combinant(r)
+
+
+def test_integer_combinants_match_the_forms():
+    pencil = random_pencil(9, 4)
+    ints = pencil.integer_combinants(pencil.max_combinant_index())
+    for r, (nums, den) in enumerate(ints, start=1):
+        expected = transvectant(pencil.a, pencil.b, 2 * r - 1)
+        assert BinaryForm.from_integers(nums, Fraction(1, den)) == expected
+        assert (list(nums), den) == expected.as_integers()
+    with pytest.raises(ValueError):
+        pencil.integer_combinants(pencil.max_combinant_index() + 1)
+
+
+def test_integer_combinants_shared_between_threads():
+    # Threads extend one pencil's kept combinants to different lengths at
+    # once; a lost or doubled extension would misplace an entry.
+    a, b = random_pencil(13, 2).a, random_pencil(13, 3).b
+    expected = Pencil(a, b).integer_combinants(7)
+    workers = 6
+    for _ in range(10):
+        pencil = Pencil(a, b)
+        barrier = threading.Barrier(workers)
+        seen, errors = [], []
+
+        def work(k):
+            try:
+                barrier.wait(timeout=30)
+                for count in (7 - k % 2, k, 1, 7):
+                    seen.append((count, pencil.integer_combinants(count)))
+            except Exception as exc:  # reported below, after the join
+                errors.append(exc)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(1, workers + 1)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors
+        assert len(seen) == 4 * workers
+        for count, ints in seen:
+            assert ints == expected[:count]
+        assert pencil.integer_combinants(7) == expected
+        assert len(pencil._ints) == 7  # each combinant kept once
 
 
 class TestWronskian:

@@ -20,6 +20,7 @@ from pencils import (
 from pencils.forms import PAIRS, slot_index, to_fraction
 
 from helpers import (
+    exact_divide_by_fractions,
     random_multiform,
     tuple_add,
     tuple_diff,
@@ -158,6 +159,20 @@ class TestExactDivide:
     def test_not_divisible(self):
         with pytest.raises(NotDivisibleError):
             exact_divide(BinaryForm(2, [1, 0, 1]), BinaryForm(1, [1, 1]))
+
+    @pytest.mark.parametrize(
+        "num,den",
+        [
+            (BinaryForm(1, [0, 1]), BinaryForm(1, [1, 2])),
+            (BinaryForm(1, [0, Fraction(1, 3)]), BinaryForm(1, [Fraction(1, 2), 1])),
+        ],
+    )
+    def test_remainder_in_a_quotient_step(self, num, den):
+        # x2 / (x1 + 2 x2): the one quotient step 1 // 2 is inexact, while the
+        # final remainder of a floor division would be zero.
+        for divide in (exact_divide, exact_divide_by_fractions):
+            with pytest.raises(NotDivisibleError):
+                divide(num, den)
 
     def test_zero_numerator(self):
         q = exact_divide(BinaryForm.zero(5), random_form(2, 9))

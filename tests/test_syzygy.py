@@ -3,10 +3,17 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pencils import (
+    BinaryForm,
+    DegeneratePencilError,
+    NotDivisibleError,
+    Pencil,
     combinant_sequence,
     evaluate_syzygy,
+    exact_divide,
     gamma,
     index_pairs,
     positivity_certificate,
@@ -19,7 +26,13 @@ from pencils import (
     transvectant,
 )
 
-from helpers import enumerated_syzygy_dims, gaussian_binomial_head
+from helpers import (
+    enumerated_syzygy_dims,
+    evaluate_syzygy_by_fractions,
+    exact_divide_by_fractions,
+    gaussian_binomial_head,
+    recover_by_fractions,
+)
 
 
 class TestTheta:
@@ -143,6 +156,66 @@ class TestRecovery:
             + Fraction(735, 484) * (c3 * c3)
         )
         assert c1 * c5 == rhs
+
+
+def _non_integer_forms(d):
+    """Order-d forms whose coefficients are p/q with 2 <= q <= 12, some not integers."""
+    coeff = st.builds(Fraction, st.integers(-20, 20), st.integers(2, 12))
+    forms = st.lists(coeff, min_size=d + 1, max_size=d + 1)
+    return forms.filter(lambda cs: any(c.denominator > 1 for c in cs)).map(
+        lambda cs: BinaryForm(d, cs)
+    )
+
+
+rational_pencil_forms = st.integers(3, 12).flatmap(
+    lambda d: st.tuples(_non_integer_forms(d), _non_integer_forms(d))
+)
+
+
+class TestIntegerPipelineMatchesFractionOracle:
+    """The integer syzygy pipeline against the `Fraction` arithmetic it replaced.
+
+    The benchmark and most tests use integer pencils; these pencils have
+    non-integer rational coefficients, so every denominator, content and
+    scale in the integer bookkeeping is exercised.
+    """
+
+    @settings(max_examples=60, deadline=None)
+    @given(rational_pencil_forms)
+    @example((
+        BinaryForm(12, [Fraction(k - 6, k % 5 + 2) for k in range(13)]),
+        BinaryForm(12, [Fraction(7 - 2 * k, 3 * (k % 4) + 2) for k in range(13)]),
+    ))
+    @example((
+        BinaryForm(5, [Fraction(1, 2), 0, 0, 0, 0, 0]),
+        BinaryForm(5, [0, 0, 0, 0, 0, Fraction(-3, 7)]),
+    ))
+    def test_pipeline(self, forms):
+        a, b = forms
+        try:
+            pencil = Pencil(a, b)
+        except DegeneratePencilError:
+            return
+        d = pencil.order
+        seq = combinant_sequence(pencil)
+        for r in range(3, (d + 1) // 2 + 1):
+            zero = evaluate_syzygy(pencil, r)
+            assert zero == evaluate_syzygy_by_fractions(seq, r)
+            assert zero.is_zero() and zero.order == 4 * (d - r)
+            expected = recover_by_fractions(seq, r)
+            assert expected == seq.c(r)
+            assert recover_combinant(Pencil(a, b), r) == expected
+            assert recover_from_combinants(seq, r) == expected
+
+        product = a * seq.c(2)
+        assert exact_divide(product, a) == exact_divide_by_fractions(product, a) == seq.c(2)
+        assert exact_divide(product, seq.c(2)) == a
+        # a divides x1^n only if a is c*x1^d, and x2^n only if a is c*x2^d.
+        n = product.order
+        stray = BinaryForm.monomial(n, 0 if any(a.coeffs[1:]) else n, Fraction(1, 3))
+        for divide in (exact_divide, exact_divide_by_fractions):
+            with pytest.raises(NotDivisibleError):
+                divide(product + stray, a)
 
 
 class TestGamma:
