@@ -8,9 +8,22 @@ decisive.  Selection-rule violations (triangle or magnetic) are values equal
 to zero, not errors; only genuinely non-physical input (negative momenta,
 mismatched j/m parity) raises.
 
-The 9j symbol is evaluated by the standard single-sum contraction of three
-6j symbols; an independent brute-force contraction of six 3j symbols over
-all magnetic numbers is provided as a cross-check oracle.
+A 6j symbol is Delta(abc) Delta(aef) Delta(dbf) Delta(dec) times a rational
+Racah sum R, where each triangle coefficient Delta is the square root of a
+ratio of factorials.  The 6j kernel returns only R, computed in `int` with
+one `Fraction` at the end.  The 9j symbol is the single-sum contraction
+sum_x (-1)^(2x) (2x+1) {j1 j4 j7; j8 j9 x} {j2 j5 j8; j4 x j6}
+{j3 j6 j9; x j1 j2}.  Of the twelve Deltas in each product, the six row and
+column triads of the array occur once each and do not depend on x, while
+each x-dependent triad (j1 j9 x), (j4 j8 x), (j2 j6 x) occurs in two of the
+three 6j symbols, so its two square roots multiply to the rational Delta^2.
+So a 9j value is one square root, of the product of the six fixed Delta^2,
+times one rational sum over x: a single surd, with no surd arithmetic in
+the loop.  The entries are kept doubled (`NineJArray`), with `HalfInt`
+only at the API boundary.
+
+An independent brute-force contraction of six 3j symbols over all magnetic
+numbers is provided as a cross-check oracle.
 """
 from __future__ import annotations
 
@@ -242,10 +255,14 @@ class HalfInt:
         return hash(("HalfInt", self.twice))
 
     def __str__(self):
-        return str(self.twice // 2) if self.twice % 2 == 0 else f"{self.twice}/2"
+        return _twice_str(self.twice)
 
     def __repr__(self):
         return f"HalfInt({self.twice})"
+
+
+def _twice_str(twice: int) -> str:
+    return str(twice // 2) if twice % 2 == 0 else f"{twice}/2"
 
 
 def _twice(value) -> int:
@@ -277,6 +294,19 @@ def _delta_squared(ta: int, tb: int, tc: int) -> Fraction:
         * factorial((-ta + tb + tc) // 2),
         factorial((ta + tb + tc) // 2 + 1),
     )
+
+
+_ZERO = Fraction(0)
+_delta_squared_cached = lru_cache(maxsize=None)(_delta_squared)
+
+
+def _product(factors, scale: int = 1) -> Fraction:
+    """scale times the product of the given Fractions, reduced once."""
+    num, den = scale, 1
+    for f in factors:
+        num *= f.numerator
+        den *= f.denominator
+    return Fraction(num, den)
 
 
 def _phase(exponent_twice: int) -> int:
@@ -334,32 +364,38 @@ def wigner3j(j1, j2, j3, m1, m2, m3) -> SurdSum:
 
 
 @lru_cache(maxsize=None)
-def _wigner6j_tw(ta, tb, tc, td, te, tf) -> SurdSum:
+def _wigner6j_tw(ta, tb, tc, td, te, tf) -> Fraction:
+    """Racah sum R of {a b c; d e f}: the 6j symbol over the product of the
+    square roots of its four triangle coefficients.  Zero when a triad
+    fails the triangle condition.
+
+    R = sum_t (-1)^t (t+1)! / (prod_i (t-alpha_i)! prod_j (beta_j-t)!) over
+    alpha = the four triad half-sums and beta = the three quad half-sums.
+    Consecutive terms differ by the factor
+    -(t+2) prod_j (beta_j-t) / prod_i (t+1-alpha_i), so the sum is evaluated
+    by Horner's rule in `int` over one denominator, and one `Fraction` is
+    built at the end.
+    """
     triads = ((ta, tb, tc), (ta, te, tf), (td, tb, tf), (td, te, tc))
     for triad in triads:
         if not _triangle_ok(*triad):
-            return SurdSum.zero()
-    radicand = Fraction(1)
-    for triad in triads:
-        radicand *= _delta_squared(*triad)
-    t_floor = max((x + y + z) // 2 for x, y, z in triads)
-    caps = (
-        (ta + tb + td + te) // 2,
-        (tb + tc + te + tf) // 2,
-        (ta + tc + td + tf) // 2,
-    )
-    t_ceil = min(caps)
-    total = Fraction(0)
-    for t in range(t_floor, t_ceil + 1):
-        denom = factorial((ta + tb + td + te) // 2 - t)
-        denom *= factorial((tb + tc + te + tf) // 2 - t)
-        denom *= factorial((ta + tc + td + tf) // 2 - t)
-        for x, y, z in triads:
-            denom *= factorial(t - (x + y + z) // 2)
-        total += Fraction((-1 if t % 2 else 1) * factorial(t + 1), denom)
-    if not total:
-        return SurdSum.zero()
-    return SurdSum.sqrt(radicand) * total
+            return _ZERO
+    a1, a2, a3, a4 = ((x + y + z) // 2 for x, y, z in triads)
+    b1 = (ta + tb + td + te) // 2
+    b2 = (tb + tc + te + tf) // 2
+    b3 = (ta + tc + td + tf) // 2
+    lo, hi = max(a1, a2, a3, a4), min(b1, b2, b3)
+    # The sum divided by its t = lo term is num/den.
+    num = den = 1
+    for t in range(hi - 1, lo - 1, -1):
+        q = (t + 1 - a1) * (t + 1 - a2) * (t + 1 - a3) * (t + 1 - a4)
+        num, den = den * q - (t + 2) * (b1 - t) * (b2 - t) * (b3 - t) * num, den * q
+    if not num:
+        return _ZERO
+    for k in (lo - a1, lo - a2, lo - a3, lo - a4, b1 - lo, b2 - lo, b3 - lo):
+        den *= factorial(k)
+    num *= factorial(lo + 1)
+    return Fraction(-num if lo % 2 else num, den)
 
 
 def wigner6j(j1, j2, j3, j4, j5, j6) -> SurdSum:
@@ -367,41 +403,53 @@ def wigner6j(j1, j2, j3, j4, j5, j6) -> SurdSum:
     tjs = tuple(_twice(j) for j in (j1, j2, j3, j4, j5, j6))
     for tj in tjs:
         _check_momentum(tj)
-    return _wigner6j_tw(*tjs)
+    racah = _wigner6j_tw(*tjs)
+    if not racah:
+        return SurdSum.zero()
+    ta, tb, tc, td, te, tf = tjs
+    triads = ((ta, tb, tc), (ta, te, tf), (td, tb, tf), (td, te, tc))
+    return SurdSum.sqrt(_product(_delta_squared(*t) for t in triads)) * racah
 
 
 class NineJArray:
-    """A 3x3 array of nonnegative half-integers for the 9j symbol."""
+    """A 3x3 array of nonnegative half-integers for the 9j symbol.
 
-    __slots__ = ("rows",)
+    The entries are kept doubled, as a tuple of three int triples; `rows`
+    builds the `HalfInt`s on access.
+    """
+
+    __slots__ = ("_twice",)
 
     def __init__(self, rows):
-        rows = tuple(tuple(entry for entry in row) for row in rows)
-        if len(rows) != 3 or any(len(row) != 3 for row in rows):
-            raise ValueError("need a 3x3 array")
-        for row in rows:
-            for entry in row:
-                if _twice(entry) < 0:
-                    raise ValueError("array entries must be nonnegative")
-        self.rows = rows
+        self._twice = _checked(tuple([tuple(map(_twice, row)) for row in rows]))
+
+    @classmethod
+    def _of(cls, twice: tuple) -> "NineJArray":
+        obj = object.__new__(cls)
+        obj._twice = twice
+        return obj
 
     @classmethod
     def from_twice(cls, twice_rows) -> "NineJArray":
-        return cls([[HalfInt(int(v)) for v in row] for row in twice_rows])
+        return cls._of(_checked(tuple([tuple(map(int, row)) for row in twice_rows])))
+
+    @property
+    def rows(self) -> tuple:
+        return tuple(tuple(HalfInt(v) for v in row) for row in self._twice)
 
     def twice_rows(self) -> tuple:
-        return tuple(tuple(e.twice for e in row) for row in self.rows)
+        return self._twice
 
     def entry_sum_twice(self) -> int:
-        return sum(e.twice for row in self.rows for e in row)
+        return sum(map(sum, self._twice))
 
     def transposed(self) -> "NineJArray":
-        return NineJArray(tuple(zip(*self.rows)))
+        return NineJArray._of(tuple(zip(*self._twice)))
 
     def swapped_rows(self, a: int, b: int) -> "NineJArray":
-        rows = list(self.rows)
+        rows = list(self._twice)
         rows[a], rows[b] = rows[b], rows[a]
-        return NineJArray(rows)
+        return NineJArray._of(tuple(rows))
 
     def swapped_cols(self, a: int, b: int) -> "NineJArray":
         return self.transposed().swapped_rows(a, b).transposed()
@@ -409,17 +457,27 @@ class NineJArray:
     def __eq__(self, other):
         if not isinstance(other, NineJArray):
             return NotImplemented
-        return self.rows == other.rows
+        return self._twice == other._twice
 
     def __str__(self):
-        return "; ".join(" ".join(str(e) for e in row) for row in self.rows)
+        return "; ".join(" ".join(map(_twice_str, row)) for row in self._twice)
 
     def __repr__(self):
         return f"NineJArray({self})"
 
 
+def _checked(twice_rows: tuple) -> tuple:
+    """The doubled rows, once they are known to form a 3x3 nonnegative array."""
+    if tuple(map(len, twice_rows)) != (3, 3, 3):
+        raise ValueError("need a 3x3 array")
+    if min(map(min, twice_rows)) < 0:
+        raise ValueError("array entries must be nonnegative")
+    return twice_rows
+
+
 def wigner9j(array: NineJArray) -> SurdSum:
-    """Exact 9j symbol by the single-sum contraction of three 6j symbols.
+    """Exact 9j symbol by the single-sum contraction of three 6j symbols,
+    taken as one square root times one rational sum over x.
 
     Zero whenever any row or column triad fails the triangle condition.
     """
@@ -440,20 +498,28 @@ def wigner9j(array: NineJArray) -> SurdSum:
         return SurdSum.zero()
     tx_min = max(abs(a - b) for a, b in pairs)
     tx_max = min(a + b for a, b in pairs)
-    total = SurdSum.zero()
+    total = _ZERO
     for tx in range(tx_min, tx_max + 1, 2):
-        term = _wigner6j_tw(tj1, tj4, tj7, tj8, tj9, tx)
-        if term.is_zero():
+        r1 = _wigner6j_tw(tj1, tj4, tj7, tj8, tj9, tx)
+        r2 = r1 and _wigner6j_tw(tj2, tj5, tj8, tj4, tx, tj6)
+        r3 = r2 and _wigner6j_tw(tj3, tj6, tj9, tx, tj1, tj2)
+        if not r3:
             continue
-        term = term * _wigner6j_tw(tj2, tj5, tj8, tj4, tx, tj6)
-        if term.is_zero():
-            continue
-        term = term * _wigner6j_tw(tj3, tj6, tj9, tx, tj1, tj2)
-        if term.is_zero():
-            continue
-        sign = -1 if tx % 2 else 1
-        total = total + term * (sign * (tx + 1))
-    return total
+        # The x-dependent triads' square roots pair up across the three 6j.
+        total += _product(
+            (
+                r1,
+                r2,
+                r3,
+                _delta_squared_cached(tj1, tj9, tx),
+                _delta_squared_cached(tj4, tj8, tx),
+                _delta_squared_cached(tj2, tj6, tx),
+            ),
+            -(tx + 1) if tx % 2 else tx + 1,
+        )
+    if not total:
+        return SurdSum.zero()
+    return SurdSum.sqrt(_product(_delta_squared_cached(*t) for t in triads)) * total
 
 
 def _m_range(tj: int):
@@ -516,14 +582,11 @@ def combinant_9j_array(d: int, r: int, i: int, j: int) -> tuple[NineJArray, Nine
         raise ValueError(f"weight index r={r} outside 3..floor((d+1)/2) for d={d}")
     if not (1 <= i <= r and 1 <= j <= r and i + j <= r + 1):
         raise ValueError(f"indices (i,j)=({i},{j}) out of range for r={r}")
-    base = NineJArray.from_twice(
-        [
-            [d, d, 2 * (d - 2 * i + 1)],
-            [d, d, 2 * (d - 2 * j + 1)],
-            [2 * (d - 1), 2 * (d - 2 * r + 1), 2 * (2 * d - 2 * r)],
-        ]
-    )
-    permuted = base.swapped_rows(0, 1).swapped_rows(0, 2).swapped_cols(1, 2)
+    a = (d, d, 2 * (d - 2 * i + 1))
+    b = (d, d, 2 * (d - 2 * j + 1))
+    c = (2 * (d - 1), 2 * (d - 2 * r + 1), 2 * (2 * d - 2 * r))
+    base = NineJArray.from_twice((a, b, c))
+    permuted = NineJArray.from_twice(tuple((x, z, y) for x, y, z in (c, a, b)))
     return base, permuted
 
 

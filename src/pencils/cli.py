@@ -48,6 +48,13 @@ GAMMA_MAX_D = 10000
 PENCIL_MAX_D = 20
 PENCIL_MAX_BOUND = 10**9
 VERIFY_MAX_TRIALS = 20
+# Largest doubled momentum `ninej` accepts: the 9j cost grows about as the
+# cube of the entries, and the slowest arrays found with every 2j <= 500
+# take about 1 s.
+NINEJ_MAX_TWICE_J = 500
+# Largest order `ninej-combinant` accepts: its permuted array at the top
+# weight, with i near r/2 and j = 1, is the slowest, about 1.1 s at d = 500.
+NINEJ_COMBINANT_MAX_D = 500
 
 
 def _check_cap(parser, args, option, cap):
@@ -224,6 +231,10 @@ def _parse_twice_j(text, parser):
         values = [int(p) for p in parts]
     except ValueError:
         parser.error("--twice-j entries must be integers")
+    if max(values) > NINEJ_MAX_TWICE_J:
+        parser.error(
+            f"--twice-j entries must be at most {NINEJ_MAX_TWICE_J} for ninej, got {max(values)}"
+        )
     return NineJArray.from_twice([values[0:3], values[3:6], values[6:9]])
 
 
@@ -238,6 +249,7 @@ def _cmd_ninej(args, parser):
 
 
 def _cmd_ninej_combinant(args, parser):
+    _check_cap(parser, args, "--d", NINEJ_COMBINANT_MAX_D)
     base, permuted = combinant_9j_array(args.d, args.r, args.i, args.j)
     value = wigner9j(base)
     value_p = wigner9j(permuted)
@@ -320,12 +332,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_dim_syzygy)
 
     p = sub.add_parser("ninej", help="exact 9j symbol from doubled momenta")
-    p.add_argument("--twice-j", required=True, dest="twice_j", metavar="a,b,c,d,e,f,g,h,i")
+    p.add_argument(
+        "--twice-j",
+        required=True,
+        dest="twice_j",
+        metavar="a,b,c,d,e,f,g,h,i",
+        help=f"the nine doubled momenta row by row, each at most {NINEJ_MAX_TWICE_J}",
+    )
     _add_format_flags(p)
     p.set_defaults(handler=_cmd_ninej)
 
     p = sub.add_parser("ninej-combinant", help="recoupling arrays for a coefficient")
-    p.add_argument("--d", type=int, required=True)
+    p.add_argument("--d", type=int, required=True, help=f"order, at most {NINEJ_COMBINANT_MAX_D}")
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--i", type=int, required=True)
     p.add_argument("--j", type=int, required=True)

@@ -4,8 +4,11 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
+from math import factorial
 
+from pencils.angular import NineJArray, SurdSum, _delta_squared, _triangle_ok
 from pencils.errors import DegreeMismatchError, NotDivisibleError
 from pencils.forms import BinaryForm, MultiForm, ZERO_MONOMIAL, slot_index
 from pencils.syzygy import syzygy_table
@@ -306,4 +309,66 @@ def tuple_zeta_image(d: int, r: int, f) -> dict:
     ):
         term = summand(*pairs)
         total = tuple_add(total, term if sign > 0 else tuple_neg(term))
+    return total
+
+
+@lru_cache(maxsize=None)
+def surd_wigner6j_tw(ta, tb, tc, td, te, tf) -> SurdSum:
+    """Oracle for the 6j symbol: square root of the four Delta^2 times the
+    Racah sum, each term a `Fraction`, as a `SurdSum`."""
+    triads = ((ta, tb, tc), (ta, te, tf), (td, tb, tf), (td, te, tc))
+    for triad in triads:
+        if not _triangle_ok(*triad):
+            return SurdSum.zero()
+    radicand = Fraction(1)
+    for triad in triads:
+        radicand *= _delta_squared(*triad)
+    t_floor = max((x + y + z) // 2 for x, y, z in triads)
+    caps = (
+        (ta + tb + td + te) // 2,
+        (tb + tc + te + tf) // 2,
+        (ta + tc + td + tf) // 2,
+    )
+    t_ceil = min(caps)
+    total = Fraction(0)
+    for t in range(t_floor, t_ceil + 1):
+        denom = factorial((ta + tb + td + te) // 2 - t)
+        denom *= factorial((tb + tc + te + tf) // 2 - t)
+        denom *= factorial((ta + tc + td + tf) // 2 - t)
+        for x, y, z in triads:
+            denom *= factorial(t - (x + y + z) // 2)
+        total += Fraction((-1 if t % 2 else 1) * factorial(t + 1), denom)
+    if not total:
+        return SurdSum.zero()
+    return SurdSum.sqrt(radicand) * total
+
+
+def wigner9j_by_6j_products(array: NineJArray) -> SurdSum:
+    """Oracle for `wigner9j`: the x-sum of products of three `SurdSum` 6j
+    symbols from `surd_wigner6j_tw`."""
+    (tj1, tj2, tj3), (tj4, tj5, tj6), (tj7, tj8, tj9) = array.twice_rows()
+    triads = (
+        (tj1, tj2, tj3),
+        (tj4, tj5, tj6),
+        (tj7, tj8, tj9),
+        (tj1, tj4, tj7),
+        (tj2, tj5, tj8),
+        (tj3, tj6, tj9),
+    )
+    if any(not _triangle_ok(*t) for t in triads):
+        return SurdSum.zero()
+    pairs = ((tj1, tj9), (tj4, tj8), (tj2, tj6))
+    if len({(a + b) % 2 for a, b in pairs}) != 1:
+        return SurdSum.zero()
+    tx_min = max(abs(a - b) for a, b in pairs)
+    tx_max = min(a + b for a, b in pairs)
+    total = SurdSum.zero()
+    for tx in range(tx_min, tx_max + 1, 2):
+        term = (
+            surd_wigner6j_tw(tj1, tj4, tj7, tj8, tj9, tx)
+            * surd_wigner6j_tw(tj2, tj5, tj8, tj4, tx, tj6)
+            * surd_wigner6j_tw(tj3, tj6, tj9, tx, tj1, tj2)
+        )
+        sign = -1 if tx % 2 else 1
+        total = total + term * (sign * (tx + 1))
     return total

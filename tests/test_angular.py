@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import surd_wigner6j_tw, wigner9j_by_6j_products
 from pencils import (
     HalfInt,
     NineJArray,
@@ -40,6 +41,28 @@ def triangle_consistent_array(rng, top=3):
             continue
         tj9 = rng.choice(range(lo, hi + 1, 2))
         return NineJArray.from_twice([[tj1, tj2, tj3], [tj4, tj5, tj6], [tj7, tj8, tj9]])
+
+
+def combinant_indices(d_max):
+    """Every (d, r, i, j) of a combinant 9j pair with 5 <= d <= d_max."""
+    return [
+        (d, r, i, j)
+        for d in range(5, d_max + 1)
+        for r in range(3, (d + 1) // 2 + 1)
+        for i in range(1, r + 1)
+        for j in range(1, r + 2 - i)
+    ]
+
+
+def half_integer_arrays(seed, count, top):
+    """Seeded triangle-consistent arrays with every 2j <= top."""
+    rng = random.Random(seed)
+    arrays = []
+    while len(arrays) < count:
+        arr = triangle_consistent_array(rng, top)
+        if max(map(max, arr.twice_rows())) <= top:
+            arrays.append(arr)
+    return arrays
 
 
 class TestSurdSum:
@@ -196,6 +219,77 @@ class TestWigner9j:
             NineJArray.from_twice([[0, 0, 0], [0, -2, 0], [0, 0, 0]])
 
 
+class TestKernelMatchesSurdOracle:
+    """The rational-Racah 6j kernel and the one-surd 9j contraction against
+    the `SurdSum` 6j kernel and its 6j-product contraction."""
+
+    def test_6j_every_small_tuple(self):
+        nonzero = 0
+        for twice in itertools.product(range(5), repeat=6):
+            value = wigner6j(*map(H, twice))
+            assert value == surd_wigner6j_tw(*twice), twice
+            nonzero += not value.is_zero()
+        assert nonzero > 500
+
+    def test_9j_every_combinant_pair_up_to_d12(self):
+        for args in combinant_indices(12):
+            for arr in combinant_9j_array(*args):
+                assert wigner9j(arr) == wigner9j_by_6j_products(arr), args
+
+    def test_9j_random_half_integer_arrays(self):
+        arrays = half_integer_arrays(21, 150, 9)
+        nonzero = 0
+        for arr in arrays:
+            value = wigner9j(arr)
+            assert value == wigner9j_by_6j_products(arr), arr
+            nonzero += not value.is_zero()
+        assert nonzero > 100
+        odd = sum(any(v % 2 for row in a.twice_rows() for v in row) for a in arrays)
+        assert 20 < odd < len(arrays)
+
+    def test_9j_value_has_at_most_one_radicand(self):
+        arrays = [arr for args in combinant_indices(12) for arr in combinant_9j_array(*args)]
+        arrays += half_integer_arrays(22, 150, 9)
+        arrays += [
+            NineJArray.from_twice([t[0:3], t[3:6], t[6:9]])
+            for t in itertools.product(range(3), repeat=9)
+        ]
+        for arr in arrays:
+            assert len(wigner9j(arr).terms) <= 1, arr
+
+
+class TestNineJArray:
+    def test_rows_are_halfints_over_the_doubled_entries(self):
+        arr = NineJArray.from_twice([[7, 7, 12], [7, 7, 8], [12, 4, 16]])
+        assert arr.rows[0] == (H(7), H(7), H(12))
+        assert arr.rows[2][1] == W(2)
+        assert arr.twice_rows() == ((7, 7, 12), (7, 7, 8), (12, 4, 16))
+        assert all(type(v) is int for row in arr.twice_rows() for v in row)
+        assert str(arr) == "7/2 7/2 6; 7/2 7/2 4; 6 2 8"
+        assert repr(arr) == "NineJArray(7/2 7/2 6; 7/2 7/2 4; 6 2 8)"
+        assert arr.entry_sum_twice() == 80
+
+    def test_halfint_constructor_matches_from_twice(self):
+        rows = [[1, 2, 3], [4, 5, 6], [7, 8, 9]]
+        arr = NineJArray([[H(v) for v in row] for row in rows])
+        assert arr == NineJArray.from_twice(rows)
+        assert arr != NineJArray.from_twice([[1, 2, 3], [4, 5, 6], [7, 8, 8]])
+        assert arr.transposed() == NineJArray.from_twice([[1, 4, 7], [2, 5, 8], [3, 6, 9]])
+        assert arr.swapped_rows(0, 2) == NineJArray.from_twice([[7, 8, 9], [4, 5, 6], [1, 2, 3]])
+        assert arr.swapped_cols(0, 1) == NineJArray.from_twice([[2, 1, 3], [5, 4, 6], [8, 7, 9]])
+        assert arr.twice_rows() == ((1, 2, 3), (4, 5, 6), (7, 8, 9))
+
+    def test_invalid_input_rejected(self):
+        with pytest.raises(ValueError):
+            NineJArray.from_twice([[0, 0], [0, 0, 0], [0, 0, 0]])
+        with pytest.raises(ValueError):
+            NineJArray.from_twice([[0, 0, 0], [0, 0, 0]])
+        with pytest.raises(ValueError):
+            NineJArray([[H(0)] * 3, [H(0), H(-1), H(0)], [H(0)] * 3])
+        with pytest.raises(TypeError):
+            NineJArray([[0] * 3] * 3)
+
+
 class TestCombinantArrays:
     def test_degree_seven_example_rows(self):
         base, permuted = combinant_9j_array(7, 3, 1, 2)
@@ -212,6 +306,11 @@ class TestCombinantArrays:
                         base, permuted = combinant_9j_array(d, r, i, j)
                         assert ninej_equivalent(base, permuted), (d, r, i, j)
 
+    def test_permuted_array_matches_row_and_column_swaps(self):
+        for args in combinant_indices(12):
+            base, permuted = combinant_9j_array(*args)
+            assert permuted == base.swapped_rows(0, 1).swapped_rows(0, 2).swapped_cols(1, 2)
+
     def test_entry_sum_parity_even(self):
         for d in (5, 6, 7, 9):
             for r in range(3, (d + 1) // 2 + 1):
@@ -225,8 +324,8 @@ class TestCombinantArrays:
                         assert twice_sum % 4 == 0  # entry sum itself is even
 
     def test_values_collapse_to_single_surd(self):
-        # Observed empirically across the verification grid; recorded as a
-        # regression rather than a guaranteed property.
+        # At most one radicand holds by construction; that these values are
+        # also nonzero is observed across the verification grid.
         for d in (5, 6, 7):
             for r in range(3, (d + 1) // 2 + 1):
                 for i in range(1, r + 1):

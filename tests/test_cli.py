@@ -235,6 +235,8 @@ class TestInputCaps:
         ("verify", ["--d", "5", "--trials", "1"], "--bound", cli.PENCIL_MAX_BOUND),
         ("recover", ["--r", "3"], "--d", cli.PENCIL_MAX_D),
         ("recover", ["--d", "5", "--r", "3"], "--bound", cli.PENCIL_MAX_BOUND),
+        ("ninej-combinant", ["--r", "3", "--i", "1", "--j", "1"], "--d",
+         cli.NINEJ_COMBINANT_MAX_D),
     ]
 
     @pytest.mark.parametrize("command,rest,option,cap", CASES)
@@ -299,6 +301,24 @@ class TestNinej:
             run(capsys, "ninej", "--twice-j", "1,2,3")
         assert info.value.code == 2
 
+    def test_largest_accepted_entry(self, capsys):
+        cap = cli.NINEJ_MAX_TWICE_J
+        code, out, _ = run(capsys, "ninej", "--twice-j", ",".join([str(cap)] * 9))
+        assert code == 0
+        value = out.strip()
+        assert value != "0" and " " not in value  # one nonzero surd
+
+    @pytest.mark.parametrize("position", [0, 4, 8])
+    def test_entry_above_cap_is_refused(self, capsys, position):
+        twice = ["2"] * 9
+        twice[position] = str(cli.NINEJ_MAX_TWICE_J + 1)
+        with pytest.raises(SystemExit) as info:
+            main(["ninej", "--twice-j", ",".join(twice)])
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error:" in captured.err and "--twice-j" in captured.err
+
 
 class TestNinejCombinant:
     def test_equivalence_report(self, capsys):
@@ -312,6 +332,17 @@ class TestNinejCombinant:
         assert "equivalent: yes" in out
         assert "theta = -40/11" in out
         assert "theta/ninej = " in out
+
+    def test_slowest_case_at_the_cap(self, capsys):
+        # The top weight with i near r/2 and j = 1 gives the permuted array
+        # its widest x-sum.
+        d = cli.NINEJ_COMBINANT_MAX_D
+        code, out, _ = run(
+            capsys, "ninej-combinant", "--d", str(d), "--r", str(d // 2),
+            "--i", str(d // 4), "--j", "1",
+        )
+        assert code == 0
+        assert "equivalent: yes" in out
 
 
 class TestDispatchContract:
