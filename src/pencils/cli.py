@@ -31,6 +31,12 @@ from .transvectant import transvectant
 # Input caps: each command refuses larger input with exit 2, so every run it
 # accepts ends within a few seconds.
 #
+# Largest input order `transvect` accepts: the slowest index, q near a
+# third to a half of the order, takes about 1.1 s on two order-300 forms.
+TRANSVECT_MAX_ORDER = 300
+# Largest pencil order `combinants` accepts: it runs (d+1)/2 transvectants,
+# and d = 120 takes 1.2-1.5 s.
+COMBINANTS_MAX_D = 120
 # Largest order `oracle-theta` accepts: the chain's cost grows steeply with
 # d, and its slowest case at d = 16 runs for a few seconds.
 ORACLE_THETA_MAX_D = 16
@@ -43,9 +49,10 @@ SYZYGY_TABLE_MAX_D = 300
 # 2600 digits and runs in well under a second.
 GAMMA_MAX_D = 10000
 # Largest order and coefficient bound of the random pencils of `verify` and
-# `recover`, and the most `verify` trials: every weight at d = 20 takes
-# about 0.16 s per trial, so 20 trials take about 3 s.
-PENCIL_MAX_D = 20
+# `recover`, and the most `verify` trials: every weight at d = 22 takes
+# about 0.12 s per trial at bound 10^9, so 20 trials take about 2.5 s
+# (d = 23 takes up to 4 s).
+PENCIL_MAX_D = 22
 PENCIL_MAX_BOUND = 10**9
 VERIFY_MAX_TRIALS = 20
 # Largest doubled momentum `ninej` accepts: the 9j cost grows about as the
@@ -61,6 +68,12 @@ def _check_cap(parser, args, option, cap):
     value = getattr(args, option[2:])
     if value > cap:
         parser.error(f"{option} must be at most {cap} for {args.command}, got {value}")
+
+
+def _check_orders(parser, args, forms, cap):
+    order = max(f.order for f in forms)
+    if order > cap:
+        parser.error(f"input order must be at most {cap} for {args.command}, got {order}")
 
 
 def _add_format_flags(parser):
@@ -107,12 +120,14 @@ def _print_form(form, args):
 
 def _cmd_transvect(args, parser):
     f, g = _load_forms(args, parser, 2)
+    _check_orders(parser, args, (f, g), TRANSVECT_MAX_ORDER)
     _print_form(transvectant(f, g, args.q), args)
     return 0
 
 
 def _cmd_combinants(args, parser):
     a, b = _load_forms(args, parser, 2)
+    _check_orders(parser, args, (a, b), COMBINANTS_MAX_D)
     seq = combinant_sequence(Pencil(a, b))
     if _fmt(args) == "json":
         print(json.dumps([form_to_dict(c) for c in seq]))
@@ -276,13 +291,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("transvect", help="transvectant of two forms")
+    p = sub.add_parser(
+        "transvect", help=f"transvectant of two forms, each of order at most {TRANSVECT_MAX_ORDER}"
+    )
     _add_form_inputs(p)
     p.add_argument("--q", type=int, required=True, help="transvectant index")
     _add_format_flags(p)
     p.set_defaults(handler=_cmd_transvect)
 
-    p = sub.add_parser("combinants", help="combinant sequence of a pencil")
+    p = sub.add_parser(
+        "combinants", help=f"combinant sequence of a pencil of order at most {COMBINANTS_MAX_D}"
+    )
     _add_form_inputs(p)
     _add_format_flags(p)
     p.set_defaults(handler=_cmd_combinants)

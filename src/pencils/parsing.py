@@ -17,6 +17,10 @@ from fractions import Fraction
 from .errors import ParseError
 from .forms import BinaryForm
 
+# Largest order `parse_form` accepts.  The coefficient list is allocated
+# from the first term's degree, so a larger degree is refused before that.
+MAX_ORDER = 10_000
+
 _TOKEN = re.compile(r"(?P<num>\d+(?:/\d+)?)|(?P<var>x[12])|(?P<op>[+\-*^])")
 _WS = re.compile(r"\s*")
 
@@ -140,6 +144,8 @@ def parse_form(text: str) -> BinaryForm:
         terms.append((sign * coef, e1, e2, source, pos))
         first = False
     order = terms[0][1] + terms[0][2]
+    if order > MAX_ORDER:
+        raise ParseError(f"degree {order} exceeds the largest order {MAX_ORDER}", terms[0][4])
     coeffs = [Fraction(0)] * (order + 1)
     for coef, e1, e2, source, pos in terms:
         if e1 + e2 != order:

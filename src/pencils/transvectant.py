@@ -1,16 +1,36 @@
 """The q-th transvectant of two binary forms, as one integer computation.
 
 Each input is a form given as integer numerators over one denominator D.
-Coefficient a_k is scaled by k!(m-k)!, so entry u of the (q-i, i) mixed
-partial is a'_{u+i} / (u!(m-q-u)!), a denominator free of i, and the whole
-alternating derivative sum
+Coefficient a_k of the order-m form is scaled by k!(m-k)!, divided by the
+content m!/L_m of those factorials, where L_m = lcm_k C(m,k): so
+a'_k = a_k L_m / C(m,k), the smallest integer weights proportional to
+k!(m-k)!.  Entry u of the (q-i, i) mixed partial of f is then
+P_i[u] = C(m-q,u) a'_{u+i} times m! / (L_m (m-q)!), a factor free of i
+and u.  With Q_i[v] = C(n-q,v) b'_{v+q-i} likewise, the whole alternating
+derivative sum is
 
-    sum_{u,v} C(m-q,u) C(n-q,v) sum_i (-1)^i C(q,i) a'_{u+i} b'_{v+q-i}
+    (f, g)_q = sum_i (-1)^i C(q,i) P_i(x) Q_i(x)   over L_m L_n D_f D_g.
 
-runs in `int` over the single denominator m! n! D_f D_g.  This is the
-content-times-primitive-part layout of FLINT's fmpq_poly.  Callers that
-chain transvectants (the combinants and the syzygy sums) stay in integers
-and build `Fraction`s only for the form they return.
+Each polynomial product runs as one `int` product (Kronecker
+substitution, as in FLINT's fmpz_poly_mul; D. Harvey, J. Symbolic Comput.
+44, 2009): P_i and Q_i are evaluated at x = 2^k, slot u of the packed
+integer holding P_i[u], and the q+1 signed products go into one `int`
+S = sum_w out[w] 2^(kw).  The slot width k comes from a bound on the
+output.  C(m-q,u) <= C(m,u+i) (Vandermonde), so |P_i[u]| <= L_m max|a|;
+at most min(m,n)-q+1 pairs (u, v) meet in an output slot, and the
+C(q,i) sum to 2^q, so
+
+    |out[w]| <= (min(m,n)-q+1) * L_m max|a| * L_n max|b| * 2^q  <  2^(k-1),
+
+with k the bound's bit length plus a sign bit, rounded up to whole bytes.
+The unpack is then exact: adding H = 2^(k-1) to every slot makes each
+digit out[w] + H lie in [0, 2^k), so the one `int` addition
+S + H sum_w 2^(kw) carries every borrow between slots, and its bytes read
+off in k-bit slots are the out[w] + H.  The numerators are reduced against
+the denominator by one gcd, the content-times-primitive-part layout of
+FLINT's fmpq_poly.  Callers that chain transvectants (the combinants and
+the syzygy sums) stay in integers and build `Fraction`s only for the form
+they return.
 """
 from __future__ import annotations
 
@@ -18,6 +38,13 @@ import math
 from fractions import Fraction
 
 from .forms import BinaryForm
+
+
+def _weights(m: int) -> tuple[list, int]:
+    """The weights L_m / C(m,k), k = 0..m, and L_m = lcm of the C(m,k)."""
+    binomials = [math.comb(m, k) for k in range(m + 1)]
+    top = math.lcm(*binomials)
+    return [top // c for c in binomials], top
 
 
 def _transvectant_ints(a: list, da: int, b: list, db: int, q: int) -> tuple[list, int]:
@@ -28,24 +55,33 @@ def _transvectant_ints(a: list, da: int, b: list, db: int, q: int) -> tuple[list
     gcd(denominator, *numerators) == 1, with denominator 1 for the zero form.
     """
     m, n = len(a) - 1, len(b) - 1
-    fm = [math.factorial(k) for k in range(max(m, n) + 1)]
-    a = [x * fm[k] * fm[m - k] for k, x in enumerate(a)]
-    b = [y * fm[k] * fm[n - k] for k, y in enumerate(b)]
-    signs = [(-1) ** i * math.comb(q, i) for i in range(q + 1)]
-    # left[u][i] = C(m-q,u) (-1)^i C(q,i) a'_{u+i}; right[v][i] = C(n-q,v) b'_{v+q-i}.
-    left = [
-        [math.comb(m - q, u) * s * x for s, x in zip(signs, a[u : u + q + 1])]
-        for u in range(m - q + 1)
-    ]
-    right = [
-        [math.comb(n - q, v) * y for y in reversed(b[v : v + q + 1])]
-        for v in range(n - q + 1)
-    ]
-    out = [0] * (m + n - 2 * q + 1)
-    for u, lu in enumerate(left):
-        for v, rv in enumerate(right):
-            out[u + v] += sum(map(int.__mul__, lu, rv))
-    den = fm[m] * fm[n] * da * db
+    mq, nq = m - q, n - q
+    wa, la = _weights(m)
+    wb, lb = _weights(n)
+    bound = la * max(map(abs, a)) * lb * max(map(abs, b)) * (min(mq, nq) + 1) << q
+    kb = (bound.bit_length() + 8) // 8
+    k = 8 * kb
+    a = [x * w for w, x in zip(wa, a)]
+    b = [y * w for w, y in zip(wb, b)]
+    cm = [math.comb(mq, u) for u in range(mq + 1)]
+    cn = [math.comb(nq, v) for v in range(nq + 1)]
+    total = 0
+    for i in range(q + 1):
+        # Horner from the top slot down; C(m-q,u) = C(m-q,m-q-u) pairs cm
+        # with the reversed window.
+        p = 0
+        for c, x in zip(cm, a[i + mq :: -1]):
+            p = (p << k) + c * x
+        r = 0
+        for c, y in zip(cn, b[n - i :: -1]):
+            r = (r << k) + c * y
+        total += (-1) ** i * math.comb(q, i) * p * r
+    size = mq + nq + 1
+    half = 1 << (k - 1)
+    offset = int.from_bytes(half.to_bytes(kb, "little") * size, "little")
+    raw = (total + offset).to_bytes(kb * size, "little")
+    out = [int.from_bytes(raw[j : j + kb], "little") - half for j in range(0, kb * size, kb)]
+    den = la * lb * da * db
     g = math.gcd(den, *out)
     if g != 1:
         out = [c // g for c in out]

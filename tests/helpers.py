@@ -114,6 +114,39 @@ def transvectant_by_derivatives(f: BinaryForm, g: BinaryForm, q: int) -> BinaryF
     return prefactor * total
 
 
+def transvectant_ints_by_dot_products(a: list, da: int, b: list, db: int, q: int) -> tuple[list, int]:
+    """Oracle for `_transvectant_ints`: one Python dot product per output pair.
+
+    Coefficient a_k is scaled by k!(m-k)!, and every (u, v) pair adds
+    C(m-q,u) C(n-q,v) sum_i (-1)^i C(q,i) a'_{u+i} b'_{v+q-i} to out[u+v],
+    over the denominator m! n! da db, reduced by one gcd.
+    """
+    m, n = len(a) - 1, len(b) - 1
+    fm = [math.factorial(k) for k in range(max(m, n) + 1)]
+    a = [x * fm[k] * fm[m - k] for k, x in enumerate(a)]
+    b = [y * fm[k] * fm[n - k] for k, y in enumerate(b)]
+    signs = [(-1) ** i * math.comb(q, i) for i in range(q + 1)]
+    # left[u][i] = C(m-q,u) (-1)^i C(q,i) a'_{u+i}; right[v][i] = C(n-q,v) b'_{v+q-i}.
+    left = [
+        [math.comb(m - q, u) * s * x for s, x in zip(signs, a[u : u + q + 1])]
+        for u in range(m - q + 1)
+    ]
+    right = [
+        [math.comb(n - q, v) * y for y in reversed(b[v : v + q + 1])]
+        for v in range(n - q + 1)
+    ]
+    out = [0] * (m + n - 2 * q + 1)
+    for u, lu in enumerate(left):
+        for v, rv in enumerate(right):
+            out[u + v] += sum(map(int.__mul__, lu, rv))
+    den = fm[m] * fm[n] * da * db
+    g = math.gcd(den, *out)
+    if g != 1:
+        out = [c // g for c in out]
+        den //= g
+    return out, den
+
+
 def exact_divide_by_fractions(numerator: BinaryForm, denominator: BinaryForm) -> BinaryForm:
     """Oracle for `exact_divide`: univariate long division over the rationals.
 

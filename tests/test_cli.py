@@ -57,6 +57,14 @@ class TestTransvect:
         assert code == 2
         assert "inhomogeneous" in err
 
+    def test_huge_exponent_is_refused_before_allocating(self, capsys):
+        code, out, err = run(
+            capsys, "transvect", "--expr", "x1^1000000000", "--expr", "x2", "--q", "0"
+        )
+        assert code == 2
+        assert out == ""
+        assert "error:" in err and "exceeds" in err
+
 
 class TestCombinants:
     def test_json_array(self, capsys):
@@ -253,6 +261,37 @@ class TestInputCaps:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "error:" in captured.err and option in captured.err
+
+
+class TestFormOrderCaps:
+    """transvect and combinants accept forms of the capped order, refuse one more."""
+
+    CASES = [
+        ("transvect", ["--q", "1"], cli.TRANSVECT_MAX_ORDER),
+        ("combinants", [], cli.COMBINANTS_MAX_D),
+    ]
+
+    @pytest.mark.parametrize("command,rest,cap", CASES)
+    def test_cap_is_accepted(self, capsys, command, rest, cap):
+        code, out, _ = run(capsys, command, "--expr", f"x1^{cap}", "--expr", f"x2^{cap}", *rest)
+        assert code == 0
+        assert out
+
+    @pytest.mark.parametrize("command,rest,cap", CASES)
+    def test_above_cap_is_refused(self, capsys, command, rest, cap):
+        with pytest.raises(SystemExit) as info:
+            main([command, "--expr", f"x1^{cap + 1}", "--expr", f"x2^{cap + 1}", *rest])
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error:" in captured.err and "order" in captured.err
+
+    def test_one_oversized_transvect_input_is_refused(self, capsys):
+        cap = cli.TRANSVECT_MAX_ORDER
+        with pytest.raises(SystemExit) as info:
+            main(["transvect", "--expr", "x1", "--expr", f"x2^{cap + 1}", "--q", "1"])
+        assert info.value.code == 2
+        assert f"got {cap + 1}" in capsys.readouterr().err
 
 
 class TestGamma:

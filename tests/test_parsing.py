@@ -17,6 +17,7 @@ from pencils import (
     table_from_dict,
     table_to_dict,
 )
+from pencils.parsing import MAX_ORDER
 
 small_fractions = st.fractions(min_value=-9, max_value=9, max_denominator=10)
 
@@ -35,6 +36,14 @@ class TestParseForm:
     def test_constant(self):
         f = parse_form("-7/3")
         assert f.order == 0 and f.coeffs == (Fraction(-7, 3),)
+
+    def test_order_cap(self):
+        assert parse_form(f"x1^{MAX_ORDER - 1}*x2").order == MAX_ORDER
+        with pytest.raises(ParseError, match="exceeds") as info:
+            parse_form(f"2*x1^{MAX_ORDER}*x2 + x2^{MAX_ORDER + 1}")
+        assert info.value.position == 0
+        with pytest.raises(ParseError, match="exceeds"):
+            parse_form(f"- x2^{MAX_ORDER + 1}")
 
     def test_whitespace_insignificant(self):
         assert parse_form("  x1 ^2+ 3 * x1 * x2  ") == parse_form("x1^2+3*x1*x2")

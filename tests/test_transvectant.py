@@ -1,4 +1,5 @@
-"""Transvectant contracts: frozen small cases, symmetry, equivariance, oracle."""
+"""Transvectant contracts: frozen small cases, symmetry, equivariance, oracles."""
+import math
 from fractions import Fraction
 
 import pytest
@@ -6,8 +7,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pencils import BinaryForm, random_form, transvectant
+from pencils.transvectant import _transvectant_ints
 
-from helpers import random_unimodular, transvectant_by_derivatives
+from helpers import (
+    random_unimodular,
+    transvectant_by_derivatives,
+    transvectant_ints_by_dot_products,
+)
 
 # Denominators of at least 2 keep most coefficients non-integer.
 _rationals = st.builds(Fraction, st.integers(-30, 30), st.integers(2, 12))
@@ -123,3 +129,48 @@ def test_matches_derivative_sum_oracle(case):
     result = transvectant(f, g, q)
     assert result == transvectant_by_derivatives(f, g, q)
     assert result.order == f.order + g.order - 2 * q
+
+
+_NUMERATOR_MAX = 10**30
+# 2 * _EDGE^2 has exactly 200 bits, so for order-1 inputs at +-_EDGE with
+# q = 0 the output reaches the kernel's slot bound and the bound's sign bit
+# is what adds a byte to each slot.
+_EDGE = math.isqrt(2**199 - 1)
+
+
+def _alternating(order, size):
+    return [size if k % 2 == 0 else -size for k in range(order + 1)]
+
+
+@st.composite
+def _integer_cases(draw):
+    m, n = draw(st.integers(0, 24)), draw(st.integers(0, 24))
+    top = min(m, n)
+    q = draw(st.sampled_from((0, top)) | st.integers(0, top))
+
+    def numerators(order):
+        dense = st.lists(
+            st.integers(-_NUMERATOR_MAX, _NUMERATOR_MAX), min_size=order + 1, max_size=order + 1
+        )
+        return draw(st.just([0] * (order + 1)) | dense)
+
+    a, b = numerators(m), numerators(n)
+    da, db = draw(st.integers(1, 10**6)), draw(st.integers(1, 10**6))
+    return a, da, b, db, q
+
+
+@settings(max_examples=200, deadline=None)
+@given(_integer_cases())
+@example(([0] * 13, 1, [0] * 9, 1, 0))
+@example(([0] * 13, 4, [3, -1, 2, 7, 0, 1, 1, 5, -2], 9, 8))
+@example(([0] * 25, 1, [0] * 25, 1, 24))
+@example((_alternating(1, _EDGE), 1, _alternating(1, _EDGE), 1, 0))
+@example((_alternating(1, _EDGE), 1, _alternating(1, -_EDGE), 1, 0))
+@example((_alternating(24, _NUMERATOR_MAX), 1, _alternating(24, _NUMERATOR_MAX), 1, 0))
+@example((_alternating(24, _NUMERATOR_MAX), 1, _alternating(23, -_NUMERATOR_MAX), 7, 11))
+@example((_alternating(24, _NUMERATOR_MAX), 1, _alternating(24, _NUMERATOR_MAX), 1, 24))
+def test_kernel_matches_dot_product_oracle(case):
+    a, da, b, db, q = case
+    assert _transvectant_ints(a, da, b, db, q) == transvectant_ints_by_dot_products(
+        a, da, b, db, q
+    )
