@@ -37,9 +37,18 @@ TRANSVECT_MAX_ORDER = 300
 # Largest pencil order `combinants` accepts: it runs (d+1)/2 transvectants,
 # and d = 120 takes 1.2-1.5 s.
 COMBINANTS_MAX_D = 120
-# Largest order `oracle-theta` accepts: the chain's cost grows steeply with
-# d, and its slowest case at d = 16 runs for a few seconds.
-ORACLE_THETA_MAX_D = 16
+# Largest bit length of the integer numerators of a `transvect` or
+# `combinants` input form over their common denominator, and of that
+# denominator: the cost of both commands grows with it, and with distinct
+# denominators every numerator is as long as their lcm.  At the order caps
+# with 128-bit numerators and denominators, `transvect` takes up to 2.2 s
+# (q near a third of the order) and `combinants` 2.9 s; at 256 bits, 2.8 s
+# and 5 s.
+COEFF_MAX_BITS = 128
+# Largest order `oracle-theta` accepts: the chain's form has (d+1)^4
+# terms, and its slowest cases, at small r, take about 2.4 s at d = 20,
+# 3.5 s at d = 21 and 4.5 s at d = 22.
+ORACLE_THETA_MAX_D = 20
 # Largest order `syzygy-table` accepts: the table has about r^2/4 theta
 # values of factorials of up to 2d; d = 300 at the top weight r = 150 prints
 # 1.3 MB in about 1.4 s.
@@ -70,10 +79,22 @@ def _check_cap(parser, args, option, cap):
         parser.error(f"{option} must be at most {cap} for {args.command}, got {value}")
 
 
-def _check_orders(parser, args, forms, cap):
+def _check_forms(parser, args, forms, cap):
     order = max(f.order for f in forms)
     if order > cap:
         parser.error(f"input order must be at most {cap} for {args.command}, got {order}")
+    for form in forms:
+        # Each coefficient alone first, which bounds the cost of the common
+        # denominator that `as_integers` forms.
+        bits = max(max(abs(c.numerator), c.denominator).bit_length() for c in form.coeffs)
+        if bits <= COEFF_MAX_BITS:
+            nums, den = form.as_integers()
+            bits = max(den, *map(abs, nums)).bit_length()
+        if bits > COEFF_MAX_BITS:
+            parser.error(
+                f"input numerators and their common denominator must have at most "
+                f"{COEFF_MAX_BITS} bits for {args.command}, got {bits}"
+            )
 
 
 def _add_format_flags(parser):
@@ -120,14 +141,14 @@ def _print_form(form, args):
 
 def _cmd_transvect(args, parser):
     f, g = _load_forms(args, parser, 2)
-    _check_orders(parser, args, (f, g), TRANSVECT_MAX_ORDER)
+    _check_forms(parser, args, (f, g), TRANSVECT_MAX_ORDER)
     _print_form(transvectant(f, g, args.q), args)
     return 0
 
 
 def _cmd_combinants(args, parser):
     a, b = _load_forms(args, parser, 2)
-    _check_orders(parser, args, (a, b), COMBINANTS_MAX_D)
+    _check_forms(parser, args, (a, b), COMBINANTS_MAX_D)
     seq = combinant_sequence(Pencil(a, b))
     if _fmt(args) == "json":
         print(json.dumps([form_to_dict(c) for c in seq]))

@@ -34,7 +34,7 @@ class Pencil:
             )
         if a.order < 2:
             raise ValueError("pencil order must be at least 2")
-        nums, den = _transvectant_ints(*a.as_integers(), *b.as_integers(), 1)
+        nums, den = _transvectant_ints(*a.as_integers(), *b.as_integers(), 1, {})
         if not any(nums):
             raise DegeneratePencilError("the two forms are linearly dependent")
         self.a = a
@@ -61,8 +61,9 @@ class Pencil:
         if len(ints) < count:
             a, da = self.a.as_integers()
             b, db = self.b.as_integers()
+            weights: dict = {}
             for r in range(len(ints) + 1, count + 1):
-                nums, den = _transvectant_ints(a, da, b, db, 2 * r - 1)
+                nums, den = _transvectant_ints(a, da, b, db, 2 * r - 1, weights)
                 ints += ((tuple(nums), den),)
             self._ints = ints
         return ints[:count]

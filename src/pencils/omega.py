@@ -11,16 +11,31 @@ implemented by formal differentiation on sparse MultiForms, and reads off
 the eigenvalue as an exact rational.  Agreement with `syzygy.theta` is a
 genuinely independent check: nothing here shares code with the factorial
 formula.
+
+Each of the six summands of `zeta_image` is the product of two forms over
+disjoint pairs, G(a, b) = (ab) f_a^(d-1) f_b^(d-1) and
+H(c, e) = (ce)^(2r-1) f_c^(d-2r+1) f_e^(d-2r+1).  G and H are built once,
+on the pairs x and y, each with at most (d+1)^2 terms, and moved onto the
+pairs a summand needs by shifting their packed 32-bit pair fields; the
+image is one signed accumulation of the six outer products, in which only
+different summands share monomials.  The two terms of omega commute, so
+
+    omega^n = sum_k (-1)^k C(n,k) (d_p1 d_q2)^(n-k) (d_q1 d_p2)^k,
+
+and `omega(form, p, q, n)` maps each monomial straight to its images with
+falling factorials of its four exponents in p and q.  `beta_chain` makes
+one such call per operator power, three in all.
 """
 from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial, perm
 
 from .errors import FormulaViolationError
 from .forms import (
     _MAX_EXPONENT,
+    _WIDTH,
     BinaryForm,
     LinearSymbol,
     MultiForm,
@@ -44,38 +59,57 @@ def bracket(pair1: str, pair2: str) -> MultiForm:
     return MultiForm._raw({pair1: 1, pair2: 1}, {plus: 1, minus: -1}, 1, 1)
 
 
-def omega(form: MultiForm, pair1: str, pair2: str) -> MultiForm:
-    """Apply the alternating second-order operator for (pair1, pair2).
+def omega(form: MultiForm, pair1: str, pair2: str, n: int = 1) -> MultiForm:
+    """Apply the alternating second-order operator for (pair1, pair2) n times.
 
-    Drops the form's degree in each pair by one; applied to a form constant
-    in either pair it returns the zero form.
+    Each application drops the form's degree in both pairs by one, so a
+    power n above either degree gives the zero form; n = 0 returns the
+    form unchanged.
     """
     check_pair(pair1)
     check_pair(pair2)
     if pair1 == pair2:
         raise ValueError("operator needs two distinct pairs")
-    a1, a2 = _shift(pair1, 1), _shift(pair1, 2)
-    b1, b2 = _shift(pair2, 1), _shift(pair2, 2)
-    step_ab = (1 << a1) + (1 << b2)
-    step_ba = (1 << b1) + (1 << a2)
+    if n < 0:
+        raise ValueError(f"operator power must be nonnegative, got {n}")
+    a1, b1 = _shift(pair1, 1), _shift(pair2, 1)
+    step_ab = (1 << a1) + (1 << _shift(pair2, 2))
+    step_ba = (1 << b1) + (1 << _shift(pair1, 2))
+    # The two terms commute, so omega^n is
+    #     sum_k (-1)^k C(n,k) (d_p1 d_q2)^(n-k) (d_q1 d_p2)^k,
+    # and the m-th derivative maps an exponent e to perm(e, m).  A monomial's
+    # image depends only on its exponents p1, p2, q1, q2, which its two
+    # 2 * _WIDTH-bit pair fields hold: `images` keeps, per such pair of
+    # fields, the (key offset, integer factor) of each k with
+    # n - k <= min(p1, q2) and k <= min(q1, p2).
+    signs = [(-1) ** k * comb(n, k) for k in range(n + 1)]
+    width = 2 * _WIDTH
+    field = (1 << width) - 1
     mask = _MAX_EXPONENT
+    images: dict = {}
     out: dict = {}
     get = out.get
     for mono, coeff in form._terms.items():
-        # d^2/(dp1 dq2) - d^2/(dq1 dp2), each a product of two exponents.
-        e = ((mono >> a1) & mask) * ((mono >> b2) & mask)
-        if e:
-            key = mono - step_ab
-            out[key] = get(key, 0) + coeff * e
-        e = ((mono >> b1) & mask) * ((mono >> a2) & mask)
-        if e:
-            key = mono - step_ba
-            out[key] = get(key, 0) - coeff * e
+        fields = (((mono >> b1) & field) << width) + ((mono >> a1) & field)
+        image = images.get(fields)
+        if image is None:
+            p1, p2 = fields & mask, (fields >> _WIDTH) & mask
+            q1, q2 = (fields >> width) & mask, fields >> (width + _WIDTH)
+            image = images[fields] = [
+                (
+                    -(n - k) * step_ab - k * step_ba,
+                    signs[k] * perm(p1, n - k) * perm(q2, n - k) * perm(q1, k) * perm(p2, k),
+                )
+                for k in range(max(n - min(p1, q2), 0), min(n, q1, p2) + 1)
+            ]
+        for offset, factor in image:
+            key = mono + offset
+            out[key] = get(key, 0) + coeff * factor
     deg = dict(form.degrees)
     for pair in (pair1, pair2):
         old = deg.pop(pair, 0)
-        if old > 1:
-            deg[pair] = old - 1
+        if old > n:
+            deg[pair] = old - n
     return MultiForm._raw(deg, {m: c for m, c in out.items() if c}, form._den, form._top)
 
 
@@ -106,15 +140,60 @@ def mu_factor(p: int, q: int, ell: int, m: int) -> Fraction:
     )
 
 
+def _factors(d: int, r: int, f: LinearSymbol) -> tuple:
+    """G = (xy) f_x^(d-1) f_y^(d-1) and H = (xy)^(2r-1) f_x^(d-2r+1) f_y^(d-2r+1).
+
+    Every zeta summand is G on one pair of pairs times H on the other two.
+    """
+    xy = bracket("x", "y")
+    g = xy * linear_power(f, "x", d - 1) * linear_power(f, "y", d - 1)
+    e = d - 2 * r + 1
+    h = xy ** (2 * r - 1) * linear_power(f, "x", e) * linear_power(f, "y", e)
+    return g, h
+
+
+def _moved(form: MultiForm, pair1: str, pair2: str) -> list:
+    """(key, numerator) of a form over x, y with x moved to pair1 and y to pair2.
+
+    A pair's two slots make one 2 * _WIDTH-bit field, so a move is a shift.
+    """
+    width = 2 * _WIDTH
+    field = (1 << width) - 1
+    s1, s2 = _shift(pair1, 1), _shift(pair2, 1)
+    return [(((m & field) << s1) + ((m >> width) << s2), c) for m, c in form._terms.items()]
+
+
+def _outer_sum(d: int, g: MultiForm, h: MultiForm, summands) -> MultiForm:
+    """sum of sign * G(a, b) * H(c, e) over the (sign, (a, b, c, e)) summands.
+
+    The pairs of one summand are distinct, so its product has one term per
+    pair of terms of G and H, and only different summands share monomials.
+    """
+    out: dict = {}
+    get = out.get
+    for sign, (a, b, c, e) in summands:
+        moved_h = _moved(h, c, e)
+        for mg, cg in _moved(g, a, b):
+            cg *= sign
+            for mh, ch in moved_h:
+                key = mg + mh
+                out[key] = get(key, 0) + cg * ch
+    degrees = dict.fromkeys(summands[0][1], d)
+    terms = {m: c for m, c in out.items() if c}
+    return MultiForm._raw(degrees, terms, g._den * h._den, max(g._top, h._top))
+
+
 def zeta_summand(
     d: int, r: int, pair_a: str, pair_b: str, pair_c: str, pair_e: str, f: LinearSymbol
 ) -> MultiForm:
-    """(ab) * (ce)^(2r-1) * f_a^(d-1) * f_b^(d-1) * f_c^(d-2r+1) * f_e^(d-2r+1)."""
-    form = bracket(pair_a, pair_b) * bracket(pair_c, pair_e) ** (2 * r - 1)
-    form = form * linear_power(f, pair_a, d - 1)
-    form = form * linear_power(f, pair_b, d - 1)
-    form = form * linear_power(f, pair_c, d - 2 * r + 1)
-    return form * linear_power(f, pair_e, d - 2 * r + 1)
+    """(ab) * (ce)^(2r-1) * f_a^(d-1) * f_b^(d-1) * f_c^(d-2r+1) * f_e^(d-2r+1).
+
+    The four pairs must be distinct.
+    """
+    pairs = (pair_a, pair_b, pair_c, pair_e)
+    if len(set(pairs)) != 4:
+        raise ValueError(f"a zeta summand needs four distinct pairs, got {pairs}")
+    return _outer_sum(d, *_factors(d, r, f), [(1, pairs)])
 
 
 def zeta_image(d: int, r: int, f: LinearSymbol = DEFAULT_SYMBOL) -> MultiForm:
@@ -126,15 +205,10 @@ def zeta_image(d: int, r: int, f: LinearSymbol = DEFAULT_SYMBOL) -> MultiForm:
     """
     if r < 3 or 2 * r > d + 1:
         raise ValueError(f"weight index r={r} outside 3..floor((d+1)/2) for d={d}")
-    term = zeta_summand
-    return (
-        term(d, r, "x", "y", "z", "w", f)
-        - term(d, r, "x", "z", "y", "w", f)
-        + term(d, r, "x", "w", "y", "z", f)
-        - term(d, r, "y", "w", "x", "z", f)
-        + term(d, r, "z", "w", "x", "y", f)
-        - term(d, r, "z", "y", "x", "w", f)
+    summands = (
+        (1, "xyzw"), (-1, "xzyw"), (1, "xwyz"), (-1, "ywxz"), (1, "zwxy"), (-1, "zyxw"),
     )
+    return _outer_sum(d, *_factors(d, r, f), summands)
 
 
 def beta_chain(q_form: MultiForm, d: int, r: int, i: int, j: int) -> BinaryForm:
@@ -154,16 +228,11 @@ def beta_chain(q_form: MultiForm, d: int, r: int, i: int, j: int) -> BinaryForm:
             raise ValueError(
                 f"input must have degree {d} in pair {pair!r}, got {q_form.degree(pair)}"
             )
-    out = q_form
-    for _ in range(2 * i - 1):
-        out = omega(out, "x", "y")
-    for _ in range(2 * j - 1):
-        out = omega(out, "z", "w")
+    out = omega(omega(q_form, "x", "y", 2 * i - 1), "z", "w", 2 * j - 1)
     out = out.substituted("x", "y", "u").substituted("z", "w", "v")
     out = out * (h_factor(d, d, 2 * i - 1) * h_factor(d, d, 2 * j - 1))
     q3 = 2 * (r - i - j + 1)
-    for _ in range(q3):
-        out = omega(out, "u", "v")
+    out = omega(out, "u", "v", q3)
     out = out.substituted("u", "v", "t")
     out = out * h_factor(2 * d - 4 * i + 2, 2 * d - 4 * j + 2, q3)
     return out.as_binary_form("t")

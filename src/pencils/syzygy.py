@@ -152,10 +152,11 @@ def _syzygy_sum(table: SyzygyTable, combinants, skip=None) -> tuple[list, int]:
     """
     r = table.r
     terms = []
+    weights: dict = {}
     for (i, j), alpha in table.items():
         if alpha and (i, j) != skip:
             q = 2 * (r - i - j + 1)
-            v, s = _transvectant_ints(*combinants[i - 1], *combinants[j - 1], q)
+            v, s = _transvectant_ints(*combinants[i - 1], *combinants[j - 1], q, weights)
             terms.append((alpha.numerator, alpha.denominator * s, v))
     lcm = math.lcm(*(q for _, q, _ in terms))
     total = [0] * (4 * (table.d - r) + 1)

@@ -40,24 +40,35 @@ from fractions import Fraction
 from .forms import BinaryForm
 
 
-def _weights(m: int) -> tuple[list, int]:
-    """The weights L_m / C(m,k), k = 0..m, and L_m = lcm of the C(m,k)."""
-    binomials = [math.comb(m, k) for k in range(m + 1)]
-    top = math.lcm(*binomials)
-    return [top // c for c in binomials], top
+def _weights(m: int, table: dict) -> tuple[list, int]:
+    """The weights L_m / C(m,k), k = 0..m, and L_m = lcm of the C(m,k).
+
+    They are computed once per order m and kept in `table`.
+    """
+    weights = table.get(m)
+    if weights is None:
+        binomials = [math.comb(m, k) for k in range(m + 1)]
+        top = math.lcm(*binomials)
+        weights = table[m] = ([top // c for c in binomials], top)
+    return weights
 
 
-def _transvectant_ints(a: list, da: int, b: list, db: int, q: int) -> tuple[list, int]:
+def _transvectant_ints(
+    a: list, da: int, b: list, db: int, q: int, table: dict
+) -> tuple[list, int]:
     """(numerators, denominator) of (f, g)_q for f = a / da and g = b / db.
 
     The orders are ``len(a) - 1`` and ``len(b) - 1``, da and db are
-    positive, and 0 <= q <= min of the orders.  The result is reduced:
-    gcd(denominator, *numerators) == 1, with denominator 1 for the zero form.
+    positive, and 0 <= q <= min of the orders.  `table` holds the
+    `_weights` of each order met so far; a caller that runs many
+    transvectants passes the same dict to every call.  The result is
+    reduced: gcd(denominator, *numerators) == 1, with denominator 1 for the
+    zero form.
     """
     m, n = len(a) - 1, len(b) - 1
     mq, nq = m - q, n - q
-    wa, la = _weights(m)
-    wb, lb = _weights(n)
+    wa, la = _weights(m, table)
+    wb, lb = _weights(n, table)
     bound = la * max(map(abs, a)) * lb * max(map(abs, b)) * (min(mq, nq) + 1) << q
     kb = (bound.bit_length() + 8) // 8
     k = 8 * kb
@@ -99,5 +110,5 @@ def transvectant(f: BinaryForm, g: BinaryForm, q: int) -> BinaryForm:
     m, n = f.order, g.order
     if not 0 <= q <= min(m, n):
         raise ValueError(f"transvectant index {q} outside 0..min({m},{n})")
-    nums, den = _transvectant_ints(*f.as_integers(), *g.as_integers(), q)
+    nums, den = _transvectant_ints(*f.as_integers(), *g.as_integers(), q, {})
     return BinaryForm.from_integers(nums, Fraction(1, den))

@@ -325,22 +325,23 @@ def tuple_linear_power(f, pair: str, n: int) -> dict:
     return out
 
 
+def tuple_zeta_summand(d: int, r: int, a: str, b: str, c: str, e: str, f) -> dict:
+    """Oracle for `omega.zeta_summand`: the product of its brackets and powers."""
+    form = tuple_bracket(a, b)
+    for _ in range(2 * r - 1):
+        form = tuple_mul(form, tuple_bracket(c, e))
+    for pair, n in ((a, d - 1), (b, d - 1), (c, d - 2 * r + 1), (e, d - 2 * r + 1)):
+        form = tuple_mul(form, tuple_linear_power(f, pair, n))
+    return form
+
+
 def tuple_zeta_image(d: int, r: int, f) -> dict:
     """Oracle for `omega.zeta_image`: the same six signed summands."""
-
-    def summand(a, b, c, e):
-        form = tuple_bracket(a, b)
-        for _ in range(2 * r - 1):
-            form = tuple_mul(form, tuple_bracket(c, e))
-        for pair, n in ((a, d - 1), (b, d - 1), (c, d - 2 * r + 1), (e, d - 2 * r + 1)):
-            form = tuple_mul(form, tuple_linear_power(f, pair, n))
-        return form
-
     total: dict = {}
     for sign, pairs in (
         (1, "xyzw"), (-1, "xzyw"), (1, "xwyz"), (-1, "ywxz"), (1, "zwxy"), (-1, "zyxw"),
     ):
-        term = summand(*pairs)
+        term = tuple_zeta_summand(d, r, *pairs, f)
         total = tuple_add(total, term if sign > 0 else tuple_neg(term))
     return total
 

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from pencils import BinaryForm, cli
+from pencils import BinaryForm, cli, theta
 from pencils.cli import main
 
 
@@ -217,15 +217,17 @@ class TestOracleTheta:
 
 
     def test_largest_accepted_order(self, capsys):
-        code, out, _ = run(
-            capsys, "oracle-theta", "--d", "16", "--r", "3", "--i", "1", "--j", "1"
-        )
+        # (r, i, j) = (3, 1, 3) is among the slowest cases at the cap.
+        cap = str(cli.ORACLE_THETA_MAX_D)
+        code, out, _ = run(capsys, "oracle-theta", "--d", cap, "--r", "3", "--i", "1", "--j", "3")
         assert code == 0
-        assert out.splitlines() == ["oracle ratio:  10", "formula theta: 10", "MATCH"]
+        th = theta(cli.ORACLE_THETA_MAX_D, 3, 1, 3)
+        assert out.splitlines() == [f"oracle ratio:  {th}", f"formula theta: {th}", "MATCH"]
 
     def test_order_above_cap_is_refused(self, capsys):
+        above = str(cli.ORACLE_THETA_MAX_D + 1)
         with pytest.raises(SystemExit) as info:
-            main(["oracle-theta", "--d", "17", "--r", "3", "--i", "1", "--j", "1"])
+            main(["oracle-theta", "--d", above, "--r", "3", "--i", "1", "--j", "3"])
         assert info.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -292,6 +294,44 @@ class TestFormOrderCaps:
             main(["transvect", "--expr", "x1", "--expr", f"x2^{cap + 1}", "--q", "1"])
         assert info.value.code == 2
         assert f"got {cap + 1}" in capsys.readouterr().err
+
+
+class TestFormCoefficientCaps:
+    """transvect and combinants accept numerators and a common denominator of
+    the capped bit length, and refuse one more bit."""
+
+    BITS = cli.COEFF_MAX_BITS
+    HALF = BITS // 2
+    # (second input form at the cap, the same form one bit over it)
+    INPUTS = {
+        "numerator": (f"{2**BITS - 1}*x1^2", f"{2**BITS}*x1^2"),
+        "denominator": (f"1/{2**BITS - 1}*x1^2", f"1/{2**BITS}*x1^2"),
+        # Short denominators whose lcm is long: 2^(h-1) (2^h + 1) has 2h bits.
+        "lcm": (
+            f"1/{2**(HALF - 1)}*x1^2 + 1/{2**HALF + 1}*x1*x2",
+            f"1/{2**HALF}*x1^2 + 1/{2**HALF + 1}*x1*x2",
+        ),
+    }
+    COMMANDS = {"transvect": ["--q", "1"], "combinants": []}
+
+    @pytest.mark.parametrize("kind", INPUTS)
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_cap_is_accepted(self, capsys, command, kind):
+        form = self.INPUTS[kind][0]
+        code, out, _ = run(capsys, command, "--expr", "x2^2", "--expr", form, *self.COMMANDS[command])
+        assert code == 0
+        assert out
+
+    @pytest.mark.parametrize("kind", INPUTS)
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_above_cap_is_refused(self, capsys, command, kind):
+        form = self.INPUTS[kind][1]
+        with pytest.raises(SystemExit) as info:
+            main([command, "--expr", "x2^2", "--expr", form, *self.COMMANDS[command]])
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error:" in captured.err and f"got {self.BITS + 1}" in captured.err
 
 
 class TestGamma:

@@ -390,6 +390,54 @@ class TestPackedMatchesTupleOracle:
         self.check(omega(fa * fc, "w", "y"), tuple_omega(tuple_mul(a, c), "w", "y"))
 
 
+SMALL_XY = {monomial(x1=1, x2=1, y2=1): F(1, 2), monomial(x1=2, y1=1): F(-3, 4)}
+
+
+class TestOmegaPower:
+    """omega(form, p, q, n) in one pass against n single steps of the tuple oracle."""
+
+    @given(
+        case=with_forms(XYZ_DEGREES, 1),
+        pairs=st.sampled_from(list(itertools.permutations("xyzw", 2))),
+        n=st.integers(0, 5),
+    )
+    # n = 0 on non-integer coefficients gives the form itself; n = 2, above
+    # the degree of y, the zero form.
+    @example(case=({"x": 2, "y": 1, "z": 0}, SMALL_XY), pairs=("x", "y"), n=0)
+    @example(case=({"x": 2, "y": 1, "z": 0}, SMALL_XY), pairs=("x", "y"), n=2)
+    # Each k = 0..3 of the binomial sum comes from one of the terms.
+    @example(
+        case=(
+            {"x": 3, "y": 3, "z": 1},
+            {
+                monomial(x1=3, y2=3, z2=1): F(3, 4),
+                monomial(x1=2, x2=1, y1=1, y2=2, z1=1): F(2, 3),
+                monomial(x1=1, x2=2, y1=2, y2=1, z2=1): F(-5, 7),
+                monomial(x2=3, y1=3, z1=1): F(1, 9),
+            },
+        ),
+        pairs=("x", "y"),
+        n=3,
+    )
+    @example(case=({"x": 2, "y": 2, "z": 0}, {}), pairs=("x", "y"), n=3)
+    @settings(max_examples=150, deadline=None)
+    def test_matches_iterated_tuple_oracle(self, case, pairs, n):
+        degrees, a = case
+        fa = MultiForm(degrees, a)
+        expected = a
+        stepped = fa
+        for _ in range(n):
+            expected = tuple_omega(expected, *pairs)
+            stepped = omega(stepped, *pairs)
+        result = omega(fa, *pairs, n)
+        TestPackedMatchesTupleOracle.check(result, expected)
+        assert result.degrees == stepped.degrees
+
+    def test_negative_power_rejected(self):
+        with pytest.raises(ValueError):
+            omega(MultiForm.constant(1), "x", "y", -1)
+
+
 LIMIT = 2**16 - 1  # largest exponent a packed slot holds
 
 

@@ -26,7 +26,7 @@ from pencils import (
 )
 from pencils.forms import _PAIR_INDEX
 
-from helpers import random_multiform, tuple_zeta_image
+from helpers import random_multiform, tuple_zeta_image, tuple_zeta_summand
 
 F12 = LinearSymbol(1, 2)
 
@@ -184,14 +184,30 @@ class TestZetaImage:
         assert all(z.degree(p) == 7 for p in "xyzw")
         assert z.is_homogeneous()
 
-    @pytest.mark.parametrize("d", [5, 6])
-    @pytest.mark.parametrize("symbol", ["1,2", "2,-3", "1/2,-3/5"])
+    @pytest.mark.parametrize("d", [5, 6, 7, 8])
+    @pytest.mark.parametrize("symbol", ["1,2", "2,-3", "1/2,-3/5", "0,1", "3,0"])
     def test_matches_tuple_oracle(self, d, symbol):
+        r = (d + 1) // 2  # the top weight: 3 at d = 5, 6 and 4 at d = 7, 8
         f = LinearSymbol.parse(symbol)
-        z = zeta_image(d, 3, f)
-        expected = tuple_zeta_image(d, 3, f)
+        z = zeta_image(d, r, f)
+        expected = tuple_zeta_image(d, r, f)
         assert z.terms == expected
         assert z == MultiForm(z.degrees, expected)
+        assert z.degrees == {"x": d, "y": d, "z": d, "w": d}
+
+    @pytest.mark.parametrize("pairs", ["xyzw", "zyxw", "utxv", "wvzx"])
+    @pytest.mark.parametrize("symbol", ["1/2,-3/5", "3,0"])
+    def test_summand_matches_tuple_oracle(self, pairs, symbol):
+        f = LinearSymbol.parse(symbol)
+        z = zeta_summand(6, 3, *pairs, f)
+        expected = tuple_zeta_summand(6, 3, *pairs, f)
+        assert z.terms == expected
+        assert z == MultiForm(z.degrees, expected)
+        assert z.degrees == dict.fromkeys(pairs, 6)
+
+    def test_summand_needs_distinct_pairs(self):
+        with pytest.raises(ValueError):
+            zeta_summand(5, 3, "x", "y", "x", "w", F12)
 
     def test_range_check(self):
         with pytest.raises(ValueError):

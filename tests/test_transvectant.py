@@ -171,6 +171,9 @@ def _integer_cases(draw):
 @example((_alternating(24, _NUMERATOR_MAX), 1, _alternating(24, _NUMERATOR_MAX), 1, 24))
 def test_kernel_matches_dot_product_oracle(case):
     a, da, b, db, q = case
-    assert _transvectant_ints(a, da, b, db, q) == transvectant_ints_by_dot_products(
-        a, da, b, db, q
-    )
+    expected = transvectant_ints_by_dot_products(a, da, b, db, q)
+    table: dict = {}
+    assert _transvectant_ints(a, da, b, db, q, table) == expected
+    # A second call reads both orders' weights from the table.
+    assert set(table) == {len(a) - 1, len(b) - 1}
+    assert _transvectant_ints(a, da, b, db, q, table) == expected
