@@ -21,7 +21,6 @@ from .angular import (
     wigner9j,
 )
 from .combinant import (
-    CombinantSequence,
     Pencil,
     combinant_sequence,
     membership_defect,
@@ -70,7 +69,6 @@ from .syzygy import (
     index_pairs,
     positivity_certificate,
     recover_combinant,
-    recover_from_combinants,
     syzygy_space_dim,
     syzygy_table,
     theta,
@@ -81,7 +79,6 @@ __all__ = [
     "AlgebraError",
     "BinaryForm",
     "CConstants",
-    "CombinantSequence",
     "DegeneratePencilError",
     "DegreeMismatchError",
     "FormulaViolationError",
@@ -123,7 +120,6 @@ __all__ = [
     "random_form",
     "random_pencil",
     "recover_combinant",
-    "recover_from_combinants",
     "syzygy_space_dim",
     "syzygy_table",
     "table_from_dict",

@@ -13,10 +13,10 @@ import sys
 from .angular import NineJArray, SurdSum, combinant_9j_array, wigner9j
 from .combinant import Pencil, combinant_sequence, random_pencil
 from .errors import AlgebraError, FormulaViolationError
-from .forms import LinearSymbol
+from .forms import BinaryForm, LinearSymbol
 from .omega import omega_chain
-from .parsing import format_form, parse_form
-from .serialize import form_from_dict, form_to_dict, table_to_dict
+from .parsing import format_form, parse_coeffs
+from .serialize import coeffs_from_dict, form_to_dict, table_to_dict
 from .syzygy import (
     evaluate_syzygy,
     gamma,
@@ -49,6 +49,11 @@ COEFF_MAX_BITS = 128
 # terms, and its slowest cases, at small r, take about 2.4 s at d = 20,
 # 3.5 s at d = 21 and 4.5 s at d = 22.
 ORACLE_THETA_MAX_D = 20
+# Largest bit length of the numerators and denominators of `oracle-theta
+# --f`: the chain's coefficients grow as the symbol's 4d-th power.  At
+# d = 20, (r, i, j) = (3, 1, 3), the symbol (15/13, 11/9) takes about 3.3 s,
+# against 2.3 s for (1, -1); with 8 bits, (255/253, 251/249) takes 4.7 s.
+ORACLE_THETA_MAX_BITS = 4
 # Largest order `syzygy-table` accepts: the table has about r^2/4 theta
 # values of factorials of up to 2d; d = 300 at the top weight r = 150 prints
 # 1.3 MB in about 1.4 s.
@@ -79,22 +84,9 @@ def _check_cap(parser, args, option, cap):
         parser.error(f"{option} must be at most {cap} for {args.command}, got {value}")
 
 
-def _check_forms(parser, args, forms, cap):
-    order = max(f.order for f in forms)
-    if order > cap:
-        parser.error(f"input order must be at most {cap} for {args.command}, got {order}")
-    for form in forms:
-        # Each coefficient alone first, which bounds the cost of the common
-        # denominator that `as_integers` forms.
-        bits = max(max(abs(c.numerator), c.denominator).bit_length() for c in form.coeffs)
-        if bits <= COEFF_MAX_BITS:
-            nums, den = form.as_integers()
-            bits = max(den, *map(abs, nums)).bit_length()
-        if bits > COEFF_MAX_BITS:
-            parser.error(
-                f"input numerators and their common denominator must have at most "
-                f"{COEFF_MAX_BITS} bits for {args.command}, got {bits}"
-            )
+def _bits(values) -> int:
+    """Largest bit length of the numerators and denominators of `values`."""
+    return max(max(abs(c.numerator), c.denominator).bit_length() for c in values)
 
 
 def _add_format_flags(parser):
@@ -113,8 +105,15 @@ def _add_form_inputs(parser):
     )
 
 
-def _load_forms(args, parser, count):
-    forms = []
+def _load_forms(args, parser, count, cap):
+    """The input forms, each refused before it is built if it breaks a cap.
+
+    The checks run in order: the order cap, each coefficient on its own,
+    then the common denominator.  The second bounds the cost of the third,
+    which building the form computes: with distinct denominators, every
+    numerator is as long as their lcm.
+    """
+    lists = []
     for path in args.paths:
         try:
             with open(path, "r", encoding="utf-8") as handle:
@@ -123,12 +122,27 @@ def _load_forms(args, parser, count):
             parser.error(f"cannot read {path}: {exc}")
         text = text.strip()
         if text.startswith("{"):
-            forms.append(form_from_dict(json.loads(text)))
+            lists.append(coeffs_from_dict(json.loads(text)))
         else:
-            forms.append(parse_form(text))
-    forms.extend(parse_form(expr) for expr in args.expr)
-    if len(forms) != count:
-        parser.error(f"expected {count} input forms, got {len(forms)}")
+            lists.append(parse_coeffs(text))
+    lists.extend(parse_coeffs(expr) for expr in args.expr)
+    if len(lists) != count:
+        parser.error(f"expected {count} input forms, got {len(lists)}")
+    order = max(len(coeffs) for coeffs in lists) - 1
+    if order > cap:
+        parser.error(f"input order must be at most {cap} for {args.command}, got {order}")
+    forms = []
+    for coeffs in lists:
+        bits = _bits(coeffs)
+        if bits <= COEFF_MAX_BITS:
+            form = BinaryForm(len(coeffs) - 1, coeffs)
+            bits = max(form._den, *map(abs, form._nums)).bit_length()
+            forms.append(form)
+        if bits > COEFF_MAX_BITS:
+            parser.error(
+                f"input numerators and their common denominator must have at most "
+                f"{COEFF_MAX_BITS} bits for {args.command}, got {bits}"
+            )
     return forms
 
 
@@ -140,15 +154,13 @@ def _print_form(form, args):
 
 
 def _cmd_transvect(args, parser):
-    f, g = _load_forms(args, parser, 2)
-    _check_forms(parser, args, (f, g), TRANSVECT_MAX_ORDER)
+    f, g = _load_forms(args, parser, 2, TRANSVECT_MAX_ORDER)
     _print_form(transvectant(f, g, args.q), args)
     return 0
 
 
 def _cmd_combinants(args, parser):
-    a, b = _load_forms(args, parser, 2)
-    _check_forms(parser, args, (a, b), COMBINANTS_MAX_D)
+    a, b = _load_forms(args, parser, 2, COMBINANTS_MAX_D)
     seq = combinant_sequence(Pencil(a, b))
     if _fmt(args) == "json":
         print(json.dumps([form_to_dict(c) for c in seq]))
@@ -220,6 +232,12 @@ def _cmd_recover(args, parser):
 def _cmd_oracle_theta(args, parser):
     _check_cap(parser, args, "--d", ORACLE_THETA_MAX_D)
     f = LinearSymbol.parse(args.f)
+    bits = _bits((f.f1, f.f2))
+    if bits > ORACLE_THETA_MAX_BITS:
+        parser.error(
+            f"--f numerators and denominators must have at most {ORACLE_THETA_MAX_BITS} "
+            f"bits for oracle-theta, got {bits}"
+        )
     result = omega_chain(args.d, args.r, args.i, args.j, f)
     formula = theta(args.d, args.r, args.i, args.j)
     print(f"oracle ratio:  {result.ratio}")

@@ -3,8 +3,10 @@
 A pencil is spanned by two linearly independent forms A, B of the same
 order d.  Its combinants are the odd transvectants C_{2r-1} = (A, B)_{2r-1}
 for r = 1 .. floor((d+1)/2); up to scalar they depend only on span{A, B}.
-The module also provides the Wronskian membership test for the pencil and
-the equivalent defect expression built from C1 and C3 alone.
+A `Pencil` keeps the combinants it has computed, and `combinant_sequence`
+returns all of them as a tuple whose entry r-1 is C_{2r-1}.  The module
+also provides the Wronskian membership test for the pencil and the
+equivalent defect expression built from C1 and C3 alone.
 """
 from __future__ import annotations
 
@@ -12,7 +14,7 @@ from fractions import Fraction
 
 from .errors import DegeneratePencilError, DegreeMismatchError
 from .forms import BinaryForm, random_form
-from .transvectant import _transvectant_ints, transvectant
+from .transvectant import _transvectant, transvectant
 
 
 class Pencil:
@@ -20,12 +22,11 @@ class Pencil:
 
     Independence is detected via the first combinant: C1 = (A, B)_1 is a
     scalar multiple of the Jacobian and vanishes exactly when A, B are
-    dependent.  The combinants are kept as integer numerators over one
-    denominator once computed, starting with the C1 of that check, so
-    every weight evaluated on one pencil shares them.
+    dependent.  The combinants are kept once computed, starting with the
+    C1 of that check, so every weight evaluated on one pencil shares them.
     """
 
-    __slots__ = ("a", "b", "order", "_ints")
+    __slots__ = ("a", "b", "order", "_combinants")
 
     def __init__(self, a: BinaryForm, b: BinaryForm):
         if a.order != b.order:
@@ -34,84 +35,47 @@ class Pencil:
             )
         if a.order < 2:
             raise ValueError("pencil order must be at least 2")
-        nums, den = _transvectant_ints(*a.as_integers(), *b.as_integers(), 1, {})
-        if not any(nums):
+        c1 = _transvectant(a, b, 1, {})
+        if c1.is_zero():
             raise DegeneratePencilError("the two forms are linearly dependent")
         self.a = a
         self.b = b
         self.order = a.order
-        self._ints = ((tuple(nums), den),)
+        self._combinants = (c1,)
 
     def max_combinant_index(self) -> int:
         return (self.order + 1) // 2
 
-    def integer_combinants(self, count: int) -> tuple:
-        """C_1, C_3, ..., C_{2count-1} as (integer numerators, denominator) pairs.
+    def combinants(self, count: int) -> tuple:
+        """C_1, C_3, ..., C_{2count-1}; C_{2r-1} = (A, B)_{2r-1} has order 2d - 4r + 2.
 
-        The numerators are tuples, and each pair is reduced as
-        `_transvectant_ints` returns it.  Every combinant is computed once
-        per pencil; a longer list extends the kept one, which is replaced
-        whole so that concurrent callers never see a partial list.
+        Every combinant is computed once per pencil; a longer list extends
+        the kept one, which is replaced whole so that concurrent callers
+        never see a partial list.
         """
         if not 1 <= count <= self.max_combinant_index():
             raise ValueError(
-                f"combinant count {count} outside 1..{self.max_combinant_index()}"
+                f"combinant index {count} outside 1..{self.max_combinant_index()}"
             )
-        ints = self._ints
-        if len(ints) < count:
-            a, da = self.a.as_integers()
-            b, db = self.b.as_integers()
+        kept = self._combinants
+        if len(kept) < count:
             weights: dict = {}
-            for r in range(len(ints) + 1, count + 1):
-                nums, den = _transvectant_ints(a, da, b, db, 2 * r - 1, weights)
-                ints += ((tuple(nums), den),)
-            self._ints = ints
-        return ints[:count]
+            for r in range(len(kept) + 1, count + 1):
+                kept += (_transvectant(self.a, self.b, 2 * r - 1, weights),)
+            self._combinants = kept
+        return kept[:count]
 
     def combinant(self, r: int) -> BinaryForm:
         """C_{2r-1} = (A, B)_{2r-1}, of order 2d - 4r + 2."""
-        if not 1 <= r <= self.max_combinant_index():
-            raise ValueError(f"combinant index r={r} outside 1..{self.max_combinant_index()}")
-        nums, den = self.integer_combinants(r)[r - 1]
-        return BinaryForm.from_integers(nums, Fraction(1, den))
+        return self.combinants(r)[r - 1]
 
     def __repr__(self):
         return f"Pencil(order={self.order})"
 
 
-class CombinantSequence:
-    """The full combinant list of a pencil: entries[r-1] is C_{2r-1}."""
-
-    __slots__ = ("order", "entries")
-
-    def __init__(self, order: int, entries):
-        entries = tuple(entries)
-        if len(entries) != (order + 1) // 2:
-            raise DegreeMismatchError("wrong number of combinants for this order")
-        for r, c in enumerate(entries, start=1):
-            if c.order != 2 * order - 4 * r + 2:
-                raise DegreeMismatchError(
-                    f"C_{2 * r - 1} must have order {2 * order - 4 * r + 2}, got {c.order}"
-                )
-        self.order = order
-        self.entries = entries
-
-    def c(self, r: int) -> BinaryForm:
-        if not 1 <= r <= len(self.entries):
-            raise ValueError(f"combinant index r={r} outside 1..{len(self.entries)}")
-        return self.entries[r - 1]
-
-    def __len__(self):
-        return len(self.entries)
-
-    def __iter__(self):
-        return iter(self.entries)
-
-
-def combinant_sequence(pencil: Pencil) -> CombinantSequence:
+def combinant_sequence(pencil: Pencil) -> tuple:
     """All combinants C_1, C_3, ..., C_{2*floor((d+1)/2)-1} of the pencil."""
-    entries = [pencil.combinant(r) for r in range(1, pencil.max_combinant_index() + 1)]
-    return CombinantSequence(pencil.order, entries)
+    return pencil.combinants(pencil.max_combinant_index())
 
 
 def wronskian(pencil: Pencil, form: BinaryForm) -> BinaryForm:

@@ -1,10 +1,17 @@
 """Exact rational arithmetic on homogeneous forms in binary variable pairs.
 
 Two value types live here.  `BinaryForm` is a homogeneous form of declared
-order in a single variable pair, stored densely: ``coeffs[k]`` is the
-coefficient of ``x1^(order-k) * x2^k``.  `MultiForm` is a sparse
-multihomogeneous form over several named pairs, used by the
-differential-operator machinery.
+order in a single variable pair, stored densely: coefficient k belongs to
+``x1^(order-k) * x2^k``.  `MultiForm` is a sparse multihomogeneous form
+over several named pairs, used by the differential-operator machinery.
+
+Both keep `int` numerators over one positive denominator, reduced so that
+the gcd of the denominator and all numerators is 1 (the content-times-
+primitive-part layout of FLINT's fmpq_poly).  So their arithmetic, the
+transvectant kernel, the syzygy sums and `exact_divide` all run in `int`,
+and `Fraction`s are built only at the public surface: `BinaryForm.coeffs`,
+and `MultiForm(degrees, terms)`, `.terms` and `coefficient`, which speak in
+14-slot exponent tuples.
 
 Pairs are named by single letters from `PAIRS`; pair ``"x"`` stands for the
 scalar variables x1, x2, and so on.  A MultiForm monomial is one packed
@@ -13,14 +20,7 @@ x1,x2,y1,y2,...,t1,t2 (slot k at bit ``_WIDTH * k``).  Multiplying two
 monomials is one integer addition, a derivative is one subtraction of a
 precomputed unit, and reading an exponent is a shift and a mask.  No
 operation lets an exponent reach ``2**_WIDTH``, where it would carry into
-the next slot: each raises `ValueError` instead.  The coefficients of a
-MultiForm are `int` numerators over one common denominator.  Its public
-surface (`MultiForm(degrees, terms)`, `.terms`, `coefficient`) speaks in
-14-slot exponent tuples and `Fraction` coefficients.
-
-`BinaryForm.as_integers` and `BinaryForm.from_integers` convert a binary
-form to and from integer numerators over one denominator, the layout in
-which the transvectant kernel, the syzygy sums and `exact_divide` compute.
+the next slot: each raises `ValueError` instead.
 
 All coefficients are exact rationals, so every operation is exact and
 equality is decisive.  Values are immutable once constructed; operations
@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 import random
+import re
 from fractions import Fraction
 
 from .errors import DegreeMismatchError, NotDivisibleError
@@ -85,18 +86,35 @@ def _check_top(top: int) -> int:
     return top
 
 
+# The one accepted spelling of a rational in text: [-]digits[/digits].
+_RATIONAL = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
+
+
 def to_fraction(value) -> Fraction:
-    """Coerce ints, 'p/q' strings and Fractions; floats are rejected."""
+    """Coerce ints, Fractions and '[-]p[/q]' strings; floats are rejected.
+
+    Strings are read strictly: no exponent, decimal point, sign '+',
+    underscore or surrounding space, so a short string cannot stand for a
+    huge number.
+    """
     if isinstance(value, float):
         raise TypeError(
             "floating-point coefficients are not supported; use Fraction or 'p/q'"
         )
+    if isinstance(value, str) and not _RATIONAL.fullmatch(value):
+        raise ValueError(f"expected an integer or 'p/q' rational, got {value!r}")
     return Fraction(value)
 
 
-def _linear_pow_coeffs(c1: Fraction, c2: Fraction, n: int) -> list[Fraction]:
-    """Coefficient list of (c1*s1 + c2*s2)^n, indexed by the s2 exponent."""
-    return [math.comb(n, k) * c1 ** (n - k) * c2**k for k in range(n + 1)]
+def _linear_pow_ints(f: LinearSymbol, n: int) -> tuple[list, int]:
+    """(numerators, D) of (f1*s1 + f2*s2)^n, indexed by the s2 exponent."""
+    # f1*s1 + f2*s2 = (a*s1 + b*s2) / (D1*D2) with integers a, b.
+    a = f.f1.numerator * f.f2.denominator
+    b = f.f2.numerator * f.f1.denominator
+    nums = [0] * (n + 1)
+    for k in range(n + 1) if a and b else (n,) if b else (0,):
+        nums[k] = math.comb(n, k) * a ** (n - k) * b**k
+    return nums, (f.f1.denominator * f.f2.denominator) ** n
 
 
 class LinearSymbol:
@@ -116,7 +134,7 @@ class LinearSymbol:
         parts = text.split(",")
         if len(parts) != 2:
             raise ValueError(f"expected two comma-separated rationals, got {text!r}")
-        return cls(Fraction(parts[0].strip()), Fraction(parts[1].strip()))
+        return cls(parts[0].strip(), parts[1].strip())
 
     def __eq__(self, other):
         if not isinstance(other, LinearSymbol):
@@ -133,48 +151,51 @@ class LinearSymbol:
 class BinaryForm:
     """Homogeneous form of fixed order in one variable pair.
 
-    The zero form keeps its declared order as metadata, so degree
-    bookkeeping survives operations whose result happens to vanish.
+    Stored as `int` numerators `_nums` over one positive denominator `_den`,
+    reduced so that ``gcd(_den, *_nums) == 1`` and ``_den == 1`` for the
+    zero form; equal forms therefore store equal values.  `coeffs` is the
+    `Fraction` view.  The zero form keeps its declared order as metadata,
+    so degree bookkeeping survives operations whose result happens to
+    vanish.
     """
 
-    __slots__ = ("order", "coeffs")
+    __slots__ = ("order", "_nums", "_den")
 
     def __init__(self, order: int, coeffs):
         order = int(order)
         if order < 0:
             raise ValueError("order must be nonnegative")
-        coeffs = tuple(to_fraction(c) for c in coeffs)
+        coeffs = [to_fraction(c) for c in coeffs]
         if len(coeffs) != order + 1:
             raise DegreeMismatchError(
                 f"order {order} needs {order + 1} coefficients, got {len(coeffs)}"
             )
+        # Over the lcm of reduced denominators, gcd(den, *numerators) is 1.
+        den = math.lcm(*(c.denominator for c in coeffs))
         self.order = order
-        self.coeffs = coeffs
+        self._nums = tuple(c.numerator * (den // c.denominator) for c in coeffs)
+        self._den = den
 
     @classmethod
-    def from_integers(cls, nums, scale=1) -> "BinaryForm":
-        """The form with coefficients ``c * scale``, of order ``len(nums) - 1``.
-
-        `nums` are ints and `scale` an int or Fraction; the coefficients are
-        the only Fractions built.
-        """
-        if not nums:
-            raise ValueError("a form needs at least one coefficient")
-        scale = Fraction(scale)
-        p, q = scale.numerator, scale.denominator
+    def _raw(cls, nums, den: int) -> "BinaryForm":
+        # Internal fast path: a nonempty sequence of int numerators over
+        # den > 0, of order len(nums) - 1; only the reduction by the gcd is left.
+        if den != 1:
+            g = math.gcd(den, *nums)
+            if g != 1:
+                den //= g
+                nums = [c // g for c in nums]
         obj = object.__new__(cls)
         obj.order = len(nums) - 1
-        obj.coeffs = tuple(Fraction(c * p, q) for c in nums)
+        obj._nums = tuple(nums)
+        obj._den = den
         return obj
 
-    def as_integers(self) -> tuple[list, int]:
-        """(numerators, D): D > 0 the lcm of the denominators, ``coeffs[k] == nums[k] / D``.
-
-        The pair is primitive, gcd(D, *nums) == 1, with D == 1 for the zero
-        form, so equal forms give equal pairs.
-        """
-        den = math.lcm(*(c.denominator for c in self.coeffs))
-        return [c.numerator * (den // c.denominator) for c in self.coeffs], den
+    @property
+    def coeffs(self) -> tuple:
+        """``coeffs[k]`` is the coefficient of ``x1^(order-k) * x2^k``, built on each call."""
+        den = self._den
+        return tuple(Fraction(c, den) for c in self._nums)
 
     @classmethod
     def zero(cls, order: int) -> "BinaryForm":
@@ -185,48 +206,33 @@ class BinaryForm:
         """The form coeff * x1^(order - x2_exponent) * x2^x2_exponent."""
         if not 0 <= x2_exponent <= order:
             raise ValueError("exponent out of range")
-        coeffs = [Fraction(0)] * (order + 1)
-        coeffs[x2_exponent] = to_fraction(coeff)
-        return cls(order, coeffs)
+        coeff = to_fraction(coeff)
+        nums = [0] * (order + 1)
+        nums[x2_exponent] = coeff.numerator
+        return cls._raw(nums, coeff.denominator)
 
     @classmethod
     def of_linear_power(cls, f: LinearSymbol, n: int) -> "BinaryForm":
         """(f1*x1 + f2*x2)^n expanded with binomial coefficients."""
         if n < 0:
             raise ValueError("exponent must be nonnegative")
-        return cls(n, _linear_pow_coeffs(f.f1, f.f2, n))
+        return cls._raw(*_linear_pow_ints(f, n))
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not any(self._nums)
 
     def diff(self, component: int) -> "BinaryForm":
         """Formal partial derivative with respect to x1 or x2."""
         if component not in (1, 2):
             raise ValueError("component must be 1 or 2")
-        d = self.order
+        d, nums = self.order, self._nums
         if d == 0:
             return BinaryForm.zero(0)
         if component == 1:
-            new = [(d - k) * self.coeffs[k] for k in range(d)]
+            new = [(d - k) * nums[k] for k in range(d)]
         else:
-            new = [k * self.coeffs[k] for k in range(1, d + 1)]
-        return BinaryForm(d - 1, new)
-
-    def compose(self, g) -> "BinaryForm":
-        """Substitute x1 -> a*x1 + b*x2, x2 -> c*x1 + d*x2 for g = ((a,b),(c,d))."""
-        (a, b), (c, d) = g
-        a, b, c, d = (to_fraction(v) for v in (a, b, c, d))
-        n = self.order
-        out = [Fraction(0)] * (n + 1)
-        for k, coeff in enumerate(self.coeffs):
-            if not coeff:
-                continue
-            left = _linear_pow_coeffs(a, b, n - k)
-            right = _linear_pow_coeffs(c, d, k)
-            for i, ci in enumerate(left):
-                for j, cj in enumerate(right):
-                    out[i + j] += coeff * ci * cj
-        return BinaryForm(n, out)
+            new = [k * nums[k] for k in range(1, d + 1)]
+        return BinaryForm._raw(new, self._den)
 
     def __add__(self, other):
         if not isinstance(other, BinaryForm):
@@ -235,7 +241,9 @@ class BinaryForm:
             raise DegreeMismatchError(
                 f"cannot add forms of orders {self.order} and {other.order}"
             )
-        return BinaryForm(self.order, [a + b for a, b in zip(self.coeffs, other.coeffs)])
+        den = math.lcm(self._den, other._den)
+        s, t = den // self._den, den // other._den
+        return BinaryForm._raw([a * s + b * t for a, b in zip(self._nums, other._nums)], den)
 
     def __sub__(self, other):
         if not isinstance(other, BinaryForm):
@@ -243,23 +251,22 @@ class BinaryForm:
         return self + (-other)
 
     def __neg__(self):
-        return BinaryForm(self.order, [-c for c in self.coeffs])
+        return BinaryForm._raw([-c for c in self._nums], self._den)
 
     def __mul__(self, other):
         if isinstance(other, _SCALARS):
             q = Fraction(other)
-            return BinaryForm(self.order, [c * q for c in self.coeffs])
+            n = q.numerator
+            return BinaryForm._raw([c * n for c in self._nums], self._den * q.denominator)
         if not isinstance(other, BinaryForm):
             return NotImplemented
-        n = self.order + other.order
-        out = [Fraction(0)] * (n + 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b:
+        out = [0] * (self.order + other.order + 1)
+        inner = [(j, b) for j, b in enumerate(other._nums) if b]
+        for i, a in enumerate(self._nums):
+            if a:
+                for j, b in inner:
                     out[i + j] += a * b
-        return BinaryForm(n, out)
+        return BinaryForm._raw(out, self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -271,7 +278,7 @@ class BinaryForm:
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        result = BinaryForm(0, [1])
+        result = BinaryForm._raw([1], 1)
         for _ in range(n):
             result = result * self
         return result
@@ -279,10 +286,10 @@ class BinaryForm:
     def __eq__(self, other):
         if not isinstance(other, BinaryForm):
             return NotImplemented
-        return self.order == other.order and self.coeffs == other.coeffs
+        return (self.order, self._den, self._nums) == (other.order, other._den, other._nums)
 
     def __hash__(self):
-        return hash((self.order, self.coeffs))
+        return hash((self.order, self._den, self._nums))
 
     def __repr__(self):
         body = ", ".join(str(c) for c in self.coeffs)
@@ -533,13 +540,13 @@ class MultiForm:
             raise ValueError(f"form still involves pairs {stray}")
         order = self._degrees.get(pair, 0)
         shift = _shift(pair, 1)
-        coeffs = [Fraction(0)] * (order + 1)
+        nums = [0] * (order + 1)
         for mono, coeff in self._terms.items():
             k = (mono >> (shift + _WIDTH)) & _MAX_EXPONENT
             if (mono >> shift) & _MAX_EXPONENT != order - k:
                 raise DegreeMismatchError("form is not homogeneous of its declared degree")
-            coeffs[k] = Fraction(coeff, self._den)
-        return BinaryForm(order, coeffs)
+            nums[k] = coeff
+        return BinaryForm._raw(nums, self._den)
 
     def __eq__(self, other):
         if not isinstance(other, MultiForm):
@@ -556,74 +563,56 @@ def linear_power(f: LinearSymbol, pair: str, n: int) -> MultiForm:
     if n < 0:
         raise ValueError("exponent must be nonnegative")
     _check_top(n)
-    # f1*p1 + f2*p2 = (a*p1 + b*p2) / (D1*D2) with integers a, b.
-    a = f.f1.numerator * f.f2.denominator
-    b = f.f2.numerator * f.f1.denominator
-    ks = range(n + 1) if a and b else (n,) if b else (0,)
+    nums, den = _linear_pow_ints(f, n)
     s1, s2 = _shift(pair, 1), _shift(pair, 2)
-    terms = {
-        ((n - k) << s1) + (k << s2): math.comb(n, k) * a ** (n - k) * b**k for k in ks
-    }
-    den = (f.f1.denominator * f.f2.denominator) ** n
+    terms = {((n - k) << s1) + (k << s2): c for k, c in enumerate(nums) if c}
     return MultiForm._raw({pair: n} if n else {}, terms, den, n)
 
 
-def _exact_divide_ints(numerator: list, divisor: list) -> tuple[list, int]:
-    """(Q, c) with numerator = (divisor / c) * Q, for integer coefficient lists.
+def exact_divide(numerator: BinaryForm, denominator: BinaryForm) -> BinaryForm:
+    """Exact quotient of homogeneous forms; raises if division leaves a remainder.
 
-    Both lists are forms (``coeffs[k]`` belongs to ``x2^k``) of orders
-    ``len - 1``; c > 0 is the content of the divisor and Q is integral.  The
-    common x1/x2 powers of the divisor are stripped and the rest is divided
-    by its primitive part.  By Gauss's lemma an integer numerator divisible
-    by a primitive divisor over the rationals has an integer quotient, so
-    every step of the long division is an exact ``//``; a step with a
-    nonzero ``divmod`` remainder, or a nonzero final remainder, means the
-    numerator is not divisible and raises `NotDivisibleError`.
+    The common x1/x2 powers of the divisor are stripped, and the integer
+    numerators of `numerator` are divided by the primitive part of the
+    divisor's.  By Gauss's lemma an integer numerator divisible by a
+    primitive divisor over the rationals has an integer quotient, so every
+    step of the long division is an exact ``//``; a step with a nonzero
+    ``divmod`` remainder, or a nonzero final remainder, means the numerator
+    is not divisible and raises `NotDivisibleError`.  That signals corrupted
+    input or a bug in the caller, never a rounding artifact.  The divisor's
+    content and the two denominators make up the quotient's denominator.
     """
+    divisor = denominator._nums
     if not any(divisor):
         raise ZeroDivisionError("division by the zero form")
-    n, e = len(numerator) - 1, len(divisor) - 1
+    n, e = numerator.order, denominator.order
     if n < e:
         raise DegreeMismatchError(f"cannot divide order {n} by order {e}")
     nz = [k for k, c in enumerate(divisor) if c]
     x2_mult = nz[0]
     x1_mult = e - nz[-1]
     # N must carry at least the same x1/x2 powers as D.
-    for k, c in enumerate(numerator):
+    for k, c in enumerate(numerator._nums):
         if c and not x2_mult <= k <= n - x1_mult:
             raise NotDivisibleError("numerator lacks the denominator's monomial factors")
     content = math.gcd(*divisor)
     den0 = [c // content for c in divisor[x2_mult : nz[-1] + 1]]
-    rem = list(numerator[x2_mult : n - x1_mult + 1])
+    rem = list(numerator._nums[x2_mult : n - x1_mult + 1])
     e0 = len(den0) - 1
     lead = den0[e0]
+    scale = denominator._den
     quot = [0] * (n - e + 1)
     for k in range(n - e, -1, -1):
         c, r = divmod(rem[e0 + k], lead)
         if r:
             raise NotDivisibleError("division left a nonzero remainder")
         if c:
-            quot[k] = c
+            quot[k] = c * scale
             for idx in range(e0):
                 rem[k + idx] -= c * den0[idx]
     if any(rem[:e0]):
         raise NotDivisibleError("division left a nonzero remainder")
-    return quot, content
-
-
-def exact_divide(numerator: BinaryForm, denominator: BinaryForm) -> BinaryForm:
-    """Exact quotient of homogeneous forms; raises if division leaves a remainder.
-
-    Both forms are brought to integer numerators over one denominator and
-    divided by `_exact_divide_ints`; the divisor's content and the two
-    denominators make up one rational scale of the integer quotient.  A
-    nonzero remainder signals corrupted input or a bug in the caller, never
-    a rounding artifact.
-    """
-    num, num_den = numerator.as_integers()
-    div, div_den = denominator.as_integers()
-    quot, content = _exact_divide_ints(num, div)
-    return BinaryForm.from_integers(quot, Fraction(div_den, num_den * content))
+    return BinaryForm._raw(quot, numerator._den * content)
 
 
 def random_form(order: int, seed: int, coefficient_bound: int = 10) -> BinaryForm:

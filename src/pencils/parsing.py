@@ -124,8 +124,12 @@ def _term(cur: _Cursor, text: str) -> tuple[Fraction, int, int, str]:
     )
 
 
-def parse_form(text: str) -> BinaryForm:
-    """Parse expression text into a BinaryForm; raises ParseError on bad input."""
+def parse_coeffs(text: str) -> list[Fraction]:
+    """Coefficient list of the form written as `text`; raises ParseError on bad input.
+
+    Entry k belongs to x1^(d-k) * x2^k, as in `BinaryForm`.  The list is
+    returned before a form is built, so callers can bound its size first.
+    """
     tokens = _tokenize(text)
     if not tokens:
         raise ParseError("empty expression", 0)
@@ -154,7 +158,13 @@ def parse_form(text: str) -> BinaryForm:
                 pos,
             )
         coeffs[e2] += coef
-    return BinaryForm(order, coeffs)
+    return coeffs
+
+
+def parse_form(text: str) -> BinaryForm:
+    """Parse expression text into a BinaryForm; raises ParseError on bad input."""
+    coeffs = parse_coeffs(text)
+    return BinaryForm(len(coeffs) - 1, coeffs)
 
 
 def format_form(form: BinaryForm) -> str:

@@ -1,25 +1,20 @@
 """JSON-friendly dict representations of forms and syzygy tables.
 
 Rationals are serialized as decimal-free strings ("p/q", plain integers
-allowed), never floats.
+allowed), never floats.  On input an entry is a JSON integer or a string
+of the form [-]digits[/digits]; exponents and decimals are refused.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .forms import BinaryForm
+from .forms import BinaryForm, to_fraction
 from .syzygy import SyzygyTable
 
 
 def _read_rational(entry) -> Fraction:
-    if isinstance(entry, bool) or isinstance(entry, float):
-        raise ValueError(f"coefficients must be integers or 'p/q' strings, got {entry!r}")
-    if isinstance(entry, int):
-        return Fraction(entry)
-    if isinstance(entry, str):
-        if "." in entry:
-            raise ValueError(f"decimal coefficients are not allowed: {entry!r}")
-        return Fraction(entry)
+    if isinstance(entry, (int, str)) and not isinstance(entry, bool):
+        return to_fraction(entry)
     raise ValueError(f"coefficients must be integers or 'p/q' strings, got {entry!r}")
 
 
@@ -27,7 +22,8 @@ def form_to_dict(form: BinaryForm) -> dict:
     return {"order": form.order, "coeffs": [str(c) for c in form.coeffs]}
 
 
-def form_from_dict(obj) -> BinaryForm:
+def coeffs_from_dict(obj) -> list[Fraction]:
+    """Coefficient list of a form dict, read before any form is built."""
     if not isinstance(obj, dict) or set(obj) != {"order", "coeffs"}:
         raise ValueError("expected an object with exactly 'order' and 'coeffs'")
     order = obj["order"]
@@ -36,7 +32,12 @@ def form_from_dict(obj) -> BinaryForm:
     coeffs = obj["coeffs"]
     if not isinstance(coeffs, list) or len(coeffs) != order + 1:
         raise ValueError(f"'coeffs' must be a list of {order + 1} entries")
-    return BinaryForm(order, [_read_rational(c) for c in coeffs])
+    return [_read_rational(c) for c in coeffs]
+
+
+def form_from_dict(obj) -> BinaryForm:
+    coeffs = coeffs_from_dict(obj)
+    return BinaryForm(len(coeffs) - 1, coeffs)
 
 
 def table_to_dict(table: SyzygyTable) -> dict:

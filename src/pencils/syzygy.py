@@ -11,13 +11,11 @@ C_1 * C_{2r-1} up to the positive factor alpha_{1,r}, the identity recovers
 C_{2r-1} from the earlier combinants by one exact division.
 
 Both run in integers.  Each combinant, and each transvectant of two of
-them, is a vector of integer numerators over one denominator; the terms
+them, is a form of integer numerators over one denominator; the terms
 alpha * (C_{2i-1}, C_{2j-1})_q go into one integer accumulator over the
-lcm of their denominators.  Recovery divides that sum by the primitive
-part of C_1, where Gauss's lemma makes every quotient step an exact `//`,
-and the content of C_1, its denominator, the accumulator's and
-1/alpha_{1,r} make up one `Fraction` scale.  `Fraction`s are built only
-for the returned form.
+lcm of their denominators.  Recovery divides that sum by C_1 with
+`exact_divide`, where Gauss's lemma makes every quotient step an exact
+`//`, and scales the quotient by -1/alpha_{1,r}.
 
 The module also computes the ratio `gamma` controlling positivity of
 alpha_{1,r}, its telescoping certificate, and the dimension of the space of
@@ -30,10 +28,10 @@ from collections import namedtuple
 from fractions import Fraction
 from math import factorial
 
-from .combinant import CombinantSequence, Pencil
+from .combinant import Pencil
 from .errors import FormulaViolationError
-from .forms import BinaryForm, _exact_divide_ints
-from .transvectant import _transvectant_ints
+from .forms import BinaryForm, exact_divide
+from .transvectant import _transvectant
 
 
 def _check_dr(d: int, r: int) -> None:
@@ -142,13 +140,13 @@ def syzygy_table(d: int, r: int) -> SyzygyTable:
     return table
 
 
-def _syzygy_sum(table: SyzygyTable, combinants, skip=None) -> tuple[list, int]:
+def _syzygy_sum(table: SyzygyTable, combinants, skip=None) -> BinaryForm:
     """sum alpha_{i,j} (C_{2i-1}, C_{2j-1})_{2(r-i-j+1)} over the table but `skip`.
 
-    `combinants[i-1]` is C_{2i-1} as (integer numerators, denominator s_i).
-    Each term comes out of the kernel as v / s; with alpha = p / a and
-    L = lcm of the a*s, it adds p * (L // (a*s)) * v to one integer
-    accumulator, and the sum is (accumulator, L).
+    `combinants[i-1]` is C_{2i-1}.  Each term comes out of the kernel as
+    v / s; with alpha = p / a and L = lcm of the a*s, it adds
+    p * (L // (a*s)) * v to one integer accumulator, and the sum is that
+    accumulator over L.
     """
     r = table.r
     terms = []
@@ -156,14 +154,14 @@ def _syzygy_sum(table: SyzygyTable, combinants, skip=None) -> tuple[list, int]:
     for (i, j), alpha in table.items():
         if alpha and (i, j) != skip:
             q = 2 * (r - i - j + 1)
-            v, s = _transvectant_ints(*combinants[i - 1], *combinants[j - 1], q, weights)
-            terms.append((alpha.numerator, alpha.denominator * s, v))
+            v = _transvectant(combinants[i - 1], combinants[j - 1], q, weights)
+            terms.append((alpha.numerator, alpha.denominator * v._den, v._nums))
     lcm = math.lcm(*(q for _, q, _ in terms))
     total = [0] * (4 * (table.d - r) + 1)
     for p, q, v in terms:
         f = p * (lcm // q)
         total = [t + f * x for t, x in zip(total, v)]
-    return total, lcm
+    return BinaryForm._raw(total, lcm)
 
 
 def evaluate_syzygy(pencil: Pencil, r: int) -> BinaryForm:
@@ -171,42 +169,21 @@ def evaluate_syzygy(pencil: Pencil, r: int) -> BinaryForm:
 
     Returned explicitly (order 4(d-r)) so callers can assert the vanishing.
     """
-    table = syzygy_table(pencil.order, r)
-    total, lcm = _syzygy_sum(table, pencil.integer_combinants(r))
-    return BinaryForm.from_integers(total, Fraction(1, lcm))
-
-
-def _recover(table: SyzygyTable, combinants) -> BinaryForm:
-    """C_{2r-1} from C_1 .. C_{2r-3}, given as integer pairs, by one exact division.
-
-    The syzygy gives alpha_{1,r} C_1 C_{2r-1} = -S for the sum S = P / L of
-    the other terms.  With C_1 = v / s and v = c * v' for v' primitive,
-    `_exact_divide_ints` returns the integer quotient Q = P / v', and
-    C_{2r-1} = Q * (-s / (L * c * alpha_{1,r})).
-    """
-    total, lcm = _syzygy_sum(table, combinants, skip=(1, table.r))
-    v1, s1 = combinants[0]
-    quotient, content = _exact_divide_ints(total, v1)
-    scale = Fraction(-s1, lcm * content) / table.alpha(1, table.r)
-    return BinaryForm.from_integers(quotient, scale)
+    return _syzygy_sum(syzygy_table(pencil.order, r), pencil.combinants(r))
 
 
 def recover_combinant(pencil: Pencil, r: int) -> BinaryForm:
     """Reconstruct C_{2r-1} from the earlier combinants via the weight-2r syzygy.
 
     The (1, r) term of the syzygy is alpha_{1,r} * C_1 * C_{2r-1}; moving the
-    rest across and dividing exactly by C_1 isolates C_{2r-1}.  The result
-    always equals the direct transvectant (A, B)_{2r-1}.  Only C_1 ..
-    C_{2r-3} are computed.
+    rest, S, across and dividing exactly by C_1 isolates
+    C_{2r-1} = -S / (alpha_{1,r} C_1).  The result always equals the direct
+    transvectant (A, B)_{2r-1}.  Only C_1 .. C_{2r-3} are computed.
     """
     table = syzygy_table(pencil.order, r)
-    return _recover(table, pencil.integer_combinants(r - 1))
-
-
-def recover_from_combinants(seq: CombinantSequence, r: int) -> BinaryForm:
-    """Same recovery, driven by an already-computed combinant list."""
-    table = syzygy_table(seq.order, r)
-    return _recover(table, [seq.c(i).as_integers() for i in range(1, r)])
+    combinants = pencil.combinants(r - 1)
+    rest = _syzygy_sum(table, combinants, skip=(1, r))
+    return exact_divide(rest, combinants[0]) * (-1 / table.alpha(1, r))
 
 
 def gamma(r: int, d: int) -> Fraction:

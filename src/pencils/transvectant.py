@@ -1,6 +1,6 @@
 """The q-th transvectant of two binary forms, as one integer computation.
 
-Each input is a form given as integer numerators over one denominator D.
+Each input form is stored as integer numerators over one denominator D.
 Coefficient a_k of the order-m form is scaled by k!(m-k)!, divided by the
 content m!/L_m of those factorials, where L_m = lcm_k C(m,k): so
 a'_k = a_k L_m / C(m,k), the smallest integer weights proportional to
@@ -26,16 +26,12 @@ with k the bound's bit length plus a sign bit, rounded up to whole bytes.
 The unpack is then exact: adding H = 2^(k-1) to every slot makes each
 digit out[w] + H lie in [0, 2^k), so the one `int` addition
 S + H sum_w 2^(kw) carries every borrow between slots, and its bytes read
-off in k-bit slots are the out[w] + H.  The numerators are reduced against
-the denominator by one gcd, the content-times-primitive-part layout of
-FLINT's fmpq_poly.  Callers that chain transvectants (the combinants and
-the syzygy sums) stay in integers and build `Fraction`s only for the form
-they return.
+off in k-bit slots are the out[w] + H.  The result is stored as a form
+over the denominator L_m L_n D_f D_g, reduced by one gcd.
 """
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from .forms import BinaryForm
 
@@ -53,19 +49,14 @@ def _weights(m: int, table: dict) -> tuple[list, int]:
     return weights
 
 
-def _transvectant_ints(
-    a: list, da: int, b: list, db: int, q: int, table: dict
-) -> tuple[list, int]:
-    """(numerators, denominator) of (f, g)_q for f = a / da and g = b / db.
+def _transvectant(f: BinaryForm, g: BinaryForm, q: int, table: dict) -> BinaryForm:
+    """(f, g)_q for 0 <= q <= min of the orders, unchecked.
 
-    The orders are ``len(a) - 1`` and ``len(b) - 1``, da and db are
-    positive, and 0 <= q <= min of the orders.  `table` holds the
-    `_weights` of each order met so far; a caller that runs many
-    transvectants passes the same dict to every call.  The result is
-    reduced: gcd(denominator, *numerators) == 1, with denominator 1 for the
-    zero form.
+    `table` holds the `_weights` of each order met so far; a caller that
+    runs many transvectants passes the same dict to every call.
     """
-    m, n = len(a) - 1, len(b) - 1
+    a, b = f._nums, g._nums
+    m, n = f.order, g.order
     mq, nq = m - q, n - q
     wa, la = _weights(m, table)
     wb, lb = _weights(n, table)
@@ -92,12 +83,7 @@ def _transvectant_ints(
     offset = int.from_bytes(half.to_bytes(kb, "little") * size, "little")
     raw = (total + offset).to_bytes(kb * size, "little")
     out = [int.from_bytes(raw[j : j + kb], "little") - half for j in range(0, kb * size, kb)]
-    den = la * lb * da * db
-    g = math.gcd(den, *out)
-    if g != 1:
-        out = [c // g for c in out]
-        den //= g
-    return out, den
+    return BinaryForm._raw(out, la * lb * f._den * g._den)
 
 
 def transvectant(f: BinaryForm, g: BinaryForm, q: int) -> BinaryForm:
@@ -110,5 +96,4 @@ def transvectant(f: BinaryForm, g: BinaryForm, q: int) -> BinaryForm:
     m, n = f.order, g.order
     if not 0 <= q <= min(m, n):
         raise ValueError(f"transvectant index {q} outside 0..min({m},{n})")
-    nums, den = _transvectant_ints(*f.as_integers(), *g.as_integers(), q, {})
-    return BinaryForm.from_integers(nums, Fraction(1, den))
+    return _transvectant(f, g, q, {})

@@ -82,12 +82,73 @@ def coefficient_rank(forms) -> int:
     return rank
 
 
+# Oracle for BinaryForm arithmetic: the `Fraction` coefficient arithmetic
+# that the integer layout replaced.  Each op reads `.coeffs` and builds its
+# result from a `Fraction` list.
+
+
+def fraction_add(f: BinaryForm, g: BinaryForm) -> BinaryForm:
+    if f.order != g.order:
+        raise DegreeMismatchError(f"cannot add forms of orders {f.order} and {g.order}")
+    return BinaryForm(f.order, [a + b for a, b in zip(f.coeffs, g.coeffs)])
+
+
+def fraction_scale(f: BinaryForm, q) -> BinaryForm:
+    q = Fraction(q)
+    return BinaryForm(f.order, [c * q for c in f.coeffs])
+
+
+def fraction_mul(f: BinaryForm, g: BinaryForm) -> BinaryForm:
+    n = f.order + g.order
+    out = [Fraction(0)] * (n + 1)
+    for i, a in enumerate(f.coeffs):
+        if not a:
+            continue
+        for j, b in enumerate(g.coeffs):
+            if b:
+                out[i + j] += a * b
+    return BinaryForm(n, out)
+
+
+def fraction_diff(f: BinaryForm, component: int) -> BinaryForm:
+    d, coeffs = f.order, f.coeffs
+    if d == 0:
+        return BinaryForm.zero(0)
+    if component == 1:
+        new = [(d - k) * coeffs[k] for k in range(d)]
+    else:
+        new = [k * coeffs[k] for k in range(1, d + 1)]
+    return BinaryForm(d - 1, new)
+
+
+def _linear_pow_coeffs(c1: Fraction, c2: Fraction, n: int) -> list[Fraction]:
+    """Coefficient list of (c1*s1 + c2*s2)^n, indexed by the s2 exponent."""
+    return [math.comb(n, k) * c1 ** (n - k) * c2**k for k in range(n + 1)]
+
+
+def compose(form: BinaryForm, g) -> BinaryForm:
+    """Substitute x1 -> a*x1 + b*x2, x2 -> c*x1 + d*x2 for g = ((a,b),(c,d))."""
+    (a, b), (c, d) = g
+    a, b, c, d = (Fraction(v) for v in (a, b, c, d))
+    n = form.order
+    out = [Fraction(0)] * (n + 1)
+    for k, coeff in enumerate(form.coeffs):
+        if not coeff:
+            continue
+        left = _linear_pow_coeffs(a, b, n - k)
+        right = _linear_pow_coeffs(c, d, k)
+        for i, ci in enumerate(left):
+            for j, cj in enumerate(right):
+                out[i + j] += coeff * ci * cj
+    return BinaryForm(n, out)
+
+
 def _diff_mixed(form: BinaryForm, d1: int, d2: int) -> BinaryForm:
     out = form
     for _ in range(d1):
-        out = out.diff(1)
+        out = fraction_diff(out, 1)
     for _ in range(d2):
-        out = out.diff(2)
+        out = fraction_diff(out, 2)
     return out
 
 
@@ -96,7 +157,7 @@ def transvectant_by_derivatives(f: BinaryForm, g: BinaryForm, q: int) -> BinaryF
 
     (f, g)_q = (m-q)!(n-q)!/(m! n!) * sum_i (-1)^i C(q,i)
     * d^q f/(dx1^(q-i) dx2^i) * d^q g/(dx1^i dx2^(q-i)),
-    with each mixed partial built by chained `BinaryForm.diff` over Fractions.
+    with each mixed partial built by chained `fraction_diff`.
     """
     m, n = f.order, g.order
     if not 0 <= q <= min(m, n):
@@ -110,12 +171,13 @@ def transvectant_by_derivatives(f: BinaryForm, g: BinaryForm, q: int) -> BinaryF
         left = _diff_mixed(f, q - i, i)
         right = _diff_mixed(g, i, q - i)
         sign = -1 if i % 2 else 1
-        total = total + (sign * math.comb(q, i)) * (left * right)
-    return prefactor * total
+        term = fraction_scale(fraction_mul(left, right), sign * math.comb(q, i))
+        total = fraction_add(total, term)
+    return fraction_scale(total, prefactor)
 
 
 def transvectant_ints_by_dot_products(a: list, da: int, b: list, db: int, q: int) -> tuple[list, int]:
-    """Oracle for `_transvectant_ints`: one Python dot product per output pair.
+    """Oracle for the kernel `_transvectant`: one Python dot product per output pair.
 
     Coefficient a_k is scaled by k!(m-k)!, and every (u, v) pair adds
     C(m-q,u) C(n-q,v) sum_i (-1)^i C(q,i) a'_{u+i} b'_{v+q-i} to out[u+v],
@@ -185,26 +247,35 @@ def exact_divide_by_fractions(numerator: BinaryForm, denominator: BinaryForm) ->
 
 
 def syzygy_sum_by_fractions(seq, table, skip=None) -> BinaryForm:
-    """Oracle: sum of alpha * transvectant(C_{2i-1}, C_{2j-1}) in `BinaryForm` arithmetic."""
+    """Oracle: sum of alpha * transvectant(C_{2i-1}, C_{2j-1}) in `Fraction` arithmetic.
+
+    `seq[i-1]` is C_{2i-1}, as `combinant_sequence` returns it.
+    """
     r = table.r
-    total = BinaryForm.zero(4 * (seq.order - r))
+    total = BinaryForm.zero(4 * (table.d - r))
     for (i, j), alpha in table.items():
         if (i, j) != skip:
-            total = total + alpha * transvectant(seq.c(i), seq.c(j), 2 * (r - i - j + 1))
+            term = transvectant(seq[i - 1], seq[j - 1], 2 * (r - i - j + 1))
+            total = fraction_add(total, fraction_scale(term, alpha))
     return total
 
 
+def _pencil_order(seq) -> int:
+    # C_1 has order 2d - 2.
+    return seq[0].order // 2 + 1
+
+
 def evaluate_syzygy_by_fractions(seq, r: int) -> BinaryForm:
-    """Oracle for `evaluate_syzygy`, from the `Fraction` combinant sequence."""
-    return syzygy_sum_by_fractions(seq, syzygy_table(seq.order, r))
+    """Oracle for `evaluate_syzygy`, from the combinant sequence."""
+    return syzygy_sum_by_fractions(seq, syzygy_table(_pencil_order(seq), r))
 
 
 def recover_by_fractions(seq, r: int) -> BinaryForm:
     """Oracle for the recovery: the sum without its (1, r) term, divided by -alpha_{1,r} C1."""
-    table = syzygy_table(seq.order, r)
+    table = syzygy_table(_pencil_order(seq), r)
     partial = syzygy_sum_by_fractions(seq, table, skip=(1, r))
-    quotient = exact_divide_by_fractions(-partial, seq.c(1))
-    return quotient * (Fraction(1) / table.alpha(1, r))
+    quotient = exact_divide_by_fractions(fraction_scale(partial, -1), seq[0])
+    return fraction_scale(quotient, Fraction(1) / table.alpha(1, r))
 
 
 def enumerated_syzygy_dims(d: int) -> list[int]:

@@ -71,7 +71,7 @@ def test_criterion_01_weight_six_identity_at_degree_seven():
         for seed in range(1, 21):
             pencil = random_pencil(7, seed, 10)
             seq = combinant_sequence(pencil)
-            c1, c3, c5 = seq.c(1), seq.c(2), seq.c(3)
+            c1, c3, c5 = seq[:3]
             value = (
                 c1 * c5
                 + Fraction(21, 2) * transvectant(c1, c1, 4)
@@ -88,7 +88,7 @@ def test_criterion_02_weight_eight_identity_at_degree_seven():
         for seed in range(1, 21):
             pencil = random_pencil(7, seed, 10)
             seq = combinant_sequence(pencil)
-            c1, c3, c5, c7 = seq.c(1), seq.c(2), seq.c(3), seq.c(4)
+            c1, c3, c5, c7 = seq[:4]
             rhs = (
                 Fraction(-28) * transvectant(c1, c1, 6)
                 - Fraction(210, 11) * transvectant(c1, c3, 4)

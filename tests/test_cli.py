@@ -1,5 +1,6 @@
 """Command-line interface: dispatch, formats, exit codes, determinism."""
 import json
+import time
 
 import pytest
 
@@ -64,6 +65,16 @@ class TestTransvect:
         assert code == 2
         assert out == ""
         assert "error:" in err and "exceeds" in err
+
+    def test_exponent_notation_in_json_is_refused_quickly(self, capsys, tmp_path):
+        path = tmp_path / "f.json"
+        path.write_text('{"order": 1, "coeffs": ["1e10000000", "1"]}')
+        start = time.perf_counter()
+        code, out, err = run(capsys, "transvect", str(path), "--expr", "x2", "--q", "0")
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert out == ""
+        assert "error:" in err
 
 
 class TestCombinants:
@@ -233,6 +244,34 @@ class TestOracleTheta:
         assert captured.out == ""
         assert "error:" in captured.err and "--d" in captured.err
 
+    BITS = cli.ORACLE_THETA_MAX_BITS
+
+    def test_symbol_at_bit_cap(self, capsys):
+        b = self.BITS
+        symbol = f"{2**b - 1}/{2**b - 3},-{2**b - 5}/{2**b - 7}"
+        code, out, _ = run(
+            capsys, "oracle-theta", "--d", "5", "--r", "3", "--i", "1", "--j", "3", "--f", symbol
+        )
+        assert code == 0
+        assert out.splitlines()[-1] == "MATCH"
+
+    @pytest.mark.parametrize("symbol", [f"{2**BITS},1", f"1,-1/{2**BITS}"])
+    def test_symbol_above_bit_cap_is_refused(self, capsys, symbol):
+        with pytest.raises(SystemExit) as info:
+            main(["oracle-theta", "--d", "5", "--r", "3", "--i", "1", "--j", "3", "--f", symbol])
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error:" in captured.err and f"got {self.BITS + 1}" in captured.err
+
+    def test_decimal_symbol_is_refused(self, capsys):
+        code, out, err = run(
+            capsys, "oracle-theta", "--d", "5", "--r", "3", "--i", "1", "--j", "3", "--f", "1.5,1"
+        )
+        assert code == 2
+        assert out == ""
+        assert "error:" in err
+
 
 class TestInputCaps:
     """Each cap accepts its own value and refuses one more with exit 2."""
@@ -294,6 +333,27 @@ class TestFormOrderCaps:
             main(["transvect", "--expr", "x1", "--expr", f"x2^{cap + 1}", "--q", "1"])
         assert info.value.code == 2
         assert f"got {cap + 1}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("source", ["file", "expr"])
+    def test_long_distinct_denominators_are_refused_quickly(self, capsys, tmp_path, source):
+        # Distinct 40-digit denominators: the common denominator of this form
+        # would have about 1.3 million bits, so it must be refused unbuilt.
+        order = 10_000
+        text = " + ".join(f"1/{10**39 + k}*x1^{order - k}*x2^{k}" for k in range(order + 1))
+        if source == "file":
+            path = tmp_path / "form.txt"
+            path.write_text(text)
+            inputs = [str(path)]
+        else:
+            inputs = ["--expr", text]
+        start = time.perf_counter()
+        with pytest.raises(SystemExit) as info:
+            main(["transvect", *inputs, "--expr", "x2^2", "--q", "1"])
+        assert time.perf_counter() - start < 1.0
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error:" in captured.err and f"got {order}" in captured.err
 
 
 class TestFormCoefficientCaps:

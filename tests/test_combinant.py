@@ -26,8 +26,8 @@ def test_cubic_powers_example():
     a = BinaryForm.monomial(3, 0)  # x1^3
     b = BinaryForm.monomial(3, 3)  # x2^3
     seq = combinant_sequence(Pencil(a, b))
-    assert seq.c(1) == BinaryForm.monomial(4, 2)  # x1^2 x2^2
-    assert seq.c(2) == BinaryForm(0, [1])
+    assert seq[0] == BinaryForm.monomial(4, 2)  # x1^2 x2^2
+    assert seq[1] == BinaryForm(0, [1])
 
 
 def test_dependent_forms_rejected():
@@ -68,22 +68,25 @@ def test_swapping_members_negates_every_combinant():
         assert swapped.combinant(r) == -1 * pencil.combinant(r)
 
 
-def test_integer_combinants_match_the_forms():
+def test_combinants_match_the_transvectants():
     pencil = random_pencil(9, 4)
-    ints = pencil.integer_combinants(pencil.max_combinant_index())
-    for r, (nums, den) in enumerate(ints, start=1):
-        expected = transvectant(pencil.a, pencil.b, 2 * r - 1)
-        assert BinaryForm.from_integers(nums, Fraction(1, den)) == expected
-        assert (list(nums), den) == expected.as_integers()
-    with pytest.raises(ValueError):
-        pencil.integer_combinants(pencil.max_combinant_index() + 1)
+    kept = pencil.combinants(pencil.max_combinant_index())
+    for r, c in enumerate(kept, start=1):
+        assert c == transvectant(pencil.a, pencil.b, 2 * r - 1)
+        assert c.order == 2 * pencil.order - 4 * r + 2
+        assert pencil.combinant(r) == c
+    for count in (0, pencil.max_combinant_index() + 1):
+        with pytest.raises(ValueError):
+            pencil.combinants(count)
+        with pytest.raises(ValueError):
+            pencil.combinant(count)
 
 
-def test_integer_combinants_shared_between_threads():
+def test_combinants_shared_between_threads():
     # Threads extend one pencil's kept combinants to different lengths at
     # once; a lost or doubled extension would misplace an entry.
     a, b = random_pencil(13, 2).a, random_pencil(13, 3).b
-    expected = Pencil(a, b).integer_combinants(7)
+    expected = Pencil(a, b).combinants(7)
     workers = 6
     for _ in range(10):
         pencil = Pencil(a, b)
@@ -94,7 +97,7 @@ def test_integer_combinants_shared_between_threads():
             try:
                 barrier.wait(timeout=30)
                 for count in (7 - k % 2, k, 1, 7):
-                    seen.append((count, pencil.integer_combinants(count)))
+                    seen.append((count, pencil.combinants(count)))
             except Exception as exc:  # reported below, after the join
                 errors.append(exc)
 
@@ -111,10 +114,10 @@ def test_integer_combinants_shared_between_threads():
         assert not any(t.is_alive() for t in threads)
         assert not errors
         assert len(seen) == 4 * workers
-        for count, ints in seen:
-            assert ints == expected[:count]
-        assert pencil.integer_combinants(7) == expected
-        assert len(pencil._ints) == 7  # each combinant kept once
+        for count, kept in seen:
+            assert kept == expected[:count]
+        assert pencil.combinants(7) == expected
+        assert len(pencil._combinants) == 7  # each combinant kept once
 
 
 class TestWronskian:

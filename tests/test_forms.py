@@ -21,6 +21,10 @@ from pencils.forms import PAIRS, slot_index, to_fraction
 
 from helpers import (
     exact_divide_by_fractions,
+    fraction_add,
+    fraction_diff,
+    fraction_mul,
+    fraction_scale,
     random_multiform,
     tuple_add,
     tuple_diff,
@@ -132,6 +136,41 @@ def test_diff_is_linear_and_leibniz(f, g):
         assert (f * g).diff(comp) == f.diff(comp) * g + f * g.diff(comp)
 
 
+coefficient_lists = st.integers(0, 5).flatmap(
+    lambda d: st.lists(small_fractions, min_size=d + 1, max_size=d + 1)
+)
+
+
+@settings(max_examples=60)
+@given(coefficient_lists, coefficient_lists, small_fractions)
+@example([Fraction(1, 2), Fraction(-2, 3), Fraction(5, 6)], [0, 0, 0], Fraction(0))
+@example([0], [Fraction(3, 4), Fraction(-1, 6)], Fraction(0))
+@example(
+    [Fraction(7, 4), 0, Fraction(-7, 10)], [Fraction(1, 3), Fraction(5, 9), 0], Fraction(-2, 7)
+)
+def test_integer_layout_matches_fraction_oracle(cf, cg, q):
+    f, g = BinaryForm(len(cf) - 1, cf), BinaryForm(len(cg) - 1, cg)
+    assert f.coeffs == tuple(cf)
+    if f.order == g.order:
+        assert (f + g).coeffs == fraction_add(f, g).coeffs
+        assert (f - g).coeffs == fraction_add(f, fraction_scale(g, -1)).coeffs
+    assert (f * g).coeffs == fraction_mul(f, g).coeffs
+    assert (f**2).coeffs == fraction_mul(f, f).coeffs
+    assert (f * q).coeffs == (q * f).coeffs == fraction_scale(f, q).coeffs
+    for comp in (1, 2):
+        assert f.diff(comp).coeffs == fraction_diff(f, comp).coeffs
+    if not g.is_zero():
+        product = fraction_mul(f, g)
+        assert exact_divide(product, g).coeffs == exact_divide_by_fractions(product, g).coeffs
+    # Equal forms built along different routes compare and hash equal.
+    for left, right in (
+        (f, BinaryForm(f.order, [3 * c for c in cf]) * Fraction(1, 3)),
+        (f * 0, BinaryForm.zero(f.order)),
+        (f - f, BinaryForm.zero(f.order)),
+    ):
+        assert left == right and hash(left) == hash(right)
+
+
 def test_diff_mixed_partials_commute():
     for seed in range(5):
         f = random_form(6, seed)
@@ -183,7 +222,7 @@ class TestExactDivide:
 
         for seed in (21, 22, 23):
             seq = combinant_sequence(random_pencil(7, seed))
-            c1, c5 = seq.c(1), seq.c(3)
+            c1, c5 = seq[0], seq[2]
             assert exact_divide(c1 * c5, c1) == c5
 
     @settings(max_examples=50)

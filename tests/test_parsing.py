@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from pencils import (
     BinaryForm,
+    LinearSymbol,
     ParseError,
     form_from_dict,
     form_to_dict,
@@ -139,6 +140,22 @@ class TestFormJson:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             form_from_dict({"order": 2, "coeffs": ["1", "2"]})
+
+
+@pytest.mark.parametrize("text", ["5e-1", "1e10000000", "1.5", " 1_000"])
+@pytest.mark.parametrize(
+    "read",
+    [
+        lambda text: form_from_dict({"order": 1, "coeffs": [text, "1"]}),
+        lambda text: LinearSymbol.parse(f"{text},1"),
+    ],
+    ids=["form_from_dict", "LinearSymbol.parse"],
+)
+def test_rational_readers_accept_only_digits_over_digits(read, text):
+    # An exponent would let a short string stand for a huge number.
+    with pytest.raises(ValueError):
+        read(text)
+    assert read("-0") == read("0")
 
 
 class TestTableJson:

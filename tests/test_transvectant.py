@@ -7,9 +7,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pencils import BinaryForm, random_form, transvectant
-from pencils.transvectant import _transvectant_ints
+from pencils.transvectant import _transvectant
 
 from helpers import (
+    compose,
     random_unimodular,
     transvectant_by_derivatives,
     transvectant_ints_by_dot_products,
@@ -108,8 +109,8 @@ def test_sl2_equivariance(q, seed):
     f = random_form(q + 1, seed, 5)
     g = random_form(q + 2, seed + 501, 5)
     matrix = random_unimodular(seed)
-    left = transvectant(f.compose(matrix), g.compose(matrix), q)
-    right = transvectant(f, g, q).compose(matrix)
+    left = transvectant(compose(f, matrix), compose(g, matrix), q)
+    right = compose(transvectant(f, g, q), matrix)
     assert left == right
 
 
@@ -171,9 +172,14 @@ def _integer_cases(draw):
 @example((_alternating(24, _NUMERATOR_MAX), 1, _alternating(24, _NUMERATOR_MAX), 1, 24))
 def test_kernel_matches_dot_product_oracle(case):
     a, da, b, db, q = case
-    expected = transvectant_ints_by_dot_products(a, da, b, db, q)
+    nums, den = transvectant_ints_by_dot_products(a, da, b, db, q)
+    expected = (tuple(nums), den)
+    f = BinaryForm(len(a) - 1, [Fraction(x, da) for x in a])
+    g = BinaryForm(len(b) - 1, [Fraction(y, db) for y in b])
     table: dict = {}
-    assert _transvectant_ints(a, da, b, db, q, table) == expected
+    result = _transvectant(f, g, q, table)
+    assert (result._nums, result._den) == expected
     # A second call reads both orders' weights from the table.
     assert set(table) == {len(a) - 1, len(b) - 1}
-    assert _transvectant_ints(a, da, b, db, q, table) == expected
+    result = _transvectant(f, g, q, table)
+    assert (result._nums, result._den) == expected
