@@ -418,57 +418,66 @@ def tuple_zeta_image(d: int, r: int, f) -> dict:
 
 
 @lru_cache(maxsize=None)
-def surd_wigner6j_tw(ta, tb, tc, td, te, tf) -> SurdSum:
-    """Oracle for the 6j symbol: square root of the four Delta^2 times the
-    Racah sum, each term a `Fraction`, as a `SurdSum`."""
+def fraction_racah_sum(ta, tb, tc, td, te, tf) -> Fraction:
+    """Oracle for the Racah sum of the 6j symbol {a b c; d e f}, each term a
+    `Fraction`; 0 when a triad fails the triangle condition."""
     triads = ((ta, tb, tc), (ta, te, tf), (td, tb, tf), (td, te, tc))
-    for triad in triads:
-        if not _triangle_ok(*triad):
-            return SurdSum.zero()
-    radicand = Fraction(1)
-    for triad in triads:
-        radicand *= _delta_squared(*triad)
+    if not all(_triangle_ok(*triad) for triad in triads):
+        return Fraction(0)
     t_floor = max((x + y + z) // 2 for x, y, z in triads)
     caps = (
         (ta + tb + td + te) // 2,
         (tb + tc + te + tf) // 2,
         (ta + tc + td + tf) // 2,
     )
-    t_ceil = min(caps)
     total = Fraction(0)
-    for t in range(t_floor, t_ceil + 1):
-        denom = factorial((ta + tb + td + te) // 2 - t)
-        denom *= factorial((tb + tc + te + tf) // 2 - t)
-        denom *= factorial((ta + tc + td + tf) // 2 - t)
+    for t in range(t_floor, min(caps) + 1):
+        denom = 1
+        for cap in caps:
+            denom *= factorial(cap - t)
         for x, y, z in triads:
             denom *= factorial(t - (x + y + z) // 2)
         total += Fraction((-1 if t % 2 else 1) * factorial(t + 1), denom)
+    return total
+
+
+@lru_cache(maxsize=None)
+def surd_wigner6j_tw(ta, tb, tc, td, te, tf) -> SurdSum:
+    """Oracle for the 6j symbol: square root of the four Delta^2 times the
+    Racah sum, as a `SurdSum`."""
+    total = fraction_racah_sum(ta, tb, tc, td, te, tf)
     if not total:
         return SurdSum.zero()
+    triads = ((ta, tb, tc), (ta, te, tf), (td, tb, tf), (td, te, tc))
+    radicand = Fraction(1)
+    for triad in triads:
+        radicand *= _delta_squared(*triad)
     return SurdSum.sqrt(radicand) * total
+
+
+def _ninej_triads(array: NineJArray):
+    """The six row and column triads of the array, and the three pairs that
+    bound x, or None when a triangle or the pairs' common parity fails."""
+    (tj1, tj2, tj3), (tj4, tj5, tj6), (tj7, tj8, tj9) = rows = array.twice_rows()
+    triads = (*rows, *zip(*rows))
+    if any(not _triangle_ok(*t) for t in triads):
+        return None
+    pairs = ((tj1, tj9), (tj4, tj8), (tj2, tj6))
+    if len({(a + b) % 2 for a, b in pairs}) != 1:
+        return None
+    return triads, pairs
 
 
 def wigner9j_by_6j_products(array: NineJArray) -> SurdSum:
     """Oracle for `wigner9j`: the x-sum of products of three `SurdSum` 6j
     symbols from `surd_wigner6j_tw`."""
+    checked = _ninej_triads(array)
+    if checked is None:
+        return SurdSum.zero()
+    _, pairs = checked
     (tj1, tj2, tj3), (tj4, tj5, tj6), (tj7, tj8, tj9) = array.twice_rows()
-    triads = (
-        (tj1, tj2, tj3),
-        (tj4, tj5, tj6),
-        (tj7, tj8, tj9),
-        (tj1, tj4, tj7),
-        (tj2, tj5, tj8),
-        (tj3, tj6, tj9),
-    )
-    if any(not _triangle_ok(*t) for t in triads):
-        return SurdSum.zero()
-    pairs = ((tj1, tj9), (tj4, tj8), (tj2, tj6))
-    if len({(a + b) % 2 for a, b in pairs}) != 1:
-        return SurdSum.zero()
-    tx_min = max(abs(a - b) for a, b in pairs)
-    tx_max = min(a + b for a, b in pairs)
     total = SurdSum.zero()
-    for tx in range(tx_min, tx_max + 1, 2):
+    for tx in range(max(abs(a - b) for a, b in pairs), min(a + b for a, b in pairs) + 1, 2):
         term = (
             surd_wigner6j_tw(tj1, tj4, tj7, tj8, tj9, tx)
             * surd_wigner6j_tw(tj2, tj5, tj8, tj4, tx, tj6)
@@ -477,3 +486,40 @@ def wigner9j_by_6j_products(array: NineJArray) -> SurdSum:
         sign = -1 if tx % 2 else 1
         total = total + term * (sign * (tx + 1))
     return total
+
+
+def _product(factors, scale: int = 1) -> Fraction:
+    """scale times the product of the given Fractions, reduced once."""
+    num, den = scale, 1
+    for f in factors:
+        num *= f.numerator
+        den *= f.denominator
+    return Fraction(num, den)
+
+
+def wigner9j_by_fraction_xsum(array: NineJArray) -> SurdSum:
+    """Oracle for `wigner9j`: one square root of the six fixed Delta^2 times
+    a `Fraction` x-sum of Racah sums and x-dependent Delta^2, each term
+    built by `_product` (the `Fraction` contraction `wigner9j` used before
+    it ran in `int`)."""
+    checked = _ninej_triads(array)
+    if checked is None:
+        return SurdSum.zero()
+    triads, pairs = checked
+    (tj1, tj2, tj3), (tj4, tj5, tj6), (tj7, tj8, tj9) = array.twice_rows()
+    total = Fraction(0)
+    for tx in range(max(abs(a - b) for a, b in pairs), min(a + b for a, b in pairs) + 1, 2):
+        total += _product(
+            (
+                fraction_racah_sum(tj1, tj4, tj7, tj8, tj9, tx),
+                fraction_racah_sum(tj2, tj5, tj8, tj4, tx, tj6),
+                fraction_racah_sum(tj3, tj6, tj9, tx, tj1, tj2),
+                _delta_squared(tj1, tj9, tx),
+                _delta_squared(tj4, tj8, tx),
+                _delta_squared(tj2, tj6, tx),
+            ),
+            -(tx + 1) if tx % 2 else tx + 1,
+        )
+    if not total:
+        return SurdSum.zero()
+    return SurdSum.sqrt(_product(_delta_squared(*t) for t in triads)) * total

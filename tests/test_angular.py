@@ -1,11 +1,14 @@
 """Exact recoupling coefficients: surd arithmetic, 3j/6j/9j, array checks."""
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from helpers import surd_wigner6j_tw, wigner9j_by_6j_products
+from helpers import surd_wigner6j_tw, wigner9j_by_6j_products, wigner9j_by_fraction_xsum
 from pencils import (
     HalfInt,
     NineJArray,
@@ -18,6 +21,7 @@ from pencils import (
     wigner6j,
     wigner9j,
 )
+from pencils.angular import _smooth_squarefree_split, _squarefree_split
 
 H = HalfInt
 W = HalfInt.whole
@@ -84,6 +88,15 @@ class TestSurdSum:
         assert SurdSum.sqrt(18) == SurdSum({2: Fraction(3)})
         assert SurdSum.sqrt(2) != SurdSum.sqrt(3)
 
+    def test_rational_sum_hashes_like_its_value(self):
+        assert SurdSum.from_rational(3) == 3
+        assert len({SurdSum.from_rational(3), 3}) == 1
+        half = SurdSum.from_rational(Fraction(1, 2))
+        assert hash(half) == hash(Fraction(1, 2))
+        assert hash(SurdSum.zero()) == hash(0)
+        assert hash(SurdSum.sqrt(3) * SurdSum.sqrt(3)) == hash(3)
+        assert len({SurdSum.sqrt(2), SurdSum.sqrt(8) / 2, 2 * SurdSum.sqrt(2)}) == 2
+
     def test_division_by_single_term(self):
         v = SurdSum.sqrt(2) / SurdSum.sqrt(2)
         assert v == SurdSum.from_rational(1)
@@ -99,6 +112,15 @@ class TestSurdSum:
         with pytest.raises(ValueError):
             SurdSum.sqrt(-1)
 
+    def test_bounded_split_matches_trial_division(self):
+        # Products of factorials, as in the square root of a Delta^2
+        # product, bounded by their largest factorial argument.
+        for k in range(1, 40):
+            for m in range(k + 1):
+                n = math.factorial(k) * math.factorial(m) ** 3
+                assert _smooth_squarefree_split(n, k) == _squarefree_split(n), (k, m)
+                assert _smooth_squarefree_split(n, k + 5) == _squarefree_split(n), (k, m)
+
 
 class TestHalfInt:
     def test_str(self):
@@ -108,6 +130,15 @@ class TestHalfInt:
     def test_whole(self):
         assert W(3) == H(6)
         assert H(5).is_whole is False
+
+    def test_order_with_other_types_raises_type_error(self):
+        assert H(3) < H(4)
+        assert not H(4) < H(3)
+        for other in (2, Fraction(1, 2), "2"):
+            with pytest.raises(TypeError):
+                H(3) < other
+            with pytest.raises(TypeError):
+                other < H(3)
 
 
 class TestWigner3j:
@@ -246,6 +277,34 @@ class TestKernelMatchesSurdOracle:
         assert nonzero > 100
         odd = sum(any(v % 2 for row in a.twice_rows() for v in row) for a in arrays)
         assert 20 < odd < len(arrays)
+
+    def test_9j_every_combinant_pair_up_to_d21_matches_fraction_xsum(self):
+        for args in combinant_indices(21):
+            for arr in combinant_9j_array(*args):
+                assert wigner9j(arr) == wigner9j_by_fraction_xsum(arr), args
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.randoms(use_true_random=False).map(
+            lambda rng: triangle_consistent_array(rng, 9).twice_rows()
+        )
+    )
+    @example(((0, 0, 0), (0, 0, 0), (0, 0, 0)))
+    # The only x term has a zero 6j symbol.
+    @example(((0, 3, 3), (4, 3, 3), (4, 4, 4)))
+    # Three nonzero x terms that cancel.
+    @example(((7, 6, 7), (5, 8, 5), (2, 4, 2)))
+    def test_9j_half_integer_arrays_match_fraction_xsum(self, rows):
+        arr = NineJArray.from_twice(rows)
+        value = wigner9j(arr)
+        assert value == wigner9j_by_fraction_xsum(arr)
+        assert len(value.terms) <= 1
+
+    def test_9j_named_arrays_are_zero(self):
+        for twice in ((0, 3, 3, 4, 3, 3, 4, 4, 4), (7, 6, 7, 5, 8, 5, 2, 4, 2)):
+            arr = NineJArray.from_twice([twice[0:3], twice[3:6], twice[6:9]])
+            assert wigner9j(arr).is_zero()
+            assert ninej_magnetic_sum(arr).is_zero()
 
     def test_9j_value_has_at_most_one_radicand(self):
         arrays = [arr for args in combinant_indices(12) for arr in combinant_9j_array(*args)]
