@@ -107,11 +107,13 @@ class SurdSum:
             if radicand < 1:
                 raise ValueError("radicands must be positive integers")
             outer, rad = _squarefree_split(radicand)
-            total = clean.get(rad, Fraction(0)) + coeff * outer
-            if total:
-                clean[rad] = total
-            elif rad in clean:
-                del clean[rad]
+            coeff *= outer
+            if rad in clean:
+                coeff += clean[rad]
+                if not coeff:
+                    del clean[rad]
+                    continue
+            clean[rad] = coeff
         self._terms = clean
 
     @classmethod
@@ -170,11 +172,12 @@ class SurdSum:
             return NotImplemented
         terms = dict(self._terms)
         for rad, coeff in other._terms.items():
-            total = terms.get(rad, Fraction(0)) + coeff
-            if total:
-                terms[rad] = total
-            elif rad in terms:
-                del terms[rad]
+            if rad in terms:
+                coeff += terms[rad]
+                if not coeff:
+                    del terms[rad]
+                    continue
+            terms[rad] = coeff
         return SurdSum._raw(terms)
 
     __radd__ = __add__

@@ -34,16 +34,17 @@ from .transvectant import transvectant
 # Largest input order `transvect` accepts: the slowest index, q near a
 # third to a half of the order, takes about 1.1 s on two order-300 forms.
 TRANSVECT_MAX_ORDER = 300
-# Largest pencil order `combinants` accepts: it runs (d+1)/2 transvectants,
-# and d = 120 takes 1.2-1.5 s.
+# Largest pencil order `combinants` accepts: it runs (d+1)/2 transvectants
+# from one pack of A and one of B, and d = 120 takes about 0.8 s with small
+# coefficients (shared 2-core host, Python 3.11).
 COMBINANTS_MAX_D = 120
 # Largest bit length of the integer numerators of a `transvect` or
 # `combinants` input form over their common denominator, and of that
 # denominator: the cost of both commands grows with it, and with distinct
 # denominators every numerator is as long as their lcm.  At the order caps
-# with 128-bit numerators and denominators, `transvect` takes up to 2.2 s
-# (q near a third of the order) and `combinants` 2.9 s; at 256 bits, 2.8 s
-# and 5 s.
+# with 128-bit numerators and denominators, `transvect` takes about 1.1 s
+# (q a third to a half of the order) and `combinants` 1.3 s; at 256 bits,
+# 1.35 s and 1.9 s (shared 2-core host, Python 3.11).
 COEFF_MAX_BITS = 128
 # Largest order `oracle-theta` accepts: the chain's form has (d+1)^4
 # terms, and its slowest cases, at small r, take about 2.4 s at d = 20,
@@ -64,8 +65,8 @@ SYZYGY_TABLE_MAX_D = 300
 GAMMA_MAX_D = 10000
 # Largest order and coefficient bound of the random pencils of `verify` and
 # `recover`, and the most `verify` trials: every weight at d = 22 takes
-# about 0.12 s per trial at bound 10^9, so 20 trials take about 2.5 s
-# (d = 23 takes up to 4 s).
+# about 0.04 s per trial at bound 10^9, so 20 trials take about 0.9 s
+# (d = 23 takes about 1.1 s; shared 2-core host, Python 3.11).
 PENCIL_MAX_D = 22
 PENCIL_MAX_BOUND = 10**9
 VERIFY_MAX_TRIALS = 20

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .errors import DegeneratePencilError, DegreeMismatchError
 from .forms import BinaryForm, random_form
-from .transvectant import _transvectant, transvectant
+from .transvectant import _transvectant, _transvectants, transvectant
 
 
 class Pencil:
@@ -50,8 +50,9 @@ class Pencil:
         """C_1, C_3, ..., C_{2count-1}; C_{2r-1} = (A, B)_{2r-1} has order 2d - 4r + 2.
 
         Every combinant is computed once per pencil; a longer list extends
-        the kept one, which is replaced whole so that concurrent callers
-        never see a partial list.
+        the kept one, packing A and B once for all the missing orders, and
+        replaces it whole so that concurrent callers never see a partial
+        list.
         """
         if not 1 <= count <= self.max_combinant_index():
             raise ValueError(
@@ -59,9 +60,9 @@ class Pencil:
             )
         kept = self._combinants
         if len(kept) < count:
-            weights: dict = {}
-            for r in range(len(kept) + 1, count + 1):
-                kept += (_transvectant(self.a, self.b, 2 * r - 1, weights),)
+            orders = range(2 * len(kept) + 1, 2 * count, 2)
+            new = _transvectants(self.a, self.b, orders, {})
+            kept += tuple(new[q] for q in orders)
             self._combinants = kept
         return kept[:count]
 

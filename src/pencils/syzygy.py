@@ -11,11 +11,12 @@ C_1 * C_{2r-1} up to the positive factor alpha_{1,r}, the identity recovers
 C_{2r-1} from the earlier combinants by one exact division.
 
 Both run in integers.  Each combinant, and each transvectant of two of
-them, is a form of integer numerators over one denominator; the terms
-alpha * (C_{2i-1}, C_{2j-1})_q go into one integer accumulator over the
-lcm of their denominators.  Recovery divides that sum by C_1 with
-`exact_divide`, where Gauss's lemma makes every quotient step an exact
-`//`, and scales the quotient by -1/alpha_{1,r}.
+them, is a form of integer numerators over one denominator.  Each
+combinant is packed once for all the transvectant orders it meets (see
+`transvectant`), and the terms alpha * (C_{2i-1}, C_{2j-1})_q go into one
+integer accumulator over the lcm of their denominators.  Recovery divides
+that sum by C_1 with `exact_divide`, where Gauss's lemma makes every
+quotient step an exact `//`, and scales the quotient by -1/alpha_{1,r}.
 
 The module also computes the ratio `gamma` controlling positivity of
 alpha_{1,r}, its telescoping certificate, and the dimension of the space of
@@ -25,13 +26,14 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
+from functools import lru_cache
 from fractions import Fraction
 from math import factorial
 
 from .combinant import Pencil
 from .errors import FormulaViolationError
 from .forms import BinaryForm, exact_divide
-from .transvectant import _transvectant
+from .transvectant import _bound, _height, _packs, _product_sum, _slot_bytes, _unpack
 
 
 def _check_dr(d: int, r: int) -> None:
@@ -140,27 +142,58 @@ def syzygy_table(d: int, r: int) -> SyzygyTable:
     return table
 
 
-def _syzygy_sum(table: SyzygyTable, combinants, skip=None) -> BinaryForm:
-    """sum alpha_{i,j} (C_{2i-1}, C_{2j-1})_{2(r-i-j+1)} over the table but `skip`.
+@lru_cache(maxsize=256)
+def _alphas(d: int, r: int) -> tuple:
+    """The nonzero alpha_{i,j} of `syzygy_table(d, r)` as (i, j, numerator, denominator).
 
-    `combinants[i-1]` is C_{2i-1}.  Each term comes out of the kernel as
-    v / s; with alpha = p / a and L = lcm of the a*s, it adds
-    p * (L // (a*s)) * v to one integer accumulator, and the sum is that
-    accumulator over L.
+    Kept per (d, r) as an immutable tuple; `syzygy_table` checks that
+    alpha_{1,r} is positive, and raises before anything is kept.
     """
-    r = table.r
-    terms = []
+    return tuple(
+        (i, j, alpha.numerator, alpha.denominator)
+        for (i, j), alpha in syzygy_table(d, r).items()
+        if alpha
+    )
+
+
+def _syzygy_sum(d: int, r: int, alphas, combinants, skip=None) -> BinaryForm:
+    """sum alpha_{i,j} (C_{2i-1}, C_{2j-1})_{2(r-i-j+1)} over `alphas` but `skip`.
+
+    `alphas` is `_alphas(d, r)` and `combinants[i-1]` is C_{2i-1}.  Each
+    combinant is packed once, for every order q its terms meet, at one slot
+    width: the largest of the terms' kernel bounds, so that every term's
+    unpack stays exact.  A term unpacks to v / s; with alpha = p / a and
+    L = lcm of the a*s, it adds p * (L // (a*s)) * v to one integer
+    accumulator, and the sum is that accumulator over L.
+    """
+    terms = [
+        (i - 1, j - 1, 2 * (r - i - j + 1), p, a)
+        for i, j, p, a in alphas
+        if (i, j) != skip
+    ]
+    orders: dict = {}
+    for i, j, q, _, _ in terms:
+        orders.setdefault(i, set()).add(q)
+        orders.setdefault(j, set()).add(q)
     weights: dict = {}
-    for (i, j), alpha in table.items():
-        if alpha and (i, j) != skip:
-            q = 2 * (r - i - j + 1)
-            v = _transvectant(combinants[i - 1], combinants[j - 1], q, weights)
-            terms.append((alpha.numerator, alpha.denominator * v._den, v._nums))
-    lcm = math.lcm(*(q for _, q, _ in terms))
-    total = [0] * (4 * (table.d - r) + 1)
-    for p, q, v in terms:
-        f = p * (lcm // q)
-        total = [t + f * x for t, x in zip(total, v)]
+    height = {i: _height(combinants[i], weights) for i in orders}
+    # C_{2j-1} has the lower order of the two, as i <= j.
+    kb = _slot_bytes(max(
+        (_bound(height[i] * height[j], combinants[j].order, q) for i, j, q, _, _ in terms),
+        default=0,
+    ))
+    packs = {i: _packs(combinants[i], 8 * kb, qs, weights) for i, qs in orders.items()}
+    scale = {i: weights[combinants[i].order][1] * combinants[i]._den for i in orders}
+    size = 4 * (d - r) + 1
+    scaled = [
+        (p, a * scale[i] * scale[j], _unpack(_product_sum(packs[i][q], packs[j][q], q), kb, size))
+        for i, j, q, p, a in terms
+    ]
+    lcm = math.lcm(*(s for _, s, _ in scaled))
+    total = [0] * size
+    for p, s, v in scaled:
+        c = p * (lcm // s)
+        total = [t + c * x for t, x in zip(total, v)]
     return BinaryForm._raw(total, lcm)
 
 
@@ -169,7 +202,8 @@ def evaluate_syzygy(pencil: Pencil, r: int) -> BinaryForm:
 
     Returned explicitly (order 4(d-r)) so callers can assert the vanishing.
     """
-    return _syzygy_sum(syzygy_table(pencil.order, r), pencil.combinants(r))
+    d = pencil.order
+    return _syzygy_sum(d, r, _alphas(d, r), pencil.combinants(r))
 
 
 def recover_combinant(pencil: Pencil, r: int) -> BinaryForm:
@@ -180,10 +214,12 @@ def recover_combinant(pencil: Pencil, r: int) -> BinaryForm:
     C_{2r-1} = -S / (alpha_{1,r} C_1).  The result always equals the direct
     transvectant (A, B)_{2r-1}.  Only C_1 .. C_{2r-3} are computed.
     """
-    table = syzygy_table(pencil.order, r)
+    d = pencil.order
+    alphas = _alphas(d, r)
+    p, a = next((p, a) for i, j, p, a in alphas if (i, j) == (1, r))
     combinants = pencil.combinants(r - 1)
-    rest = _syzygy_sum(table, combinants, skip=(1, r))
-    return exact_divide(rest, combinants[0]) * (-1 / table.alpha(1, r))
+    rest = _syzygy_sum(d, r, alphas, combinants, skip=(1, r))
+    return exact_divide(rest, combinants[0]) * Fraction(-a, p)
 
 
 def gamma(r: int, d: int) -> Fraction:

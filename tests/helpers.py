@@ -12,7 +12,7 @@ from pencils.angular import NineJArray, SurdSum, _delta_squared, _triangle_ok
 from pencils.errors import DegreeMismatchError, NotDivisibleError
 from pencils.forms import BinaryForm, MultiForm, ZERO_MONOMIAL, slot_index
 from pencils.syzygy import syzygy_table
-from pencils.transvectant import transvectant
+from pencils.transvectant import _transvectant, transvectant
 
 
 def random_multiform(pair_degrees: dict, seed: int, bound: int = 4) -> MultiForm:
@@ -258,6 +258,30 @@ def syzygy_sum_by_fractions(seq, table, skip=None) -> BinaryForm:
             term = transvectant(seq[i - 1], seq[j - 1], 2 * (r - i - j + 1))
             total = fraction_add(total, fraction_scale(term, alpha))
     return total
+
+
+def syzygy_sum_by_terms(table, combinants, skip=None) -> BinaryForm:
+    """Oracle for `syzygy._syzygy_sum`: one kernel call per term, nothing shared.
+
+    `combinants[i-1]` is C_{2i-1}.  Each term comes out of `_transvectant`
+    as v / s, packed and unpacked on its own; with alpha = p / a and
+    L = lcm of the a*s, it adds p * (L // (a*s)) * v to one integer
+    accumulator, and the sum is that accumulator over L.
+    """
+    r = table.r
+    terms = []
+    weights: dict = {}
+    for (i, j), alpha in table.items():
+        if alpha and (i, j) != skip:
+            q = 2 * (r - i - j + 1)
+            v = _transvectant(combinants[i - 1], combinants[j - 1], q, weights)
+            terms.append((alpha.numerator, alpha.denominator * v._den, v._nums))
+    lcm = math.lcm(*(q for _, q, _ in terms))
+    total = [0] * (4 * (table.d - r) + 1)
+    for p, q, v in terms:
+        f = p * (lcm // q)
+        total = [t + f * x for t, x in zip(total, v)]
+    return BinaryForm._raw(total, lcm)
 
 
 def _pencil_order(seq) -> int:

@@ -84,6 +84,15 @@ class TestSurdSum:
         assert b == SurdSum.from_rational(Fraction(1, 2))
         assert (a - a).is_zero()
 
+    def test_cancelling_terms_delete_their_radicand(self):
+        a = SurdSum({1: Fraction(1, 2), 2: 3, 5: -1})
+        assert (a + (-a)).terms == {}
+        b = a + SurdSum({2: -3, 7: 1})
+        assert b.terms == {1: Fraction(1, 2), 5: -1, 7: 1}
+        # sqrt(8) = 2 sqrt(2): the second entry cancels the first inside __init__.
+        assert SurdSum({2: 1, 8: Fraction(-1, 2)}).terms == {}
+        assert SurdSum({2: 1, 8: Fraction(-1, 2), 3: 4}).terms == {3: 4}
+
     def test_structural_equality(self):
         assert SurdSum.sqrt(18) == SurdSum({2: Fraction(3)})
         assert SurdSum.sqrt(2) != SurdSum.sqrt(3)

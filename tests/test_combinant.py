@@ -82,6 +82,19 @@ def test_combinants_match_the_transvectants():
             pencil.combinant(count)
 
 
+@pytest.mark.parametrize("d", [3, 8, 13])
+def test_combinants_extended_step_by_step_match_one_call(d):
+    a, b = random_pencil(d, 50 + d, 10**6).a, random_pencil(d, 60 + d, 10**6).b
+    top = (d + 1) // 2
+    whole = Pencil(a, b).combinants(top)
+    pencil = Pencil(a, b)
+    for count in (1, 2, top):
+        kept = pencil.combinants(count)
+    assert [(c._nums, c._den) for c in kept] == [(c._nums, c._den) for c in whole]
+    for r, c in enumerate(whole, start=1):
+        assert c == transvectant(a, b, 2 * r - 1)
+
+
 def test_combinants_shared_between_threads():
     # Threads extend one pencil's kept combinants to different lengths at
     # once; a lost or doubled extension would misplace an entry.

@@ -25,12 +25,16 @@ from pencils import (
     transvectant,
 )
 
+from pencils.syzygy import SyzygyTable, _alphas, _syzygy_sum
+
 from helpers import (
     enumerated_syzygy_dims,
     evaluate_syzygy_by_fractions,
     exact_divide_by_fractions,
     gaussian_binomial_head,
     recover_by_fractions,
+    syzygy_sum_by_fractions,
+    syzygy_sum_by_terms,
 )
 
 
@@ -150,6 +154,45 @@ class TestRecovery:
             + Fraction(735, 484) * (c3 * c3)
         )
         assert c1 * c5 == rhs
+
+
+def _alpha_ints(table):
+    return tuple((i, j, a.numerator, a.denominator) for (i, j), a in table.items() if a)
+
+
+def _scrambled(table):
+    """The table with alpha_{i,j} = (i + 2j - 5) / (ij + 1): its sum does not
+    vanish, so every term shows in it, and alpha_{1,2} = 0 drops a term."""
+    entries = {(i, j): Fraction(i + 2 * j - 5, i * j + 1) for i, j in index_pairs(table.r)}
+    return SyzygyTable(table.d, table.r, entries)
+
+
+class TestSharedPackSum:
+    """`_syzygy_sum` packs each combinant once for every order it meets;
+    it must equal the per-term kernel sum and the `Fraction` sum exactly."""
+
+    @pytest.mark.parametrize("d", range(5, 21))
+    def test_matches_per_term_and_fraction_sums(self, d):
+        seq = combinant_sequence(random_pencil(d, 40 + d, 10**6))
+        for r in range(3, (d + 1) // 2 + 1):
+            table = syzygy_table(d, r)
+            assert _alphas(d, r) == _alpha_ints(table)
+            for t in (table, _scrambled(table)):
+                for skip in (None, (1, r)):
+                    got = _syzygy_sum(d, r, _alpha_ints(t), seq, skip)
+                    want = syzygy_sum_by_terms(t, seq, skip)
+                    assert (got._nums, got._den) == (want._nums, want._den)
+                    assert got == syzygy_sum_by_fractions(seq, t, skip)
+                    assert got.order == 4 * (d - r)
+
+    def test_alphas_are_kept_and_the_public_table_is_not(self):
+        assert _alphas(16, 8) is _alphas(16, 8)
+        table = syzygy_table(7, 3)
+        table.entries[(1, 3)] = Fraction(0)
+        assert syzygy_table(7, 3).alpha(1, 3) == 2 * theta(7, 3, 1, 3)
+        pencil = random_pencil(7, 1)
+        assert evaluate_syzygy(pencil, 3).is_zero()
+        assert recover_combinant(pencil, 3) == pencil.combinant(3)
 
 
 def _non_integer_forms(d):

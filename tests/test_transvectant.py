@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pencils import BinaryForm, random_form, transvectant
-from pencils.transvectant import _transvectant
+from pencils.transvectant import _packs, _product_sum, _transvectant, _transvectants
 
 from helpers import (
     compose,
@@ -183,3 +183,67 @@ def test_kernel_matches_dot_product_oracle(case):
     assert set(table) == {len(a) - 1, len(b) - 1}
     result = _transvectant(f, g, q, table)
     assert (result._nums, result._den) == expected
+
+
+def _pack_at(f, k, q, s):
+    """P_s at order q straight from its definition: sum_u C(m-q,u) a'_{u+s} 2^(ku)."""
+    m = f.order
+    top = math.lcm(*(math.comb(m, j) for j in range(m + 1)))
+    a = [x * top // math.comb(m, j) for j, x in enumerate(f._nums)]
+    return sum(math.comb(m - q, u) * a[u + s] << (k * u) for u in range(m - q + 1))
+
+
+@st.composite
+def _pack_cases(draw):
+    m = draw(st.integers(0, 14))
+    dense = st.lists(st.integers(-(10**12), 10**12), min_size=m + 1, max_size=m + 1)
+    nums = draw(st.just([0] * (m + 1)) | dense)
+    f = BinaryForm(m, [Fraction(x, draw(st.integers(1, 50))) for x in nums])
+    orders = draw(st.just({0, m}) | st.sets(st.integers(0, m), min_size=1))
+    return f, 8 * draw(st.integers(1, 12)), orders
+
+
+@settings(max_examples=150, deadline=None)
+@given(_pack_cases())
+@example((BinaryForm.zero(6), 8, {0, 6}))
+@example((BinaryForm(5, [3, -1, 0, 7, -2, 1]), 16, {0, 1, 2, 3, 4, 5}))
+@example((BinaryForm(0, [-4]), 8, {0}))
+def test_every_pack_level_matches_its_definition(case):
+    f, k, orders = case
+    packs = _packs(f, k, orders, {})
+    assert set(packs) == orders
+    for q, level in packs.items():
+        assert level == [_pack_at(f, k, q, s) for s in range(q + 1)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(_pack_cases())
+@example((BinaryForm(6, [1, -2, 3, 0, 5, -1, 2]), 8, {1, 3, 5}))
+@example((BinaryForm.zero(4), 8, {0, 1, 2, 3, 4}))
+def test_self_transvectant_pairs_its_terms(case):
+    f, _, orders = case
+    twin = BinaryForm._raw(list(f._nums), f._den)  # equal to f, but not f
+    for q in orders:
+        result = _transvectant(f, f, q, {})
+        expected = _transvectant(f, twin, q, {})
+        assert (result._nums, result._den) == (expected._nums, expected._den)
+        assert result.order == 2 * f.order - 2 * q
+        if q % 2:
+            assert result.is_zero()
+            packs = _packs(f, 8, {q}, {})[q]
+            assert _product_sum(packs, packs, q) == 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(_integer_cases(), st.data())
+def test_orders_sharing_one_width_match_dot_product_oracle(case, data):
+    a, da, b, db, q = case
+    top = min(len(a), len(b)) - 1
+    orders = data.draw(st.sets(st.integers(0, top))) | {q}
+    f = BinaryForm(len(a) - 1, [Fraction(x, da) for x in a])
+    g = BinaryForm(len(b) - 1, [Fraction(y, db) for y in b])
+    results = _transvectants(f, g, orders, {})
+    assert set(results) == orders
+    for p, result in results.items():
+        nums, den = transvectant_ints_by_dot_products(a, da, b, db, p)
+        assert (result._nums, result._den) == (tuple(nums), den)
