@@ -22,14 +22,11 @@ times one rational sum over x: a single surd, with no surd arithmetic in
 the loop.  The x-sum runs in `int`: each term is a numerator and a
 denominator reduced by one gcd (the Racah sums cancel most of the
 Delta^2 denominators, which keeps large arrays cheap), the terms meet
-over one `math.lcm`, and one `Fraction` is built per 9j value.  The fixed
-Delta^2 product is a ratio of factorials, so its squarefree part needs
-trial division by the primes up to the largest factorial argument only.
-Against the former `Fraction` x-sum (now the test oracle
-`wigner9j_by_fraction_xsum`), this took the benchmark's recoupling
-workload (cold-cache 9j pairs for d <= 21) from a median of 4,568 to
-6,201 ops/s, in ten alternating 10 s pairs on a shared 2-core host with
-Python 3.11.7.  The entries are kept doubled (`NineJArray`), with
+over one `math.lcm`, and one `Fraction` is built per 9j value; the
+former `Fraction` x-sum is the test oracle `wigner9j_by_fraction_xsum`.
+The fixed Delta^2 product is a ratio of factorials, so its squarefree
+part needs trial division by the primes up to the largest factorial
+argument only.  The entries are kept doubled (`NineJArray`), with
 `HalfInt` only at the API boundary.
 
 An independent brute-force contraction of six 3j symbols over all magnetic
@@ -152,11 +149,6 @@ class SurdSum:
 
     def is_rational(self) -> bool:
         return set(self._terms) <= {1}
-
-    def rational_value(self) -> Fraction:
-        if not self.is_rational():
-            raise ValueError(f"{self} is not rational")
-        return self._terms.get(1, Fraction(0))
 
     def single_term(self) -> tuple[Fraction, int] | None:
         """(coefficient, radicand) when the sum has exactly one term, else None."""

@@ -29,53 +29,39 @@ from .syzygy import (
 from .transvectant import transvectant
 
 # Input caps: each command refuses larger input with exit 2, so every run it
-# accepts ends within a few seconds.
+# accepts ends within a few seconds.  Each cap was set by timing the slowest
+# accepted input; CHANGES.md records the figures.
 #
-# Largest input order `transvect` accepts: the slowest index, q near a
-# third to a half of the order, takes about 1.1 s on two order-300 forms.
+# `transvect`: the cost grows as the product of the two orders, most at q
+# near a third to a half of the order.
 TRANSVECT_MAX_ORDER = 300
-# Largest pencil order `combinants` accepts: it runs (d+1)/2 transvectants
-# from one pack of A and one of B, and d = 120 takes about 0.8 s with small
-# coefficients (shared 2-core host, Python 3.11).
+# `combinants`: (d+1)/2 transvectants from one pack of A and one of B.
 COMBINANTS_MAX_D = 120
-# Largest bit length of the integer numerators of a `transvect` or
-# `combinants` input form over their common denominator, and of that
-# denominator: the cost of both commands grows with it, and with distinct
-# denominators every numerator is as long as their lcm.  At the order caps
-# with 128-bit numerators and denominators, `transvect` takes about 1.1 s
-# (q a third to a half of the order) and `combinants` 1.3 s; at 256 bits,
-# 1.35 s and 1.9 s (shared 2-core host, Python 3.11).
+# Bit length of the integer numerators of a `transvect` or `combinants`
+# input form over their common denominator, and of that denominator: the
+# cost of both commands grows with it, and with distinct denominators every
+# numerator is as long as their lcm.
 COEFF_MAX_BITS = 128
-# Largest order `oracle-theta` accepts: the chain's form has (d+1)^4
-# terms, and its slowest cases, at small r, take about 2.4 s at d = 20,
-# 3.5 s at d = 21 and 4.5 s at d = 22.
-ORACLE_THETA_MAX_D = 20
-# Largest bit length of the numerators and denominators of `oracle-theta
-# --f`: the chain's coefficients grow as the symbol's 4d-th power.  At
-# d = 20, (r, i, j) = (3, 1, 3), the symbol (15/13, 11/9) takes about 3.3 s,
-# against 2.3 s for (1, -1); with 8 bits, (255/253, 251/249) takes 4.7 s.
+# `oracle-theta`: the chain's form has (d+1)^4 terms; small r is slowest.
+ORACLE_THETA_MAX_D = 22
+# Bits of the numerators and denominators of `oracle-theta --f`: the
+# chain's coefficients grow as the symbol's 4d-th power.
 ORACLE_THETA_MAX_BITS = 4
-# Largest order `syzygy-table` accepts: the table has about r^2/4 theta
-# values of factorials of up to 2d; d = 300 at the top weight r = 150 prints
-# 1.3 MB in about 1.4 s.
+# `syzygy-table`: about r^2/4 theta values of factorials of up to 2d.
 SYZYGY_TABLE_MAX_D = 300
-# Largest order `gamma` accepts: gamma(r, d) has about d/4 digits, and
-# Python refuses to print an int of more than 4300; d = 10000 stays below
-# 2600 digits and runs in well under a second.
+# `gamma`: gamma(r, d) has about d/4 digits, and Python refuses to print an
+# int of more than 4300.
 GAMMA_MAX_D = 10000
-# Largest order and coefficient bound of the random pencils of `verify` and
-# `recover`, and the most `verify` trials: every weight at d = 22 takes
-# about 0.04 s per trial at bound 10^9, so 20 trials take about 0.9 s
-# (d = 23 takes about 1.1 s; shared 2-core host, Python 3.11).
+# Order and coefficient bound of the random pencils of `verify` and
+# `recover`, and the most `verify` trials: the cost grows with the order,
+# the bound's bit length and the number of trials.
 PENCIL_MAX_D = 22
 PENCIL_MAX_BOUND = 10**9
 VERIFY_MAX_TRIALS = 20
-# Largest doubled momentum `ninej` accepts: the 9j cost grows about as the
-# cube of the entries, and the slowest arrays found with every 2j <= 500
-# take about 1 s.
+# `ninej`: the 9j cost grows about as the cube of the entries.
 NINEJ_MAX_TWICE_J = 500
-# Largest order `ninej-combinant` accepts: its permuted array at the top
-# weight, with i near r/2 and j = 1, is the slowest, about 1.1 s at d = 500.
+# `ninej-combinant`: the permuted array at the top weight, with i near r/2
+# and j = 1, is the slowest; its x-sum runs over about d values.
 NINEJ_COMBINANT_MAX_D = 500
 
 

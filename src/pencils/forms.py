@@ -296,6 +296,22 @@ class BinaryForm:
         return f"BinaryForm({self.order}, [{body}])"
 
 
+def _merged_degrees(degrees: dict, from1: str, from2: str, to: str) -> dict:
+    """The degrees after merging pairs from1 and from2 into the inactive pair to."""
+    check_pair(from1)
+    check_pair(from2)
+    check_pair(to)
+    if len({from1, from2, to}) != 3:
+        raise ValueError("substitution pairs must be three distinct pairs")
+    if to in degrees:
+        raise ValueError(f"target pair {to!r} is already active")
+    deg = dict(degrees)
+    merged_degree = deg.pop(from1, 0) + deg.pop(from2, 0)
+    if merged_degree:
+        deg[to] = merged_degree
+    return deg
+
+
 class MultiForm:
     """Sparse multihomogeneous form over named variable pairs.
 
@@ -500,13 +516,7 @@ class MultiForm:
         The target pair must be distinct from the sources and not already
         active.  Source pairs of degree zero substitute trivially.
         """
-        check_pair(from1)
-        check_pair(from2)
-        check_pair(to)
-        if len({from1, from2, to}) != 3:
-            raise ValueError("substitution pairs must be three distinct pairs")
-        if to in self._degrees:
-            raise ValueError(f"target pair {to!r} is already active")
+        deg = _merged_degrees(self._degrees, from1, from2, to)
         ia, ib = slot_index(from1, 1), slot_index(from2, 1)
         sa, sb, st = _WIDTH * ia, _WIDTH * ib, _shift(to, 1)
         pair_mask = (1 << (2 * _WIDTH)) - 1
@@ -526,10 +536,6 @@ class MultiForm:
             # carries, because every merged exponent is within `top`.
             key = (mono & keep) + ((((mono >> sa) & pair_mask) + ((mono >> sb) & pair_mask)) << st)
             out[key] = get(key, 0) + coeff
-        deg = dict(self._degrees)
-        merged_degree = deg.pop(from1, 0) + deg.pop(from2, 0)
-        if merged_degree:
-            deg[to] = merged_degree
         return MultiForm._raw(deg, {m: c for m, c in out.items() if c}, self._den, top)
 
     def as_binary_form(self, pair: str) -> BinaryForm:

@@ -22,9 +22,16 @@ different summands share monomials.  The two terms of omega commute, so
 
     omega^n = sum_k (-1)^k C(n,k) (d_p1 d_q2)^(n-k) (d_q1 d_p2)^k,
 
-and `omega(form, p, q, n)` maps each monomial straight to its images with
-falling factorials of its four exponents in p and q.  `beta_chain` makes
-one such call per operator power, three in all.
+and `omega(form, p, q, n)` maps each monomial straight to its n+1 images
+with falling factorials of its four exponents in p and q.  The chain
+follows every operator power by merging p and q into one pair t, and the
+k-th image of p1^a1 p2^a2 q1^b1 q2^b2 has p1 and q1 exponents that sum to
+a1+b1-n and p2 and q2 exponents that sum to a2+b2-n, whatever k is.  So
+after the merge all n+1 images land on the one monomial
+t1^(a1+b1-n) t2^(a2+b2-n), and the power and the merge together map each
+monomial to one image whose factor is the sum of the n+1 factors.
+`beta_chain` makes one such pass (`_contracted`) per operator power,
+three in all, and never builds the larger form omega alone would return.
 """
 from __future__ import annotations
 
@@ -39,6 +46,7 @@ from .forms import (
     BinaryForm,
     LinearSymbol,
     MultiForm,
+    _merged_degrees,
     _shift,
     check_pair,
     linear_power,
@@ -59,6 +67,47 @@ def bracket(pair1: str, pair2: str) -> MultiForm:
     return MultiForm._raw({pair1: 1, pair2: 1}, {plus: 1, minus: -1}, 1, 1)
 
 
+def _check_operator(pair1: str, pair2: str, n: int) -> None:
+    check_pair(pair1)
+    check_pair(pair2)
+    if pair1 == pair2:
+        raise ValueError("operator needs two distinct pairs")
+    if n < 0:
+        raise ValueError(f"operator power must be nonnegative, got {n}")
+
+
+def _lowered_degrees(degrees: dict, pair1: str, pair2: str, n: int) -> dict:
+    deg = dict(degrees)
+    for pair in (pair1, pair2):
+        old = deg.pop(pair, 0)
+        if old > n:
+            deg[pair] = old - n
+    return deg
+
+
+def _power_terms(fields: int, n: int) -> list:
+    """(k, integer factor) of each term of omega^n that survives on one monomial.
+
+    `fields` holds the monomial's two 2 * _WIDTH-bit pair fields, the first
+    pair's in the low half, so its exponents p1, p2, q1, q2.  The m-th
+    derivative maps an exponent e to perm(e, m), so the k-th term,
+    (-1)^k C(n,k) (d_p1 d_q2)^(n-k) (d_q1 d_p2)^k, survives when
+    n - k <= min(p1, q2) and k <= min(q1, p2).
+    """
+    width = 2 * _WIDTH
+    mask = _MAX_EXPONENT
+    p1, p2 = fields & mask, (fields >> _WIDTH) & mask
+    q1, q2 = (fields >> width) & mask, fields >> (width + _WIDTH)
+    return [
+        (
+            k,
+            (-1) ** k * comb(n, k)
+            * perm(p1, n - k) * perm(q2, n - k) * perm(q1, k) * perm(p2, k),
+        )
+        for k in range(max(n - min(p1, q2), 0), min(n, q1, p2) + 1)
+    ]
+
+
 def omega(form: MultiForm, pair1: str, pair2: str, n: int = 1) -> MultiForm:
     """Apply the alternating second-order operator for (pair1, pair2) n times.
 
@@ -66,26 +115,14 @@ def omega(form: MultiForm, pair1: str, pair2: str, n: int = 1) -> MultiForm:
     power n above either degree gives the zero form; n = 0 returns the
     form unchanged.
     """
-    check_pair(pair1)
-    check_pair(pair2)
-    if pair1 == pair2:
-        raise ValueError("operator needs two distinct pairs")
-    if n < 0:
-        raise ValueError(f"operator power must be nonnegative, got {n}")
+    _check_operator(pair1, pair2, n)
     a1, b1 = _shift(pair1, 1), _shift(pair2, 1)
     step_ab = (1 << a1) + (1 << _shift(pair2, 2))
     step_ba = (1 << b1) + (1 << _shift(pair1, 2))
-    # The two terms commute, so omega^n is
-    #     sum_k (-1)^k C(n,k) (d_p1 d_q2)^(n-k) (d_q1 d_p2)^k,
-    # and the m-th derivative maps an exponent e to perm(e, m).  A monomial's
-    # image depends only on its exponents p1, p2, q1, q2, which its two
-    # 2 * _WIDTH-bit pair fields hold: `images` keeps, per such pair of
-    # fields, the (key offset, integer factor) of each k with
-    # n - k <= min(p1, q2) and k <= min(q1, p2).
-    signs = [(-1) ** k * comb(n, k) for k in range(n + 1)]
+    # A monomial's image depends only on its two pair fields: `images` keeps,
+    # per such pair of fields, the (key offset, integer factor) of each term.
     width = 2 * _WIDTH
     field = (1 << width) - 1
-    mask = _MAX_EXPONENT
     images: dict = {}
     out: dict = {}
     get = out.get
@@ -93,24 +130,58 @@ def omega(form: MultiForm, pair1: str, pair2: str, n: int = 1) -> MultiForm:
         fields = (((mono >> b1) & field) << width) + ((mono >> a1) & field)
         image = images.get(fields)
         if image is None:
-            p1, p2 = fields & mask, (fields >> _WIDTH) & mask
-            q1, q2 = (fields >> width) & mask, fields >> (width + _WIDTH)
             image = images[fields] = [
-                (
-                    -(n - k) * step_ab - k * step_ba,
-                    signs[k] * perm(p1, n - k) * perm(q2, n - k) * perm(q1, k) * perm(p2, k),
-                )
-                for k in range(max(n - min(p1, q2), 0), min(n, q1, p2) + 1)
+                (-(n - k) * step_ab - k * step_ba, factor)
+                for k, factor in _power_terms(fields, n)
             ]
         for offset, factor in image:
             key = mono + offset
             out[key] = get(key, 0) + coeff * factor
-    deg = dict(form.degrees)
-    for pair in (pair1, pair2):
-        old = deg.pop(pair, 0)
-        if old > n:
-            deg[pair] = old - n
+    deg = _lowered_degrees(form.degrees, pair1, pair2, n)
     return MultiForm._raw(deg, {m: c for m, c in out.items() if c}, form._den, form._top)
+
+
+def _contracted(form: MultiForm, pair1: str, pair2: str, n: int, to: str) -> MultiForm:
+    """omega(form, pair1, pair2, n).substituted(pair1, pair2, to) in one pass.
+
+    Merging the pairs sends the image of the k-th term of omega^n of
+    p1^a1 p2^a2 q1^b1 q2^b2 to t1^(a1+b1-n) t2^(a2+b2-n), whatever k is,
+    so each monomial has one image, and its factor is the sum of the
+    factors `omega` lists for it.
+    """
+    _check_operator(pair1, pair2, n)
+    deg = _merged_degrees(_lowered_degrees(form.degrees, pair1, pair2, n), pair1, pair2, to)
+    top = 2 * form._top
+    if top > _MAX_EXPONENT:
+        # Past the slot limit `substituted` reads the merged exponents of
+        # omega's output term by term; take that route, so as to refuse
+        # exactly what it refuses.
+        return omega(form, pair1, pair2, n).substituted(pair1, pair2, to)
+    width = 2 * _WIDTH
+    field = (1 << width) - 1
+    sa, sb, st = _shift(pair1, 1), _shift(pair2, 1), _shift(to, 1)
+    merged = (field << sa) | (field << sb) | (field << st)
+    keep = ~merged
+    drop = n + (n << _WIDTH)
+    # Per value of the three pair fields, the merged field shifted onto `to`
+    # and the weight.  A nonzero weight has a surviving term, so a1+b1 >= n
+    # and a2+b2 >= n, and with every merged exponent within `top` no slot
+    # borrows or carries.
+    images: dict = {}
+    out: dict = {}
+    get = out.get
+    for mono, coeff in form._terms.items():
+        part = mono & merged
+        image = images.get(part)
+        if image is None:
+            fields = (((part >> sb) & field) << width) + ((part >> sa) & field)
+            weight = sum(factor for _, factor in _power_terms(fields, n))
+            image = images[part] = (((fields & field) + (fields >> width) - drop) << st, weight)
+        offset, weight = image
+        if weight:
+            key = (mono & keep) + offset
+            out[key] = get(key, 0) + coeff * weight
+    return MultiForm._raw(deg, {m: c for m, c in out.items() if c}, form._den, top)
 
 
 def h_factor(m: int, n: int, q: int) -> Fraction:
@@ -228,12 +299,11 @@ def beta_chain(q_form: MultiForm, d: int, r: int, i: int, j: int) -> BinaryForm:
             raise ValueError(
                 f"input must have degree {d} in pair {pair!r}, got {q_form.degree(pair)}"
             )
-    out = omega(omega(q_form, "x", "y", 2 * i - 1), "z", "w", 2 * j - 1)
-    out = out.substituted("x", "y", "u").substituted("z", "w", "v")
+    out = _contracted(q_form, "x", "y", 2 * i - 1, "u")
+    out = _contracted(out, "z", "w", 2 * j - 1, "v")
     out = out * (h_factor(d, d, 2 * i - 1) * h_factor(d, d, 2 * j - 1))
     q3 = 2 * (r - i - j + 1)
-    out = omega(out, "u", "v", q3)
-    out = out.substituted("u", "v", "t")
+    out = _contracted(out, "u", "v", q3, "t")
     out = out * h_factor(2 * d - 4 * i + 2, 2 * d - 4 * j + 2, q3)
     return out.as_binary_form("t")
 

@@ -11,6 +11,7 @@ from math import factorial
 from pencils.angular import NineJArray, SurdSum, _delta_squared, _triangle_ok
 from pencils.errors import DegreeMismatchError, NotDivisibleError
 from pencils.forms import BinaryForm, MultiForm, ZERO_MONOMIAL, slot_index
+from pencils.omega import h_factor, omega
 from pencils.syzygy import syzygy_table
 from pencils.transvectant import _transvectant, transvectant
 
@@ -439,6 +440,19 @@ def tuple_zeta_image(d: int, r: int, f) -> dict:
         term = tuple_zeta_summand(d, r, *pairs, f)
         total = tuple_add(total, term if sign > 0 else tuple_neg(term))
     return total
+
+
+def beta_chain_by_omega(q_form: MultiForm, d: int, r: int, i: int, j: int) -> BinaryForm:
+    """Oracle for `omega.beta_chain`: each operator power by `omega`, then
+    each merge by `substituted`, as two separate passes."""
+    out = omega(omega(q_form, "x", "y", 2 * i - 1), "z", "w", 2 * j - 1)
+    out = out.substituted("x", "y", "u").substituted("z", "w", "v")
+    out = out * (h_factor(d, d, 2 * i - 1) * h_factor(d, d, 2 * j - 1))
+    q3 = 2 * (r - i - j + 1)
+    out = omega(out, "u", "v", q3)
+    out = out.substituted("u", "v", "t")
+    out = out * h_factor(2 * d - 4 * i + 2, 2 * d - 4 * j + 2, q3)
+    return out.as_binary_form("t")
 
 
 @lru_cache(maxsize=None)

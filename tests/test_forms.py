@@ -18,6 +18,7 @@ from pencils import (
     random_form,
 )
 from pencils.forms import PAIRS, slot_index, to_fraction
+from pencils.omega import _contracted
 
 from helpers import (
     exact_divide_by_fractions,
@@ -524,3 +525,123 @@ class TestPackedExponentLimit:
             {monomial(x1=40000, y2=40000): 1, monomial(x2=40000, y1=40000): -1},
         )
         assert crossed.substituted("x", "y", "u").terms == {}
+
+
+def outcome(call):
+    """What `call` returns, or the message of the ValueError it raises."""
+    try:
+        return call()
+    except ValueError as exc:
+        return str(exc)
+
+
+XYZW_DEGREES = st.one_of(
+    st.fixed_dictionaries(
+        {
+            "x": st.integers(0, 3),
+            "y": st.integers(0, 3),
+            "z": st.integers(0, 2),
+            "w": st.integers(0, 1),
+        }
+    ),
+    st.integers(0, 3).flatmap(
+        lambda e: st.fixed_dictionaries(
+            {"x": st.just(e), "y": st.just(e), "z": st.integers(0, 2), "w": st.integers(0, 1)}
+        )
+    ),
+)
+NEAR_HALF = 2**15  # a slot exponent at which doubling `_top` passes LIMIT
+
+
+class TestContracted:
+    """`_contracted` against omega then substituted, and against n single
+    steps of the tuple oracle followed by the tuple merge."""
+
+    @staticmethod
+    def stepped(a, p, q, n):
+        for _ in range(n):
+            a = tuple_omega(a, p, q)
+        return a
+
+    def check(self, form, a, p, q, n, to):
+        fused = outcome(lambda: _contracted(form, p, q, n, to))
+        composed = outcome(lambda: omega(form, p, q, n).substituted(p, q, to))
+        if isinstance(composed, str):
+            assert fused == composed
+            return fused
+        assert fused == composed
+        assert (fused.degrees, fused._top) == (composed.degrees, composed._top)
+        expected = tuple_substituted(self.stepped(a, p, q, n), p, q, to)
+        TestPackedMatchesTupleOracle.check(fused, expected)
+        return fused
+
+    @given(
+        case=with_forms(XYZW_DEGREES, 1),
+        pairs=st.sampled_from(list(itertools.permutations("xyzw", 2))),
+        n=st.integers(0, 5),
+        to=st.sampled_from(PAIRS),
+    )
+    # n = 0, and n = 2 above the degree of both pairs, on equal degrees.
+    @example(case=({"x": 1, "y": 1, "z": 1, "w": 0}, {
+        monomial(x1=1, y2=1, z1=1): F(1, 2), monomial(x2=1, y1=1, z2=1): F(-3, 4),
+    }), pairs=("x", "y"), n=0, to="u")
+    @example(case=({"x": 1, "y": 1, "z": 1, "w": 0}, {
+        monomial(x1=1, y2=1, z1=1): F(1, 2), monomial(x2=1, y1=1, z2=1): F(-3, 4),
+    }), pairs=("x", "y"), n=2, to="u")
+    # Every k = 0..2 of the binomial sum, with z active and w inactive.
+    @example(case=({"x": 2, "y": 2, "z": 1, "w": 0}, {
+        monomial(x1=2, y2=2, z1=1): F(2, 3),
+        monomial(x1=1, x2=1, y1=1, y2=1, z2=1): F(-5, 7),
+        monomial(x2=2, y1=2, z1=1): F(1, 9),
+    }), pairs=("x", "y"), n=2, to="w")
+    # The target is active, or one of the merged pairs.
+    @example(case=({"x": 1, "y": 1, "z": 1, "w": 0}, {monomial(x1=1, y1=1, z1=1): F(1, 3)}),
+             pairs=("x", "y"), n=1, to="z")
+    @example(case=({"x": 1, "y": 1, "z": 0, "w": 0}, {monomial(x1=1, y1=1): F(1, 3)}),
+             pairs=("x", "y"), n=1, to="y")
+    @settings(max_examples=200, deadline=None)
+    def test_matches_omega_then_substituted(self, case, pairs, n, to):
+        degrees, a = case
+        self.check(MultiForm(degrees, a), a, *pairs, n, to)
+
+    def test_rejects_what_omega_rejects(self):
+        form = MultiForm.variable("x", 1) * MultiForm.variable("y", 2)
+        for args in (("x", "x", 1, "u"), ("x", "y", -1, "u"), ("x", "s", 1, "u")):
+            assert outcome(lambda: _contracted(form, *args)) == outcome(
+                lambda: omega(form, *args[:3]).substituted(*args[:2], args[3])
+            )
+
+    @given(
+        s=st.integers(-3, 3),
+        t=st.integers(-3, 3),
+        coeffs=st.dictionaries(
+            st.tuples(st.integers(0, 2), st.integers(0, 2)),
+            small_fractions.filter(bool),
+            min_size=1,
+            max_size=6,
+        ),
+        n=st.integers(0, 3),
+        z=st.integers(0, 1),
+        swap=st.booleans(),
+    )
+    # The merged x1 exponent is LIMIT + 1, or LIMIT exactly.
+    @example(s=1, t=0, coeffs={(0, 0): F(1, 2)}, n=0, z=0, swap=False)
+    @example(s=1, t=0, coeffs={(1, 0): F(1, 3)}, n=0, z=1, swap=False)
+    @example(s=2, t=0, coeffs={(0, 0): F(1, 2), (1, 1): F(-2, 3)}, n=1, z=0, swap=True)
+    @settings(max_examples=150, deadline=None)
+    def test_near_the_packed_limit(self, s, t, coeffs, n, z, swap):
+        # Degrees just under and over half the limit in x and y, so that
+        # merging them reaches LIMIT: refused exactly when a term of
+        # omega's output would merge above it.
+        da, db = NEAR_HALF + s, LIMIT - NEAR_HALF + t
+        a = {
+            monomial(x1=da - k, x2=k, y1=db - l, y2=l, z2=z): c for (k, l), c in coeffs.items()
+        }
+        p, q = ("y", "x") if swap else ("x", "y")
+        fused = self.check(MultiForm({"x": da, "y": db, "z": z}, a), a, p, q, n, "u")
+        sp, sq = slot_index(p, 1), slot_index(q, 1)
+        fits = all(
+            m[sp] + m[sq] <= LIMIT and m[sp + 1] + m[sq + 1] <= LIMIT
+            for m in self.stepped(a, p, q, n)
+        )
+        assert isinstance(fused, MultiForm) == fits

@@ -26,9 +26,15 @@ from pencils import (
 )
 from pencils.forms import _PAIR_INDEX
 
-from helpers import random_multiform, tuple_zeta_image, tuple_zeta_summand
+from helpers import beta_chain_by_omega, random_multiform, tuple_zeta_image, tuple_zeta_summand
 
 F12 = LinearSymbol(1, 2)
+# The two symbols of the benchmark's oracle-chain workload.
+CHAIN_SYMBOLS = (F12, LinearSymbol(2, -3))
+
+
+def chain_pairs(r):
+    return [(i, j) for i in range(1, r + 1) for j in range(1, r + 2 - i)]
 
 
 def om_pow(form, n, p1="x", p2="y"):
@@ -250,6 +256,19 @@ class TestBetaChain:
         with pytest.raises(ValueError):
             beta_chain(MultiForm.constant(1), 5, 3, 1, 1)
 
+    @pytest.mark.parametrize("d", [5, 6, 7, 8])
+    def test_matches_omega_then_substituted(self, d):
+        # The image and the crossed summand of acceptance criterion 8, each
+        # through the fused chain and through omega and substituted in turn.
+        # BinaryForm equality compares the order, `_den` and the numerators.
+        for f in CHAIN_SYMBOLS:
+            for r in range(3, (d + 1) // 2 + 1):
+                forms = (zeta_image(d, r, f), zeta_summand(d, r, "x", "w", "y", "z", f))
+                for i, j in chain_pairs(r):
+                    for form in forms:
+                        expected = beta_chain_by_omega(form, d, r, i, j)
+                        assert beta_chain(form, d, r, i, j) == expected, (d, r, i, j, f)
+
 
 class TestCConstants:
     def test_unconditional_form_matches_direct_form(self):
@@ -293,6 +312,12 @@ class TestVerifyTheta:
                 if i + j > 4:
                     continue
                 assert verify_theta(5, 3, i, j) == theta(5, 3, i, j)
+
+    @pytest.mark.parametrize("d", [9, 10])
+    def test_whole_grid(self, d):
+        for r in range(3, (d + 1) // 2 + 1):
+            for i, j in chain_pairs(r):
+                assert verify_theta(d, r, i, j, F12) == theta(d, r, i, j)
 
     def test_two_symbols_same_ratio(self):
         first = omega_chain(5, 3, 2, 2, LinearSymbol(1, 2)).ratio
