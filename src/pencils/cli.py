@@ -42,8 +42,9 @@ COMBINANTS_MAX_D = 120
 # cost of both commands grows with it, and with distinct denominators every
 # numerator is as long as their lcm.
 COEFF_MAX_BITS = 128
-# `oracle-theta`: the chain's form has (d+1)^4 terms; small r is slowest.
-ORACLE_THETA_MAX_D = 22
+# `oracle-theta`: stages one and two visit up to (d+1)^4 term pairs of the
+# factors of each of four summands; small r is slowest.
+ORACLE_THETA_MAX_D = 30
 # Bits of the numerators and denominators of `oracle-theta --f`: the
 # chain's coefficients grow as the symbol's 4d-th power.
 ORACLE_THETA_MAX_BITS = 4

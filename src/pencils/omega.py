@@ -17,21 +17,33 @@ disjoint pairs, G(a, b) = (ab) f_a^(d-1) f_b^(d-1) and
 H(c, e) = (ce)^(2r-1) f_c^(d-2r+1) f_e^(d-2r+1).  G and H are built once,
 on the pairs x and y, each with at most (d+1)^2 terms, and moved onto the
 pairs a summand needs by shifting their packed 32-bit pair fields; the
-image is one signed accumulation of the six outer products, in which only
-different summands share monomials.  The two terms of omega commute, so
+image is one signed accumulation of the six outer products.  The two terms
+of omega commute, so
 
     omega^n = sum_k (-1)^k C(n,k) (d_p1 d_q2)^(n-k) (d_q1 d_p2)^k,
 
 and `omega(form, p, q, n)` maps each monomial straight to its n+1 images
 with falling factorials of its four exponents in p and q.  The chain
 follows every operator power by merging p and q into one pair t, and the
-k-th image of p1^a1 p2^a2 q1^b1 q2^b2 has p1 and q1 exponents that sum to
-a1+b1-n and p2 and q2 exponents that sum to a2+b2-n, whatever k is.  So
-after the merge all n+1 images land on the one monomial
-t1^(a1+b1-n) t2^(a2+b2-n), and the power and the merge together map each
-monomial to one image whose factor is the sum of the n+1 factors.
-`beta_chain` makes one such pass (`_contracted`) per operator power,
-three in all, and never builds the larger form omega alone would return.
+k-th image of p1^a1 p2^a2 q1^b1 q2^b2 lands on t1^(a1+b1-n) t2^(a2+b2-n)
+whatever k is, so the power and the merge together map each monomial to
+one image weighted by the sum of the n+1 factors (`_contracted`).
+`beta_chain` makes one such pass per operator power, three in all.
+
+`omega_chain`, behind `verify_theta`, never builds the image.  Stage one
+(omega_{xy}^(2i-1), then x,y merged into u) differentiates only in x and
+y, and stage two (omega_{zw}^(2j-1), then z,w merged into v) only in z and
+w, so on a summand G(a, b) * H(c, e) both stages see a pair of terms, one
+of G and one of H, through the exponents of its own two pairs alone.
+`_stages_one_two` therefore runs both stages on the factors: a factor
+holding both pairs of a stage is contracted on its own and the summand is
+the outer product of two small forms, and a factor holding one pair of
+each stage is walked pair of terms by pair of terms, each weighted by the
+stage-one factor of its x and y exponents times the stage-two factor of
+its z and w exponents.  With n = 2i-1 and m = 2j-1 its output over u and
+v has at most (2d-2n+1)(2d-2m+1) terms, against about (d+1)^4 in the
+image.  Stage three is shared with `beta_chain`, and
+`beta_chain(zeta_image(...))` is the reference the tests hold it to.
 """
 from __future__ import annotations
 
@@ -211,6 +223,21 @@ def mu_factor(p: int, q: int, ell: int, m: int) -> Fraction:
     )
 
 
+def _check_weight(d: int, r: int) -> None:
+    if r < 3 or 2 * r > d + 1:
+        raise ValueError(f"weight index r={r} outside 3..floor((d+1)/2) for d={d}")
+
+
+def _check_indices(d: int, r: int, i: int, j: int) -> None:
+    _check_weight(d, r)
+    if not (1 <= i <= r and 1 <= j <= r and i + j <= r + 1):
+        raise ValueError(f"projection indices (i,j)=({i},{j}) out of range for r={r}")
+
+
+# (sign, pairs a, b, c, e) of each summand sign * G(a, b) * H(c, e) of zeta_image.
+_SUMMANDS = ((1, "xyzw"), (-1, "xzyw"), (1, "xwyz"), (-1, "ywxz"), (1, "zwxy"), (-1, "zyxw"))
+
+
 def _factors(d: int, r: int, f: LinearSymbol) -> tuple:
     """G = (xy) f_x^(d-1) f_y^(d-1) and H = (xy)^(2r-1) f_x^(d-2r+1) f_y^(d-2r+1).
 
@@ -274,12 +301,8 @@ def zeta_image(d: int, r: int, f: LinearSymbol = DEFAULT_SYMBOL) -> MultiForm:
     whose chain eigenvalues are the syzygy coefficients.  Alternating in all
     four pairs by construction.
     """
-    if r < 3 or 2 * r > d + 1:
-        raise ValueError(f"weight index r={r} outside 3..floor((d+1)/2) for d={d}")
-    summands = (
-        (1, "xyzw"), (-1, "xzyw"), (1, "xwyz"), (-1, "ywxz"), (1, "zwxy"), (-1, "zyxw"),
-    )
-    return _outer_sum(d, *_factors(d, r, f), summands)
+    _check_weight(d, r)
+    return _outer_sum(d, *_factors(d, r, f), _SUMMANDS)
 
 
 def beta_chain(q_form: MultiForm, d: int, r: int, i: int, j: int) -> BinaryForm:
@@ -290,10 +313,7 @@ def beta_chain(q_form: MultiForm, d: int, r: int, i: int, j: int) -> BinaryForm:
     applies omega_{uv}^(2(r-i-j+1)), merges u,v into t, and scales by the
     matching h factor.  The result is a binary form of order 4(d-r).
     """
-    if r < 3 or 2 * r > d + 1:
-        raise ValueError(f"weight index r={r} outside 3..floor((d+1)/2) for d={d}")
-    if not (1 <= i <= r and 1 <= j <= r and i + j <= r + 1):
-        raise ValueError(f"projection indices (i,j)=({i},{j}) out of range for r={r}")
+    _check_indices(d, r, i, j)
     for pair in ("x", "y", "z", "w"):
         if q_form.degree(pair) != d:
             raise ValueError(
@@ -301,11 +321,131 @@ def beta_chain(q_form: MultiForm, d: int, r: int, i: int, j: int) -> BinaryForm:
             )
     out = _contracted(q_form, "x", "y", 2 * i - 1, "u")
     out = _contracted(out, "z", "w", 2 * j - 1, "v")
-    out = out * (h_factor(d, d, 2 * i - 1) * h_factor(d, d, 2 * j - 1))
+    return _stage_three(out, d, r, i, j)
+
+
+def _stage_three(uv_form: MultiForm, d: int, r: int, i: int, j: int) -> BinaryForm:
+    """Scale a form over u, v by h(d,d;2i-1)*h(d,d;2j-1), apply
+    omega_{uv}^(2(r-i-j+1)), merge u,v into t and scale by the matching h factor."""
+    out = uv_form * (h_factor(d, d, 2 * i - 1) * h_factor(d, d, 2 * j - 1))
     q3 = 2 * (r - i - j + 1)
     out = _contracted(out, "u", "v", q3, "t")
     out = out * h_factor(2 * d - 4 * i + 2, 2 * d - 4 * j + 2, q3)
     return out.as_binary_form("t")
+
+
+def _matrix(form: MultiForm, d: int) -> list:
+    """m[k][l]: the numerator of x1^(d-k) x2^k y1^(d-l) y2^l in a form of degree d in x and y."""
+    m = [[0] * (d + 1) for _ in range(d + 1)]
+    sx, sy = _shift("x", 2), _shift("y", 2)
+    for mono, c in form._terms.items():
+        m[(mono >> sx) & _MAX_EXPONENT][(mono >> sy) & _MAX_EXPONENT] = c
+    return m
+
+
+def _transposed(m: list) -> list:
+    return [list(column) for column in zip(*m)]
+
+
+def _weights(d: int, n: int) -> list:
+    """w[k][l]: the factor `_contracted(form, p, q, n, t)` gives p1^(d-k) p2^k q1^(d-l) q2^l."""
+    width = 2 * _WIDTH
+    return [
+        [
+            sum(
+                factor
+                for _, factor in _power_terms(
+                    (d - k) + (k << _WIDTH) + ((d - l) << width) + (l << (width + _WIDTH)), n
+                )
+            )
+            for l in range(d + 1)
+        ]
+        for k in range(d + 1)
+    ]
+
+
+def _pair_contracted(m: list, w: list, n: int) -> list:
+    """v[s]: the numerator of t1^(2d-2n-s) t2^s in `_contracted` of the form m of `_matrix`."""
+    d = len(m) - 1
+    v = [0] * (2 * (d - n) + 1)
+    for k, (row, w_row) in enumerate(zip(m, w)):
+        for l, (c, weight) in enumerate(zip(row, w_row)):
+            if c and weight:
+                v[k + l - n] += c * weight
+    return v
+
+
+def _stages_one_two(d: int, r: int, i: int, j: int, f: LinearSymbol, summands) -> MultiForm:
+    """Stages one and two of `beta_chain` on sum of sign * G(a, b) * H(c, e).
+
+    Equal to the two `_contracted` calls of `beta_chain` on
+    `_outer_sum(d, G, H, summands)`, a form over u and v, but no product of
+    G and H is built (see the module docstring).  The pairs a, b, c, e of a
+    summand are x, y, z, w in some order.
+    """
+    n, m = 2 * i - 1, 2 * j - 1
+    g, h = _factors(d, r, f)
+    g_mat, h_mat = _matrix(g, d), _matrix(h, d)
+    w1 = _weights(d, n)
+    w2 = w1 if m == n else _weights(d, m)
+    stage = {"x": (w1, n), "y": (w1, n), "z": (w2, m), "w": (w2, m)}
+    out = [[0] * (2 * (d - m) + 1) for _ in range(2 * (d - n) + 1)]
+    # Per orientation of H's matrix and of the stage-two table,
+    # h_weighted[l1][k2]: row l1 of H weighted for G's stage-two exponent
+    # k2, as (column of `out`, numerator); a nonzero weight keeps k2 + l2 >= m.
+    h_weighted: dict = {}
+    for sign, (a, b, c, e) in summands:
+        if {a, b} in ({"x", "y"}, {"z", "w"}):
+            # Each factor holds both pairs of one stage; its matrix is read
+            # with the operator's first pair (x or z) as row index.
+            g_side = _pair_contracted(g_mat if a in "xz" else _transposed(g_mat), *stage[a])
+            h_side = _pair_contracted(h_mat if c in "xz" else _transposed(h_mat), *stage[c])
+            u_side, v_side = (g_side, h_side) if a in "xy" else (h_side, g_side)
+            for row, cu in zip(out, u_side):
+                if cu:
+                    cu *= sign
+                    for col, cv in enumerate(v_side):
+                        row[col] += cu * cv
+            continue
+        # Each factor holds one pair of each stage; its matrix is read with
+        # its stage-one exponent as row index, and each weight table with
+        # G's exponent as row index.
+        g_one, g_two = (a, b) if a in "xy" else (b, a)
+        g_rows = g_mat if g_one == a else _transposed(g_mat)
+        s1 = w1 if g_one == "x" else _transposed(w1)
+        key = (c in "xy", g_two == "z")
+        if key not in h_weighted:
+            h_rows = h_mat if key[0] else _transposed(h_mat)
+            s2 = w2 if key[1] else _transposed(w2)
+            h_weighted[key] = [
+                [
+                    [(k2 + l2 - m, hv * weight)
+                     for l2, (hv, weight) in enumerate(zip(h_row, s2_row)) if hv and weight]
+                    for k2, s2_row in enumerate(s2)
+                ]
+                for h_row in h_rows
+            ]
+        weighted_rows = h_weighted[key]
+        for k1, (g_row, s1_row) in enumerate(zip(g_rows, s1)):
+            g_terms = [(k2, gv) for k2, gv in enumerate(g_row) if gv]
+            for l1, weight in enumerate(s1_row):
+                if weight:
+                    row, h_row = out[k1 + l1 - n], weighted_rows[l1]
+                    weight *= sign
+                    for k2, gv in g_terms:
+                        cg = weight * gv
+                        for col, hv in h_row[k2]:
+                            row[col] += cg * hv
+    du, dv = 2 * (d - n), 2 * (d - m)
+    su1, su2, sv1, sv2 = _shift("u", 1), _shift("u", 2), _shift("v", 1), _shift("v", 2)
+    terms = {
+        ((du - s) << su1) + (s << su2) + ((dv - t) << sv1) + (t << sv2): c
+        for s, row in enumerate(out)
+        for t, c in enumerate(row)
+        if c
+    }
+    degrees = {pair: deg for pair, deg in (("u", du), ("v", dv)) if deg}
+    return MultiForm._raw(degrees, terms, g._den * h._den, 2 * d)
 
 
 class CConstants(namedtuple("CConstants", "c1 c1p c2 c2p c3 c3p c3pp")):
@@ -322,8 +462,7 @@ class CConstants(namedtuple("CConstants", "c1 c1p c2 c2p c3 c3p c3pp")):
 
 def c_constants(d: int, r: int, i: int, j: int) -> CConstants:
     """Closed-form contraction constants for one summand's two-stage collapse."""
-    if r < 3 or 2 * r > d + 1:
-        raise ValueError(f"weight index r={r} outside 3..floor((d+1)/2) for d={d}")
+    _check_weight(d, r)
     if not (1 <= i <= r and 1 <= j <= r and i + j <= r + 1):
         raise ValueError(f"indices (i,j)=({i},{j}) out of range for r={r}")
     c1 = Fraction(
@@ -407,8 +546,13 @@ def _proportionality(output: BinaryForm, reference: BinaryForm) -> Fraction:
 def omega_chain(
     d: int, r: int, i: int, j: int, f: LinearSymbol = DEFAULT_SYMBOL
 ) -> OmegaChainResult:
-    """Run the full chain on the constructed alternating form and read the ratio."""
-    output = beta_chain(zeta_image(d, r, f), d, r, i, j)
+    """Run the full chain on the constructed alternating form and read the ratio.
+
+    The output equals `beta_chain(zeta_image(d, r, f), d, r, i, j)`; stages
+    one and two run on the factors of each summand (`_stages_one_two`).
+    """
+    _check_indices(d, r, i, j)
+    output = _stage_three(_stages_one_two(d, r, i, j, f, _SUMMANDS), d, r, i, j)
     reference = BinaryForm.of_linear_power(f, 4 * (d - r))
     ratio = _proportionality(output, reference)
     return OmegaChainResult(d, r, i, j, f, output, ratio)

@@ -228,9 +228,15 @@ class TestOracleTheta:
 
 
     def test_largest_accepted_order(self, capsys):
-        # (r, i, j) = (3, 1, 3) is among the slowest cases at the cap.
+        # Both caps together: (r, i, j) = (3, 1, 3) is among the slowest
+        # cases at the order cap, and a symbol at the bit cap makes the
+        # longest coefficients.
         cap = str(cli.ORACLE_THETA_MAX_D)
-        code, out, _ = run(capsys, "oracle-theta", "--d", cap, "--r", "3", "--i", "1", "--j", "3")
+        b = cli.ORACLE_THETA_MAX_BITS
+        symbol = f"{2**b - 1}/{2**b - 3},{2**b - 5}/{2**b - 7}"
+        code, out, _ = run(
+            capsys, "oracle-theta", "--d", cap, "--r", "3", "--i", "1", "--j", "3", "--f", symbol
+        )
         assert code == 0
         th = theta(cli.ORACLE_THETA_MAX_D, 3, 1, 3)
         assert out.splitlines() == [f"oracle ratio:  {th}", f"formula theta: {th}", "MATCH"]

@@ -1,6 +1,7 @@
 """Differential-operator machinery: operator lemmas, the constructed
 alternating form, the projection chain, and the coefficient oracle."""
 import random
+import re
 from fractions import Fraction
 from math import factorial
 
@@ -25,12 +26,17 @@ from pencils import (
     zeta_summand,
 )
 from pencils.forms import _PAIR_INDEX
+from pencils.omega import _contracted, _stages_one_two
 
 from helpers import beta_chain_by_omega, random_multiform, tuple_zeta_image, tuple_zeta_summand
 
 F12 = LinearSymbol(1, 2)
 # The two symbols of the benchmark's oracle-chain workload.
 CHAIN_SYMBOLS = (F12, LinearSymbol(2, -3))
+# Those two, a symbol of 4-bit numerators and denominators (the bit cap of
+# `pencils oracle-theta --f`) and one whose powers have a single term.
+FUSED_SYMBOLS = CHAIN_SYMBOLS + (LinearSymbol.parse("15/13,11/9"), LinearSymbol(0, 1))
+ZETA_SUMMANDS = ("xyzw", "xzyw", "xwyz", "ywxz", "zwxy", "zyxw")
 
 
 def chain_pairs(r):
@@ -270,6 +276,45 @@ class TestBetaChain:
                         assert beta_chain(form, d, r, i, j) == expected, (d, r, i, j, f)
 
 
+class TestFusedStages:
+    """Stages one and two on the factors of each summand, against the same
+    stages applied by `_contracted` to the built product."""
+
+    @pytest.mark.parametrize("pairs", ZETA_SUMMANDS)
+    @pytest.mark.parametrize("d", [5, 6, 7])
+    def test_summand_matches_contracted_product(self, pairs, d):
+        for f in FUSED_SYMBOLS:
+            for r in range(3, (d + 1) // 2 + 1):
+                summand = zeta_summand(d, r, *pairs, f)
+                for i, j in chain_pairs(r):
+                    expected = _contracted(summand, "x", "y", 2 * i - 1, "u")
+                    expected = _contracted(expected, "z", "w", 2 * j - 1, "v")
+                    fused = _stages_one_two(d, r, i, j, f, [(1, pairs)])
+                    assert fused == expected, (pairs, d, r, i, j, f)
+                    assert fused.degrees == expected.degrees
+
+    @pytest.mark.parametrize("d", [5, 6, 7, 8, 9, 10])
+    def test_chain_matches_beta_chain_on_image(self, d):
+        for f in FUSED_SYMBOLS:
+            for r in range(3, (d + 1) // 2 + 1):
+                image = zeta_image(d, r, f)
+                for i, j in chain_pairs(r):
+                    expected = beta_chain(image, d, r, i, j)
+                    assert omega_chain(d, r, i, j, f).output == expected, (d, r, i, j, f)
+
+    @pytest.mark.parametrize("check", [omega_chain, verify_theta])
+    def test_weight_out_of_range_message(self, check):
+        message = "weight index r=4 outside 3..floor((d+1)/2) for d=6"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            check(6, 4, 1, 1)
+
+    @pytest.mark.parametrize("check", [omega_chain, verify_theta])
+    def test_indices_out_of_range_message(self, check):
+        message = "projection indices (i,j)=(2,3) out of range for r=3"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            check(6, 3, 2, 3)
+
+
 class TestCConstants:
     def test_unconditional_form_matches_direct_form(self):
         for d in (5, 6, 7, 9):
@@ -313,7 +358,7 @@ class TestVerifyTheta:
                     continue
                 assert verify_theta(5, 3, i, j) == theta(5, 3, i, j)
 
-    @pytest.mark.parametrize("d", [9, 10])
+    @pytest.mark.parametrize("d", [9, 10, 11, 12])
     def test_whole_grid(self, d):
         for r in range(3, (d + 1) // 2 + 1):
             for i, j in chain_pairs(r):
