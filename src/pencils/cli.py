@@ -43,7 +43,7 @@ COMBINANTS_MAX_D = 120
 # numerator is as long as their lcm.
 COEFF_MAX_BITS = 128
 # `oracle-theta`: stages one and two visit up to (d+1)^4 term pairs of the
-# factors of each of four summands; small r is slowest.
+# factors of one split summand; small r is slowest.
 ORACLE_THETA_MAX_D = 30
 # Bits of the numerators and denominators of `oracle-theta --f`: the
 # chain's coefficients grow as the symbol's 4d-th power.
@@ -78,12 +78,11 @@ def _bits(values) -> int:
 
 
 def _add_format_flags(parser):
-    parser.add_argument("--format", choices=("text", "json"), default="text")
-    parser.add_argument("--json", action="store_true", help="shorthand for --format json")
+    parser.add_argument("--json", action="store_true", help="structured JSON output")
 
 
 def _fmt(args) -> str:
-    return "json" if getattr(args, "json", False) or args.format == "json" else "text"
+    return "json" if args.json else "text"
 
 
 def _add_form_inputs(parser):

@@ -35,15 +35,21 @@ one image weighted by the sum of the n+1 factors (`_contracted`).
 y, and stage two (omega_{zw}^(2j-1), then z,w merged into v) only in z and
 w, so on a summand G(a, b) * H(c, e) both stages see a pair of terms, one
 of G and one of H, through the exponents of its own two pairs alone.
-`_stages_one_two` therefore runs both stages on the factors: a factor
-holding both pairs of a stage is contracted on its own and the summand is
-the outer product of two small forms, and a factor holding one pair of
-each stage is walked pair of terms by pair of terms, each weighted by the
+`_stages_one_two` therefore runs both stages on the factors, in three
+parts.  In G(x, y) * H(z, w) and G(z, w) * H(x, y) each factor holds both
+pairs of one stage, is contracted on its own, and the summand is the outer
+product of two small forms.  The other four summands each hold one pair of
+each stage in each factor, and after the two stages they are one form over
+u and v: G and H are odd in their two pairs, and so are omega_{xy}^(2i-1)
+and omega_{zw}^(2j-1), while the merges are symmetric, so relabelling x,y
+or z,w carries each of them, times its sign, onto -G(x, z) * H(y, w).
+That one is walked pair of terms by pair of terms, each weighted by the
 stage-one factor of its x and y exponents times the stage-two factor of
-its z and w exponents.  With n = 2i-1 and m = 2j-1 its output over u and
-v has at most (2d-2n+1)(2d-2m+1) terms, against about (d+1)^4 in the
-image.  Stage three is shared with `beta_chain`, and
-`beta_chain(zeta_image(...))` is the reference the tests hold it to.
+its z and w exponents, and counted four times.  With n = 2i-1 and
+m = 2j-1 the output over u and v has at most (2d-2n+1)(2d-2m+1) terms,
+against about (d+1)^4 in the image.  Stage three is shared with
+`beta_chain`, and `beta_chain(zeta_image(...))` is the reference the
+tests hold it to.
 """
 from __future__ import annotations
 
@@ -343,10 +349,6 @@ def _matrix(form: MultiForm, d: int) -> list:
     return m
 
 
-def _transposed(m: list) -> list:
-    return [list(column) for column in zip(*m)]
-
-
 def _weights(d: int, n: int) -> list:
     """w[k][l]: the factor `_contracted(form, p, q, n, t)` gives p1^(d-k) p2^k q1^(d-l) q2^l."""
     width = 2 * _WIDTH
@@ -375,67 +377,50 @@ def _pair_contracted(m: list, w: list, n: int) -> list:
     return v
 
 
-def _stages_one_two(d: int, r: int, i: int, j: int, f: LinearSymbol, summands) -> MultiForm:
-    """Stages one and two of `beta_chain` on sum of sign * G(a, b) * H(c, e).
+def _stages_one_two(d: int, r: int, i: int, j: int, f: LinearSymbol) -> MultiForm:
+    """Stages one and two of `beta_chain` on `zeta_image(d, r, f)`, a form over u and v.
 
-    Equal to the two `_contracted` calls of `beta_chain` on
-    `_outer_sum(d, G, H, summands)`, a form over u and v, but no product of
-    G and H is built (see the module docstring).  The pairs a, b, c, e of a
-    summand are x, y, z, w in some order.
+    Equal to the two `_contracted` calls of `beta_chain` on the image, but
+    no product of G and H is built (see the module docstring).
     """
     n, m = 2 * i - 1, 2 * j - 1
     g, h = _factors(d, r, f)
     g_mat, h_mat = _matrix(g, d), _matrix(h, d)
     w1 = _weights(d, n)
     w2 = w1 if m == n else _weights(d, m)
-    stage = {"x": (w1, n), "y": (w1, n), "z": (w2, m), "w": (w2, m)}
     out = [[0] * (2 * (d - m) + 1) for _ in range(2 * (d - n) + 1)]
-    # Per orientation of H's matrix and of the stage-two table,
-    # h_weighted[l1][k2]: row l1 of H weighted for G's stage-two exponent
-    # k2, as (column of `out`, numerator); a nonzero weight keeps k2 + l2 >= m.
-    h_weighted: dict = {}
-    for sign, (a, b, c, e) in summands:
-        if {a, b} in ({"x", "y"}, {"z", "w"}):
-            # Each factor holds both pairs of one stage; its matrix is read
-            # with the operator's first pair (x or z) as row index.
-            g_side = _pair_contracted(g_mat if a in "xz" else _transposed(g_mat), *stage[a])
-            h_side = _pair_contracted(h_mat if c in "xz" else _transposed(h_mat), *stage[c])
-            u_side, v_side = (g_side, h_side) if a in "xy" else (h_side, g_side)
-            for row, cu in zip(out, u_side):
-                if cu:
-                    cu *= sign
-                    for col, cv in enumerate(v_side):
-                        row[col] += cu * cv
-            continue
-        # Each factor holds one pair of each stage; its matrix is read with
-        # its stage-one exponent as row index, and each weight table with
-        # G's exponent as row index.
-        g_one, g_two = (a, b) if a in "xy" else (b, a)
-        g_rows = g_mat if g_one == a else _transposed(g_mat)
-        s1 = w1 if g_one == "x" else _transposed(w1)
-        key = (c in "xy", g_two == "z")
-        if key not in h_weighted:
-            h_rows = h_mat if key[0] else _transposed(h_mat)
-            s2 = w2 if key[1] else _transposed(w2)
-            h_weighted[key] = [
-                [
-                    [(k2 + l2 - m, hv * weight)
-                     for l2, (hv, weight) in enumerate(zip(h_row, s2_row)) if hv and weight]
-                    for k2, s2_row in enumerate(s2)
-                ]
-                for h_row in h_rows
-            ]
-        weighted_rows = h_weighted[key]
-        for k1, (g_row, s1_row) in enumerate(zip(g_rows, s1)):
-            g_terms = [(k2, gv) for k2, gv in enumerate(g_row) if gv]
-            for l1, weight in enumerate(s1_row):
-                if weight:
-                    row, h_row = out[k1 + l1 - n], weighted_rows[l1]
-                    weight *= sign
-                    for k2, gv in g_terms:
-                        cg = weight * gv
-                        for col, hv in h_row[k2]:
-                            row[col] += cg * hv
+    # G(x, y) * H(z, w) and G(z, w) * H(x, y): each factor holds both pairs
+    # of one stage and is contracted on its own.
+    for u_side, v_side in (
+        (_pair_contracted(g_mat, w1, n), _pair_contracted(h_mat, w2, m)),
+        (_pair_contracted(h_mat, w1, n), _pair_contracted(g_mat, w2, m)),
+    ):
+        for row, cu in zip(out, u_side):
+            if cu:
+                for col, cv in enumerate(v_side):
+                    row[col] += cu * cv
+    # The four split summands, each -G(x, z) * H(y, w).  G's rows and
+    # columns are its x and z exponents and H's its y and w exponents, so
+    # both weight tables are read as stored.  h_weighted[l1][k2]: row l1 of
+    # H weighted for G's z exponent k2, as (column of `out`, numerator); a
+    # nonzero weight keeps k2 + l2 >= m.
+    h_weighted = [
+        [
+            [(k2 + l2 - m, hv * weight)
+             for l2, (hv, weight) in enumerate(zip(h_row, w2_row)) if hv and weight]
+            for k2, w2_row in enumerate(w2)
+        ]
+        for h_row in h_mat
+    ]
+    for k1, (g_row, w1_row) in enumerate(zip(g_mat, w1)):
+        g_terms = [(k2, -4 * gv) for k2, gv in enumerate(g_row) if gv]
+        for l1, weight in enumerate(w1_row):
+            if weight:
+                row, h_row = out[k1 + l1 - n], h_weighted[l1]
+                for k2, gv in g_terms:
+                    cg = weight * gv
+                    for col, hv in h_row[k2]:
+                        row[col] += cg * hv
     du, dv = 2 * (d - n), 2 * (d - m)
     su1, su2, sv1, sv2 = _shift("u", 1), _shift("u", 2), _shift("v", 1), _shift("v", 2)
     terms = {
@@ -462,9 +447,7 @@ class CConstants(namedtuple("CConstants", "c1 c1p c2 c2p c3 c3p c3pp")):
 
 def c_constants(d: int, r: int, i: int, j: int) -> CConstants:
     """Closed-form contraction constants for one summand's two-stage collapse."""
-    _check_weight(d, r)
-    if not (1 <= i <= r and 1 <= j <= r and i + j <= r + 1):
-        raise ValueError(f"indices (i,j)=({i},{j}) out of range for r={r}")
+    _check_indices(d, r, i, j)
     c1 = Fraction(
         (2 * i - 1)
         * (d - 2 * r + 1)
@@ -549,10 +532,10 @@ def omega_chain(
     """Run the full chain on the constructed alternating form and read the ratio.
 
     The output equals `beta_chain(zeta_image(d, r, f), d, r, i, j)`; stages
-    one and two run on the factors of each summand (`_stages_one_two`).
+    one and two run on the factors G and H (`_stages_one_two`).
     """
     _check_indices(d, r, i, j)
-    output = _stage_three(_stages_one_two(d, r, i, j, f, _SUMMANDS), d, r, i, j)
+    output = _stage_three(_stages_one_two(d, r, i, j, f), d, r, i, j)
     reference = BinaryForm.of_linear_power(f, 4 * (d - r))
     ratio = _proportionality(output, reference)
     return OmegaChainResult(d, r, i, j, f, output, ratio)

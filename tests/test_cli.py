@@ -496,6 +496,13 @@ class TestDispatchContract:
             main(["no-such-command"])
         assert info.value.code == 2
 
+    def test_format_option_is_gone(self, capsys):
+        # `--json` is the one switch for structured output.
+        with pytest.raises(SystemExit) as info:
+            main(["syzygy-table", "--d", "7", "--r", "3", "--format", "json"])
+        assert info.value.code == 2
+        assert capsys.readouterr().out == ""
+
     def test_missing_required_argument_exits_2(self, capsys):
         with pytest.raises(SystemExit) as info:
             main(["syzygy-table", "--d", "7"])

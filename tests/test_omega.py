@@ -26,7 +26,7 @@ from pencils import (
     zeta_summand,
 )
 from pencils.forms import _PAIR_INDEX
-from pencils.omega import _contracted, _stages_one_two
+from pencils.omega import _SUMMANDS, _contracted, _stages_one_two
 
 from helpers import beta_chain_by_omega, random_multiform, tuple_zeta_image, tuple_zeta_summand
 
@@ -36,11 +36,19 @@ CHAIN_SYMBOLS = (F12, LinearSymbol(2, -3))
 # Those two, a symbol of 4-bit numerators and denominators (the bit cap of
 # `pencils oracle-theta --f`) and one whose powers have a single term.
 FUSED_SYMBOLS = CHAIN_SYMBOLS + (LinearSymbol.parse("15/13,11/9"), LinearSymbol(0, 1))
-ZETA_SUMMANDS = ("xyzw", "xzyw", "xwyz", "ywxz", "zwxy", "zyxw")
+# (sign, pairs) of the summands of `zeta_image` whose factors each hold one
+# pair of stage one (x, y) and one of stage two (z, w).
+SPLIT_SUMMANDS = [(sign, pairs) for sign, pairs in _SUMMANDS if pairs not in ("xyzw", "zwxy")]
 
 
 def chain_pairs(r):
     return [(i, j) for i in range(1, r + 1) for j in range(1, r + 2 - i)]
+
+
+def contracted_stages(form, i, j):
+    """Stages one and two of `beta_chain`, as it runs them on a built form."""
+    out = _contracted(form, "x", "y", 2 * i - 1, "u")
+    return _contracted(out, "z", "w", 2 * j - 1, "v")
 
 
 def om_pow(form, n, p1="x", p2="y"):
@@ -277,20 +285,32 @@ class TestBetaChain:
 
 
 class TestFusedStages:
-    """Stages one and two on the factors of each summand, against the same
-    stages applied by `_contracted` to the built product."""
+    """Stages one and two on the factors G and H, against the same stages
+    applied by `_contracted` to the built summands and image."""
 
-    @pytest.mark.parametrize("pairs", ZETA_SUMMANDS)
     @pytest.mark.parametrize("d", [5, 6, 7])
-    def test_summand_matches_contracted_product(self, pairs, d):
+    def test_split_summands_give_one_form(self, d):
+        # The alternation that lets `_stages_one_two` walk one split summand
+        # for all four, pinned on the reference path alone.
+        assert len(SPLIT_SUMMANDS) == 4
         for f in FUSED_SYMBOLS:
             for r in range(3, (d + 1) // 2 + 1):
-                summand = zeta_summand(d, r, *pairs, f)
+                summands = [
+                    (sign, zeta_summand(d, r, *pairs, f)) for sign, pairs in SPLIT_SUMMANDS
+                ]
                 for i, j in chain_pairs(r):
-                    expected = _contracted(summand, "x", "y", 2 * i - 1, "u")
-                    expected = _contracted(expected, "z", "w", 2 * j - 1, "v")
-                    fused = _stages_one_two(d, r, i, j, f, [(1, pairs)])
-                    assert fused == expected, (pairs, d, r, i, j, f)
+                    staged = [sign * contracted_stages(form, i, j) for sign, form in summands]
+                    assert all(form == staged[0] for form in staged[1:]), (d, r, i, j, f)
+
+    @pytest.mark.parametrize("d", [5, 6, 7, 8])
+    def test_matches_contracted_image(self, d):
+        for f in FUSED_SYMBOLS:
+            for r in range(3, (d + 1) // 2 + 1):
+                image = zeta_image(d, r, f)
+                for i, j in chain_pairs(r):
+                    expected = contracted_stages(image, i, j)
+                    fused = _stages_one_two(d, r, i, j, f)
+                    assert fused == expected, (d, r, i, j, f)
                     assert fused.degrees == expected.degrees
 
     @pytest.mark.parametrize("d", [5, 6, 7, 8, 9, 10])
@@ -332,6 +352,11 @@ class TestCConstants:
                             assert c.c3 == direct
                         else:
                             assert c.c3 == 0
+
+    def test_indices_out_of_range_message(self):
+        message = "projection indices (i,j)=(2,3) out of range for r=3"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            c_constants(6, 3, 2, 3)
 
     def test_boundary_vanishing(self):
         # i = r = (d+1)/2 makes the d-2i+1 factor vanish.
