@@ -26,7 +26,7 @@ from pencils import (
     zeta_summand,
 )
 from pencils.forms import _PAIR_INDEX
-from pencils.omega import _SUMMANDS, _contracted, _stages_one_two
+from pencils.omega import _SUMMANDS, _contracted, _factors, _stages_one_two
 
 from helpers import beta_chain_by_omega, random_multiform, tuple_zeta_image, tuple_zeta_summand
 
@@ -36,6 +36,7 @@ CHAIN_SYMBOLS = (F12, LinearSymbol(2, -3))
 # Those two, a symbol of 4-bit numerators and denominators (the bit cap of
 # `pencils oracle-theta --f`) and one whose powers have a single term.
 FUSED_SYMBOLS = CHAIN_SYMBOLS + (LinearSymbol.parse("15/13,11/9"), LinearSymbol(0, 1))
+ZETA_SUMMANDS = ("xyzw", "xzyw", "xwyz", "ywxz", "zwxy", "zyxw")
 # (sign, pairs) of the summands of `zeta_image` whose factors each hold one
 # pair of stage one (x, y) and one of stage two (z, w).
 SPLIT_SUMMANDS = [(sign, pairs) for sign, pairs in _SUMMANDS if pairs not in ("xyzw", "zwxy")]
@@ -287,6 +288,33 @@ class TestBetaChain:
 class TestFusedStages:
     """Stages one and two on the factors G and H, against the same stages
     applied by `_contracted` to the built summands and image."""
+
+    @pytest.mark.parametrize("pairs", ZETA_SUMMANDS)
+    @pytest.mark.parametrize("d", [5, 6, 7])
+    def test_summand_matches_contracted_product(self, pairs, d):
+        # Each summand's part of `_stages_one_two`.  xyzw and zwxy are the
+        # outer products of G and H, each contracted on its own; each split
+        # summand, times its sign, is a quarter of what the fused stages
+        # hold besides those two.
+        sign = dict((p, s) for s, p in _SUMMANDS)[pairs]
+        for f in FUSED_SYMBOLS:
+            for r in range(3, (d + 1) // 2 + 1):
+                g, h = _factors(d, r, f)
+                summand = zeta_summand(d, r, *pairs, f)
+                for i, j in chain_pairs(r):
+                    n, m = 2 * i - 1, 2 * j - 1
+                    outer = {
+                        "xyzw": _contracted(g, "x", "y", n, "u") * _contracted(h, "x", "y", m, "v"),
+                        "zwxy": _contracted(h, "x", "y", n, "u") * _contracted(g, "x", "y", m, "v"),
+                    }
+                    expected = contracted_stages(summand, i, j)
+                    if pairs in outer:
+                        part = outer[pairs]
+                    else:
+                        rest = _stages_one_two(d, r, i, j, f) - outer["xyzw"] - outer["zwxy"]
+                        part = rest * Fraction(sign, 4)
+                    assert part == expected, (pairs, d, r, i, j, f)
+                    assert part.degrees == expected.degrees
 
     @pytest.mark.parametrize("d", [5, 6, 7])
     def test_split_summands_give_one_form(self, d):
