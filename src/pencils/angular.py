@@ -24,10 +24,10 @@ denominator reduced by one gcd (the Racah sums cancel most of the
 Delta^2 denominators, which keeps large arrays cheap), the terms meet
 over one `math.lcm`, and one `Fraction` is built per 9j value; the
 former `Fraction` x-sum is the test oracle `wigner9j_by_fraction_xsum`.
-The fixed Delta^2 product is a ratio of factorials, so its squarefree
-part needs trial division by the primes up to the largest factorial
-argument only.  The entries are kept doubled (`NineJArray`), with
-`HalfInt` only at the API boundary.
+The root of the fixed Delta^2 product comes from the squarefree split
+that normalizes every `SurdSum` radicand: trial division by 2, 3 and the
+numbers 6k-1 and 6k+1.  The entries are kept doubled (`NineJArray`),
+with `HalfInt` only at the API boundary.
 
 An independent brute-force contraction of six 3j symbols over all magnetic
 numbers is provided as a cross-check oracle.  It lists each row's and
@@ -38,9 +38,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, gcd, isqrt, lcm
+from math import factorial, gcd, lcm
 
 from .forms import to_fraction
+from .syzygy import _check_indices
 
 
 def _squarefree_split(n: int) -> tuple[int, int]:
@@ -56,35 +57,10 @@ def _squarefree_split(n: int) -> tuple[int, int]:
             outer *= f ** (e // 2)
             if e % 2:
                 radicand *= f
-        f += 1 if f == 2 else 2
+        # 2, 3, then only the numbers 6k-1 and 6k+1.
+        f += 1 if f == 2 else 4 if f % 6 == 1 else 2
     if n > 1:
         radicand *= n
-    return outer, radicand
-
-
-@lru_cache(maxsize=None)
-def _primes_below(limit: int) -> tuple[int, ...]:
-    return tuple(p for p in range(2, limit) if all(p % q for q in range(2, isqrt(p) + 1)))
-
-
-def _smooth_squarefree_split(n: int, bound: int) -> tuple[int, int]:
-    """`_squarefree_split(n)` for a positive n with no prime factor above
-    bound, by trial division by the primes up to bound only."""
-    outer, radicand = 1, 1
-    # List the primes up to the next power of two, so that few lists are kept.
-    for p in _primes_below(1 << bound.bit_length()):
-        if p > bound or n == 1:
-            break
-        if n % p:
-            continue
-        e = 0
-        while n % p == 0:
-            n //= p
-            e += 1
-        outer *= p ** (e // 2)
-        if e % 2:
-            radicand *= p
-    assert n == 1, "n has a prime factor above the bound"
     return outer, radicand
 
 
@@ -347,18 +323,14 @@ def _delta_root(triads) -> tuple[int, int, int]:
     triads' Delta^2 equal to outer * sqrt(radicand) / den, radicand
     squarefree.
 
-    With the product num/den, the root is sqrt(num * den) / den.  The
-    product num * den is a product of factorials, the largest of
-    (a+b+c+1)!, so only the primes up to a+b+c+1 can divide it.
+    With the product num/den, the root is sqrt(num * den) / den.
     """
     num = den = 1
-    bound = 1
     for ta, tb, tc in triads:
         n, d = _delta_squared_pair(ta, tb, tc)
         num *= n
         den *= d
-        bound = max(bound, (ta + tb + tc) // 2 + 1)
-    outer, radicand = _smooth_squarefree_split(num * den, bound)
+    outer, radicand = _squarefree_split(num * den)
     return outer, radicand, den
 
 
@@ -631,10 +603,7 @@ def combinant_9j_array(d: int, r: int, i: int, j: int) -> tuple[NineJArray, Nine
     sign exponent is the (always even) entry sum, so both arrays carry the
     same 9j value.
     """
-    if r < 3 or 2 * r > d + 1:
-        raise ValueError(f"weight index r={r} outside 3..floor((d+1)/2) for d={d}")
-    if not (1 <= i <= r and 1 <= j <= r and i + j <= r + 1):
-        raise ValueError(f"indices (i,j)=({i},{j}) out of range for r={r}")
+    _check_indices(d, r, i, j)
     a = (d, d, 2 * (d - 2 * i + 1))
     b = (d, d, 2 * (d - 2 * j + 1))
     c = (2 * (d - 1), 2 * (d - 2 * r + 1), 2 * (2 * d - 2 * r))

@@ -81,10 +81,6 @@ def _add_format_flags(parser):
     parser.add_argument("--json", action="store_true", help="structured JSON output")
 
 
-def _fmt(args) -> str:
-    return "json" if args.json else "text"
-
-
 def _add_form_inputs(parser):
     parser.add_argument("paths", nargs="*", metavar="FILE", help="form files (JSON or expression text)")
     parser.add_argument(
@@ -134,7 +130,7 @@ def _load_forms(args, parser, count, cap):
 
 
 def _print_form(form, args):
-    if _fmt(args) == "json":
+    if args.json:
         print(json.dumps(form_to_dict(form)))
     else:
         print(format_form(form))
@@ -149,7 +145,7 @@ def _cmd_transvect(args, parser):
 def _cmd_combinants(args, parser):
     a, b = _load_forms(args, parser, 2, COMBINANTS_MAX_D)
     seq = combinant_sequence(Pencil(a, b))
-    if _fmt(args) == "json":
+    if args.json:
         print(json.dumps([form_to_dict(c) for c in seq]))
     else:
         for r, c in enumerate(seq, start=1):
@@ -160,7 +156,7 @@ def _cmd_combinants(args, parser):
 def _cmd_syzygy_table(args, parser):
     _check_cap(parser, args, "--d", SYZYGY_TABLE_MAX_D)
     table = syzygy_table(args.d, args.r)
-    if _fmt(args) == "json":
+    if args.json:
         print(json.dumps(table_to_dict(table)))
     else:
         for (i, j), value in table.items():
@@ -239,7 +235,7 @@ def _cmd_oracle_theta(args, parser):
 def _cmd_gamma(args, parser):
     _check_cap(parser, args, "--d", GAMMA_MAX_D)
     cert = positivity_certificate(args.r, args.d)
-    if _fmt(args) == "json":
+    if args.json:
         print(
             json.dumps(
                 {
@@ -282,7 +278,7 @@ def _parse_twice_j(text, parser):
 def _cmd_ninej(args, parser):
     array = _parse_twice_j(args.twice_j, parser)
     value = wigner9j(array)
-    if _fmt(args) == "json":
+    if args.json:
         print(json.dumps({str(rad): str(c) for rad, c in sorted(value.terms.items())}))
     else:
         print(value)

@@ -10,7 +10,7 @@ pushes it through the chain (`beta_chain`) using the second-order operator
 implemented by formal differentiation on sparse MultiForms, and reads off
 the eigenvalue as an exact rational.  Agreement with `syzygy.theta` is a
 genuinely independent check: nothing here shares code with the factorial
-formula.
+formula.  Only the (d, r, i, j) argument checks come from `syzygy`.
 
 Each of the six summands of `zeta_image` is the product of two forms over
 disjoint pairs, G(a, b) = (ab) f_a^(d-1) f_b^(d-1) and
@@ -69,7 +69,7 @@ from .forms import (
     check_pair,
     linear_power,
 )
-from .syzygy import theta
+from .syzygy import _check_indices, _check_weight, theta
 
 DEFAULT_SYMBOL = LinearSymbol(1, 2)
 
@@ -227,17 +227,6 @@ def mu_factor(p: int, q: int, ell: int, m: int) -> Fraction:
         factorial(ell) * factorial(p + q - ell + 2 * m + 1),
         factorial(ell - m) * factorial(p + q - ell + m + 1),
     )
-
-
-def _check_weight(d: int, r: int) -> None:
-    if r < 3 or 2 * r > d + 1:
-        raise ValueError(f"weight index r={r} outside 3..floor((d+1)/2) for d={d}")
-
-
-def _check_indices(d: int, r: int, i: int, j: int) -> None:
-    _check_weight(d, r)
-    if not (1 <= i <= r and 1 <= j <= r and i + j <= r + 1):
-        raise ValueError(f"projection indices (i,j)=({i},{j}) out of range for r={r}")
 
 
 # (sign, pairs a, b, c, e) of each summand sign * G(a, b) * H(c, e) of zeta_image.

@@ -71,6 +71,16 @@ def _exponent(cur: _Cursor) -> int:
     return int(value)
 
 
+def _star(cur: _Cursor) -> None:
+    """Skip a `*`, which must be followed by a variable."""
+    kind, value, _ = cur.peek()
+    if kind == "op" and value == "*":
+        cur.advance()
+        kind, _, pos = cur.peek()
+        if kind != "var":
+            raise ParseError("expected a variable after '*'", pos)
+
+
 def _term(cur: _Cursor, text: str) -> tuple[Fraction, int, int, str]:
     start = cur.peek()[2]
     coef = None
@@ -80,32 +90,17 @@ def _term(cur: _Cursor, text: str) -> tuple[Fraction, int, int, str]:
     if kind == "num":
         cur.advance()
         coef = Fraction(value)
-        kind, value, pos = cur.peek()
-        if kind == "op" and value == "*":
-            cur.advance()
-            kind, value, pos = cur.peek()
-            if kind != "var":
-                raise ParseError("expected a variable after '*'", pos)
+        _star(cur)
     kind, value, pos = cur.peek()
     if kind == "var" and value == "x1":
         cur.advance()
         e1 = _exponent(cur)
-        kind, value, pos = cur.peek()
-        if kind == "op" and value == "*":
-            cur.advance()
-            kind, value, pos = cur.peek()
-            if kind != "var":
-                raise ParseError("expected a variable after '*'", pos)
+        _star(cur)
     kind, value, pos = cur.peek()
     if kind == "var" and value == "x2":
         cur.advance()
         e2 = _exponent(cur)
-        kind, value, pos = cur.peek()
-        if kind == "op" and value == "*":
-            cur.advance()
-            kind, value, pos = cur.peek()
-            if kind != "var":
-                raise ParseError("expected a variable after '*'", pos)
+        _star(cur)
     kind, value, pos = cur.peek()
     if kind == "var":
         message = (

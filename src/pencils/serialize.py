@@ -51,6 +51,12 @@ def table_to_dict(table: SyzygyTable) -> dict:
 def table_from_dict(obj) -> SyzygyTable:
     if not isinstance(obj, dict) or set(obj) != {"d", "r", "alphas"}:
         raise ValueError("expected an object with exactly 'd', 'r' and 'alphas'")
+    for name in ("d", "r"):
+        value = obj[name]
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValueError(f"'{name}' must be an integer, got {value!r}")
+    if not isinstance(obj["alphas"], dict):
+        raise ValueError("'alphas' must be an object")
     entries = {}
     for key, value in obj["alphas"].items():
         i, j = (int(part) for part in key.split(","))

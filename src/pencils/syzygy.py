@@ -5,7 +5,7 @@ vanishing combination
 
     sum over (i, j)  alpha_{i,j} * (C_{2i-1}, C_{2j-1})_{2(r-i-j+1)}  =  0,
 
-quantified over 1 <= i <= j <= r with i + j <= r + 1.  The coefficients come
+quantified over 1 <= i <= j <= r with i+j <= r+1.  The coefficients come
 from the explicit `theta` formula below; since the (1, r) term is
 C_1 * C_{2r-1} up to the positive factor alpha_{1,r}, the identity recovers
 C_{2r-1} from the earlier combinants by one exact division.
@@ -36,17 +36,15 @@ from .forms import BinaryForm, exact_divide
 from .transvectant import _bound, _height, _packs, _product_sum, _slot_bytes, _unpack
 
 
-def _check_dr(d: int, r: int) -> None:
+def _check_weight(d: int, r: int) -> None:
     if r < 3 or 2 * r > d + 1:
         raise ValueError(f"weight index r={r} outside 3..floor((d+1)/2) for d={d}")
 
 
-def _check_theta_args(d: int, r: int, i: int, j: int) -> None:
-    _check_dr(d, r)
-    if not (1 <= i <= r and 1 <= j <= r):
-        raise ValueError(f"indices (i,j)=({i},{j}) outside 1..r for r={r}")
-    if i + j > r + 1:
-        raise ValueError(f"indices (i,j)=({i},{j}) violate i+j <= r+1 for r={r}")
+def _check_indices(d: int, r: int, i: int, j: int) -> None:
+    _check_weight(d, r)
+    if not (1 <= i <= r and 1 <= j <= r and i + j <= r + 1):
+        raise ValueError(f"projection indices (i,j)=({i},{j}) out of range for r={r}")
 
 
 def theta(d: int, r: int, i: int, j: int) -> Fraction:
@@ -61,7 +59,7 @@ def theta(d: int, r: int, i: int, j: int) -> Fraction:
 
     Symmetric in i and j; i > j is allowed.
     """
-    _check_theta_args(d, r, i, j)
+    _check_indices(d, r, i, j)
     assert d - 2 * i + 1 >= 0 and d - 2 * j + 1 >= 0
     assert 2 * r - 2 * i - 2 * j + 2 >= 0
     head = 2 * d * i + 2 * d * j - d * r - 2 * i * i - 2 * j * j - 2 * d + 3 * i + 3 * j - 2
@@ -88,12 +86,7 @@ def theta(d: int, r: int, i: int, j: int) -> Fraction:
 
 def index_pairs(r: int) -> list[tuple[int, int]]:
     """Ordered index set {(i,j): 1 <= i <= j <= r, i+j <= r+1} of a weight-2r table."""
-    pairs = [
-        (i, j)
-        for i in range(1, r + 1)
-        for j in range(i, r + 1)
-        if i + j <= r + 1
-    ]
+    pairs = [(i, j) for i in range(1, r + 1) for j in range(i, r + 2 - i)]
     pairs.sort(key=lambda p: (p[0] + p[1], p[1]))
     return pairs
 
@@ -104,7 +97,7 @@ class SyzygyTable:
     __slots__ = ("d", "r", "entries")
 
     def __init__(self, d: int, r: int, entries: dict):
-        _check_dr(d, r)
+        _check_weight(d, r)
         expected = set(index_pairs(r))
         if set(entries) != expected:
             raise ValueError("entry keys do not match the weight-2r index set")
@@ -131,7 +124,7 @@ class SyzygyTable:
 
 def syzygy_table(d: int, r: int) -> SyzygyTable:
     """alpha_{i,j} = theta_{i,j}, doubled off the diagonal where (i,j) and (j,i) merge."""
-    _check_dr(d, r)
+    _check_weight(d, r)
     entries = {}
     for i, j in index_pairs(r):
         eps = 1 if i == j else 2
@@ -227,8 +220,7 @@ def gamma(r: int, d: int) -> Fraction:
 
     Strictly below 1 on r >= 3, d >= 2r - 1; equals 1 - theta(d, r, 1, r).
     """
-    if r < 3 or d < 2 * r - 1:
-        raise ValueError(f"gamma needs r >= 3 and d >= 2r-1, got r={r}, d={d}")
+    _check_weight(d, r)
     head = 4 * (d * r - 2 * r * r + 3 * r - 1)
     return Fraction(
         head * factorial(d - 1) * factorial(2 * d - 4 * r + 3),
@@ -259,9 +251,10 @@ class PositivityCertificate(
 
 
 def positivity_certificate(r: int, d: int) -> PositivityCertificate:
-    """Build and check the telescoping certificate for gamma(r, d) < 1."""
-    if r < 3 or d < 2 * r - 1:
-        raise ValueError(f"certificate needs r >= 3 and d >= 2r-1, got r={r}, d={d}")
+    """Build and check the telescoping certificate for gamma(r, d) < 1.
+
+    `gamma` refuses (r, d) outside the weight range.
+    """
     g = gamma(r, d)
     boundary = gamma(r, 2 * r - 1)
     n_val = d * (d * r + 4 * r - 2 * r * r - 1) * (2 * d - 4 * r + 5)

@@ -21,7 +21,7 @@ from pencils import (
     wigner6j,
     wigner9j,
 )
-from pencils.angular import _smooth_squarefree_split, _squarefree_split
+from pencils.angular import _squarefree_split
 
 H = HalfInt
 W = HalfInt.whole
@@ -123,12 +123,13 @@ class TestSurdSum:
 
     def test_bounded_split_matches_trial_division(self):
         # Products of factorials, as in the square root of a Delta^2
-        # product, bounded by their largest factorial argument.
+        # product, whose prime factors are at most k.
         for k in range(1, 40):
             for m in range(k + 1):
                 n = math.factorial(k) * math.factorial(m) ** 3
-                assert _smooth_squarefree_split(n, k) == _squarefree_split(n), (k, m)
-                assert _smooth_squarefree_split(n, k + 5) == _squarefree_split(n), (k, m)
+                outer, rad = _squarefree_split(n)
+                assert outer**2 * rad == n, (k, m)
+                assert all(rad % (p * p) for p in range(2, k + 1)), (k, m)
 
 
 class TestHalfInt:

@@ -503,6 +503,23 @@ class TestDispatchContract:
         assert info.value.code == 2
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["gamma", "--r", "2", "--d", "7"],
+             "weight index r=2 outside 3..floor((d+1)/2) for d=7"),
+            (["syzygy-table", "--d", "7", "--r", "5"],
+             "weight index r=5 outside 3..floor((d+1)/2) for d=7"),
+            (["ninej-combinant", "--d", "7", "--r", "3", "--i", "3", "--j", "3"],
+             "projection indices (i,j)=(3,3) out of range for r=3"),
+        ],
+    )
+    def test_range_errors_exit_2_with_one_message(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert message in err
+
     def test_missing_required_argument_exits_2(self, capsys):
         with pytest.raises(SystemExit) as info:
             main(["syzygy-table", "--d", "7"])

@@ -171,3 +171,17 @@ class TestTableJson:
         for d, r in ((7, 3), (7, 4), (9, 5), (11, 4)):
             table = syzygy_table(d, r)
             assert table_from_dict(json.loads(json.dumps(table_to_dict(table)))) == table
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("d", 7.0, "'d' must be an integer"),
+            ("d", "7", "'d' must be an integer"),
+            ("r", True, "'r' must be an integer"),
+            ("alphas", [], "'alphas' must be an object"),
+        ],
+    )
+    def test_malformed_fields_rejected(self, field, value, message):
+        payload = {**table_to_dict(syzygy_table(7, 3)), field: value}
+        with pytest.raises(ValueError, match=message):
+            table_from_dict(payload)

@@ -1,5 +1,6 @@
 """Syzygy engine: closed-form coefficients, vanishing, recovery, positivity."""
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -11,11 +12,16 @@ from pencils import (
     DegeneratePencilError,
     NotDivisibleError,
     Pencil,
+    beta_chain,
+    c_aggregate,
+    c_constants,
+    combinant_9j_array,
     combinant_sequence,
     evaluate_syzygy,
     exact_divide,
     gamma,
     index_pairs,
+    omega_chain,
     positivity_certificate,
     random_pencil,
     recover_combinant,
@@ -23,6 +29,8 @@ from pencils import (
     syzygy_table,
     theta,
     transvectant,
+    verify_theta,
+    zeta_image,
 )
 
 from pencils.syzygy import SyzygyTable, _alphas, _syzygy_sum
@@ -346,3 +354,38 @@ class TestSyzygySpaceDim:
             syzygy_space_dim(3, 1)
         with pytest.raises(ValueError):
             syzygy_space_dim(7, 5)
+
+
+# Every entry point of the (d, r, i, j) range checks, called as (d, r, i, j).
+INDEX_ENTRY_POINTS = {
+    "theta": theta,
+    "c_constants": c_constants,
+    "c_aggregate": c_aggregate,
+    "omega_chain": omega_chain,
+    "verify_theta": verify_theta,
+    "beta_chain": lambda d, r, i, j: beta_chain(zeta_image(5, 3), d, r, i, j),
+    "combinant_9j_array": combinant_9j_array,
+}
+# Every entry point of the (d, r) check alone, called as (d, r).
+WEIGHT_ENTRY_POINTS = {
+    "SyzygyTable": lambda d, r: SyzygyTable(d, r, {}),
+    "syzygy_table": syzygy_table,
+    "gamma": lambda d, r: gamma(r, d),
+    "positivity_certificate": lambda d, r: positivity_certificate(r, d),
+    "zeta_image": zeta_image,
+    **{name: lambda d, r, f=f: f(d, r, 1, 1) for name, f in INDEX_ENTRY_POINTS.items()},
+}
+
+
+class TestRangeChecks:
+    @pytest.mark.parametrize("name", sorted(WEIGHT_ENTRY_POINTS))
+    def test_one_weight_message(self, name):
+        message = "weight index r=4 outside 3..floor((d+1)/2) for d=6"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            WEIGHT_ENTRY_POINTS[name](6, 4)
+
+    @pytest.mark.parametrize("name", sorted(INDEX_ENTRY_POINTS))
+    def test_one_index_message(self, name):
+        message = "projection indices (i,j)=(2,3) out of range for r=3"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            INDEX_ENTRY_POINTS[name](6, 3, 2, 3)
