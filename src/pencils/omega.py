@@ -27,8 +27,12 @@ with falling factorials of its four exponents in p and q.  The chain
 follows every operator power by merging p and q into one pair t, and the
 k-th image of p1^a1 p2^a2 q1^b1 q2^b2 lands on t1^(a1+b1-n) t2^(a2+b2-n)
 whatever k is, so the power and the merge together map each monomial to
-one image weighted by the sum of the n+1 factors (`_contracted`).
-`beta_chain` makes one such pass per operator power, three in all.
+one image weighted by the sum of the n+1 factors (`_contracted`).  That
+sum is one cell of a table kept per (degrees, power) (`_weights`).
+`beta_chain` makes that pass for its first two powers; its third stage
+(`_stage_three`) weights each coefficient of the form over u and v by its
+cell onto a vector of integer numerators over t, and applies the three h
+factors as one fraction.
 
 `omega_chain`, behind `verify_theta`, never builds the image.  Stage one
 (omega_{xy}^(2i-1), then x,y merged into u) differentiates only in x and
@@ -45,19 +49,20 @@ and omega_{zw}^(2j-1), while the merges are symmetric, so relabelling x,y
 or z,w carries each of them, times its sign, onto -G(x, z) * H(y, w).
 That one is walked pair of terms by pair of terms, each weighted by the
 stage-one factor of its x and y exponents times the stage-two factor of
-its z and w exponents, and counted four times.  With n = 2i-1 and
-m = 2j-1 the output over u and v has at most (2d-2n+1)(2d-2m+1) terms,
-against about (d+1)^4 in the image.  Stage three is shared with
-`beta_chain`, and `beta_chain(zeta_image(...))` is the reference the
-tests hold it to.
+its z and w exponents, and counted four times.  Both stages read the
+(d, d) tables of their powers.  With n = 2i-1 and m = 2j-1 the output
+over u and v has at most (2d-2n+1)(2d-2m+1) terms, against about (d+1)^4
+in the image.  Stage three is shared with `beta_chain`, and
+`beta_chain(zeta_image(...))` is the reference the tests hold it to.
 """
 from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, factorial, perm
 
-from .errors import FormulaViolationError
+from .errors import DegreeMismatchError, FormulaViolationError
 from .forms import (
     _MAX_EXPONENT,
     _WIDTH,
@@ -320,13 +325,31 @@ def beta_chain(q_form: MultiForm, d: int, r: int, i: int, j: int) -> BinaryForm:
 
 
 def _stage_three(uv_form: MultiForm, d: int, r: int, i: int, j: int) -> BinaryForm:
-    """Scale a form over u, v by h(d,d;2i-1)*h(d,d;2j-1), apply
-    omega_{uv}^(2(r-i-j+1)), merge u,v into t and scale by the matching h factor."""
-    out = uv_form * (h_factor(d, d, 2 * i - 1) * h_factor(d, d, 2 * j - 1))
+    """Apply omega_{uv}^(2(r-i-j+1)) to a form over u, v, merge u,v into t and
+    scale by h(d,d;2i-1)*h(d,d;2j-1) and the matching h factor.
+
+    The form has degrees du = 2d-4i+2 in u and dv = 2d-4j+2 in v, and
+    u1^(du-s) u2^s v1^(dv-t) v2^t goes to t2^(s+t-q3) weighted by
+    `_weights(du, dv, q3)[s][t]`; a term off those degrees raises.
+    """
     q3 = 2 * (r - i - j + 1)
-    out = _contracted(out, "u", "v", q3, "t")
-    out = out * h_factor(2 * d - 4 * i + 2, 2 * d - 4 * j + 2, q3)
-    return out.as_binary_form("t")
+    du, dv = 2 * (d - 2 * i + 1), 2 * (d - 2 * j + 1)
+    degrees = {pair: deg for pair, deg in (("u", du), ("v", dv)) if deg}
+    if uv_form.degrees != degrees:
+        raise DegreeMismatchError(f"stage three needs degrees {degrees}, got {uv_form.degrees}")
+    w = _weights(du, dv, q3)
+    su1, su2, sv1, sv2 = _shift("u", 1), _shift("u", 2), _shift("v", 1), _shift("v", 2)
+    nums = [0] * (du + dv - 2 * q3 + 1)
+    for mono, c in uv_form._terms.items():
+        s, t = (mono >> su2) & _MAX_EXPONENT, (mono >> sv2) & _MAX_EXPONENT
+        key = ((du - s) << su1) + (s << su2) + ((dv - t) << sv1) + (t << sv2)
+        if s > du or t > dv or mono != key:
+            raise DegreeMismatchError("form is not homogeneous of its declared degree")
+        weight = w[s][t]
+        if weight:
+            nums[s + t - q3] += c * weight
+    h = h_factor(d, d, 2 * i - 1) * h_factor(d, d, 2 * j - 1) * h_factor(du, dv, q3)
+    return BinaryForm._raw([c * h.numerator for c in nums], uv_form._den * h.denominator)
 
 
 def _matrix(form: MultiForm, d: int) -> list:
@@ -338,21 +361,35 @@ def _matrix(form: MultiForm, d: int) -> list:
     return m
 
 
-def _weights(d: int, n: int) -> list:
-    """w[k][l]: the factor `_contracted(form, p, q, n, t)` gives p1^(d-k) p2^k q1^(d-l) q2^l."""
+@lru_cache(maxsize=256)
+def _weights(dp: int, dq: int, n: int) -> tuple:
+    """w[k][l]: the factor `_contracted(form, p, q, n, t)` gives p1^(dp-k) p2^k q1^(dq-l) q2^l.
+
+    A cell is the sum of its monomial's `_power_terms` factors, and 0 unless
+    both merged exponents, k + l - n and dp + dq - k - l - n, are
+    nonnegative.  Swapping p and q negates omega, so w[k][l] is (-1)^n times
+    the (dq, dp) table's [l][k]: that table transposed when dp > dq, and
+    this one mirrored below its diagonal when dp == dq.
+    """
+    sign = -1 if n % 2 else 1
+    if dp > dq:
+        return tuple(tuple(sign * c for c in col) for col in zip(*_weights(dq, dp, n)))
     width = 2 * _WIDTH
-    return [
-        [
+    rows: list = []
+    for k in range(dp + 1):
+        row = [sign * rows[l][k] for l in range(k)] if dp == dq else []
+        row += [
             sum(
                 factor
                 for _, factor in _power_terms(
-                    (d - k) + (k << _WIDTH) + ((d - l) << width) + (l << (width + _WIDTH)), n
+                    (dp - k) + (k << _WIDTH) + ((dq - l) << width) + (l << (width + _WIDTH)), n
                 )
             )
-            for l in range(d + 1)
+            if n <= k + l <= dp + dq - n else 0
+            for l in range(len(row), dq + 1)
         ]
-        for k in range(d + 1)
-    ]
+        rows.append(tuple(row))
+    return tuple(rows)
 
 
 def _pair_contracted(m: list, w: list, n: int) -> list:
@@ -375,8 +412,7 @@ def _stages_one_two(d: int, r: int, i: int, j: int, f: LinearSymbol) -> MultiFor
     n, m = 2 * i - 1, 2 * j - 1
     g, h = _factors(d, r, f)
     g_mat, h_mat = _matrix(g, d), _matrix(h, d)
-    w1 = _weights(d, n)
-    w2 = w1 if m == n else _weights(d, m)
+    w1, w2 = _weights(d, d, n), _weights(d, d, m)
     out = [[0] * (2 * (d - m) + 1) for _ in range(2 * (d - n) + 1)]
     # G(x, y) * H(z, w) and G(z, w) * H(x, y): each factor holds both pairs
     # of one stage and is contracted on its own.

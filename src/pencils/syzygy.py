@@ -36,13 +36,21 @@ from .forms import BinaryForm, exact_divide
 from .transvectant import _bound, _height, _packs, _product_sum, _slot_bytes, _unpack
 
 
+def _check_ints(**values) -> None:
+    for name, value in values.items():
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise TypeError(f"{name} must be an int, got {value!r}")
+
+
 def _check_weight(d: int, r: int) -> None:
+    _check_ints(d=d, r=r)
     if r < 3 or 2 * r > d + 1:
         raise ValueError(f"weight index r={r} outside 3..floor((d+1)/2) for d={d}")
 
 
 def _check_indices(d: int, r: int, i: int, j: int) -> None:
     _check_weight(d, r)
+    _check_ints(i=i, j=j)
     if not (1 <= i <= r and 1 <= j <= r and i + j <= r + 1):
         raise ValueError(f"projection indices (i,j)=({i},{j}) out of range for r={r}")
 

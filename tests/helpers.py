@@ -11,7 +11,7 @@ from math import factorial
 from pencils.angular import NineJArray, SurdSum, _delta_squared, _triangle_ok
 from pencils.errors import DegreeMismatchError, NotDivisibleError
 from pencils.forms import BinaryForm, MultiForm, ZERO_MONOMIAL, slot_index
-from pencils.omega import h_factor, omega
+from pencils.omega import _contracted, h_factor, omega
 from pencils.syzygy import syzygy_table
 from pencils.transvectant import _transvectant, transvectant
 
@@ -451,6 +451,17 @@ def beta_chain_by_omega(q_form: MultiForm, d: int, r: int, i: int, j: int) -> Bi
     q3 = 2 * (r - i - j + 1)
     out = omega(out, "u", "v", q3)
     out = out.substituted("u", "v", "t")
+    out = out * h_factor(2 * d - 4 * i + 2, 2 * d - 4 * j + 2, q3)
+    return out.as_binary_form("t")
+
+
+def stage_three_by_contracted(uv_form: MultiForm, d: int, r: int, i: int, j: int) -> BinaryForm:
+    """Oracle for `omega._stage_three`: the first two h factors as a MultiForm
+    scalar product, one `_contracted` pass over u and v, the third h factor,
+    and `as_binary_form`."""
+    out = uv_form * (h_factor(d, d, 2 * i - 1) * h_factor(d, d, 2 * j - 1))
+    q3 = 2 * (r - i - j + 1)
+    out = _contracted(out, "u", "v", q3, "t")
     out = out * h_factor(2 * d - 4 * i + 2, 2 * d - 4 * j + 2, q3)
     return out.as_binary_form("t")
 

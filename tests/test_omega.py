@@ -6,6 +6,8 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pencils import (
     BinaryForm,
@@ -25,10 +27,25 @@ from pencils import (
     zeta_image,
     zeta_summand,
 )
-from pencils.forms import _PAIR_INDEX
-from pencils.omega import _SUMMANDS, _contracted, _factors, _stages_one_two
+from pencils.errors import DegreeMismatchError
+from pencils.forms import _PAIR_INDEX, _WIDTH, ZERO_MONOMIAL, slot_index
+from pencils.omega import (
+    _SUMMANDS,
+    _contracted,
+    _factors,
+    _power_terms,
+    _stage_three,
+    _stages_one_two,
+    _weights,
+)
 
-from helpers import beta_chain_by_omega, random_multiform, tuple_zeta_image, tuple_zeta_summand
+from helpers import (
+    beta_chain_by_omega,
+    random_multiform,
+    stage_three_by_contracted,
+    tuple_zeta_image,
+    tuple_zeta_summand,
+)
 
 F12 = LinearSymbol(1, 2)
 # The two symbols of the benchmark's oracle-chain workload.
@@ -50,6 +67,38 @@ def contracted_stages(form, i, j):
     """Stages one and two of `beta_chain`, as it runs them on a built form."""
     out = _contracted(form, "x", "y", 2 * i - 1, "u")
     return _contracted(out, "z", "w", 2 * j - 1, "v")
+
+
+def uv_monomial(u1, u2, v1, v2, x1=0):
+    """The exponent tuple of u1^u1 u2^u2 v1^v1 v2^v2 x1^x1."""
+    mono = [0] * len(ZERO_MONOMIAL)
+    slots = (("u", 1), ("u", 2), ("v", 1), ("v", 2), ("x", 1))
+    for (pair, component), e in zip(slots, (u1, u2, v1, v2, x1)):
+        mono[slot_index(pair, component)] = e
+    return tuple(mono)
+
+
+def stage_three_degrees(d, i, j):
+    """The degrees in u and v of the form stage three takes at (d, i, j)."""
+    return 2 * (d - 2 * i + 1), 2 * (d - 2 * j + 1)
+
+
+@st.composite
+def stage_three_inputs(draw):
+    """(d, r, i, j, form): a sparse rational form over u and v, possibly zero,
+    of the degrees stage three takes at a drawn (d, r, i, j) with i != j."""
+    d = draw(st.integers(5, 12))
+    r = draw(st.integers(3, (d + 1) // 2))
+    i, j = draw(st.sampled_from([(i, j) for i, j in chain_pairs(r) if i != j]))
+    du, dv = stage_three_degrees(d, i, j)
+    cells = st.tuples(st.integers(0, du), st.integers(0, dv))
+    values = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 5))
+    terms = draw(st.dictionaries(cells, values, max_size=12))
+    form = MultiForm(
+        {"u": du, "v": dv},
+        {uv_monomial(du - s, s, dv - t, t): c for (s, t), c in terms.items()},
+    )
+    return d, r, i, j, form
 
 
 def om_pow(form, n, p1="x", p2="y"):
@@ -361,6 +410,93 @@ class TestFusedStages:
         message = "projection indices (i,j)=(2,3) out of range for r=3"
         with pytest.raises(ValueError, match=re.escape(message)):
             check(6, 3, 2, 3)
+
+
+class TestWeightTables:
+    @staticmethod
+    def cell(dp, dq, n, k, l):
+        fields = (dp - k) + (k << _WIDTH) + ((dq - l) << 2 * _WIDTH) + (l << 3 * _WIDTH)
+        return sum(factor for _, factor in _power_terms(fields, n))
+
+    @pytest.mark.parametrize("dp", range(13))
+    def test_cells_are_power_term_sums(self, dp):
+        for dq in range(13):
+            for n in range(min(dp, dq) + 1):
+                w = _weights(dp, dq, n)
+                assert type(w) is tuple and all(type(row) is tuple for row in w)
+                expected = [
+                    [self.cell(dp, dq, n, k, l) for l in range(dq + 1)] for k in range(dp + 1)
+                ]
+                assert [list(row) for row in w] == expected, (dp, dq, n)
+
+    def test_odd_power_antisymmetric(self):
+        for d in range(13):
+            for n in range(1, d + 1, 2):
+                w = _weights(d, d, n)
+                assert all(
+                    w[l][k] == -w[k][l] for k in range(d + 1) for l in range(d + 1)
+                ), (d, n)
+
+    def test_cache_is_bounded(self):
+        assert _weights.cache_info().maxsize is not None
+
+
+class TestStageThree:
+    """The table-based stage three against the `_contracted` route it replaced.
+    BinaryForm equality compares the order, `_den` and the numerators."""
+
+    @pytest.mark.parametrize("d", [5, 6, 7, 8, 9, 10])
+    def test_matches_contracted_route_on_chain(self, d):
+        for f in FUSED_SYMBOLS:
+            for r in range(3, (d + 1) // 2 + 1):
+                for i, j in chain_pairs(r):
+                    uv_form = _stages_one_two(d, r, i, j, f)
+                    expected = stage_three_by_contracted(uv_form, d, r, i, j)
+                    assert _stage_three(uv_form, d, r, i, j) == expected, (d, r, i, j, f)
+
+    @settings(max_examples=150, deadline=None)
+    @given(stage_three_inputs())
+    def test_matches_contracted_route_on_drawn_forms(self, case):
+        d, r, i, j, uv_form = case
+        expected = stage_three_by_contracted(uv_form, d, r, i, j)
+        assert _stage_three(uv_form, d, r, i, j) == expected
+
+    @pytest.mark.parametrize("d, r, i, j", [(5, 3, 1, 2), (8, 4, 3, 1), (9, 5, 5, 1)])
+    def test_zero_form(self, d, r, i, j):
+        du, dv = stage_three_degrees(d, i, j)
+        zero = MultiForm({"u": du, "v": dv}, {})
+        out = _stage_three(zero, d, r, i, j)
+        assert out.is_zero() and out.order == du + dv - 4 * (r - i - j + 1)
+        assert out == stage_three_by_contracted(zero, d, r, i, j)
+
+    def test_off_degree_term_raises_on_both_routes(self):
+        # u1 one above its degree: the merged t exponents miss the order.
+        d, r, i, j = 7, 3, 1, 2
+        du, dv = stage_three_degrees(d, i, j)
+        form = MultiForm({"u": du, "v": dv}, {uv_monomial(du - 1, 2, dv - 2, 2): 1})
+        for route in (_stage_three, stage_three_by_contracted):
+            with pytest.raises(DegreeMismatchError):
+                route(form, d, r, i, j)
+
+    @pytest.mark.parametrize(
+        "shift", [(1, 0, -1, 0), (0, -1, 0, 1), (0, 0, 0, 0, 1)], ids=["u1-v1", "u2-v2", "x1"]
+    )
+    def test_term_off_its_pairs_degrees_raises(self, shift):
+        # Each term keeps the total degree du + dv, or adds one in x, so the
+        # table would read it at a wrong (s, t); it must be refused.
+        d, r, i, j = 7, 3, 1, 2
+        du, dv = stage_three_degrees(d, i, j)
+        exponents = [a + b for a, b in zip((du - 3, 3, dv - 2, 2, 0), shift + (0,) * 4)]
+        form = MultiForm({"u": du, "v": dv}, {uv_monomial(*exponents): 1})
+        with pytest.raises(DegreeMismatchError, match="not homogeneous"):
+            _stage_three(form, d, r, i, j)
+
+    def test_declared_degrees_must_match(self):
+        d, r, i, j = 7, 3, 1, 2
+        du, dv = stage_three_degrees(d, i, j)
+        form = MultiForm({"u": du + 2, "v": dv}, {uv_monomial(du - 1, 3, dv - 2, 2): 1})
+        with pytest.raises(DegreeMismatchError, match="stage three needs degrees"):
+            _stage_three(form, d, r, i, j)
 
 
 class TestCConstants:

@@ -389,3 +389,33 @@ class TestRangeChecks:
         message = "projection indices (i,j)=(2,3) out of range for r=3"
         with pytest.raises(ValueError, match=re.escape(message)):
             INDEX_ENTRY_POINTS[name](6, 3, 2, 3)
+
+    # A float or a bool is refused, not read as the int it equals: 7.0 and
+    # True hash like 7 and 1 in the caches keyed by these arguments.
+    @pytest.mark.parametrize("name", sorted(WEIGHT_ENTRY_POINTS))
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((7.0, 3), "d must be an int, got 7.0"),
+            ((7, 3.0), "r must be an int, got 3.0"),
+            ((True, 3), "d must be an int, got True"),
+            ((7, True), "r must be an int, got True"),
+        ],
+    )
+    def test_weight_arguments_must_be_ints(self, name, args, message):
+        with pytest.raises(TypeError, match=re.escape(message)):
+            WEIGHT_ENTRY_POINTS[name](*args)
+
+    @pytest.mark.parametrize("name", sorted(INDEX_ENTRY_POINTS))
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((7, 3, 1.0, 1), "i must be an int, got 1.0"),
+            ((7, 3, 1, 2.0), "j must be an int, got 2.0"),
+            ((7, 3, True, 1), "i must be an int, got True"),
+            ((7, 3, 1, True), "j must be an int, got True"),
+        ],
+    )
+    def test_index_arguments_must_be_ints(self, name, args, message):
+        with pytest.raises(TypeError, match=re.escape(message)):
+            INDEX_ENTRY_POINTS[name](*args)
