@@ -365,15 +365,14 @@ def _matrix(form: MultiForm, d: int) -> list:
 def _weights(dp: int, dq: int, n: int) -> tuple:
     """w[k][l]: the factor `_contracted(form, p, q, n, t)` gives p1^(dp-k) p2^k q1^(dq-l) q2^l.
 
-    A cell is the sum of its monomial's `_power_terms` factors, and 0 unless
-    both merged exponents, k + l - n and dp + dq - k - l - n, are
-    nonnegative.  Swapping p and q negates omega, so w[k][l] is (-1)^n times
-    the (dq, dp) table's [l][k]: that table transposed when dp > dq, and
-    this one mirrored below its diagonal when dp == dq.
+    A cell is the sum of its monomial's `_power_terms` factors.  A table is
+    built once per process, and its build is a large share of a cold check,
+    so only the band where both merged exponents, k + l - n and
+    dp + dq - k - l - n, are nonnegative is summed (the other cells are 0),
+    and a dp == dq table mirrors its upper triangle: swapping p and q
+    negates omega, so w[l][k] = (-1)^n w[k][l].
     """
     sign = -1 if n % 2 else 1
-    if dp > dq:
-        return tuple(tuple(sign * c for c in col) for col in zip(*_weights(dq, dp, n)))
     width = 2 * _WIDTH
     rows: list = []
     for k in range(dp + 1):
