@@ -42,9 +42,9 @@ COMBINANTS_MAX_D = 120
 # cost of both commands grows with it, and with distinct denominators every
 # numerator is as long as their lcm.
 COEFF_MAX_BITS = 128
-# `oracle-theta`: stages one and two visit up to (d+1)^4 term pairs of the
-# factors of one split summand, and set the cost, as each weight table is
-# built once; small r is slowest.
+# `oracle-theta`: the split-summand walk of stages one and two visits up to
+# (d+1)^4 term pairs of the factors and sets the cost, as the weight tables
+# and the integer factors are cheap beside it; small r is slowest.
 ORACLE_THETA_MAX_D = 36
 # Bits of the numerators and denominators of `oracle-theta --f`: the
 # chain's coefficients grow as the symbol's 4d-th power.

@@ -28,21 +28,24 @@ follows every operator power by merging p and q into one pair t, and the
 k-th image of p1^a1 p2^a2 q1^b1 q2^b2 lands on t1^(a1+b1-n) t2^(a2+b2-n)
 whatever k is, so the power and the merge together map each monomial to
 one image weighted by the sum of the n+1 factors (`_contracted`).  That
-sum is one cell of a table kept per (degrees, power) (`_weights`).
+sum is one cell of a table kept per (degrees, power) (`_weights`), and it
+separates: the k-th factor is a part in the p exponents times a part in
+the q exponents, so a table is n+1 outer products of integer vectors.
 `beta_chain` makes that pass for its first two powers; its third stage
-(`_stage_three`) weights each coefficient of the form over u and v by its
-cell onto a vector of integer numerators over t, and applies the three h
-factors as one fraction.
+(`_stage_three`) reads the form over u and v into a matrix of integer
+numerators, weights each entry by its cell onto a vector of numerators
+over t, and applies the three h factors as one fraction.
 
 `omega_chain`, behind `verify_theta`, never builds the image.  Stage one
 (omega_{xy}^(2i-1), then x,y merged into u) differentiates only in x and
 y, and stage two (omega_{zw}^(2j-1), then z,w merged into v) only in z and
 w, so on a summand G(a, b) * H(c, e) both stages see a pair of terms, one
 of G and one of H, through the exponents of its own two pairs alone.
-`_stages_one_two` therefore runs both stages on the factors, in three
+`_stages_one_two` therefore runs both stages on the factors, held as
+integer coefficient matrices over x and y (`_factor_matrices`), in three
 parts.  In G(x, y) * H(z, w) and G(z, w) * H(x, y) each factor holds both
 pairs of one stage, is contracted on its own, and the summand is the outer
-product of two small forms.  The other four summands each hold one pair of
+product of two vectors.  The other four summands each hold one pair of
 each stage in each factor, and after the two stages they are one form over
 u and v: G and H are odd in their two pairs, and so are omega_{xy}^(2i-1)
 and omega_{zw}^(2j-1), while the merges are symmetric, so relabelling x,y
@@ -51,16 +54,19 @@ That one is walked pair of terms by pair of terms, each weighted by the
 stage-one factor of its x and y exponents times the stage-two factor of
 its z and w exponents, and counted four times.  Both stages read the
 (d, d) tables of their powers.  With n = 2i-1 and m = 2j-1 the output
-over u and v has at most (2d-2n+1)(2d-2m+1) terms, against about (d+1)^4
-in the image.  Stage three is shared with `beta_chain`, and
-`beta_chain(zeta_image(...))` is the reference the tests hold it to.
+over u and v is a (2d-2n+1) x (2d-2m+1) matrix of integer numerators,
+against about (d+1)^4 terms in the image; stage three takes it as it is,
+and the ratio to the reference power is read by cross-multiplying
+integer numerators.  `beta_chain(zeta_image(...))` is the reference the
+tests hold the chain to.
 """
 from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, perm
+from itertools import chain
+from math import comb, factorial, gcd, perm
 
 from .errors import DegreeMismatchError, FormulaViolationError
 from .forms import (
@@ -70,6 +76,7 @@ from .forms import (
     LinearSymbol,
     MultiForm,
     _merged_degrees,
+    _linear_pow_ints,
     _shift,
     check_pair,
     linear_power,
@@ -250,6 +257,40 @@ def _factors(d: int, r: int, f: LinearSymbol) -> tuple:
     return g, h
 
 
+def _reduced(matrix: list, den: int) -> tuple:
+    """(matrix, den) divided by the gcd of den and every entry."""
+    common = gcd(den, *chain.from_iterable(matrix))
+    if common == 1:
+        return matrix, den
+    return [[c // common for c in row] for row in matrix], den // common
+
+
+def _factor_matrices(d: int, r: int, f: LinearSymbol) -> tuple:
+    """(G, its denominator) and (H, its denominator) of `_factors` in integers.
+
+    Entry [k][l] of a matrix is the numerator of x1^(d-k) x2^k y1^(d-l) y2^l.
+    With a_k the numerators of f^(d-1), (xy) = x1 y2 - y1 x2 gives
+    g[k][l] = a_k a_(l-1) - a_(k-1) a_l.  H is the outer product of the
+    numerators of f^(d-2r+1) with themselves, convolved with the row
+    (-1)^c C(2r-1, c) x2^c y2^(2r-1-c) of (xy)^(2r-1).  Each matrix is
+    reduced by one gcd with its denominator, as `MultiForm` stores G and H.
+    """
+    a, den = _linear_pow_ints(f, d - 1)
+    a = [0, *a, 0]  # a[k + 1] is a_k, and a_(-1) = a_d = 0
+    g = [[a[k + 1] * a[l] - a[k] * a[l + 1] for l in range(d + 1)] for k in range(d + 1)]
+    b, den_b = _linear_pow_ints(f, d - 2 * r + 1)
+    b = [(k, c) for k, c in enumerate(b) if c]
+    m = 2 * r - 1
+    h = [[0] * (d + 1) for _ in range(d + 1)]
+    for c in range(m + 1):
+        scale = (-1) ** c * comb(m, c)
+        for k, bk in b:
+            row, x = h[k + c], scale * bk
+            for l, bl in b:
+                row[l + m - c] += x * bl
+    return _reduced(g, den * den), _reduced(h, den_b * den_b)
+
+
 def _moved(form: MultiForm, pair1: str, pair2: str) -> list:
     """(key, numerator) of a form over x, y with x moved to pair1 and y to pair2.
 
@@ -328,73 +369,68 @@ def _stage_three(uv_form: MultiForm, d: int, r: int, i: int, j: int) -> BinaryFo
     """Apply omega_{uv}^(2(r-i-j+1)) to a form over u, v, merge u,v into t and
     scale by h(d,d;2i-1)*h(d,d;2j-1) and the matching h factor.
 
-    The form has degrees du = 2d-4i+2 in u and dv = 2d-4j+2 in v, and
-    u1^(du-s) u2^s v1^(dv-t) v2^t goes to t2^(s+t-q3) weighted by
-    `_weights(du, dv, q3)[s][t]`; a term off those degrees raises.
+    The form has degrees du = 2d-4i+2 in u and dv = 2d-4j+2 in v; it is read
+    into the matrix of `_stage_three_matrix`, and a term off those degrees
+    raises.
     """
-    q3 = 2 * (r - i - j + 1)
     du, dv = 2 * (d - 2 * i + 1), 2 * (d - 2 * j + 1)
     degrees = {pair: deg for pair, deg in (("u", du), ("v", dv)) if deg}
     if uv_form.degrees != degrees:
         raise DegreeMismatchError(f"stage three needs degrees {degrees}, got {uv_form.degrees}")
-    w = _weights(du, dv, q3)
     su1, su2, sv1, sv2 = _shift("u", 1), _shift("u", 2), _shift("v", 1), _shift("v", 2)
-    nums = [0] * (du + dv - 2 * q3 + 1)
+    out = [[0] * (dv + 1) for _ in range(du + 1)]
     for mono, c in uv_form._terms.items():
         s, t = (mono >> su2) & _MAX_EXPONENT, (mono >> sv2) & _MAX_EXPONENT
         key = ((du - s) << su1) + (s << su2) + ((dv - t) << sv1) + (t << sv2)
         if s > du or t > dv or mono != key:
             raise DegreeMismatchError("form is not homogeneous of its declared degree")
-        weight = w[s][t]
-        if weight:
-            nums[s + t - q3] += c * weight
+        out[s][t] = c
+    return _stage_three_matrix(out, uv_form._den, d, r, i, j)
+
+
+def _stage_three_matrix(out: list, den: int, d: int, r: int, i: int, j: int) -> BinaryForm:
+    """Stage three of `beta_chain` on out[s][t] / den, the coefficient of
+    u1^(du-s) u2^s v1^(dv-t) v2^t: each entry goes to t2^(s+t-q3) weighted by
+    `_weights(du, dv, q3)[s][t]`, with q3 = 2(r-i-j+1), and the three h
+    factors scale the result as one fraction.
+    """
+    q3 = 2 * (r - i - j + 1)
+    du, dv = 2 * (d - 2 * i + 1), 2 * (d - 2 * j + 1)
+    nums = _pair_contracted(out, _weights(du, dv, q3), q3)
     h = h_factor(d, d, 2 * i - 1) * h_factor(d, d, 2 * j - 1) * h_factor(du, dv, q3)
-    return BinaryForm._raw([c * h.numerator for c in nums], uv_form._den * h.denominator)
-
-
-def _matrix(form: MultiForm, d: int) -> list:
-    """m[k][l]: the numerator of x1^(d-k) x2^k y1^(d-l) y2^l in a form of degree d in x and y."""
-    m = [[0] * (d + 1) for _ in range(d + 1)]
-    sx, sy = _shift("x", 2), _shift("y", 2)
-    for mono, c in form._terms.items():
-        m[(mono >> sx) & _MAX_EXPONENT][(mono >> sy) & _MAX_EXPONENT] = c
-    return m
+    return BinaryForm._raw([c * h.numerator for c in nums], den * h.denominator)
 
 
 @lru_cache(maxsize=256)
 def _weights(dp: int, dq: int, n: int) -> tuple:
     """w[k][l]: the factor `_contracted(form, p, q, n, t)` gives p1^(dp-k) p2^k q1^(dq-l) q2^l.
 
-    A cell is the sum of its monomial's `_power_terms` factors.  A table is
-    built once per process, and its build is a large share of a cold check,
-    so only the band where both merged exponents, k + l - n and
-    dp + dq - k - l - n, are nonnegative is summed (the other cells are 0),
-    and a dp == dq table mirrors its upper triangle: swapping p and q
-    negates omega, so w[l][k] = (-1)^n w[k][l].
+    A cell is the sum of its monomial's `_power_terms` factors, and the a-th
+    factor is a part in k times a part in l:
+
+        w[k][l] = sum_a (-1)^a C(n,a) [perm(dp-k, n-a) perm(k, a)] [perm(l, n-a) perm(dq-l, a)],
+
+    so a table is the sum of n+1 outer products of integer vectors, the
+    transvectant's structure.  The a-th product is nonzero exactly on
+    a <= k <= dp-n+a and n-a <= l <= dq-a, and only that block is summed.
     """
-    sign = -1 if n % 2 else 1
-    width = 2 * _WIDTH
-    rows: list = []
-    for k in range(dp + 1):
-        row = [sign * rows[l][k] for l in range(k)] if dp == dq else []
-        row += [
-            sum(
-                factor
-                for _, factor in _power_terms(
-                    (dp - k) + (k << _WIDTH) + ((dq - l) << width) + (l << (width + _WIDTH)), n
-                )
-            )
-            if n <= k + l <= dp + dq - n else 0
-            for l in range(len(row), dq + 1)
-        ]
-        rows.append(tuple(row))
-    return tuple(rows)
+    rows = [[0] * (dq + 1) for _ in range(dp + 1)]
+    for a in range(n + 1):
+        scale = (-1) ** a * comb(n, a)
+        lo, hi = n - a, dq - a + 1
+        right = [scale * perm(l, n - a) * perm(dq - l, a) for l in range(lo, hi)]
+        for k in range(a, dp - n + a + 1):
+            x = perm(dp - k, n - a) * perm(k, a)
+            row = rows[k]
+            row[lo:hi] = [c + x * y for c, y in zip(row[lo:hi], right)]
+    return tuple(map(tuple, rows))
 
 
-def _pair_contracted(m: list, w: list, n: int) -> list:
-    """v[s]: the numerator of t1^(2d-2n-s) t2^s in `_contracted` of the form m of `_matrix`."""
-    d = len(m) - 1
-    v = [0] * (2 * (d - n) + 1)
+def _pair_contracted(m: list, w: tuple, n: int) -> list:
+    """v[s]: the numerator of t1^(dp+dq-2n-s) t2^s in `_contracted` of the
+    form over p and q whose numerators m[k][l] sit where w = `_weights(dp, dq, n)`
+    puts its cells."""
+    v = [0] * (len(w) + len(w[0]) - 2 * n - 1)
     for k, (row, w_row) in enumerate(zip(m, w)):
         for l, (c, weight) in enumerate(zip(row, w_row)):
             if c and weight:
@@ -402,15 +438,15 @@ def _pair_contracted(m: list, w: list, n: int) -> list:
     return v
 
 
-def _stages_one_two(d: int, r: int, i: int, j: int, f: LinearSymbol) -> MultiForm:
-    """Stages one and two of `beta_chain` on `zeta_image(d, r, f)`, a form over u and v.
+def _stages_one_two(d: int, r: int, i: int, j: int, f: LinearSymbol) -> tuple:
+    """Stages one and two of `beta_chain` on `zeta_image(d, r, f)`: (out, den).
 
-    Equal to the two `_contracted` calls of `beta_chain` on the image, but
-    no product of G and H is built (see the module docstring).
+    out[s][t] / den is the coefficient of u1^(du-s) u2^s v1^(dv-t) v2^t of
+    the two `_contracted` calls of `beta_chain` on the image, but no product
+    of G and H is built (see the module docstring).
     """
     n, m = 2 * i - 1, 2 * j - 1
-    g, h = _factors(d, r, f)
-    g_mat, h_mat = _matrix(g, d), _matrix(h, d)
+    (g_mat, g_den), (h_mat, h_den) = _factor_matrices(d, r, f)
     w1, w2 = _weights(d, d, n), _weights(d, d, m)
     out = [[0] * (2 * (d - m) + 1) for _ in range(2 * (d - n) + 1)]
     # G(x, y) * H(z, w) and G(z, w) * H(x, y): each factor holds both pairs
@@ -445,16 +481,7 @@ def _stages_one_two(d: int, r: int, i: int, j: int, f: LinearSymbol) -> MultiFor
                     cg = weight * gv
                     for col, hv in h_row[k2]:
                         row[col] += cg * hv
-    du, dv = 2 * (d - n), 2 * (d - m)
-    su1, su2, sv1, sv2 = _shift("u", 1), _shift("u", 2), _shift("v", 1), _shift("v", 2)
-    terms = {
-        ((du - s) << su1) + (s << su2) + ((dv - t) << sv1) + (t << sv2): c
-        for s, row in enumerate(out)
-        for t, c in enumerate(row)
-        if c
-    }
-    degrees = {pair: deg for pair, deg in (("u", du), ("v", dv)) if deg}
-    return MultiForm._raw(degrees, terms, g._den * h._den, 2 * d)
+    return out, g_den * h_den
 
 
 class CConstants(namedtuple("CConstants", "c1 c1p c2 c2p c3 c3p c3pp")):
@@ -543,11 +570,18 @@ class OmegaChainResult(namedtuple("OmegaChainResult", "d r i j f output ratio"))
 
 
 def _proportionality(output: BinaryForm, reference: BinaryForm) -> Fraction:
-    pivot = next(k for k, c in enumerate(reference.coeffs) if c)
-    ratio = output.coeffs[pivot] / reference.coeffs[pivot]
-    if output != ratio * reference:
-        raise FormulaViolationError("chain output is not proportional to the reference power")
-    return ratio
+    """The ratio of output to reference; raises unless the forms are proportional.
+
+    With p the first nonzero numerator of the reference, out[k] * ref[p] ==
+    ref[k] * out[p] must hold for every k, in integers.
+    """
+    if output.order == reference.order:
+        out, ref = output._nums, reference._nums
+        pivot = next(k for k, c in enumerate(ref) if c)
+        a, b = out[pivot], ref[pivot]
+        if all(x * b == y * a for x, y in zip(out, ref)):
+            return Fraction(a * reference._den, b * output._den)
+    raise FormulaViolationError("chain output is not proportional to the reference power")
 
 
 def omega_chain(
@@ -556,10 +590,11 @@ def omega_chain(
     """Run the full chain on the constructed alternating form and read the ratio.
 
     The output equals `beta_chain(zeta_image(d, r, f), d, r, i, j)`; stages
-    one and two run on the factors G and H (`_stages_one_two`).
+    one and two run on the factors G and H (`_stages_one_two`), and stage
+    three takes their matrix of numerators.
     """
     _check_indices(d, r, i, j)
-    output = _stage_three(_stages_one_two(d, r, i, j, f), d, r, i, j)
+    output = _stage_three_matrix(*_stages_one_two(d, r, i, j, f), d, r, i, j)
     reference = BinaryForm.of_linear_power(f, 4 * (d - r))
     ratio = _proportionality(output, reference)
     return OmegaChainResult(d, r, i, j, f, output, ratio)

@@ -9,8 +9,15 @@ from itertools import combinations
 from math import factorial
 
 from pencils.angular import NineJArray, SurdSum, _delta_squared, _triangle_ok
-from pencils.errors import DegreeMismatchError, NotDivisibleError
-from pencils.forms import BinaryForm, MultiForm, ZERO_MONOMIAL, slot_index
+from pencils.errors import DegreeMismatchError, FormulaViolationError, NotDivisibleError
+from pencils.forms import (
+    _MAX_EXPONENT,
+    BinaryForm,
+    MultiForm,
+    ZERO_MONOMIAL,
+    _shift,
+    slot_index,
+)
 from pencils.omega import _contracted, h_factor, omega
 from pencils.syzygy import syzygy_table
 from pencils.transvectant import _transvectant, transvectant
@@ -464,6 +471,39 @@ def stage_three_by_contracted(uv_form: MultiForm, d: int, r: int, i: int, j: int
     out = _contracted(out, "u", "v", q3, "t")
     out = out * h_factor(2 * d - 4 * i + 2, 2 * d - 4 * j + 2, q3)
     return out.as_binary_form("t")
+
+
+def xy_matrix(form: MultiForm, d: int) -> list:
+    """m[k][l]: the numerator of x1^(d-k) x2^k y1^(d-l) y2^l in a form of degree d in x and y."""
+    m = [[0] * (d + 1) for _ in range(d + 1)]
+    sx, sy = _shift("x", 2), _shift("y", 2)
+    for mono, c in form._terms.items():
+        m[(mono >> sx) & _MAX_EXPONENT][(mono >> sy) & _MAX_EXPONENT] = c
+    return m
+
+
+def uv_form_of(matrix: list, den: int) -> MultiForm:
+    """The form over u and v whose coefficient of u1^(du-s) u2^s v1^(dv-t) v2^t
+    is matrix[s][t] / den, with du + 1 rows and dv + 1 columns."""
+    du, dv = len(matrix) - 1, len(matrix[0]) - 1
+    terms = {}
+    for s, row in enumerate(matrix):
+        for t, c in enumerate(row):
+            mono = list(ZERO_MONOMIAL)
+            for pair, e1, e2 in (("u", du - s, s), ("v", dv - t, t)):
+                mono[slot_index(pair, 1)], mono[slot_index(pair, 2)] = e1, e2
+            terms[tuple(mono)] = Fraction(c, den)
+    return MultiForm({"u": du, "v": dv}, terms)
+
+
+def proportionality_by_fractions(output: BinaryForm, reference: BinaryForm) -> Fraction:
+    """Oracle for `omega._proportionality`: the ratio at the reference's first
+    nonzero coefficient, then `Fraction` form equality with ratio * reference."""
+    pivot = next(k for k, c in enumerate(reference.coeffs) if c)
+    ratio = output.coeffs[pivot] / reference.coeffs[pivot]
+    if output != ratio * reference:
+        raise FormulaViolationError("chain output is not proportional to the reference power")
+    return ratio
 
 
 @lru_cache(maxsize=None)

@@ -3,10 +3,11 @@ alternating form, the projection chain, and the coefficient oracle."""
 import random
 import re
 from fractions import Fraction
-from math import factorial
+from itertools import chain
+from math import factorial, gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pencils import (
@@ -32,8 +33,10 @@ from pencils.forms import _PAIR_INDEX, _WIDTH, ZERO_MONOMIAL, slot_index
 from pencils.omega import (
     _SUMMANDS,
     _contracted,
+    _factor_matrices,
     _factors,
     _power_terms,
+    _proportionality,
     _stage_three,
     _stages_one_two,
     _weights,
@@ -41,10 +44,13 @@ from pencils.omega import (
 
 from helpers import (
     beta_chain_by_omega,
+    proportionality_by_fractions,
     random_multiform,
     stage_three_by_contracted,
     tuple_zeta_image,
     tuple_zeta_summand,
+    uv_form_of,
+    xy_matrix,
 )
 
 F12 = LinearSymbol(1, 2)
@@ -99,6 +105,34 @@ def stage_three_inputs(draw):
         {uv_monomial(du - s, s, dv - t, t): c for (s, t), c in terms.items()},
     )
     return d, r, i, j, form
+
+
+def fused_stages(d, r, i, j, f):
+    """`_stages_one_two` as the form over u and v that its matrix holds."""
+    return uv_form_of(*_stages_one_two(d, r, i, j, f))
+
+
+FRACTIONS = st.builds(Fraction, st.integers(-20, 20), st.integers(1, 9))
+
+
+@st.composite
+def proportionality_inputs(draw):
+    """(output, reference, proportional): a reference with a nonzero
+    coefficient and an output that is a multiple of it, zero included, or
+    that multiple with one coefficient off by one away from the reference's
+    first nonzero one, or with one coefficient more."""
+    coeffs = draw(st.lists(st.just(Fraction(0)) | FRACTIONS, min_size=1, max_size=9).filter(any))
+    pivot = next(k for k, c in enumerate(coeffs) if c)
+    multiple = draw(st.just(Fraction(0)) | FRACTIONS)
+    out = [multiple * c for c in coeffs]
+    others = [k for k in range(len(coeffs)) if k != pivot]
+    kind = draw(st.sampled_from(["multiple", "order"] + (["off by one"] if others else [])))
+    if kind == "off by one":
+        out[draw(st.sampled_from(others))] += 1
+    elif kind == "order":
+        out.append(draw(FRACTIONS))
+    reference = BinaryForm(len(coeffs) - 1, coeffs)
+    return BinaryForm(len(out) - 1, out), reference, kind == "multiple"
 
 
 def om_pow(form, n, p1="x", p2="y"):
@@ -360,7 +394,7 @@ class TestFusedStages:
                     if pairs in outer:
                         part = outer[pairs]
                     else:
-                        rest = _stages_one_two(d, r, i, j, f) - outer["xyzw"] - outer["zwxy"]
+                        rest = fused_stages(d, r, i, j, f) - outer["xyzw"] - outer["zwxy"]
                         part = rest * Fraction(sign, 4)
                     assert part == expected, (pairs, d, r, i, j, f)
                     assert part.degrees == expected.degrees
@@ -386,7 +420,7 @@ class TestFusedStages:
                 image = zeta_image(d, r, f)
                 for i, j in chain_pairs(r):
                     expected = contracted_stages(image, i, j)
-                    fused = _stages_one_two(d, r, i, j, f)
+                    fused = fused_stages(d, r, i, j, f)
                     assert fused == expected, (d, r, i, j, f)
                     assert fused.degrees == expected.degrees
 
@@ -440,6 +474,61 @@ class TestWeightTables:
     def test_cache_is_bounded(self):
         assert _weights.cache_info().maxsize is not None
 
+    @pytest.mark.parametrize("dp, dq, n", [(64, 60, 11), (40, 17, 9), (36, 36, 35), (30, 0, 0)])
+    def test_sampled_cells_at_larger_sizes(self, dp, dq, n):
+        # Both edges of the band where the merged exponents k + l - n and
+        # dp + dq - k - l - n are nonnegative, and cells drawn anywhere.
+        w = _weights(dp, dq, n)
+        assert len(w) == dp + 1 and all(len(row) == dq + 1 for row in w)
+        cells = {
+            (k, l) for k in range(dp + 1) for l in range(dq + 1) if k + l in (n, dp + dq - n)
+        }
+        rng = random.Random(dp * 10_000 + dq * 100 + n)
+        cells |= {(rng.randint(0, dp), rng.randint(0, dq)) for _ in range(200)}
+        for k, l in sorted(cells):
+            assert w[k][l] == self.cell(dp, dq, n, k, l), (k, l)
+
+
+class TestFactorMatrices:
+    """The integer G and H of the chain against the `MultiForm` factors of
+    `zeta_image`, read as matrices over their reduced denominators."""
+
+    # The numerators of the powers of 2/3 x1 + 4/9 x2 share the factor 3
+    # with their denominators, so this symbol's matrices need the reduction.
+    SYMBOLS = FUSED_SYMBOLS + (LinearSymbol(1, 0), LinearSymbol.parse("2/3,4/9"))
+
+    @pytest.mark.parametrize("d", range(5, 13))
+    def test_match_multiform_factors(self, d):
+        for f in self.SYMBOLS:
+            for r in range(1, (d + 1) // 2 + 1):
+                pairs = zip(_factor_matrices(d, r, f), _factors(d, r, f))
+                for (matrix, den), form in pairs:
+                    assert (matrix, den) == (xy_matrix(form, d), form._den), (d, r, f)
+                    assert gcd(den, *chain.from_iterable(matrix)) == 1, (d, r, f)
+
+
+class TestProportionality:
+    """The integer cross-multiplication check against the `Fraction` route."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(proportionality_inputs())
+    @example((BinaryForm.zero(4), BinaryForm.of_linear_power(F12, 4), True))
+    @example((BinaryForm(2, [1, 5, 4]), BinaryForm(2, [1, 4, 4]), False))
+    @example((BinaryForm(2, [1, 2, 2]), BinaryForm(2, [0, 1, 1]), False))
+    @example((BinaryForm(2, [0, 0, 3]), BinaryForm(1, [0, 1]), False))
+    def test_matches_fraction_route(self, case):
+        output, reference, proportional = case
+        results = []
+        for route in (_proportionality, proportionality_by_fractions):
+            try:
+                results.append(route(output, reference))
+            except FormulaViolationError:
+                results.append(None)
+        assert results[0] == results[1]
+        assert (results[0] is not None) == proportional
+        if proportional:
+            assert output == results[0] * reference
+
 
 class TestStageThree:
     """The table-based stage three against the `_contracted` route it replaced.
@@ -450,7 +539,7 @@ class TestStageThree:
         for f in FUSED_SYMBOLS:
             for r in range(3, (d + 1) // 2 + 1):
                 for i, j in chain_pairs(r):
-                    uv_form = _stages_one_two(d, r, i, j, f)
+                    uv_form = fused_stages(d, r, i, j, f)
                     expected = stage_three_by_contracted(uv_form, d, r, i, j)
                     assert _stage_three(uv_form, d, r, i, j) == expected, (d, r, i, j, f)
 
@@ -572,8 +661,6 @@ class TestVerifyTheta:
     def test_mismatch_raises(self):
         with pytest.raises(FormulaViolationError):
             # Feeding a wrong reference through the private check.
-            from pencils.omega import _proportionality
-
             _proportionality(
                 BinaryForm(1, [1, 1]), BinaryForm.of_linear_power(F12, 1)
             )
