@@ -2,63 +2,48 @@
 
 The coefficient theta_{i,j} is, by Schur's lemma, the eigenvalue of a chain
 of equivariant maps acting on a single explicitly constructed alternating
-quadrihomogeneous form (`zeta_image`).  This module builds that form,
-pushes it through the chain (`beta_chain`) using the second-order operator
+quadrihomogeneous form (`zeta_image`): powers of the operator
 
-    omega_{pq} = d^2/(dp1 dq2) - d^2/(dq1 dp2)
+    omega_{pq} = d^2/(dp1 dq2) - d^2/(dq1 dp2),
 
-implemented by formal differentiation on sparse MultiForms, and reads off
-the eigenvalue as an exact rational.  Agreement with `syzygy.theta` is a
-genuinely independent check: nothing here shares code with the factorial
-formula.  Only the (d, r, i, j) argument checks come from `syzygy`.
+each followed by merging p and q into one pair.  The eigenvalue is read
+off as an exact rational.  Nothing here shares code with the factorial
+formula of `syzygy.theta`; only the (d, r, i, j) argument checks come from
+`syzygy`.  The two terms of omega commute, so `omega(form, p, q, n)` maps
+each monomial straight to its n+1 images under
+omega^n = sum_k (-1)^k C(n,k) (d_p1 d_q2)^(n-k) (d_q1 d_p2)^k.
 
-Each of the six summands of `zeta_image` is the product of two forms over
-disjoint pairs, G(a, b) = (ab) f_a^(d-1) f_b^(d-1) and
-H(c, e) = (ce)^(2r-1) f_c^(d-2r+1) f_e^(d-2r+1).  G and H are built once,
-on the pairs x and y, each with at most (d+1)^2 terms, and moved onto the
-pairs a summand needs by shifting their packed 32-bit pair fields; the
-image is one signed accumulation of the six outer products.  The two terms
-of omega commute, so
+The reference route is the textbook Omega-process construction (Olver,
+*Classical Invariant Theory*, ch. 5), written as its definition on sparse
+`MultiForm`s: `zeta_summand` multiplies out its brackets and linear
+powers, `zeta_image` sums the six signed summands, and `beta_chain` makes
+three passes of `omega` then `MultiForm.substituted`, each scaled by its
+`h_factor`.  It shares no kernel with the fused route, which the tests
+hold to it.
 
-    omega^n = sum_k (-1)^k C(n,k) (d_p1 d_q2)^(n-k) (d_q1 d_p2)^k,
-
-and `omega(form, p, q, n)` maps each monomial straight to its n+1 images
-with falling factorials of its four exponents in p and q.  The chain
-follows every operator power by merging p and q into one pair t, and the
-k-th image of p1^a1 p2^a2 q1^b1 q2^b2 lands on t1^(a1+b1-n) t2^(a2+b2-n)
-whatever k is, so the power and the merge together map each monomial to
-one image weighted by the sum of the n+1 factors (`_contracted`).  That
-sum is one cell of a table kept per (degrees, power) (`_weights`), and it
-separates: the k-th factor is a part in the p exponents times a part in
-the q exponents, so a table is n+1 outer products of integer vectors.
-`beta_chain` makes that pass for its first two powers; its third stage
-(`_stage_three`) reads the form over u and v into a matrix of integer
-numerators, weights each entry by its cell onto a vector of numerators
-over t, and applies the three h factors as one fraction.
-
-`omega_chain`, behind `verify_theta`, never builds the image.  Stage one
-(omega_{xy}^(2i-1), then x,y merged into u) differentiates only in x and
-y, and stage two (omega_{zw}^(2j-1), then z,w merged into v) only in z and
-w, so on a summand G(a, b) * H(c, e) both stages see a pair of terms, one
-of G and one of H, through the exponents of its own two pairs alone.
-`_stages_one_two` therefore runs both stages on the factors, held as
-integer coefficient matrices over x and y (`_factor_matrices`), in three
-parts.  In G(x, y) * H(z, w) and G(z, w) * H(x, y) each factor holds both
-pairs of one stage, is contracted on its own, and the summand is the outer
-product of two vectors.  The other four summands each hold one pair of
-each stage in each factor, and after the two stages they are one form over
-u and v: G and H are odd in their two pairs, and so are omega_{xy}^(2i-1)
-and omega_{zw}^(2j-1), while the merges are symmetric, so relabelling x,y
-or z,w carries each of them, times its sign, onto -G(x, z) * H(y, w).
-That one is walked pair of terms by pair of terms, each weighted by the
-stage-one factor of its x and y exponents times the stage-two factor of
-its z and w exponents, and counted four times.  Both stages read the
-(d, d) tables of their powers.  With n = 2i-1 and m = 2j-1 the output
-over u and v is a (2d-2n+1) x (2d-2m+1) matrix of integer numerators,
-against about (d+1)^4 terms in the image; stage three takes it as it is,
-and the ratio to the reference power is read by cross-multiplying
-integer numerators.  `beta_chain(zeta_image(...))` is the reference the
-tests hold the chain to.
+The fused route, `omega_chain` behind `verify_theta`, never builds the
+image.  Each summand is G(a, b) * H(c, e) over disjoint pairs, with
+G(a, b) = (ab) f_a^(d-1) f_b^(d-1) and H(c, e) = (ce)^(2r-1) f_c^(d-2r+1)
+f_e^(d-2r+1), held as integer matrices over x and y (`_factor_matrices`).
+After omega^n the k-th image of p1^a1 p2^a2 q1^b1 q2^b2 merges onto
+t1^(a1+b1-n) t2^(a2+b2-n) whatever k is, so a power and its merge weight
+each monomial by the sum of its n+1 factors: one cell of a table per
+(degrees, power) (`_weights`), built as n+1 outer products of integer
+vectors, since each factor is a part in the p exponents times a part in
+the q exponents.  Stage one (omega_{xy}^(2i-1), x,y into u) and stage two
+(omega_{zw}^(2j-1), z,w into v) each see only their own pairs, so
+`_stages_one_two` runs them on the factors, in three parts.  In
+G(x, y) * H(z, w) and G(z, w) * H(x, y) each factor holds both pairs of
+one stage and is contracted on its own.  The other four summands give one
+form over u and v: G, H, omega_{xy}^(2i-1) and omega_{zw}^(2j-1) are odd
+in their two pairs and the merges are symmetric, so relabelling carries
+each, times its sign, onto -G(x, z) * H(y, w).  That one is walked pair
+of terms by pair of terms, weighted by both stages' (d, d) tables, and
+counted four times.  The result is a (2d-4i+3) x (2d-4j+3) matrix of
+integer numerators, against about (d+1)^4 terms in the image;
+`_stage_three_matrix` weights it by one more table onto the numerators
+over t and applies the three h factors as one fraction, and the ratio to
+the reference power is read by cross-multiplying integer numerators.
 """
 from __future__ import annotations
 
@@ -68,14 +53,13 @@ from functools import lru_cache
 from itertools import chain
 from math import comb, factorial, gcd, perm
 
-from .errors import DegreeMismatchError, FormulaViolationError
+from .errors import FormulaViolationError
 from .forms import (
     _MAX_EXPONENT,
     _WIDTH,
     BinaryForm,
     LinearSymbol,
     MultiForm,
-    _merged_degrees,
     _linear_pow_ints,
     _shift,
     check_pair,
@@ -171,49 +155,6 @@ def omega(form: MultiForm, pair1: str, pair2: str, n: int = 1) -> MultiForm:
     return MultiForm._raw(deg, {m: c for m, c in out.items() if c}, form._den, form._top)
 
 
-def _contracted(form: MultiForm, pair1: str, pair2: str, n: int, to: str) -> MultiForm:
-    """omega(form, pair1, pair2, n).substituted(pair1, pair2, to) in one pass.
-
-    Merging the pairs sends the image of the k-th term of omega^n of
-    p1^a1 p2^a2 q1^b1 q2^b2 to t1^(a1+b1-n) t2^(a2+b2-n), whatever k is,
-    so each monomial has one image, and its factor is the sum of the
-    factors `omega` lists for it.
-    """
-    _check_operator(pair1, pair2, n)
-    deg = _merged_degrees(_lowered_degrees(form.degrees, pair1, pair2, n), pair1, pair2, to)
-    top = 2 * form._top
-    if top > _MAX_EXPONENT:
-        # Past the slot limit `substituted` reads the merged exponents of
-        # omega's output term by term; take that route, so as to refuse
-        # exactly what it refuses.
-        return omega(form, pair1, pair2, n).substituted(pair1, pair2, to)
-    width = 2 * _WIDTH
-    field = (1 << width) - 1
-    sa, sb, st = _shift(pair1, 1), _shift(pair2, 1), _shift(to, 1)
-    merged = (field << sa) | (field << sb) | (field << st)
-    keep = ~merged
-    drop = n + (n << _WIDTH)
-    # Per value of the three pair fields, the merged field shifted onto `to`
-    # and the weight.  A nonzero weight has a surviving term, so a1+b1 >= n
-    # and a2+b2 >= n, and with every merged exponent within `top` no slot
-    # borrows or carries.
-    images: dict = {}
-    out: dict = {}
-    get = out.get
-    for mono, coeff in form._terms.items():
-        part = mono & merged
-        image = images.get(part)
-        if image is None:
-            fields = (((part >> sb) & field) << width) + ((part >> sa) & field)
-            weight = sum(factor for _, factor in _power_terms(fields, n))
-            image = images[part] = (((fields & field) + (fields >> width) - drop) << st, weight)
-        offset, weight = image
-        if weight:
-            key = (mono & keep) + offset
-            out[key] = get(key, 0) + coeff * weight
-    return MultiForm._raw(deg, {m: c for m, c in out.items() if c}, form._den, top)
-
-
 def h_factor(m: int, n: int, q: int) -> Fraction:
     """(m + n - 2q + 1)! / ((m + n - q + 1)! * q!)."""
     if not 0 <= q <= min(m, n):
@@ -245,18 +186,6 @@ def mu_factor(p: int, q: int, ell: int, m: int) -> Fraction:
 _SUMMANDS = ((1, "xyzw"), (-1, "xzyw"), (1, "xwyz"), (-1, "ywxz"), (1, "zwxy"), (-1, "zyxw"))
 
 
-def _factors(d: int, r: int, f: LinearSymbol) -> tuple:
-    """G = (xy) f_x^(d-1) f_y^(d-1) and H = (xy)^(2r-1) f_x^(d-2r+1) f_y^(d-2r+1).
-
-    Every zeta summand is G on one pair of pairs times H on the other two.
-    """
-    xy = bracket("x", "y")
-    g = xy * linear_power(f, "x", d - 1) * linear_power(f, "y", d - 1)
-    e = d - 2 * r + 1
-    h = xy ** (2 * r - 1) * linear_power(f, "x", e) * linear_power(f, "y", e)
-    return g, h
-
-
 def _reduced(matrix: list, den: int) -> tuple:
     """(matrix, den) divided by the gcd of den and every entry."""
     common = gcd(den, *chain.from_iterable(matrix))
@@ -266,7 +195,7 @@ def _reduced(matrix: list, den: int) -> tuple:
 
 
 def _factor_matrices(d: int, r: int, f: LinearSymbol) -> tuple:
-    """(G, its denominator) and (H, its denominator) of `_factors` in integers.
+    """(G, its denominator) and (H, its denominator) on the pairs x and y, in integers.
 
     Entry [k][l] of a matrix is the numerator of x1^(d-k) x2^k y1^(d-l) y2^l.
     With a_k the numerators of f^(d-1), (xy) = x1 y2 - y1 x2 gives
@@ -291,37 +220,6 @@ def _factor_matrices(d: int, r: int, f: LinearSymbol) -> tuple:
     return _reduced(g, den * den), _reduced(h, den_b * den_b)
 
 
-def _moved(form: MultiForm, pair1: str, pair2: str) -> list:
-    """(key, numerator) of a form over x, y with x moved to pair1 and y to pair2.
-
-    A pair's two slots make one 2 * _WIDTH-bit field, so a move is a shift.
-    """
-    width = 2 * _WIDTH
-    field = (1 << width) - 1
-    s1, s2 = _shift(pair1, 1), _shift(pair2, 1)
-    return [(((m & field) << s1) + ((m >> width) << s2), c) for m, c in form._terms.items()]
-
-
-def _outer_sum(d: int, g: MultiForm, h: MultiForm, summands) -> MultiForm:
-    """sum of sign * G(a, b) * H(c, e) over the (sign, (a, b, c, e)) summands.
-
-    The pairs of one summand are distinct, so its product has one term per
-    pair of terms of G and H, and only different summands share monomials.
-    """
-    out: dict = {}
-    get = out.get
-    for sign, (a, b, c, e) in summands:
-        moved_h = _moved(h, c, e)
-        for mg, cg in _moved(g, a, b):
-            cg *= sign
-            for mh, ch in moved_h:
-                key = mg + mh
-                out[key] = get(key, 0) + cg * ch
-    degrees = dict.fromkeys(summands[0][1], d)
-    terms = {m: c for m, c in out.items() if c}
-    return MultiForm._raw(degrees, terms, g._den * h._den, max(g._top, h._top))
-
-
 def zeta_summand(
     d: int, r: int, pair_a: str, pair_b: str, pair_c: str, pair_e: str, f: LinearSymbol
 ) -> MultiForm:
@@ -332,7 +230,12 @@ def zeta_summand(
     pairs = (pair_a, pair_b, pair_c, pair_e)
     if len(set(pairs)) != 4:
         raise ValueError(f"a zeta summand needs four distinct pairs, got {pairs}")
-    return _outer_sum(d, *_factors(d, r, f), [(1, pairs)])
+    e = d - 2 * r + 1
+    return (
+        bracket(pair_a, pair_b) * bracket(pair_c, pair_e) ** (2 * r - 1)
+        * linear_power(f, pair_a, d - 1) * linear_power(f, pair_b, d - 1)
+        * linear_power(f, pair_c, e) * linear_power(f, pair_e, e)
+    )
 
 
 def zeta_image(d: int, r: int, f: LinearSymbol = DEFAULT_SYMBOL) -> MultiForm:
@@ -343,16 +246,18 @@ def zeta_image(d: int, r: int, f: LinearSymbol = DEFAULT_SYMBOL) -> MultiForm:
     four pairs by construction.
     """
     _check_weight(d, r)
-    return _outer_sum(d, *_factors(d, r, f), _SUMMANDS)
+    summands = (sign * zeta_summand(d, r, *pairs, f) for sign, pairs in _SUMMANDS)
+    return sum(summands, MultiForm.constant(0))
 
 
 def beta_chain(q_form: MultiForm, d: int, r: int, i: int, j: int) -> BinaryForm:
     """Project a quadrihomogeneous form of order d in x, y, z, w down to the t pair.
 
-    Stage one applies omega_{xy}^(2i-1) * omega_{zw}^(2j-1), merges x,y into
-    u and z,w into v, and scales by h(d,d;2i-1)*h(d,d;2j-1).  Stage two
-    applies omega_{uv}^(2(r-i-j+1)), merges u,v into t, and scales by the
-    matching h factor.  The result is a binary form of order 4(d-r).
+    Stage one applies omega_{xy}^(2i-1), merges x,y into u and scales by
+    h(d,d;2i-1); stage two does the same with omega_{zw}^(2j-1), z,w into v
+    and h(d,d;2j-1).  Stage three applies omega_{uv}^(2(r-i-j+1)), merges
+    u,v into t, and scales by the matching h factor.  The result is a binary
+    form of order 4(d-r).
     """
     _check_indices(d, r, i, j)
     for pair in ("x", "y", "z", "w"):
@@ -360,32 +265,11 @@ def beta_chain(q_form: MultiForm, d: int, r: int, i: int, j: int) -> BinaryForm:
             raise ValueError(
                 f"input must have degree {d} in pair {pair!r}, got {q_form.degree(pair)}"
             )
-    out = _contracted(q_form, "x", "y", 2 * i - 1, "u")
-    out = _contracted(out, "z", "w", 2 * j - 1, "v")
-    return _stage_three(out, d, r, i, j)
-
-
-def _stage_three(uv_form: MultiForm, d: int, r: int, i: int, j: int) -> BinaryForm:
-    """Apply omega_{uv}^(2(r-i-j+1)) to a form over u, v, merge u,v into t and
-    scale by h(d,d;2i-1)*h(d,d;2j-1) and the matching h factor.
-
-    The form has degrees du = 2d-4i+2 in u and dv = 2d-4j+2 in v; it is read
-    into the matrix of `_stage_three_matrix`, and a term off those degrees
-    raises.
-    """
-    du, dv = 2 * (d - 2 * i + 1), 2 * (d - 2 * j + 1)
-    degrees = {pair: deg for pair, deg in (("u", du), ("v", dv)) if deg}
-    if uv_form.degrees != degrees:
-        raise DegreeMismatchError(f"stage three needs degrees {degrees}, got {uv_form.degrees}")
-    su1, su2, sv1, sv2 = _shift("u", 1), _shift("u", 2), _shift("v", 1), _shift("v", 2)
-    out = [[0] * (dv + 1) for _ in range(du + 1)]
-    for mono, c in uv_form._terms.items():
-        s, t = (mono >> su2) & _MAX_EXPONENT, (mono >> sv2) & _MAX_EXPONENT
-        key = ((du - s) << su1) + (s << su2) + ((dv - t) << sv1) + (t << sv2)
-        if s > du or t > dv or mono != key:
-            raise DegreeMismatchError("form is not homogeneous of its declared degree")
-        out[s][t] = c
-    return _stage_three_matrix(out, uv_form._den, d, r, i, j)
+    n, m, q3 = 2 * i - 1, 2 * j - 1, 2 * (r - i - j + 1)
+    out = omega(q_form, "x", "y", n).substituted("x", "y", "u") * h_factor(d, d, n)
+    out = omega(out, "z", "w", m).substituted("z", "w", "v") * h_factor(d, d, m)
+    h3 = h_factor(2 * (d - n), 2 * (d - m), q3)  # on the degrees in u and v
+    return (omega(out, "u", "v", q3).substituted("u", "v", "t") * h3).as_binary_form("t")
 
 
 def _stage_three_matrix(out: list, den: int, d: int, r: int, i: int, j: int) -> BinaryForm:
@@ -403,7 +287,7 @@ def _stage_three_matrix(out: list, den: int, d: int, r: int, i: int, j: int) -> 
 
 @lru_cache(maxsize=256)
 def _weights(dp: int, dq: int, n: int) -> tuple:
-    """w[k][l]: the factor `_contracted(form, p, q, n, t)` gives p1^(dp-k) p2^k q1^(dq-l) q2^l.
+    """w[k][l]: the factor omega^n, then p,q merged into t, gives p1^(dp-k) p2^k q1^(dq-l) q2^l.
 
     A cell is the sum of its monomial's `_power_terms` factors, and the a-th
     factor is a part in k times a part in l:
@@ -427,9 +311,9 @@ def _weights(dp: int, dq: int, n: int) -> tuple:
 
 
 def _pair_contracted(m: list, w: tuple, n: int) -> list:
-    """v[s]: the numerator of t1^(dp+dq-2n-s) t2^s in `_contracted` of the
-    form over p and q whose numerators m[k][l] sit where w = `_weights(dp, dq, n)`
-    puts its cells."""
+    """v[s]: the numerator of t1^(dp+dq-2n-s) t2^s after omega^n and the merge
+    into t of the form over p and q whose numerators m[k][l] sit where
+    w = `_weights(dp, dq, n)` puts its cells."""
     v = [0] * (len(w) + len(w[0]) - 2 * n - 1)
     for k, (row, w_row) in enumerate(zip(m, w)):
         for l, (c, weight) in enumerate(zip(row, w_row)):
@@ -441,9 +325,9 @@ def _pair_contracted(m: list, w: tuple, n: int) -> list:
 def _stages_one_two(d: int, r: int, i: int, j: int, f: LinearSymbol) -> tuple:
     """Stages one and two of `beta_chain` on `zeta_image(d, r, f)`: (out, den).
 
-    out[s][t] / den is the coefficient of u1^(du-s) u2^s v1^(dv-t) v2^t of
-    the two `_contracted` calls of `beta_chain` on the image, but no product
-    of G and H is built (see the module docstring).
+    out[s][t] / den is the coefficient of u1^(du-s) u2^s v1^(dv-t) v2^t after
+    those two stages, but no product of G and H is built (see the module
+    docstring).
     """
     n, m = 2 * i - 1, 2 * j - 1
     (g_mat, g_den), (h_mat, h_den) = _factor_matrices(d, r, f)

@@ -13,12 +13,14 @@ from pencils.errors import DegreeMismatchError, FormulaViolationError, NotDivisi
 from pencils.forms import (
     _MAX_EXPONENT,
     BinaryForm,
+    LinearSymbol,
     MultiForm,
     ZERO_MONOMIAL,
     _shift,
+    linear_power,
     slot_index,
 )
-from pencils.omega import _contracted, h_factor, omega
+from pencils.omega import bracket, h_factor, omega
 from pencils.syzygy import syzygy_table
 from pencils.transvectant import _transvectant, transvectant
 
@@ -449,36 +451,32 @@ def tuple_zeta_image(d: int, r: int, f) -> dict:
     return total
 
 
-def beta_chain_by_omega(q_form: MultiForm, d: int, r: int, i: int, j: int) -> BinaryForm:
-    """Oracle for `omega.beta_chain`: each operator power by `omega`, then
-    each merge by `substituted`, as two separate passes."""
-    out = omega(omega(q_form, "x", "y", 2 * i - 1), "z", "w", 2 * j - 1)
-    out = out.substituted("x", "y", "u").substituted("z", "w", "v")
-    out = out * (h_factor(d, d, 2 * i - 1) * h_factor(d, d, 2 * j - 1))
+def stage_three_by_omega(uv_form: MultiForm, d: int, r: int, i: int, j: int) -> BinaryForm:
+    """Oracle for `omega._stage_three_matrix`: omega_uv^q3 on the form over u
+    and v, the merge into t, the three h factors, and `as_binary_form`."""
     q3 = 2 * (r - i - j + 1)
-    out = omega(out, "u", "v", q3)
-    out = out.substituted("u", "v", "t")
-    out = out * h_factor(2 * d - 4 * i + 2, 2 * d - 4 * j + 2, q3)
-    return out.as_binary_form("t")
+    h = h_factor(d, d, 2 * i - 1) * h_factor(d, d, 2 * j - 1)
+    h *= h_factor(2 * d - 4 * i + 2, 2 * d - 4 * j + 2, q3)
+    return (omega(uv_form, "u", "v", q3).substituted("u", "v", "t") * h).as_binary_form("t")
 
 
-def stage_three_by_contracted(uv_form: MultiForm, d: int, r: int, i: int, j: int) -> BinaryForm:
-    """Oracle for `omega._stage_three`: the first two h factors as a MultiForm
-    scalar product, one `_contracted` pass over u and v, the third h factor,
-    and `as_binary_form`."""
-    out = uv_form * (h_factor(d, d, 2 * i - 1) * h_factor(d, d, 2 * j - 1))
-    q3 = 2 * (r - i - j + 1)
-    out = _contracted(out, "u", "v", q3, "t")
-    out = out * h_factor(2 * d - 4 * i + 2, 2 * d - 4 * j + 2, q3)
-    return out.as_binary_form("t")
+def factors_by_products(d: int, r: int, f: LinearSymbol) -> tuple:
+    """Oracle for `omega._factor_matrices`: G = (xy) f_x^(d-1) f_y^(d-1) and
+    H = (xy)^(2r-1) f_x^(d-2r+1) f_y^(d-2r+1) as `MultiForm` products."""
+    xy = bracket("x", "y")
+    g = xy * linear_power(f, "x", d - 1) * linear_power(f, "y", d - 1)
+    e = d - 2 * r + 1
+    h = xy ** (2 * r - 1) * linear_power(f, "x", e) * linear_power(f, "y", e)
+    return g, h
 
 
-def xy_matrix(form: MultiForm, d: int) -> list:
-    """m[k][l]: the numerator of x1^(d-k) x2^k y1^(d-l) y2^l in a form of degree d in x and y."""
-    m = [[0] * (d + 1) for _ in range(d + 1)]
-    sx, sy = _shift("x", 2), _shift("y", 2)
+def pair_matrix(form: MultiForm, p: str, q: str) -> list:
+    """m[k][l]: the numerator of p1^(dp-k) p2^k q1^(dq-l) q2^l in a form of
+    degree dp in p and dq in q."""
+    m = [[0] * (form.degree(q) + 1) for _ in range(form.degree(p) + 1)]
+    sp, sq = _shift(p, 2), _shift(q, 2)
     for mono, c in form._terms.items():
-        m[(mono >> sx) & _MAX_EXPONENT][(mono >> sy) & _MAX_EXPONENT] = c
+        m[(mono >> sp) & _MAX_EXPONENT][(mono >> sq) & _MAX_EXPONENT] = c
     return m
 
 
