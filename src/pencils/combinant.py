@@ -35,7 +35,7 @@ class Pencil:
             )
         if a.order < 2:
             raise ValueError("pencil order must be at least 2")
-        c1 = _transvectant(a, b, 1, {})
+        c1 = _transvectant(a, b, 1)
         if c1.is_zero():
             raise DegeneratePencilError("the two forms are linearly dependent")
         self.a = a
@@ -61,7 +61,7 @@ class Pencil:
         kept = self._combinants
         if len(kept) < count:
             orders = range(2 * len(kept) + 1, 2 * count, 2)
-            new = _transvectants(self.a, self.b, orders, {})
+            new = _transvectants(self.a, self.b, orders)
             kept += tuple(new[q] for q in orders)
             self._combinants = kept
         return kept[:count]

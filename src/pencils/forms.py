@@ -14,13 +14,9 @@ and `MultiForm(degrees, terms)`, `.terms` and `coefficient`, which speak in
 14-slot exponent tuples.
 
 Pairs are named by single letters from `PAIRS`; pair ``"x"`` stands for the
-scalar variables x1, x2, and so on.  A MultiForm monomial is one packed
-`int` with `_WIDTH` bits per exponent slot over the fixed ordering
-x1,x2,y1,y2,...,t1,t2 (slot k at bit ``_WIDTH * k``).  Multiplying two
-monomials is one integer addition, a derivative is one subtraction of a
-precomputed unit, and reading an exponent is a shift and a mask.  No
-operation lets an exponent reach ``2**_WIDTH``, where it would carry into
-the next slot: each raises `ValueError` instead.
+scalar variables x1, x2, and so on.  A MultiForm monomial is its exponent
+tuple over the fixed ordering x1,x2,y1,y2,...,t1,t2, stored as the public
+surface gives it.
 
 All coefficients are exact rationals, so every operation is exact and
 equality is decisive.  Values are immutable once constructed; operations
@@ -32,6 +28,7 @@ import math
 import random
 import re
 from fractions import Fraction
+from operator import add
 
 from .errors import DegreeMismatchError, NotDivisibleError
 
@@ -41,9 +38,6 @@ _NSLOTS = 2 * len(PAIRS)
 ZERO_MONOMIAL = (0,) * _NSLOTS
 
 _SCALARS = (int, Fraction)
-
-_WIDTH = 16  # bits per packed exponent slot
-_MAX_EXPONENT = (1 << _WIDTH) - 1  # also the mask of one slot
 
 
 def check_pair(pair: str) -> str:
@@ -60,30 +54,12 @@ def slot_index(pair: str, component: int) -> int:
     return 2 * _PAIR_INDEX[pair] + component - 1
 
 
-def _shift(pair: str, component: int) -> int:
-    """Bit offset of a scalar variable's slot in a packed monomial."""
-    return _WIDTH * slot_index(pair, component)
-
-
-def _pack(mono: tuple) -> int:
-    return sum(e << (_WIDTH * k) for k, e in enumerate(mono))
-
-
-def _unpack(key: int) -> tuple:
-    return tuple((key >> (_WIDTH * k)) & _MAX_EXPONENT for k in range(_NSLOTS))
-
-
-def _slot_maxima(keys) -> list:
-    return [
-        max(((m >> (_WIDTH * k)) & _MAX_EXPONENT for m in keys), default=0)
-        for k in range(_NSLOTS)
-    ]
-
-
-def _check_top(top: int) -> int:
-    if top > _MAX_EXPONENT:
-        raise ValueError(f"exponent {top} exceeds the packed-monomial limit {_MAX_EXPONENT}")
-    return top
+def _monomial(*slots: int) -> tuple:
+    """The exponent tuple of the product of the scalar variables in `slots`."""
+    mono = [0] * _NSLOTS
+    for k in slots:
+        mono[k] += 1
+    return tuple(mono)
 
 
 # The one accepted spelling of a rational in text: [-]digits[/digits].
@@ -320,15 +296,13 @@ class MultiForm:
     stored monomials only; the degree declaration is metadata (two zero
     forms produced along different routes always compare equal).
 
-    The form is stored as ``{packed monomial: int numerator}`` over one
+    The form is stored as ``{exponent tuple: int numerator}`` over one
     positive denominator `_den`, kept reduced so that
     ``gcd(_den, *numerators) == 1`` and ``_den == 1`` for the zero form;
-    the stored triple is therefore canonical.  `_top` is an upper bound on
-    the largest slot exponent, checked before any slot could carry into
-    the next.
+    the stored pair is therefore canonical.
     """
 
-    __slots__ = ("_degrees", "_terms", "_den", "_top")
+    __slots__ = ("_degrees", "_terms", "_den")
 
     def __init__(self, degrees: dict, terms: dict):
         clean_deg = {}
@@ -340,7 +314,6 @@ class MultiForm:
             if n:
                 clean_deg[pair] = n
         fracs = {}
-        top = 0
         for mono, coeff in terms.items():
             coeff = to_fraction(coeff)
             if not coeff:
@@ -348,20 +321,21 @@ class MultiForm:
             mono = tuple(int(e) for e in mono)
             if len(mono) != _NSLOTS or any(e < 0 for e in mono):
                 raise ValueError(f"bad exponent vector {mono!r}")
-            top = max(top, _check_top(max(mono)))
-            fracs[_pack(mono)] = coeff
+            fracs[mono] = coeff
         # Over the lcm of reduced denominators, gcd(den, *numerators) is 1.
         den = math.lcm(*(c.denominator for c in fracs.values()))
         clean_terms = {m: c.numerator * (den // c.denominator) for m, c in fracs.items()}
         self._degrees = clean_deg
         self._terms = clean_terms
         self._den = den
-        self._top = top
 
     @classmethod
-    def _raw(cls, degrees: dict, terms: dict, den: int, top: int) -> "MultiForm":
-        # Internal fast path: packed keys, nonzero int numerators over den > 0,
-        # `top` already checked; only the reduction by the gcd is left.
+    def _raw(cls, degrees: dict, terms: dict, den: int) -> "MultiForm":
+        # Internal fast path: `terms` maps exponent tuples to int numerators
+        # over den > 0 and becomes the form's own dict.  Zero numerators are
+        # deleted in place, which hashes no other key again.
+        for m in [m for m, c in terms.items() if not c]:
+            del terms[m]
         if den != 1:
             g = math.gcd(den, *terms.values())
             if g != 1:
@@ -371,23 +345,22 @@ class MultiForm:
         obj._degrees = degrees
         obj._terms = terms
         obj._den = den
-        obj._top = top
         return obj
 
     @classmethod
     def constant(cls, value) -> "MultiForm":
         value = to_fraction(value)
-        return cls._raw({}, {0: value.numerator} if value else {}, value.denominator, 0)
+        return cls._raw({}, {ZERO_MONOMIAL: value.numerator} if value else {}, value.denominator)
 
     @classmethod
     def variable(cls, pair: str, component: int) -> "MultiForm":
-        return cls._raw({pair: 1}, {1 << _shift(pair, component): 1}, 1, 1)
+        return cls._raw({pair: 1}, {_monomial(slot_index(pair, component)): 1}, 1)
 
     @property
     def terms(self) -> dict:
         """Exponent tuple -> Fraction coefficient map, built on each call."""
         den = self._den
-        return {_unpack(m): Fraction(c, den) for m, c in self._terms.items()}
+        return {m: Fraction(c, den) for m, c in self._terms.items()}
 
     @property
     def degrees(self) -> dict:
@@ -406,17 +379,14 @@ class MultiForm:
 
     def is_homogeneous(self) -> bool:
         """Check every monomial against the declared multidegree."""
-        for mono in map(_unpack, self._terms):
+        for mono in self._terms:
             for k, pair in enumerate(PAIRS):
                 if mono[2 * k] + mono[2 * k + 1] != self._degrees.get(pair, 0):
                     return False
         return True
 
     def coefficient(self, mono) -> Fraction:
-        mono = tuple(mono)
-        if len(mono) != _NSLOTS or not all(0 <= e <= _MAX_EXPONENT for e in mono):
-            return Fraction(0)
-        return Fraction(self._terms.get(_pack(mono), 0), self._den)
+        return Fraction(self._terms.get(tuple(mono), 0), self._den)
 
     def _merged_add_degrees(self, other: "MultiForm") -> dict:
         if self._degrees == other._degrees:
@@ -438,13 +408,8 @@ class MultiForm:
         terms = {m: c * scale for m, c in self._terms.items()}
         get = terms.get
         for mono, coeff in other._terms.items():
-            # coeff is nonzero, so a zero total means mono was already present.
-            total = get(mono, 0) + coeff * other_scale
-            if total:
-                terms[mono] = total
-            else:
-                del terms[mono]
-        return MultiForm._raw(deg, terms, den, max(self._top, other._top))
+            terms[mono] = get(mono, 0) + coeff * other_scale
+        return MultiForm._raw(deg, terms, den)
 
     def __sub__(self, other):
         if not isinstance(other, MultiForm):
@@ -452,38 +417,28 @@ class MultiForm:
         return self + (-other)
 
     def __neg__(self):
-        return MultiForm._raw(
-            dict(self._degrees), {m: -c for m, c in self._terms.items()}, self._den, self._top
-        )
+        terms = {m: -c for m, c in self._terms.items()}
+        return MultiForm._raw(dict(self._degrees), terms, self._den)
 
     def __mul__(self, other):
         if isinstance(other, _SCALARS):
             q = Fraction(other)
             n = q.numerator
-            terms = {m: c * n for m, c in self._terms.items()} if n else {}
-            return MultiForm._raw(dict(self._degrees), terms, self._den * q.denominator, self._top)
+            terms = {m: c * n for m, c in self._terms.items()}
+            return MultiForm._raw(dict(self._degrees), terms, self._den * q.denominator)
         if not isinstance(other, MultiForm):
             return NotImplemented
         deg = dict(self._degrees)
         for pair, n in other._degrees.items():
             deg[pair] = deg.get(pair, 0) + n
-        top = self._top + other._top
-        if top > _MAX_EXPONENT:
-            # The bound may overshoot: the exact top of a product is the
-            # largest sum of the two factors' per-slot maxima.
-            top = _check_top(
-                max(a + b for a, b in zip(_slot_maxima(self._terms), _slot_maxima(other._terms)))
-            )
         out: dict = {}
         get = out.get
         inner = other._terms.items()
         for m1, c1 in self._terms.items():
             for m2, c2 in inner:
-                key = m1 + m2
+                key = tuple(map(add, m1, m2))
                 out[key] = get(key, 0) + c1 * c2
-        return MultiForm._raw(
-            deg, {m: c for m, c in out.items() if c}, self._den * other._den, top
-        )
+        return MultiForm._raw(deg, out, self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -497,18 +452,17 @@ class MultiForm:
 
     def diff(self, pair: str, component: int) -> "MultiForm":
         """Formal partial derivative; the pair's degree drops by one."""
-        shift = _shift(pair, component)
-        unit = 1 << shift
+        s = slot_index(pair, component)
         out = {}
         for mono, coeff in self._terms.items():
-            e = (mono >> shift) & _MAX_EXPONENT
+            e = mono[s]
             if e:
-                out[mono - unit] = coeff * e
+                out[(*mono[:s], e - 1, *mono[s + 1 :])] = coeff * e
         deg = dict(self._degrees)
         old = deg.pop(pair, 0)
         if old > 1:
             deg[pair] = old - 1
-        return MultiForm._raw(deg, out, self._den, self._top)
+        return MultiForm._raw(deg, out, self._den)
 
     def substituted(self, from1: str, from2: str, to: str) -> "MultiForm":
         """Replace both source pairs' variables by the target pair's.
@@ -517,39 +471,35 @@ class MultiForm:
         active.  Source pairs of degree zero substitute trivially.
         """
         deg = _merged_degrees(self._degrees, from1, from2, to)
-        ia, ib = slot_index(from1, 1), slot_index(from2, 1)
-        sa, sb, st = _WIDTH * ia, _WIDTH * ib, _shift(to, 1)
-        pair_mask = (1 << (2 * _WIDTH)) - 1
-        keep = ~((pair_mask << sa) | (pair_mask << sb) | (pair_mask << st))
-        top = 2 * self._top
-        if top > _MAX_EXPONENT:
-            # The bound may overshoot: take the merged exponents term by term.
-            merged = max(
-                (max(e[ia] + e[ib], e[ia + 1] + e[ib + 1]) for e in map(_unpack, self._terms)),
-                default=0,
-            )
-            top = max(self._top, _check_top(merged))
+        sa, sb, st = slot_index(from1, 1), slot_index(from2, 1), slot_index(to, 1)
         out: dict = {}
         get = out.get
         for mono, coeff in self._terms.items():
-            # Adding the two pairs' 32-bit fields adds slot to slot: no slot
-            # carries, because every merged exponent is within `top`.
-            key = (mono & keep) + ((((mono >> sa) & pair_mask) + ((mono >> sb) & pair_mask)) << st)
+            key = list(mono)
+            key[sa] = key[sa + 1] = key[sb] = key[sb + 1] = 0
+            key[st], key[st + 1] = mono[sa] + mono[sb], mono[sa + 1] + mono[sb + 1]
+            key = tuple(key)
             out[key] = get(key, 0) + coeff
-        return MultiForm._raw(deg, {m: c for m, c in out.items() if c}, self._den, top)
+        return MultiForm._raw(deg, out, self._den)
 
     def as_binary_form(self, pair: str) -> BinaryForm:
-        """Convert a form whose only active pair is `pair` to a BinaryForm."""
+        """Convert a form whose only active pair is `pair` to a BinaryForm.
+
+        Every term must be a monomial in that pair alone, of its declared
+        degree; any other term raises `DegreeMismatchError`.
+        """
         check_pair(pair)
         stray = [p for p in self._degrees if p != pair]
         if stray:
             raise ValueError(f"form still involves pairs {stray}")
         order = self._degrees.get(pair, 0)
-        shift = _shift(pair, 1)
+        s = slot_index(pair, 1)
+        head, tail = ZERO_MONOMIAL[:s], ZERO_MONOMIAL[s + 2 :]
         nums = [0] * (order + 1)
         for mono, coeff in self._terms.items():
-            k = (mono >> (shift + _WIDTH)) & _MAX_EXPONENT
-            if (mono >> shift) & _MAX_EXPONENT != order - k:
+            k = mono[s + 1]
+            # Two terms that differ outside the pair would land on one k.
+            if mono != (*head, order - k, k, *tail):
                 raise DegreeMismatchError("form is not homogeneous of its declared degree")
             nums[k] = coeff
         return BinaryForm._raw(nums, self._den)
@@ -568,11 +518,11 @@ def linear_power(f: LinearSymbol, pair: str, n: int) -> MultiForm:
     check_pair(pair)
     if n < 0:
         raise ValueError("exponent must be nonnegative")
-    _check_top(n)
     nums, den = _linear_pow_ints(f, n)
-    s1, s2 = _shift(pair, 1), _shift(pair, 2)
-    terms = {((n - k) << s1) + (k << s2): c for k, c in enumerate(nums) if c}
-    return MultiForm._raw({pair: n} if n else {}, terms, den, n)
+    s = slot_index(pair, 1)
+    head, tail = ZERO_MONOMIAL[:s], ZERO_MONOMIAL[s + 2 :]
+    terms = {(*head, n - k, k, *tail): c for k, c in enumerate(nums) if c}
+    return MultiForm._raw({pair: n} if n else {}, terms, den)
 
 
 def exact_divide(numerator: BinaryForm, denominator: BinaryForm) -> BinaryForm:

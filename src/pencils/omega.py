@@ -55,15 +55,14 @@ from math import comb, factorial, gcd, perm
 
 from .errors import FormulaViolationError
 from .forms import (
-    _MAX_EXPONENT,
-    _WIDTH,
     BinaryForm,
     LinearSymbol,
     MultiForm,
     _linear_pow_ints,
-    _shift,
+    _monomial,
     check_pair,
     linear_power,
+    slot_index,
 )
 from .syzygy import _check_indices, _check_weight, theta
 
@@ -76,9 +75,9 @@ def bracket(pair1: str, pair2: str) -> MultiForm:
     check_pair(pair2)
     if pair1 == pair2:
         raise ValueError("bracket needs two distinct pairs")
-    plus = (1 << _shift(pair1, 1)) + (1 << _shift(pair2, 2))
-    minus = (1 << _shift(pair2, 1)) + (1 << _shift(pair1, 2))
-    return MultiForm._raw({pair1: 1, pair2: 1}, {plus: 1, minus: -1}, 1, 1)
+    plus = _monomial(slot_index(pair1, 1), slot_index(pair2, 2))
+    minus = _monomial(slot_index(pair2, 1), slot_index(pair1, 2))
+    return MultiForm._raw({pair1: 1, pair2: 1}, {plus: 1, minus: -1}, 1)
 
 
 def _check_operator(pair1: str, pair2: str, n: int) -> None:
@@ -99,19 +98,14 @@ def _lowered_degrees(degrees: dict, pair1: str, pair2: str, n: int) -> dict:
     return deg
 
 
-def _power_terms(fields: int, n: int) -> list:
+def _power_terms(p1: int, p2: int, q1: int, q2: int, n: int) -> list:
     """(k, integer factor) of each term of omega^n that survives on one monomial.
 
-    `fields` holds the monomial's two 2 * _WIDTH-bit pair fields, the first
-    pair's in the low half, so its exponents p1, p2, q1, q2.  The m-th
+    p1, p2, q1, q2 are the monomial's exponents in the two pairs.  The m-th
     derivative maps an exponent e to perm(e, m), so the k-th term,
     (-1)^k C(n,k) (d_p1 d_q2)^(n-k) (d_q1 d_p2)^k, survives when
     n - k <= min(p1, q2) and k <= min(q1, p2).
     """
-    width = 2 * _WIDTH
-    mask = _MAX_EXPONENT
-    p1, p2 = fields & mask, (fields >> _WIDTH) & mask
-    q1, q2 = (fields >> width) & mask, fields >> (width + _WIDTH)
     return [
         (
             k,
@@ -130,29 +124,29 @@ def omega(form: MultiForm, pair1: str, pair2: str, n: int = 1) -> MultiForm:
     form unchanged.
     """
     _check_operator(pair1, pair2, n)
-    a1, b1 = _shift(pair1, 1), _shift(pair2, 1)
-    step_ab = (1 << a1) + (1 << _shift(pair2, 2))
-    step_ba = (1 << b1) + (1 << _shift(pair1, 2))
-    # A monomial's image depends only on its two pair fields: `images` keeps,
-    # per such pair of fields, the (key offset, integer factor) of each term.
-    width = 2 * _WIDTH
-    field = (1 << width) - 1
+    a, b = slot_index(pair1, 1), slot_index(pair2, 1)
+    # A monomial's image depends only on its exponents p1, p2, q1, q2 in the
+    # two pairs: `images` keeps, per such four, the new four and the integer
+    # factor of each term.
     images: dict = {}
     out: dict = {}
     get = out.get
     for mono, coeff in form._terms.items():
-        fields = (((mono >> b1) & field) << width) + ((mono >> a1) & field)
-        image = images.get(fields)
+        exponents = mono[a], mono[a + 1], mono[b], mono[b + 1]
+        image = images.get(exponents)
         if image is None:
-            image = images[fields] = [
-                (-(n - k) * step_ab - k * step_ba, factor)
-                for k, factor in _power_terms(fields, n)
+            p1, p2, q1, q2 = exponents
+            image = images[exponents] = [
+                ((p1 - n + k, p2 - k, q1 - k, q2 - n + k), factor)
+                for k, factor in _power_terms(*exponents, n)
             ]
-        for offset, factor in image:
-            key = mono + offset
+        slots = list(mono)
+        for new, factor in image:
+            slots[a], slots[a + 1], slots[b], slots[b + 1] = new
+            key = tuple(slots)
             out[key] = get(key, 0) + coeff * factor
     deg = _lowered_degrees(form.degrees, pair1, pair2, n)
-    return MultiForm._raw(deg, {m: c for m, c in out.items() if c}, form._den, form._top)
+    return MultiForm._raw(deg, out, form._den)
 
 
 def h_factor(m: int, n: int, q: int) -> Fraction:
@@ -231,11 +225,11 @@ def zeta_summand(
     if len(set(pairs)) != 4:
         raise ValueError(f"a zeta summand needs four distinct pairs, got {pairs}")
     e = d - 2 * r + 1
-    return (
-        bracket(pair_a, pair_b) * bracket(pair_c, pair_e) ** (2 * r - 1)
-        * linear_power(f, pair_a, d - 1) * linear_power(f, pair_b, d - 1)
-        * linear_power(f, pair_c, e) * linear_power(f, pair_e, e)
-    )
+    # Grouped as G(a, b) * H(c, e), the factors of the module docstring, so
+    # that only the last product is large.
+    g = bracket(pair_a, pair_b) * linear_power(f, pair_a, d - 1) * linear_power(f, pair_b, d - 1)
+    h = bracket(pair_c, pair_e) ** (2 * r - 1) * linear_power(f, pair_c, e)
+    return g * (h * linear_power(f, pair_e, e))
 
 
 def zeta_image(d: int, r: int, f: LinearSymbol = DEFAULT_SYMBOL) -> MultiForm:

@@ -33,7 +33,7 @@ from math import factorial
 from .combinant import Pencil
 from .errors import FormulaViolationError
 from .forms import BinaryForm, exact_divide
-from .transvectant import _bound, _height, _packs, _product_sum, _slot_bytes, _unpack
+from .transvectant import _bound, _height, _packs, _product_sum, _slot_bytes, _slots, _weights
 
 
 def _check_ints(**values) -> None:
@@ -176,18 +176,17 @@ def _syzygy_sum(d: int, r: int, alphas, combinants, skip=None) -> BinaryForm:
     for i, j, q, _, _ in terms:
         orders.setdefault(i, set()).add(q)
         orders.setdefault(j, set()).add(q)
-    weights: dict = {}
-    height = {i: _height(combinants[i], weights) for i in orders}
+    height = {i: _height(combinants[i]) for i in orders}
     # C_{2j-1} has the lower order of the two, as i <= j.
     kb = _slot_bytes(max(
         (_bound(height[i] * height[j], combinants[j].order, q) for i, j, q, _, _ in terms),
         default=0,
     ))
-    packs = {i: _packs(combinants[i], 8 * kb, qs, weights) for i, qs in orders.items()}
-    scale = {i: weights[combinants[i].order][1] * combinants[i]._den for i in orders}
+    packs = {i: _packs(combinants[i], 8 * kb, qs) for i, qs in orders.items()}
+    scale = {i: _weights(combinants[i].order)[1] * combinants[i]._den for i in orders}
     size = 4 * (d - r) + 1
     scaled = [
-        (p, a * scale[i] * scale[j], _unpack(_product_sum(packs[i][q], packs[j][q], q), kb, size))
+        (p, a * scale[i] * scale[j], _slots(_product_sum(packs[i][q], packs[j][q], q), kb, size))
         for i, j, q, p, a in terms
     ]
     lcm = math.lcm(*(s for _, s, _ in scaled))

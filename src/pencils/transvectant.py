@@ -62,22 +62,18 @@ def _row(n: int) -> tuple:
     return tuple(math.comb(n, k) for k in range(n + 1))
 
 
-def _weights(m: int, table: dict) -> tuple[list, int]:
-    """The weights L_m / C(m,k), k = 0..m, and L_m = lcm of the C(m,k).
-
-    They are computed once per order m and kept in `table`.
-    """
-    weights = table.get(m)
-    if weights is None:
-        binomials = _row(m)
-        top = math.lcm(*binomials)
-        weights = table[m] = ([top // c for c in binomials], top)
-    return weights
+@lru_cache(maxsize=None)
+def _weights(m: int) -> tuple[tuple, int]:
+    """The weights L_m / C(m,k), k = 0..m, and L_m = lcm of the C(m,k), kept
+    for every order m met, as `_row` is."""
+    binomials = _row(m)
+    top = math.lcm(*binomials)
+    return tuple(top // c for c in binomials), top
 
 
-def _height(f: BinaryForm, table: dict) -> int:
+def _height(f: BinaryForm) -> int:
     """L_m max|a|, a bound on every packed entry |P_s[u]| of f at every order."""
-    return _weights(f.order, table)[1] * max(map(abs, f._nums))
+    return _weights(f.order)[1] * max(map(abs, f._nums))
 
 
 def _bound(height: int, low: int, q: int) -> int:
@@ -91,7 +87,7 @@ def _slot_bytes(bound: int) -> int:
     return (bound.bit_length() + 8) // 8
 
 
-def _packs(f: BinaryForm, k: int, orders, table: dict) -> dict:
+def _packs(f: BinaryForm, k: int, orders) -> dict:
     """{q: [P_0, ..., P_q]} for each q in `orders`, packed in k-bit slots.
 
     P_s = sum_u C(m-q,u) a'_{u+s} 2^(ku) at order q.  The top order is
@@ -99,7 +95,7 @@ def _packs(f: BinaryForm, k: int, orders, table: dict) -> dict:
     asked for by Pascal's rule from the order above it.
     """
     m = f.order
-    a = [x * w for w, x in zip(_weights(m, table)[0], f._nums)]
+    a = [x * w for w, x in zip(_weights(m)[0], f._nums)]
     top, low = max(orders), min(orders)
     row = _row(m - top)
     level = []
@@ -138,7 +134,7 @@ def _product_sum(p: list, r: list, q: int) -> int:
     return total
 
 
-def _unpack(total: int, kb: int, size: int) -> list:
+def _slots(total: int, kb: int, size: int) -> list:
     """The `size` signed kb-byte slots of `total`, lowest first."""
     half = 1 << (8 * kb - 1)
     offset = int.from_bytes(half.to_bytes(kb, "little") * size, "little")
@@ -147,28 +143,26 @@ def _unpack(total: int, kb: int, size: int) -> list:
     return [read(raw[j : j + kb], "little") - half for j in range(0, kb * size, kb)]
 
 
-def _transvectants(f: BinaryForm, g: BinaryForm, orders, table: dict) -> dict:
+def _transvectants(f: BinaryForm, g: BinaryForm, orders) -> dict:
     """{q: (f, g)_q} for each q in `orders`, each 0 <= q <= min of the orders, unchecked.
 
     f and g are each packed once, at one slot width for every order.
-    `table` holds the `_weights` of each order met so far; a caller that
-    runs many transvectants passes the same dict to every call.
     """
     m, n = f.order, g.order
-    height = _height(f, table) * _height(g, table)
+    height = _height(f) * _height(g)
     kb = _slot_bytes(max(_bound(height, min(m, n), q) for q in orders))
-    pf = _packs(f, 8 * kb, orders, table)
-    pg = pf if g is f else _packs(g, 8 * kb, orders, table)
-    den = _weights(m, table)[1] * _weights(n, table)[1] * f._den * g._den
+    pf = _packs(f, 8 * kb, orders)
+    pg = pf if g is f else _packs(g, 8 * kb, orders)
+    den = _weights(m)[1] * _weights(n)[1] * f._den * g._den
     return {
-        q: BinaryForm._raw(_unpack(_product_sum(pf[q], pg[q], q), kb, m + n - 2 * q + 1), den)
+        q: BinaryForm._raw(_slots(_product_sum(pf[q], pg[q], q), kb, m + n - 2 * q + 1), den)
         for q in orders
     }
 
 
-def _transvectant(f: BinaryForm, g: BinaryForm, q: int, table: dict) -> BinaryForm:
+def _transvectant(f: BinaryForm, g: BinaryForm, q: int) -> BinaryForm:
     """(f, g)_q for 0 <= q <= min of the orders, unchecked."""
-    return _transvectants(f, g, (q,), table)[q]
+    return _transvectants(f, g, (q,))[q]
 
 
 def transvectant(f: BinaryForm, g: BinaryForm, q: int) -> BinaryForm:
@@ -181,4 +175,4 @@ def transvectant(f: BinaryForm, g: BinaryForm, q: int) -> BinaryForm:
     m, n = f.order, g.order
     if not 0 <= q <= min(m, n):
         raise ValueError(f"transvectant index {q} outside 0..min({m},{n})")
-    return _transvectant(f, g, q, {})
+    return _transvectant(f, g, q)

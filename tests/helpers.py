@@ -11,12 +11,10 @@ from math import factorial
 from pencils.angular import NineJArray, SurdSum, _delta_squared, _triangle_ok
 from pencils.errors import DegreeMismatchError, FormulaViolationError, NotDivisibleError
 from pencils.forms import (
-    _MAX_EXPONENT,
     BinaryForm,
     LinearSymbol,
     MultiForm,
     ZERO_MONOMIAL,
-    _shift,
     linear_power,
     slot_index,
 )
@@ -280,11 +278,10 @@ def syzygy_sum_by_terms(table, combinants, skip=None) -> BinaryForm:
     """
     r = table.r
     terms = []
-    weights: dict = {}
     for (i, j), alpha in table.items():
         if alpha and (i, j) != skip:
             q = 2 * (r - i - j + 1)
-            v = _transvectant(combinants[i - 1], combinants[j - 1], q, weights)
+            v = _transvectant(combinants[i - 1], combinants[j - 1], q)
             terms.append((alpha.numerator, alpha.denominator * v._den, v._nums))
     lcm = math.lcm(*(q for _, q, _ in terms))
     total = [0] * (4 * (table.d - r) + 1)
@@ -474,9 +471,9 @@ def pair_matrix(form: MultiForm, p: str, q: str) -> list:
     """m[k][l]: the numerator of p1^(dp-k) p2^k q1^(dq-l) q2^l in a form of
     degree dp in p and dq in q."""
     m = [[0] * (form.degree(q) + 1) for _ in range(form.degree(p) + 1)]
-    sp, sq = _shift(p, 2), _shift(q, 2)
+    sp, sq = slot_index(p, 2), slot_index(q, 2)
     for mono, c in form._terms.items():
-        m[(mono >> sp) & _MAX_EXPONENT][(mono >> sq) & _MAX_EXPONENT] = c
+        m[mono[sp]][mono[sq]] = c
     return m
 
 

@@ -29,7 +29,7 @@ from pencils import (
     zeta_image,
     zeta_summand,
 )
-from pencils.forms import _PAIR_INDEX, _WIDTH, ZERO_MONOMIAL, slot_index
+from pencils.forms import _PAIR_INDEX, ZERO_MONOMIAL, slot_index
 from pencils.omega import (
     _SUMMANDS,
     _factor_matrices,
@@ -467,8 +467,7 @@ class TestFusedStages:
 class TestWeightTables:
     @staticmethod
     def cell(dp, dq, n, k, l):
-        fields = (dp - k) + (k << _WIDTH) + ((dq - l) << 2 * _WIDTH) + (l << 3 * _WIDTH)
-        return sum(factor for _, factor in _power_terms(fields, n))
+        return sum(factor for _, factor in _power_terms(dp - k, k, dq - l, l, n))
 
     @pytest.mark.parametrize("dp", range(13))
     def test_cells_are_power_term_sums(self, dp):

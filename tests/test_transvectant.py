@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pencils import BinaryForm, random_form, transvectant
-from pencils.transvectant import _packs, _product_sum, _transvectant, _transvectants
+from pencils.transvectant import _packs, _product_sum, _transvectant, _transvectants, _weights
 
 from helpers import (
     compose,
@@ -176,13 +176,15 @@ def test_kernel_matches_dot_product_oracle(case):
     expected = (tuple(nums), den)
     f = BinaryForm(len(a) - 1, [Fraction(x, da) for x in a])
     g = BinaryForm(len(b) - 1, [Fraction(y, db) for y in b])
-    table: dict = {}
-    result = _transvectant(f, g, q, table)
+    _weights.cache_clear()
+    result = _transvectant(f, g, q)
     assert (result._nums, result._den) == expected
-    # A second call reads both orders' weights from the table.
-    assert set(table) == {len(a) - 1, len(b) - 1}
-    result = _transvectant(f, g, q, table)
+    # A second call reads both orders' weights from the cache.
+    info = _weights.cache_info()
+    assert info.currsize == len({len(a) - 1, len(b) - 1})
+    result = _transvectant(f, g, q)
     assert (result._nums, result._den) == expected
+    assert _weights.cache_info().misses == info.misses
 
 
 def _pack_at(f, k, q, s):
@@ -210,7 +212,7 @@ def _pack_cases(draw):
 @example((BinaryForm(0, [-4]), 8, {0}))
 def test_every_pack_level_matches_its_definition(case):
     f, k, orders = case
-    packs = _packs(f, k, orders, {})
+    packs = _packs(f, k, orders)
     assert set(packs) == orders
     for q, level in packs.items():
         assert level == [_pack_at(f, k, q, s) for s in range(q + 1)]
@@ -224,13 +226,13 @@ def test_self_transvectant_pairs_its_terms(case):
     f, _, orders = case
     twin = BinaryForm._raw(list(f._nums), f._den)  # equal to f, but not f
     for q in orders:
-        result = _transvectant(f, f, q, {})
-        expected = _transvectant(f, twin, q, {})
+        result = _transvectant(f, f, q)
+        expected = _transvectant(f, twin, q)
         assert (result._nums, result._den) == (expected._nums, expected._den)
         assert result.order == 2 * f.order - 2 * q
         if q % 2:
             assert result.is_zero()
-            packs = _packs(f, 8, {q}, {})[q]
+            packs = _packs(f, 8, {q})[q]
             assert _product_sum(packs, packs, q) == 0
 
 
@@ -242,7 +244,7 @@ def test_orders_sharing_one_width_match_dot_product_oracle(case, data):
     orders = data.draw(st.sets(st.integers(0, top))) | {q}
     f = BinaryForm(len(a) - 1, [Fraction(x, da) for x in a])
     g = BinaryForm(len(b) - 1, [Fraction(y, db) for y in b])
-    results = _transvectants(f, g, orders, {})
+    results = _transvectants(f, g, orders)
     assert set(results) == orders
     for p, result in results.items():
         nums, den = transvectant_ints_by_dot_products(a, da, b, db, p)
