@@ -24,15 +24,25 @@ denominator reduced by one gcd (the Racah sums cancel most of the
 Delta^2 denominators, which keeps large arrays cheap), the terms meet
 over one `math.lcm`, and one `Fraction` is built per 9j value; the
 former `Fraction` x-sum is the test oracle `wigner9j_by_fraction_xsum`.
-The root of the fixed Delta^2 product comes from the squarefree split
-that normalizes every `SurdSum` radicand: trial division by 2, 3 and the
-numbers 6k-1 and 6k+1.  The entries are kept doubled (`NineJArray`),
-with `HalfInt` only at the API boundary.
+The 6j kernel and every Delta^2 of the 6j/9j route read factorials by
+index from one table, `_factorials`, which grows only as far as asked.
+Each distinct triad's Delta^2 is computed once, as a reduced pair
+(`_triad`).  A triad whose root is taken, such as a row or column of a
+9j array, also keeps the squarefree split of numerator times denominator
+(`_triad_root`), by trial division by 2, 3 and the numbers 6k-1 and
+6k+1, the split that normalizes every `SurdSum` radicand.  The root of a
+product of Delta^2 combines those split roots, two squarefree radicands
+r and s by g = gcd(r, s) into g * sqrt((r/g)(s/g)), so no product is
+ever factored.  The selection rules are tested inline, in plain integer
+arithmetic.  The entries are kept doubled (`NineJArray`), with `HalfInt`
+only at the API boundary.
 
 An independent brute-force contraction of six 3j symbols over all magnetic
 numbers is provided as a cross-check oracle.  It lists each row's and
-column's nonzero 3j symbols once, and shares nothing with the 6j route
-but the triangle test.
+column's nonzero 3j symbols once, after all six triangle tests pass.  Its
+3j symbols read `math.factorial` through `_delta_squared`, so it reaches
+neither the factorial table nor the triad caches: it shares only `SurdSum`
+and its squarefree split with the 6j route.
 """
 from __future__ import annotations
 
@@ -311,11 +321,36 @@ def _delta_squared(ta: int, tb: int, tc: int) -> Fraction:
     )
 
 
+_FACTORIALS = [1]
+
+
+def _factorials(n: int) -> list[int]:
+    """The table of k! for k = 0, 1, ..., grown in place to reach k = n."""
+    table = _FACTORIALS
+    f = table[-1]
+    for k in range(len(table), n + 1):
+        f *= k
+        table.append(f)
+    return table
+
+
 @lru_cache(maxsize=None)
-def _delta_squared_pair(ta: int, tb: int, tc: int) -> tuple[int, int]:
-    """`_delta_squared` as a reduced (numerator, denominator) pair."""
-    value = _delta_squared(ta, tb, tc)
-    return value.numerator, value.denominator
+def _triad(ta: int, tb: int, tc: int) -> tuple[int, int]:
+    """Delta^2 of a valid triangle as a reduced (numerator, denominator) pair."""
+    s = (ta + tb + tc) >> 1
+    f = _factorials(s + 1)
+    num, den = f[s - tc] * f[s - tb] * f[s - ta], f[s + 1]
+    g = gcd(num, den)
+    return num // g, den // g
+
+
+@lru_cache(maxsize=None)
+def _triad_root(ta: int, tb: int, tc: int) -> tuple[int, int, int]:
+    """(outer, radicand, den) with the root of the triad's Delta^2 equal to
+    outer * sqrt(radicand) / den, radicand squarefree.  Kept apart from
+    `_triad`, whose x-dependent triads in a 9j sum need no root."""
+    num, den = _triad(ta, tb, tc)
+    return (*_squarefree_split(num * den), den)
 
 
 def _delta_root(triads) -> tuple[int, int, int]:
@@ -323,14 +358,16 @@ def _delta_root(triads) -> tuple[int, int, int]:
     triads' Delta^2 equal to outer * sqrt(radicand) / den, radicand
     squarefree.
 
-    With the product num/den, the root is sqrt(num * den) / den.
+    Two squarefree radicands r and s with g = gcd(r, s) multiply to
+    g^2 * (r/g) * (s/g), and (r/g) * (s/g) is squarefree.
     """
-    num = den = 1
+    outer = radicand = den = 1
     for ta, tb, tc in triads:
-        n, d = _delta_squared_pair(ta, tb, tc)
-        num *= n
+        o, s, d = _triad_root(ta, tb, tc)
+        g = gcd(radicand, s)
+        outer *= o * g
+        radicand = (radicand // g) * (s // g)
         den *= d
-    outer, radicand = _squarefree_split(num * den)
     return outer, radicand, den
 
 
@@ -399,17 +436,24 @@ def _wigner6j_tw(ta, tb, tc, td, te, tf) -> tuple[int, int] | int:
     alpha = the four triad half-sums and beta = the three quad half-sums.
     Consecutive terms differ by the factor
     -(t+2) prod_j (beta_j-t) / prod_i (t+1-alpha_i), so the sum is evaluated
-    by Horner's rule in `int` over one denominator, reduced by one gcd at
-    the end.
+    by Horner's rule in `int` over one denominator; the t = lo term's
+    factorials come from the factorial table and one gcd reduces the pair.
     """
-    triads = ((ta, tb, tc), (ta, te, tf), (td, tb, tf), (td, te, tc))
-    for triad in triads:
-        if not _triangle_ok(*triad):
-            return 0
-    a1, a2, a3, a4 = ((x + y + z) // 2 for x, y, z in triads)
-    b1 = (ta + tb + td + te) // 2
-    b2 = (tb + tc + te + tf) // 2
-    b3 = (ta + tc + td + tf) // 2
+    a1, a2, a3, a4 = ta + tb + tc, ta + te + tf, td + tb + tf, td + te + tc
+    if (a1 | a2 | a3 | a4) & 1:
+        return 0
+    a1, a2, a3, a4 = a1 >> 1, a2 >> 1, a3 >> 1, a4 >> 1
+    # A triad x y z with half-sum s is a triangle when each entry is <= s.
+    if (
+        ta > a1 or tb > a1 or tc > a1
+        or ta > a2 or te > a2 or tf > a2
+        or td > a3 or tb > a3 or tf > a3
+        or td > a4 or te > a4 or tc > a4
+    ):
+        return 0
+    b1 = (ta + tb + td + te) >> 1
+    b2 = (tb + tc + te + tf) >> 1
+    b3 = (ta + tc + td + tf) >> 1
     lo, hi = max(a1, a2, a3, a4), min(b1, b2, b3)
     # The sum divided by its t = lo term is num/den.
     num = den = 1
@@ -418,9 +462,14 @@ def _wigner6j_tw(ta, tb, tc, td, te, tf) -> tuple[int, int] | int:
         num, den = den * q - (t + 2) * (b1 - t) * (b2 - t) * (b3 - t) * num, den * q
     if not num:
         return 0
-    for k in (lo - a1, lo - a2, lo - a3, lo - a4, b1 - lo, b2 - lo, b3 - lo):
-        den *= factorial(k)
-    num *= -factorial(lo + 1) if lo % 2 else factorial(lo + 1)
+    # Every index is at most lo + 1: b_j - lo <= b_j - a_i, and for some i
+    # that is (x + y - z) / 2 of another triad x y z, at most its half-sum.
+    f = _factorials(lo + 1)
+    den *= (
+        f[lo - a1] * f[lo - a2] * f[lo - a3] * f[lo - a4]
+        * f[b1 - lo] * f[b2 - lo] * f[b3 - lo]
+    )
+    num *= -f[lo + 1] if lo & 1 else f[lo + 1]
     g = gcd(num, den)
     return num // g, den // g
 
@@ -509,23 +558,26 @@ def wigner9j(array: NineJArray) -> SurdSum:
 
     Zero whenever any row or column triad fails the triangle condition.
     """
-    (tj1, tj2, tj3), (tj4, tj5, tj6), (tj7, tj8, tj9) = array.twice_rows()
-    triads = (
-        (tj1, tj2, tj3),
-        (tj4, tj5, tj6),
-        (tj7, tj8, tj9),
-        (tj1, tj4, tj7),
-        (tj2, tj5, tj8),
-        (tj3, tj6, tj9),
-    )
-    if any(not _triangle_ok(*t) for t in triads):
+    (tj1, tj2, tj3), (tj4, tj5, tj6), (tj7, tj8, tj9) = rows = array.twice_rows()
+    # The row sums s1, s2, s3 and column sums s4, s5, s6, halved once even.
+    s1, s2, s3 = tj1 + tj2 + tj3, tj4 + tj5 + tj6, tj7 + tj8 + tj9
+    s4, s5, s6 = tj1 + tj4 + tj7, tj2 + tj5 + tj8, tj3 + tj6 + tj9
+    # Even sums also give the x-pairs (j1 j9), (j4 j8), (j2 j6) one parity:
+    # tj1 + tj9 + tj4 + tj8 = s4 + s3 - 2 tj7, tj1 + tj9 + tj2 + tj6 = s1 + s6 - 2 tj3.
+    if (s1 | s2 | s3 | s4 | s5 | s6) & 1:
         return SurdSum.zero()
-    pairs = ((tj1, tj9), (tj4, tj8), (tj2, tj6))
-    parities = {(a + b) % 2 for a, b in pairs}
-    if len(parities) != 1:
+    s1, s2, s3, s4, s5, s6 = s1 >> 1, s2 >> 1, s3 >> 1, s4 >> 1, s5 >> 1, s6 >> 1
+    if (
+        tj1 > s1 or tj2 > s1 or tj3 > s1
+        or tj4 > s2 or tj5 > s2 or tj6 > s2
+        or tj7 > s3 or tj8 > s3 or tj9 > s3
+        or tj1 > s4 or tj4 > s4 or tj7 > s4
+        or tj2 > s5 or tj5 > s5 or tj8 > s5
+        or tj3 > s6 or tj6 > s6 or tj9 > s6
+    ):
         return SurdSum.zero()
-    tx_min = max(abs(a - b) for a, b in pairs)
-    tx_max = min(a + b for a, b in pairs)
+    tx_min = max(abs(tj1 - tj9), abs(tj4 - tj8), abs(tj2 - tj6))
+    tx_max = min(tj1 + tj9, tj4 + tj8, tj2 + tj6)
     nums, dens = [], []
     for tx in range(tx_min, tx_max + 1, 2):
         r1 = _wigner6j_tw(tj1, tj4, tj7, tj8, tj9, tx)
@@ -534,9 +586,9 @@ def wigner9j(array: NineJArray) -> SurdSum:
         if not r3:
             continue
         # The x-dependent triads' square roots pair up across the three 6j.
-        n1, d1 = _delta_squared_pair(tj1, tj9, tx)
-        n2, d2 = _delta_squared_pair(tj4, tj8, tx)
-        n3, d3 = _delta_squared_pair(tj2, tj6, tx)
+        n1, d1 = _triad(tj1, tj9, tx)
+        n2, d2 = _triad(tj4, tj8, tx)
+        n3, d3 = _triad(tj2, tj6, tx)
         num = (-(tx + 1) if tx % 2 else tx + 1) * r1[0] * r2[0] * r3[0] * n1 * n2 * n3
         den = r1[1] * r2[1] * r3[1] * d1 * d2 * d3
         g = gcd(num, den)
@@ -546,15 +598,13 @@ def wigner9j(array: NineJArray) -> SurdSum:
     total = sum(n * (common // d) for n, d in zip(nums, dens))
     if not total:
         return SurdSum.zero()
-    outer, radicand, den = _delta_root(triads)
+    outer, radicand, den = _delta_root((*rows, *zip(*rows)))
     return SurdSum._raw({radicand: Fraction(outer * total, den * common)})
 
 
 def _nonzero_3j(tj1: int, tj2: int, tj3: int) -> dict:
     """{(2m1, 2m2): value} over the nonzero 3j symbols (j1 j2 j3; m1 m2 m3),
     with m3 = -m1 - m2."""
-    if not _triangle_ok(tj1, tj2, tj3):
-        return {}
     values = {}
     for tm1 in range(-tj1, tj1 + 1, 2):
         for tm2 in range(max(-tj2, -tj3 - tm1), min(tj2, tj3 - tm1) + 1, 2):
@@ -568,19 +618,17 @@ def ninej_magnetic_sum(array: NineJArray) -> SurdSum:
     """Brute-force 9j value: sum over all magnetic numbers of the product of
     the three row 3j symbols and the three column 3j symbols.
 
-    Each row's and column's nonzero 3j symbols are listed once, and the sum
-    runs over the pairs of a row-1 and a row-2 entry, which fix every other
-    magnetic number.  Independent of the 6j contraction route; intended as
-    a test oracle for small momenta.
+    Zero before any 3j symbol is listed when a row or column fails the
+    triangle test.  Otherwise each row's and column's nonzero 3j symbols are
+    listed once, and the sum runs over the pairs of a row-1 and a row-2
+    entry, which fix every other magnetic number.  Independent of the 6j
+    contraction route; intended as a test oracle for small momenta.
     """
     rows = array.twice_rows()
-    lists = []
-    for triad in (*rows, *zip(*rows)):
-        values = _nonzero_3j(*triad)
-        if not values:
-            return SurdSum.zero()
-        lists.append(values)
-    row1, row2, row3, col1, col2, col3 = lists
+    triads = (*rows, *zip(*rows))
+    if not all(_triangle_ok(*triad) for triad in triads):
+        return SurdSum.zero()
+    row1, row2, row3, col1, col2, col3 = [_nonzero_3j(*triad) for triad in triads]
     total = SurdSum.zero()
     for (tm1, tm2), v1 in row1.items():
         for (tm4, tm5), v2 in row2.items():

@@ -60,10 +60,14 @@ GAMMA_MAX_D = 10000
 PENCIL_MAX_D = 22
 PENCIL_MAX_BOUND = 10**9
 VERIFY_MAX_TRIALS = 20
-# `ninej`: the 9j cost grows about as the cube of the entries.
+# `ninej`: the 9j cost grows about as the cube of the entries.  With all
+# nine 2j = 500, `wigner9j` takes 0.39 s and the command 0.49 s (best of
+# 3, shared 2-core host, Python 3.11).
 NINEJ_MAX_TWICE_J = 500
 # `ninej-combinant`: the permuted array at the top weight, with i near r/2
-# and j = 1, is the slowest; its x-sum runs over about d values.
+# and j = 1, is the slowest; its x-sum runs over about d values.  At
+# (500, 250, 125, 1) its `wigner9j` takes 0.46 s and the command 0.56 s
+# (best of 3, same host).
 NINEJ_COMBINANT_MAX_D = 500
 
 

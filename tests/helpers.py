@@ -8,7 +8,7 @@ from functools import lru_cache
 from itertools import combinations
 from math import factorial
 
-from pencils.angular import NineJArray, SurdSum, _delta_squared, _triangle_ok
+from pencils.angular import NineJArray, SurdSum, _delta_squared, _squarefree_split, _triangle_ok
 from pencils.errors import DegreeMismatchError, FormulaViolationError, NotDivisibleError
 from pencils.forms import (
     BinaryForm,
@@ -537,6 +537,19 @@ def surd_wigner6j_tw(ta, tb, tc, td, te, tf) -> SurdSum:
     for triad in triads:
         radicand *= _delta_squared(*triad)
     return SurdSum.sqrt(radicand) * total
+
+
+def delta_root_by_product_split(triads) -> tuple[int, int, int]:
+    """Oracle for `angular._delta_root`: (outer, radicand, den) from one
+    squarefree split of the whole product num * den of the triads' reduced
+    Delta^2, so that the root is outer * sqrt(radicand) / den."""
+    num = den = 1
+    for triad in triads:
+        value = _delta_squared(*triad)
+        num *= value.numerator
+        den *= value.denominator
+    outer, radicand = _squarefree_split(num * den)
+    return outer, radicand, den
 
 
 def _ninej_triads(array: NineJArray):

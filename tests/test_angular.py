@@ -1,18 +1,31 @@
 """Exact recoupling coefficients: surd arithmetic, 3j/6j/9j, array checks."""
+import functools
 import itertools
+import json
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import surd_wigner6j_tw, wigner9j_by_6j_products, wigner9j_by_fraction_xsum
+from helpers import (
+    _ninej_triads,
+    delta_root_by_product_split,
+    surd_wigner6j_tw,
+    wigner9j_by_6j_products,
+    wigner9j_by_fraction_xsum,
+)
 from pencils import (
     HalfInt,
     NineJArray,
     SurdSum,
+    angular,
     combinant_9j_array,
     ninej_equivalent,
     ninej_magnetic_sum,
@@ -21,7 +34,9 @@ from pencils import (
     wigner6j,
     wigner9j,
 )
-from pencils.angular import _squarefree_split
+from pencils.angular import _delta_root, _factorials, _squarefree_split
+
+ROOT = Path(__file__).resolve().parents[1]
 
 H = HalfInt
 W = HalfInt.whole
@@ -58,15 +73,35 @@ def combinant_indices(d_max):
     ]
 
 
+def bounded_array(rng, top):
+    """A random triangle-consistent array with every 2j <= top."""
+    while True:
+        arr = triangle_consistent_array(rng, top)
+        if max(map(max, arr.twice_rows())) <= top:
+            return arr
+
+
 def half_integer_arrays(seed, count, top):
     """Seeded triangle-consistent arrays with every 2j <= top."""
     rng = random.Random(seed)
-    arrays = []
-    while len(arrays) < count:
-        arr = triangle_consistent_array(rng, top)
-        if max(map(max, arr.twice_rows())) <= top:
-            arrays.append(arr)
-    return arrays
+    return [bounded_array(rng, top) for _ in range(count)]
+
+
+def ninej_triad_sets(arr):
+    """The triad sets of a triangle-consistent array whose Delta^2 roots the
+    6j/9j route takes: the six row and column triads, and the four triads
+    of each 6j symbol of the x-sum."""
+    (tj1, tj2, tj3), (tj4, tj5, tj6), (tj7, tj8, tj9) = rows = arr.twice_rows()
+    sets = [(*rows, *zip(*rows))]
+    pairs = ((tj1, tj9), (tj4, tj8), (tj2, tj6))
+    for tx in range(max(abs(a - b) for a, b in pairs), min(a + b for a, b in pairs) + 1, 2):
+        for ta, tb, tc, td, te, tf in (
+            (tj1, tj4, tj7, tj8, tj9, tx),
+            (tj2, tj5, tj8, tj4, tx, tj6),
+            (tj3, tj6, tj9, tx, tj1, tj2),
+        ):
+            sets.append(((ta, tb, tc), (ta, te, tf), (td, tb, tf), (td, te, tc)))
+    return sets
 
 
 class TestSurdSum:
@@ -325,6 +360,115 @@ class TestKernelMatchesSurdOracle:
         ]
         for arr in arrays:
             assert len(wigner9j(arr).terms) <= 1, arr
+
+
+# The first angular call of a fresh interpreter: a 6j symbol near the 9j
+# caps, whose Racah sum starts at lo = 748.
+FRESH_6J = """
+import json
+from pencils import HalfInt, wigner6j
+from pencils.angular import _factorials
+before = len(_factorials(0))
+value = wigner6j(*map(HalfInt, {twice}))
+print(json.dumps({{
+    "before": before,
+    "after": len(_factorials(0)),
+    "terms": {{str(rad): str(coeff) for rad, coeff in value.terms.items()}},
+}}))
+"""
+
+
+class TestTriadRoots:
+    """The factorial table, and the Delta^2 roots combined triad by triad."""
+
+    def test_factorial_table_grows_as_far_as_asked(self, monkeypatch):
+        monkeypatch.setattr(angular, "_FACTORIALS", [1])
+        size = 1
+        for n in (0, 1, 4, 4, 2, 9, 10, 37, 120):
+            table = _factorials(n)
+            size = max(size, n + 1)
+            assert len(table) == size, n
+            assert all(table[k] == math.factorial(k) for k in range(size)), n
+
+    def test_fresh_interpreter_grows_table_in_one_call(self):
+        twice = (500, 499, 497, 498, 495, 493)
+        proc = subprocess.run(
+            [sys.executable, "-c", FRESH_6J.format(twice=twice)],
+            env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        out = json.loads(proc.stdout)
+        # Nothing at import reads the table; the 6j kernel grows it to lo + 1.
+        assert (out["before"], out["after"]) == (1, 750)
+        expected = surd_wigner6j_tw(*twice)
+        assert not expected.is_zero()
+        assert out["terms"] == {str(rad): str(coeff) for rad, coeff in expected.terms.items()}
+
+    def test_delta_root_matches_product_split_on_combinant_arrays(self):
+        for args in combinant_indices(21):
+            for arr in combinant_9j_array(*args):
+                for triads in ninej_triad_sets(arr):
+                    assert _delta_root(triads) == delta_root_by_product_split(triads), triads
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.randoms(use_true_random=False).map(lambda rng: bounded_array(rng, 60)))
+    def test_delta_root_matches_product_split_up_to_60(self, arr):
+        for triads in ninej_triad_sets(arr):
+            assert _delta_root(triads) == delta_root_by_product_split(triads), triads
+
+
+@pytest.fixture(scope="module")
+def oracle_values():
+    """9j values, both routes agreeing, computed before any kernel is patched."""
+    arrays = [arr for args in combinant_indices(7) for arr in combinant_9j_array(*args)]
+    arrays += half_integer_arrays(23, 30, 3)
+    values = {}
+    for arr in arrays:
+        value = wigner9j(arr)
+        assert value == ninej_magnetic_sum(arr), arr
+        values[arr.twice_rows()] = value
+    assert sum(not v.is_zero() for v in values.values()) > 60
+    return values
+
+
+def unreachable(*args):
+    raise AssertionError("an oracle reached a kernel of the route it checks")
+
+
+class TestOracleIndependence:
+    """The magnetic sum and the 6j route to the 9j symbol share no kernel."""
+
+    def test_magnetic_sum_reaches_no_6j_route_kernel(self, oracle_values, monkeypatch):
+        for name in ("_wigner6j_tw", "_triad", "_triad_root", "_factorials"):
+            monkeypatch.setattr(angular, name, unreachable)
+        # A fresh 3j cache, so every 3j body runs under the patch.
+        monkeypatch.setattr(angular, "_wigner3j_tw", functools.cache(angular._wigner3j_tw.__wrapped__))
+        for rows, value in oracle_values.items():
+            assert ninej_magnetic_sum(NineJArray.from_twice(rows)) == value, rows
+
+    def test_6j_route_reaches_no_3j_kernel(self, oracle_values, monkeypatch):
+        for name in ("_wigner3j_tw", "_delta_squared"):
+            monkeypatch.setattr(angular, name, unreachable)
+        for name in ("_wigner6j_tw", "_triad", "_triad_root"):
+            monkeypatch.setattr(angular, name, functools.cache(getattr(angular, name).__wrapped__))
+        for rows, value in oracle_values.items():
+            assert wigner9j(NineJArray.from_twice(rows)) == value, rows
+
+    def test_failed_selection_rule_reaches_no_kernel(self, monkeypatch):
+        # Every array with all 2j <= 2 that fails a triangle test, or whose
+        # x-pairs differ in parity, is zero before any 6j kernel runs.
+        for name in ("_wigner6j_tw", "_triad", "_triad_root", "_factorials"):
+            monkeypatch.setattr(angular, name, unreachable)
+        rejected = 0
+        for twice in itertools.product(range(3), repeat=9):
+            arr = NineJArray.from_twice([twice[0:3], twice[3:6], twice[6:9]])
+            if _ninej_triads(arr) is None:
+                assert wigner9j(arr).is_zero(), twice
+                rejected += 1
+        assert rejected > 15_000
 
 
 class TestNineJArray:
