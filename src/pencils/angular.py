@@ -25,7 +25,9 @@ Delta^2 denominators, which keeps large arrays cheap), the terms meet
 over one `math.lcm`, and one `Fraction` is built per 9j value; the
 former `Fraction` x-sum is the test oracle `wigner9j_by_fraction_xsum`.
 The 6j kernel and every Delta^2 of the 6j/9j route read factorials by
-index from one table, `_factorials`, which grows only as far as asked.
+index from one table, `_factorials`, which grows only as far as asked;
+a growth extends a copy and replaces the table whole, as
+`Pencil.combinants` does, so threads never see an entry out of place.
 Each distinct triad's Delta^2 is computed once, as a reduced pair
 (`_triad`).  A triad whose root is taken, such as a row or column of a
 9j array, also keeps the squarefree split of numerator times denominator
@@ -325,12 +327,19 @@ _FACTORIALS = [1]
 
 
 def _factorials(n: int) -> list[int]:
-    """The table of k! for k = 0, 1, ..., grown in place to reach k = n."""
+    """The table of k! for k = 0, 1, ..., reaching at least k = n.  A growth
+    extends a copy and rebinds the module's table whole, so a caller that
+    holds an earlier table, or grows it in another thread, never sees an
+    entry out of place."""
+    global _FACTORIALS
     table = _FACTORIALS
-    f = table[-1]
-    for k in range(len(table), n + 1):
-        f *= k
-        table.append(f)
+    if len(table) <= n:
+        table = list(table)
+        f = table[-1]
+        for k in range(len(table), n + 1):
+            f *= k
+            table.append(f)
+        _FACTORIALS = table
     return table
 
 

@@ -7,6 +7,7 @@ import os
 import random
 import subprocess
 import sys
+import threading
 from fractions import Fraction
 from pathlib import Path
 
@@ -91,9 +92,9 @@ def ninej_triad_sets(arr):
     """The triad sets of a triangle-consistent array whose Delta^2 roots the
     6j/9j route takes: the six row and column triads, and the four triads
     of each 6j symbol of the x-sum."""
-    (tj1, tj2, tj3), (tj4, tj5, tj6), (tj7, tj8, tj9) = rows = arr.twice_rows()
-    sets = [(*rows, *zip(*rows))]
-    pairs = ((tj1, tj9), (tj4, tj8), (tj2, tj6))
+    (tj1, tj2, tj3), (tj4, tj5, tj6), (tj7, tj8, tj9) = arr.twice_rows()
+    triads, pairs = _ninej_triads(arr)
+    sets = [triads]
     for tx in range(max(abs(a - b) for a, b in pairs), min(a + b for a, b in pairs) + 1, 2):
         for ta, tb, tc, td, te, tf in (
             (tj1, tj4, tj7, tj8, tj9, tx),
@@ -389,6 +390,43 @@ class TestTriadRoots:
             size = max(size, n + 1)
             assert len(table) == size, n
             assert all(table[k] == math.factorial(k) for k in range(size)), n
+
+    def test_factorial_table_shared_between_threads(self, monkeypatch):
+        # Threads grow one table from [1] to different sizes at once; a
+        # growth from a stale length would misplace or double an entry.
+        workers = 6
+        sizes = (40, 7, 300, 120, 301, 64)
+        for _ in range(10):
+            monkeypatch.setattr(angular, "_FACTORIALS", [1])
+            barrier = threading.Barrier(workers)
+            seen, errors = [], []
+
+            def work(k):
+                try:
+                    barrier.wait(timeout=30)
+                    for n in (sizes[k], sizes[-1 - k], 3, 301):
+                        seen.append((n, _factorials(n)))
+                except Exception as exc:  # reported below, after the join
+                    errors.append(exc)
+
+            old = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                threads = [threading.Thread(target=work, args=(k,)) for k in range(workers)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+            finally:
+                sys.setswitchinterval(old)
+            assert not any(t.is_alive() for t in threads)
+            assert not errors
+            assert len(seen) == 4 * workers
+            expected = [math.factorial(k) for k in range(302)]
+            for n, table in seen:
+                assert len(table) > n
+                assert table == expected[: len(table)], n
+            assert angular._FACTORIALS == expected
 
     def test_fresh_interpreter_grows_table_in_one_call(self):
         twice = (500, 499, 497, 498, 495, 493)
