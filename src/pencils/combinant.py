@@ -3,18 +3,20 @@
 A pencil is spanned by two linearly independent forms A, B of the same
 order d.  Its combinants are the odd transvectants C_{2r-1} = (A, B)_{2r-1}
 for r = 1 .. floor((d+1)/2); up to scalar they depend only on span{A, B}.
-A `Pencil` keeps the combinants it has computed, and `combinant_sequence`
-returns all of them as a tuple whose entry r-1 is C_{2r-1}.  The module
+A `Pencil` keeps the combinants it has computed, each batch of them from
+one call of the transvectant kernel, and `combinant_sequence` returns all
+of them as a tuple whose entry r-1 is C_{2r-1}.  The module
 also provides the Wronskian membership test for the pencil and the
 equivalent defect expression built from C1 and C3 alone.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import starmap
 
 from .errors import DegeneratePencilError, DegreeMismatchError
 from .forms import BinaryForm, random_form
-from .transvectant import _transvectant, _transvectants, transvectant
+from .transvectant import _transvectants, transvectant
 
 
 class Pencil:
@@ -22,8 +24,8 @@ class Pencil:
 
     Independence is detected via the first combinant: C1 = (A, B)_1 is a
     scalar multiple of the Jacobian and vanishes exactly when A, B are
-    dependent.  The combinants are kept once computed, starting with the
-    C1 of that check, so every weight evaluated on one pencil shares them.
+    dependent.  Every combinant, C1 included, comes from `combinants` and is
+    kept once computed, so every weight evaluated on one pencil shares them.
     """
 
     __slots__ = ("a", "b", "order", "_combinants")
@@ -35,13 +37,12 @@ class Pencil:
             )
         if a.order < 2:
             raise ValueError("pencil order must be at least 2")
-        c1 = _transvectant(a, b, 1)
-        if c1.is_zero():
-            raise DegeneratePencilError("the two forms are linearly dependent")
         self.a = a
         self.b = b
         self.order = a.order
-        self._combinants = (c1,)
+        self._combinants = ()
+        if self.combinant(1).is_zero():
+            raise DegeneratePencilError("the two forms are linearly dependent")
 
     def max_combinant_index(self) -> int:
         return (self.order + 1) // 2
@@ -60,9 +61,8 @@ class Pencil:
             )
         kept = self._combinants
         if len(kept) < count:
-            orders = range(2 * len(kept) + 1, 2 * count, 2)
-            new = _transvectants(self.a, self.b, orders)
-            kept += tuple(new[q] for q in orders)
+            terms = [(0, 1, q) for q in range(2 * len(kept) + 1, 2 * count, 2)]
+            kept += tuple(starmap(BinaryForm._raw, _transvectants((self.a, self.b), terms)))
             self._combinants = kept
         return kept[:count]
 

@@ -40,6 +40,12 @@ ZERO_MONOMIAL = (0,) * _NSLOTS
 _SCALARS = (int, Fraction)
 
 
+def _check_ints(**values) -> None:
+    for name, value in values.items():
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise TypeError(f"{name} must be an int, got {value!r}")
+
+
 def check_pair(pair: str) -> str:
     if pair not in _PAIR_INDEX:
         raise ValueError(f"unknown variable pair {pair!r}; expected one of {PAIRS}")
@@ -138,7 +144,7 @@ class BinaryForm:
     __slots__ = ("order", "_nums", "_den")
 
     def __init__(self, order: int, coeffs):
-        order = int(order)
+        _check_ints(order=order)
         if order < 0:
             raise ValueError("order must be nonnegative")
         coeffs = [to_fraction(c) for c in coeffs]
@@ -291,10 +297,12 @@ def _merged_degrees(degrees: dict, from1: str, from2: str, to: str) -> dict:
 class MultiForm:
     """Sparse multihomogeneous form over named variable pairs.
 
-    `degrees` declares the homogeneous degree in each active pair; a zero
-    form keeps whatever degrees it was declared with.  Equality compares the
-    stored monomials only; the degree declaration is metadata (two zero
-    forms produced along different routes always compare equal).
+    `degrees` declares the homogeneous degree in each active pair, and every
+    term must have it: the constructor refuses one that does not with
+    `DegreeMismatchError`.  A zero form keeps whatever degrees it was
+    declared with.  Equality compares the stored monomials only; the degree
+    declaration is metadata (two zero forms produced along different routes
+    always compare equal).
 
     The form is stored as ``{exponent tuple: int numerator}`` over one
     positive denominator `_den`, kept reduced so that
@@ -308,7 +316,7 @@ class MultiForm:
         clean_deg = {}
         for pair, n in degrees.items():
             check_pair(pair)
-            n = int(n)
+            _check_ints(degree=n)
             if n < 0:
                 raise ValueError(f"negative degree for pair {pair!r}")
             if n:
@@ -318,7 +326,9 @@ class MultiForm:
             coeff = to_fraction(coeff)
             if not coeff:
                 continue
-            mono = tuple(int(e) for e in mono)
+            mono = tuple(mono)
+            for e in mono:
+                _check_ints(exponent=e)
             if len(mono) != _NSLOTS or any(e < 0 for e in mono):
                 raise ValueError(f"bad exponent vector {mono!r}")
             fracs[mono] = coeff
@@ -328,6 +338,8 @@ class MultiForm:
         self._degrees = clean_deg
         self._terms = clean_terms
         self._den = den
+        if not self.is_homogeneous():
+            raise DegreeMismatchError(f"a term does not have the declared degrees {clean_deg}")
 
     @classmethod
     def _raw(cls, degrees: dict, terms: dict, den: int) -> "MultiForm":

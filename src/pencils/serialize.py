@@ -2,14 +2,18 @@
 
 Rationals are serialized as decimal-free strings ("p/q", plain integers
 allowed), never floats.  On input an entry is a JSON integer or a string
-of the form [-]digits[/digits]; exponents and decimals are refused.
+of the form [-]digits[/digits]; exponents and decimals are refused.  A
+table's index keys are read only as `table_to_dict` writes them, "i,j".
 """
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .forms import BinaryForm, to_fraction
 from .syzygy import SyzygyTable
+
+_INDEX_KEY = re.compile(r"[1-9][0-9]*,[1-9][0-9]*")
 
 
 def _read_rational(entry) -> Fraction:
@@ -59,6 +63,8 @@ def table_from_dict(obj) -> SyzygyTable:
         raise ValueError("'alphas' must be an object")
     entries = {}
     for key, value in obj["alphas"].items():
+        if not isinstance(key, str) or not _INDEX_KEY.fullmatch(key):
+            raise ValueError(f"alpha keys must read 'i,j' with positive integers, got {key!r}")
         i, j = (int(part) for part in key.split(","))
         entries[(i, j)] = _read_rational(value)
     return SyzygyTable(obj["d"], obj["r"], entries)

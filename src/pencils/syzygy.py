@@ -11,9 +11,10 @@ C_1 * C_{2r-1} up to the positive factor alpha_{1,r}, the identity recovers
 C_{2r-1} from the earlier combinants by one exact division.
 
 Both run in integers.  Each combinant, and each transvectant of two of
-them, is a form of integer numerators over one denominator.  Each
-combinant is packed once for all the transvectant orders it meets (see
-`transvectant`), and the terms alpha * (C_{2i-1}, C_{2j-1})_q go into one
+them, is a form of integer numerators over one denominator.  One call of
+the transvectant kernel `_transvectants` gives every term
+(C_{2i-1}, C_{2j-1})_q of a sum, packing each combinant once for all the
+orders it meets, and the terms alpha * (C_{2i-1}, C_{2j-1})_q go into one
 integer accumulator over the lcm of their denominators.  Recovery divides
 that sum by C_1 with `exact_divide`, where Gauss's lemma makes every
 quotient step an exact `//`, and scales the quotient by -1/alpha_{1,r}.
@@ -32,14 +33,8 @@ from math import factorial
 
 from .combinant import Pencil
 from .errors import FormulaViolationError
-from .forms import BinaryForm, exact_divide
-from .transvectant import _bound, _height, _packs, _product_sum, _slot_bytes, _slots, _weights
-
-
-def _check_ints(**values) -> None:
-    for name, value in values.items():
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise TypeError(f"{name} must be an int, got {value!r}")
+from .forms import BinaryForm, _check_ints, exact_divide, to_fraction
+from .transvectant import _transvectants
 
 
 def _check_weight(d: int, r: int) -> None:
@@ -111,7 +106,7 @@ class SyzygyTable:
             raise ValueError("entry keys do not match the weight-2r index set")
         self.d = d
         self.r = r
-        self.entries = {key: Fraction(entries[key]) for key in index_pairs(r)}
+        self.entries = {key: to_fraction(entries[key]) for key in index_pairs(r)}
 
     def alpha(self, i: int, j: int) -> Fraction:
         if i > j:
@@ -160,37 +155,17 @@ def _alphas(d: int, r: int) -> tuple:
 def _syzygy_sum(d: int, r: int, alphas, combinants, skip=None) -> BinaryForm:
     """sum alpha_{i,j} (C_{2i-1}, C_{2j-1})_{2(r-i-j+1)} over `alphas` but `skip`.
 
-    `alphas` is `_alphas(d, r)` and `combinants[i-1]` is C_{2i-1}.  Each
-    combinant is packed once, for every order q its terms meet, at one slot
-    width: the largest of the terms' kernel bounds, so that every term's
-    unpack stays exact.  A term unpacks to v / s; with alpha = p / a and
-    L = lcm of the a*s, it adds p * (L // (a*s)) * v to one integer
+    `alphas` is `_alphas(d, r)` and `combinants[i-1]` is C_{2i-1}.  One
+    kernel call gives every term as v / s; with alpha = p / a and
+    L = lcm of the a*s, a term adds p * (L // (a*s)) * v to one integer
     accumulator, and the sum is that accumulator over L.
     """
-    terms = [
-        (i - 1, j - 1, 2 * (r - i - j + 1), p, a)
-        for i, j, p, a in alphas
-        if (i, j) != skip
-    ]
-    orders: dict = {}
-    for i, j, q, _, _ in terms:
-        orders.setdefault(i, set()).add(q)
-        orders.setdefault(j, set()).add(q)
-    height = {i: _height(combinants[i]) for i in orders}
-    # C_{2j-1} has the lower order of the two, as i <= j.
-    kb = _slot_bytes(max(
-        (_bound(height[i] * height[j], combinants[j].order, q) for i, j, q, _, _ in terms),
-        default=0,
-    ))
-    packs = {i: _packs(combinants[i], 8 * kb, qs) for i, qs in orders.items()}
-    scale = {i: _weights(combinants[i].order)[1] * combinants[i]._den for i in orders}
-    size = 4 * (d - r) + 1
-    scaled = [
-        (p, a * scale[i] * scale[j], _slots(_product_sum(packs[i][q], packs[j][q], q), kb, size))
-        for i, j, q, p, a in terms
-    ]
+    kept = [(i, j, p, a) for i, j, p, a in alphas if (i, j) != skip]
+    terms = [(i - 1, j - 1, 2 * (r - i - j + 1)) for i, j, _, _ in kept]
+    values = _transvectants(combinants, terms)
+    scaled = [(p, a * s, v) for (_, _, p, a), (v, s) in zip(kept, values)]
     lcm = math.lcm(*(s for _, s, _ in scaled))
-    total = [0] * size
+    total = [0] * (4 * (d - r) + 1)
     for p, s, v in scaled:
         c = p * (lcm // s)
         total = [t + c * x for t, x in zip(total, v)]

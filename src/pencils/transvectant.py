@@ -25,12 +25,16 @@ C(m-q,u) = C(m-q-1,u) + C(m-q-1,u-1) then gives each lower level as
 
     P_s^(q) = P_s^(q+1) + (P_{s+1}^(q+1) << k),
 
-one shift and one add per pack.  So a caller that needs several orders
-of one form, such as the combinants (A, B)_{2r-1} of a pencil or the
-terms of a syzygy sum, packs each form once.
+one shift and one add per pack.
+
+Every transvectant in the package is a term (a, b, q) of one kernel call,
+`_transvectants(forms, terms)`, which packs each form once for every
+order its terms meet: `transvectant` is one term, the combinants of a
+pencil are the terms (0, 1, 2r-1) of (A, B), and a syzygy sum has one
+term per (C_{2i-1}, C_{2j-1})_q.
 
 The slot width k comes from a bound on the output.  C(m-q,u) <= C(m,u+s)
-(Vandermonde), so |P_s[u]| <= L_m max|a|, the form's `_height`; at most
+(Vandermonde), so |P_s[u]| <= L_m max|a|, the form's height; at most
 min(m,n)-q+1 pairs (u, v) meet in an output slot, and the C(q,s) sum to
 2^q, so
 
@@ -43,16 +47,17 @@ S + H sum_w 2^(kw) carries every borrow between slots, and its bytes read
 off in k-bit slots are the out[w] + H.  The packs themselves are exact at
 any k, being values of integer polynomials at 2^k, so levels that share
 one width are unpacked exactly whenever that width is the largest of
-their bounds: a wider slot only leaves more room for each digit.  The
-result is stored as a form over the denominator L_m L_n D_f D_g, reduced
-by one gcd.
+their bounds: a wider slot only leaves more room for each digit.  Each
+term comes back as its numerators over L_m L_n D_f D_g, unreduced, so a
+caller that sums terms reduces once; `transvectant` reduces by one gcd.
 """
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from functools import lru_cache
 
-from .forms import BinaryForm
+from .forms import BinaryForm, _check_ints
 
 
 @lru_cache(maxsize=None)
@@ -69,22 +74,6 @@ def _weights(m: int) -> tuple[tuple, int]:
     binomials = _row(m)
     top = math.lcm(*binomials)
     return tuple(top // c for c in binomials), top
-
-
-def _height(f: BinaryForm) -> int:
-    """L_m max|a|, a bound on every packed entry |P_s[u]| of f at every order."""
-    return _weights(f.order)[1] * max(map(abs, f._nums))
-
-
-def _bound(height: int, low: int, q: int) -> int:
-    """The bound on every |out[w]| of (f, g)_q, from the product `height` of
-    the two forms' heights and the lower order `low` of the two."""
-    return height * (low - q + 1) << q
-
-
-def _slot_bytes(bound: int) -> int:
-    """Bytes per slot for outputs bounded by `bound`: its bits and a sign bit."""
-    return (bound.bit_length() + 8) // 8
 
 
 def _packs(f: BinaryForm, k: int, orders) -> dict:
@@ -143,36 +132,46 @@ def _slots(total: int, kb: int, size: int) -> list:
     return [read(raw[j : j + kb], "little") - half for j in range(0, kb * size, kb)]
 
 
-def _transvectants(f: BinaryForm, g: BinaryForm, orders) -> dict:
-    """{q: (f, g)_q} for each q in `orders`, each 0 <= q <= min of the orders, unchecked.
+def _transvectants(forms, terms) -> list:
+    """For each term (a, b, q), (forms[a], forms[b])_q as an unreduced
+    (numerators, denominator) pair; each 0 <= q <= min of the two orders, unchecked.
 
-    f and g are each packed once, at one slot width for every order.
+    The one slot width is the largest of the terms' output bounds, so every
+    unpack is exact; a term (a, a, q) pairs s with q-s in `_product_sum`.
     """
-    m, n = f.order, g.order
-    height = _height(f) * _height(g)
-    kb = _slot_bytes(max(_bound(height, min(m, n), q) for q in orders))
-    pf = _packs(f, 8 * kb, orders)
-    pg = pf if g is f else _packs(g, 8 * kb, orders)
-    den = _weights(m)[1] * _weights(n)[1] * f._den * g._den
-    return {
-        q: BinaryForm._raw(_slots(_product_sum(pf[q], pg[q], q), kb, m + n - 2 * q + 1), den)
-        for q in orders
-    }
-
-
-def _transvectant(f: BinaryForm, g: BinaryForm, q: int) -> BinaryForm:
-    """(f, g)_q for 0 <= q <= min of the orders, unchecked."""
-    return _transvectants(f, g, (q,))[q]
+    orders = defaultdict(set)
+    for a, b, q in terms:
+        orders[a].add(q)
+        orders[b].add(q)
+    size, height, scale = {}, {}, {}
+    for a in orders:
+        f = forms[a]
+        size[a] = f.order
+        top = _weights(f.order)[1]
+        height[a] = top * max(map(abs, f._nums))
+        scale[a] = top * f._den
+    bound = max(
+        (height[a] * height[b] * (min(size[a], size[b]) - q + 1) << q for a, b, q in terms),
+        default=0,
+    )
+    kb = (bound.bit_length() + 8) // 8  # the bound's bits and a sign bit, in whole bytes
+    packs = {a: _packs(forms[a], 8 * kb, qs) for a, qs in orders.items()}
+    return [
+        (_slots(_product_sum(packs[a][q], packs[b][q], q), kb, size[a] + size[b] - 2 * q + 1),
+         scale[a] * scale[b])
+        for a, b, q in terms
+    ]
 
 
 def transvectant(f: BinaryForm, g: BinaryForm, q: int) -> BinaryForm:
     """The q-th transvectant of f (order m) and g (order n).
 
-    Result has order m + n - 2q, possibly as the zero form.  Requires
+    Result has order m + n - 2q, possibly as the zero form.  Requires an int
     0 <= q <= min(m, n); out-of-range q is an error rather than a silent
     zero, so caller bugs do not vanish into selection rules.
     """
+    _check_ints(q=q)
     m, n = f.order, g.order
     if not 0 <= q <= min(m, n):
         raise ValueError(f"transvectant index {q} outside 0..min({m},{n})")
-    return _transvectant(f, g, q)
+    return BinaryForm._raw(*_transvectants((f, g), ((0, 0 if g is f else 1, q),))[0])

@@ -20,7 +20,7 @@ from pencils.forms import (
 )
 from pencils.omega import bracket, h_factor, omega
 from pencils.syzygy import syzygy_table
-from pencils.transvectant import _transvectant, transvectant
+from pencils.transvectant import transvectant
 
 
 def random_multiform(pair_degrees: dict, seed: int, bound: int = 4) -> MultiForm:
@@ -185,7 +185,7 @@ def transvectant_by_derivatives(f: BinaryForm, g: BinaryForm, q: int) -> BinaryF
 
 
 def transvectant_ints_by_dot_products(a: list, da: int, b: list, db: int, q: int) -> tuple[list, int]:
-    """Oracle for the kernel `_transvectant`: one Python dot product per output pair.
+    """Oracle for the kernel `_transvectants`: one Python dot product per output pair.
 
     Coefficient a_k is scaled by k!(m-k)!, and every (u, v) pair adds
     C(m-q,u) C(n-q,v) sum_i (-1)^i C(q,i) a'_{u+i} b'_{v+q-i} to out[u+v],
@@ -271,8 +271,8 @@ def syzygy_sum_by_fractions(seq, table, skip=None) -> BinaryForm:
 def syzygy_sum_by_terms(table, combinants, skip=None) -> BinaryForm:
     """Oracle for `syzygy._syzygy_sum`: one kernel call per term, nothing shared.
 
-    `combinants[i-1]` is C_{2i-1}.  Each term comes out of `_transvectant`
-    as v / s, packed and unpacked on its own; with alpha = p / a and
+    `combinants[i-1]` is C_{2i-1}.  Each term comes out of one public
+    `transvectant` call as v / s, packed and unpacked on its own; with alpha = p / a and
     L = lcm of the a*s, it adds p * (L // (a*s)) * v to one integer
     accumulator, and the sum is that accumulator over L.
     """
@@ -281,7 +281,7 @@ def syzygy_sum_by_terms(table, combinants, skip=None) -> BinaryForm:
     for (i, j), alpha in table.items():
         if alpha and (i, j) != skip:
             q = 2 * (r - i - j + 1)
-            v = _transvectant(combinants[i - 1], combinants[j - 1], q)
+            v = transvectant(combinants[i - 1], combinants[j - 1], q)
             terms.append((alpha.numerator, alpha.denominator * v._den, v._nums))
     lcm = math.lcm(*(q for _, q, _ in terms))
     total = [0] * (4 * (table.d - r) + 1)

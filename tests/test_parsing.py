@@ -10,6 +10,7 @@ from pencils import (
     BinaryForm,
     LinearSymbol,
     ParseError,
+    SyzygyTable,
     form_from_dict,
     form_to_dict,
     format_form,
@@ -185,3 +186,19 @@ class TestTableJson:
         payload = {**table_to_dict(syzygy_table(7, 3)), field: value}
         with pytest.raises(ValueError, match=message):
             table_from_dict(payload)
+
+    @pytest.mark.parametrize(
+        "key, keep", [("01,1", True), ("01,1", False), (" 1,1", False), ("1_0,1", False), ("1, 1", False)]
+    )
+    def test_index_keys_must_be_canonical(self, key, keep):
+        payload = table_to_dict(syzygy_table(7, 3))
+        alphas = payload["alphas"]
+        alphas[key] = alphas["1,1"] if keep else alphas.pop("1,1")
+        with pytest.raises(ValueError, match="alpha keys must read"):
+            table_from_dict(payload)
+
+    def test_float_alpha_refused(self):
+        entries = dict(syzygy_table(7, 3).items())
+        entries[(1, 1)] = 0.5
+        with pytest.raises(TypeError, match="floating-point"):
+            SyzygyTable(7, 3, entries)

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pencils import BinaryForm, random_form, transvectant
-from pencils.transvectant import _packs, _product_sum, _transvectant, _transvectants, _weights
+from pencils.transvectant import _packs, _product_sum, _transvectants, _weights
 
 from helpers import (
     compose,
@@ -177,12 +177,12 @@ def test_kernel_matches_dot_product_oracle(case):
     f = BinaryForm(len(a) - 1, [Fraction(x, da) for x in a])
     g = BinaryForm(len(b) - 1, [Fraction(y, db) for y in b])
     _weights.cache_clear()
-    result = _transvectant(f, g, q)
+    result = transvectant(f, g, q)
     assert (result._nums, result._den) == expected
     # A second call reads both orders' weights from the cache.
     info = _weights.cache_info()
     assert info.currsize == len({len(a) - 1, len(b) - 1})
-    result = _transvectant(f, g, q)
+    result = transvectant(f, g, q)
     assert (result._nums, result._den) == expected
     assert _weights.cache_info().misses == info.misses
 
@@ -226,8 +226,8 @@ def test_self_transvectant_pairs_its_terms(case):
     f, _, orders = case
     twin = BinaryForm._raw(list(f._nums), f._den)  # equal to f, but not f
     for q in orders:
-        result = _transvectant(f, f, q)
-        expected = _transvectant(f, twin, q)
+        result = transvectant(f, f, q)
+        expected = transvectant(f, twin, q)
         assert (result._nums, result._den) == (expected._nums, expected._den)
         assert result.order == 2 * f.order - 2 * q
         if q % 2:
@@ -237,15 +237,23 @@ def test_self_transvectant_pairs_its_terms(case):
 
 
 @settings(max_examples=60, deadline=None)
-@given(_integer_cases(), st.data())
-def test_orders_sharing_one_width_match_dot_product_oracle(case, data):
+@given(_integer_cases(), _integer_cases(), st.data())
+def test_orders_sharing_one_width_match_dot_product_oracle(case, other, data):
+    # Three forms, one kernel call: terms across every pair of them, with
+    # self terms (c, c, q), all unpacked from one shared slot width.
     a, da, b, db, q = case
-    top = min(len(a), len(b)) - 1
-    orders = data.draw(st.sets(st.integers(0, top))) | {q}
-    f = BinaryForm(len(a) - 1, [Fraction(x, da) for x in a])
-    g = BinaryForm(len(b) - 1, [Fraction(y, db) for y in b])
-    results = _transvectants(f, g, orders)
-    assert set(results) == orders
-    for p, result in results.items():
-        nums, den = transvectant_ints_by_dot_products(a, da, b, db, p)
-        assert (result._nums, result._den) == (tuple(nums), den)
+    nums, dens = (a, b, other[0]), (da, db, other[1])
+    forms = [BinaryForm(len(x) - 1, [Fraction(y, dx) for y in x]) for x, dx in zip(nums, dens)]
+
+    def term(pair):
+        x, y = pair
+        return st.tuples(st.just(x), st.just(y), st.integers(0, min(len(nums[x]), len(nums[y])) - 1))
+
+    pairs = st.tuples(st.integers(0, 2), st.integers(0, 2))
+    terms = [(0, 1, q), data.draw(term((2, 2)))] + data.draw(st.lists(pairs.flatmap(term), max_size=8))
+    results = _transvectants(forms, terms)
+    assert len(results) == len(terms)
+    for (x, y, p), pair in zip(terms, results):
+        result = BinaryForm._raw(*pair)
+        want, den = transvectant_ints_by_dot_products(nums[x], dens[x], nums[y], dens[y], p)
+        assert (result._nums, result._den) == (tuple(want), den)
