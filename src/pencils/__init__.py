@@ -10,11 +10,9 @@ over the rationals, extended by square roots where recoupling coefficients
 need them.
 """
 from .angular import (
-    HalfInt,
     NineJArray,
     SurdSum,
     combinant_9j_array,
-    ninej_equivalent,
     ninej_magnetic_sum,
     wigner3j,
     wigner6j,
@@ -82,7 +80,6 @@ __all__ = [
     "DegeneratePencilError",
     "DegreeMismatchError",
     "FormulaViolationError",
-    "HalfInt",
     "LinearSymbol",
     "MultiForm",
     "NineJArray",
@@ -111,7 +108,6 @@ __all__ = [
     "linear_power",
     "membership_defect",
     "mu_factor",
-    "ninej_equivalent",
     "ninej_magnetic_sum",
     "omega",
     "omega_chain",

@@ -1,7 +1,11 @@
 """Exact Wigner 3j/6j/9j symbols over rational-surd arithmetic.
 
-Angular momenta are half-integers stored as doubled integers (`HalfInt`),
-which keeps every triangle and phase condition in plain integer arithmetic.
+Every angular momentum j or projection m is passed and kept as the int 2j
+or 2m, as the paper indexes each irreducible by its order d = 2j, so every
+triangle and phase condition is plain integer arithmetic:
+`wigner3j(tj1, tj2, tj3, tm1, tm2, tm3)`, `wigner6j(ta, tb, tc, td, te, tf)`
+and `wigner9j(NineJArray.from_twice(rows))` take doubled ints only, and
+refuse a bool, a float or a string with `TypeError`.
 Values are `SurdSum`s: finite sums q0 + q1*sqrt(n1) + ... with rational
 coefficients and squarefree integer radicands, so equality tests are
 decisive.  Selection-rule violations (triangle or magnetic) are values equal
@@ -36,8 +40,7 @@ Each distinct triad's Delta^2 is computed once, as a reduced pair
 product of Delta^2 combines those split roots, two squarefree radicands
 r and s by g = gcd(r, s) into g * sqrt((r/g)(s/g)), so no product is
 ever factored.  The selection rules are tested inline, in plain integer
-arithmetic.  The entries are kept doubled (`NineJArray`), with `HalfInt`
-only at the API boundary.
+arithmetic.
 
 An independent brute-force contraction of six 3j symbols over all magnetic
 numbers is provided as a cross-check oracle.  It lists each row's and
@@ -52,7 +55,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial, gcd, lcm
 
-from .forms import to_fraction
+from .forms import _check_ints, to_fraction
 from .syzygy import _check_indices
 
 
@@ -244,58 +247,8 @@ class SurdSum:
         return f"SurdSum({self})"
 
 
-class HalfInt:
-    """A half-integer stored as its doubled value, e.g. HalfInt(7) is 7/2."""
-
-    __slots__ = ("twice",)
-
-    def __init__(self, twice: int):
-        if not isinstance(twice, int) or isinstance(twice, bool):
-            raise TypeError("HalfInt takes the doubled value as an int")
-        self.twice = twice
-
-    @classmethod
-    def whole(cls, value: int) -> "HalfInt":
-        return cls(2 * value)
-
-    @property
-    def is_whole(self) -> bool:
-        return self.twice % 2 == 0
-
-    def __neg__(self):
-        return HalfInt(-self.twice)
-
-    def __abs__(self):
-        return HalfInt(abs(self.twice))
-
-    def __eq__(self, other):
-        if not isinstance(other, HalfInt):
-            return NotImplemented
-        return self.twice == other.twice
-
-    def __lt__(self, other):
-        if not isinstance(other, HalfInt):
-            return NotImplemented
-        return self.twice < other.twice
-
-    def __hash__(self):
-        return hash(("HalfInt", self.twice))
-
-    def __str__(self):
-        return _twice_str(self.twice)
-
-    def __repr__(self):
-        return f"HalfInt({self.twice})"
-
-
 def _twice_str(twice: int) -> str:
     return str(twice // 2) if twice % 2 == 0 else f"{twice}/2"
-
-
-def _twice(value) -> int:
-    if isinstance(value, HalfInt):
-        return value.twice
-    raise TypeError(f"expected HalfInt, got {type(value).__name__}")
 
 
 def _check_momentum(tj: int) -> None:
@@ -425,13 +378,14 @@ def _wigner3j_tw(tj1, tj2, tj3, tm1, tm2, tm3) -> SurdSum:
     return SurdSum.sqrt(radicand) * (_phase(tj1 - tj2 - tm3) * total)
 
 
-def wigner3j(j1, j2, j3, m1, m2, m3) -> SurdSum:
-    """Exact 3j symbol; zero on any selection-rule violation."""
-    tjs = tuple(_twice(j) for j in (j1, j2, j3))
-    tms = tuple(_twice(m) for m in (m1, m2, m3))
-    for tj, tm in zip(tjs, tms):
-        _check_jm(tj, tm)
-    return _wigner3j_tw(*tjs, *tms)
+def wigner3j(tj1: int, tj2: int, tj3: int, tm1: int, tm2: int, tm3: int) -> SurdSum:
+    """Exact 3j symbol (j1 j2 j3; m1 m2 m3) of the doubled momenta 2j and
+    2m; zero on any selection-rule violation."""
+    _check_ints(tj1=tj1, tj2=tj2, tj3=tj3, tm1=tm1, tm2=tm2, tm3=tm3)
+    _check_jm(tj1, tm1)
+    _check_jm(tj2, tm2)
+    _check_jm(tj3, tm3)
+    return _wigner3j_tw(tj1, tj2, tj3, tm1, tm2, tm3)
 
 
 @lru_cache(maxsize=None)
@@ -483,62 +437,49 @@ def _wigner6j_tw(ta, tb, tc, td, te, tf) -> tuple[int, int] | int:
     return num // g, den // g
 
 
-def wigner6j(j1, j2, j3, j4, j5, j6) -> SurdSum:
-    """Exact 6j symbol {j1 j2 j3; j4 j5 j6}; zero on triangle violations."""
-    tjs = tuple(_twice(j) for j in (j1, j2, j3, j4, j5, j6))
-    for tj in tjs:
+def wigner6j(ta: int, tb: int, tc: int, td: int, te: int, tf: int) -> SurdSum:
+    """Exact 6j symbol {a b c; d e f} of the doubled momenta 2a, ..., 2f;
+    zero on triangle violations."""
+    _check_ints(ta=ta, tb=tb, tc=tc, td=td, te=te, tf=tf)
+    for tj in (ta, tb, tc, td, te, tf):
         _check_momentum(tj)
-    racah = _wigner6j_tw(*tjs)
+    racah = _wigner6j_tw(ta, tb, tc, td, te, tf)
     if not racah:
         return SurdSum.zero()
-    ta, tb, tc, td, te, tf = tjs
     triads = ((ta, tb, tc), (ta, te, tf), (td, tb, tf), (td, te, tc))
     outer, radicand, den = _delta_root(triads)
     return SurdSum._raw({radicand: Fraction(outer * racah[0], den * racah[1])})
 
 
 class NineJArray:
-    """A 3x3 array of nonnegative half-integers for the 9j symbol.
-
-    The entries are kept doubled, as a tuple of three int triples; `rows`
-    builds the `HalfInt`s on access.
-    """
+    """A 3x3 array of nonnegative doubled momenta 2j for the 9j symbol,
+    kept as a tuple of three int triples.  `from_twice` builds it."""
 
     __slots__ = ("_twice",)
 
-    def __init__(self, rows):
-        self._twice = _checked(tuple([tuple(map(_twice, row)) for row in rows]))
-
-    @classmethod
-    def _of(cls, twice: tuple) -> "NineJArray":
-        obj = object.__new__(cls)
-        obj._twice = twice
-        return obj
+    def __init__(self, *args, **kwargs):
+        raise TypeError("build a NineJArray with NineJArray.from_twice(twice_rows)")
 
     @classmethod
     def from_twice(cls, twice_rows) -> "NineJArray":
-        return cls._of(_checked(tuple([tuple(map(int, row)) for row in twice_rows])))
-
-    @property
-    def rows(self) -> tuple:
-        return tuple(tuple(HalfInt(v) for v in row) for row in self._twice)
+        """The array of three rows of three nonnegative ints, each a 2j."""
+        rows = tuple([tuple(row) for row in twice_rows])
+        try:
+            (a, b, c), (d, e, f), (g, h, i) = rows
+        except ValueError:
+            raise ValueError("need a 3x3 array") from None
+        entries = (a, b, c, d, e, f, g, h, i)
+        for v in entries:
+            if type(v) is not int:
+                raise TypeError(f"array entries must be ints, got {v!r}")
+        if min(entries) < 0:
+            raise ValueError("array entries must be nonnegative")
+        obj = object.__new__(cls)
+        obj._twice = rows
+        return obj
 
     def twice_rows(self) -> tuple:
         return self._twice
-
-    def entry_sum_twice(self) -> int:
-        return sum(map(sum, self._twice))
-
-    def transposed(self) -> "NineJArray":
-        return NineJArray._of(tuple(zip(*self._twice)))
-
-    def swapped_rows(self, a: int, b: int) -> "NineJArray":
-        rows = list(self._twice)
-        rows[a], rows[b] = rows[b], rows[a]
-        return NineJArray._of(tuple(rows))
-
-    def swapped_cols(self, a: int, b: int) -> "NineJArray":
-        return self.transposed().swapped_rows(a, b).transposed()
 
     def __eq__(self, other):
         if not isinstance(other, NineJArray):
@@ -550,15 +491,6 @@ class NineJArray:
 
     def __repr__(self):
         return f"NineJArray({self})"
-
-
-def _checked(twice_rows: tuple) -> tuple:
-    """The doubled rows, once they are known to form a 3x3 nonnegative array."""
-    if tuple(map(len, twice_rows)) != (3, 3, 3):
-        raise ValueError("need a 3x3 array")
-    if min(map(min, twice_rows)) < 0:
-        raise ValueError("array entries must be nonnegative")
-    return twice_rows
 
 
 def wigner9j(array: NineJArray) -> SurdSum:
@@ -667,8 +599,3 @@ def combinant_9j_array(d: int, r: int, i: int, j: int) -> tuple[NineJArray, Nine
     base = NineJArray.from_twice((a, b, c))
     permuted = NineJArray.from_twice(tuple((x, z, y) for x, y, z in (c, a, b)))
     return base, permuted
-
-
-def ninej_equivalent(a: NineJArray, b: NineJArray) -> bool:
-    """Whether two arrays evaluate to the same exact 9j value."""
-    return wigner9j(a) == wigner9j(b)

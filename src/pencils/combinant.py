@@ -15,7 +15,7 @@ from fractions import Fraction
 from itertools import starmap
 
 from .errors import DegeneratePencilError, DegreeMismatchError
-from .forms import BinaryForm, random_form
+from .forms import BinaryForm, _check_ints, random_form
 from .transvectant import _transvectants, transvectant
 
 
@@ -55,6 +55,7 @@ class Pencil:
         replaces it whole so that concurrent callers never see a partial
         list.
         """
+        _check_ints(count=count)
         if not 1 <= count <= self.max_combinant_index():
             raise ValueError(
                 f"combinant index {count} outside 1..{self.max_combinant_index()}"

@@ -272,6 +272,7 @@ def syzygy_space_dim(d: int, r: int) -> int:
     1, 2 and 3, whose number is the integer nearest (r-3+3)^2/12, that is
     (r*r + 6) // 12.  This is 0 for r = 1, 2, where no syzygy exists.
     """
+    _check_ints(d=d, r=r)
     if d < 4:
         raise ValueError("need order at least 4")
     if not 1 <= r <= (d + 1) // 2:

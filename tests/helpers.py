@@ -620,3 +620,22 @@ def wigner9j_by_fraction_xsum(array: NineJArray) -> SurdSum:
     if not total:
         return SurdSum.zero()
     return SurdSum.sqrt(_product(_delta_squared(*t) for t in triads)) * total
+
+
+def transposed(array: NineJArray) -> NineJArray:
+    return NineJArray.from_twice(tuple(zip(*array.twice_rows())))
+
+
+def swapped_rows(array: NineJArray, a: int, b: int) -> NineJArray:
+    rows = list(array.twice_rows())
+    rows[a], rows[b] = rows[b], rows[a]
+    return NineJArray.from_twice(rows)
+
+
+def swapped_cols(array: NineJArray, a: int, b: int) -> NineJArray:
+    return transposed(swapped_rows(transposed(array), a, b))
+
+
+def entry_sum_twice(array: NineJArray) -> int:
+    """The sum of the array's nine doubled entries."""
+    return sum(map(sum, array.twice_rows()))

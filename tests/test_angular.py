@@ -5,6 +5,7 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import threading
@@ -18,17 +19,19 @@ from hypothesis import strategies as st
 from helpers import (
     _ninej_triads,
     delta_root_by_product_split,
+    entry_sum_twice,
     surd_wigner6j_tw,
+    swapped_cols,
+    swapped_rows,
+    transposed,
     wigner9j_by_6j_products,
     wigner9j_by_fraction_xsum,
 )
 from pencils import (
-    HalfInt,
     NineJArray,
     SurdSum,
     angular,
     combinant_9j_array,
-    ninej_equivalent,
     ninej_magnetic_sum,
     theta,
     wigner3j,
@@ -38,9 +41,6 @@ from pencils import (
 from pencils.angular import _delta_root, _factorials, _squarefree_split
 
 ROOT = Path(__file__).resolve().parents[1]
-
-H = HalfInt
-W = HalfInt.whole
 
 
 def ninej(*twice):
@@ -168,50 +168,35 @@ class TestSurdSum:
                 assert all(rad % (p * p) for p in range(2, k + 1)), (k, m)
 
 
-class TestHalfInt:
-    def test_str(self):
-        assert str(H(7)) == "7/2"
-        assert str(H(6)) == "3"
-
-    def test_whole(self):
-        assert W(3) == H(6)
-        assert H(5).is_whole is False
-
-    def test_order_with_other_types_raises_type_error(self):
-        assert H(3) < H(4)
-        assert not H(4) < H(3)
-        for other in (2, Fraction(1, 2), "2"):
-            with pytest.raises(TypeError):
-                H(3) < other
-            with pytest.raises(TypeError):
-                other < H(3)
-
-
 class TestWigner3j:
     def test_all_zero(self):
-        assert wigner3j(*[H(0)] * 6) == SurdSum.from_rational(1)
+        assert wigner3j(*[0] * 6) == SurdSum.from_rational(1)
 
     def test_magnetic_sum_rule(self):
-        assert wigner3j(W(1), W(1), W(1), W(1), W(1), W(1)).is_zero()
+        assert wigner3j(2, 2, 2, 2, 2, 2).is_zero()
 
     def test_known_values(self):
-        assert wigner3j(W(1), W(1), W(0), W(0), W(0), W(0)) == -SurdSum.sqrt(3) / 3
-        assert wigner3j(W(1), W(1), W(2), W(0), W(0), W(0)) == SurdSum.sqrt(30) / 15
-        assert wigner3j(W(1), W(1), W(2), W(1), W(-1), W(0)) == SurdSum.sqrt(30) / 30
-        assert wigner3j(H(1), H(1), H(0), H(1), H(-1), H(0)) == SurdSum.sqrt(2) / 2
-        assert wigner3j(W(1), W(1), W(1), W(0), W(0), W(0)).is_zero()
+        assert wigner3j(2, 2, 0, 0, 0, 0) == -SurdSum.sqrt(3) / 3
+        assert wigner3j(2, 2, 4, 0, 0, 0) == SurdSum.sqrt(30) / 15
+        assert wigner3j(2, 2, 4, 2, -2, 0) == SurdSum.sqrt(30) / 30
+        assert wigner3j(1, 1, 0, 1, -1, 0) == SurdSum.sqrt(2) / 2
+        assert wigner3j(2, 2, 2, 0, 0, 0).is_zero()
 
     def test_parity_precondition(self):
+        with pytest.raises(ValueError, match=re.escape("2j=1 and 2m=0 differ mod 2")):
+            wigner3j(2, 2, 1, 0, 0, 0)
         with pytest.raises(ValueError):
-            wigner3j(H(1), H(2), H(1), H(0), H(0), H(0))
+            wigner3j(1, 2, 1, 0, 0, 0)
 
     def test_negative_momentum_rejected(self):
         with pytest.raises(ValueError):
-            wigner3j(H(-2), H(2), H(0), H(0), H(0), H(0))
+            wigner3j(-2, 2, 0, 0, 0, 0)
+        with pytest.raises(ValueError):
+            wigner3j(2, 2, -2, 0, 0, 0)
 
     def test_magnitude_selection_rule(self):
-        assert wigner3j(W(1), W(1), W(2), W(1), W(1), W(-2)).is_zero() is False
-        assert wigner3j(W(1), W(2), W(1), W(1), W(2), W(-3)).is_zero()
+        assert wigner3j(2, 2, 4, 2, 2, -4).is_zero() is False
+        assert wigner3j(2, 4, 2, 2, 4, -6).is_zero()
 
     def test_orthogonality(self):
         # sum over m1, m2 of (2*j3+1) * 3j(...)^2 = 1, fixed j3 and m3.
@@ -222,23 +207,49 @@ class TestWigner3j:
                 tm2 = -tm3 - tm1
                 if abs(tm2) > tj2:
                     continue
-                value = wigner3j(H(tj1), H(tj2), H(tj3), H(tm1), H(tm2), H(tm3))
+                value = wigner3j(tj1, tj2, tj3, tm1, tm2, tm3)
                 total = total + (tj3 + 1) * value * value
             assert total == SurdSum.from_rational(1)
+
+    # A bool, a float or a string is refused, not read as the int it
+    # equals: True and 1.0 hash like 1 in the kernel's cache.
+    @pytest.mark.parametrize("bad", [True, 1.0, "2"])
+    def test_arguments_must_be_ints(self, bad):
+        names = ("tj1", "tj2", "tj3", "tm1", "tm2", "tm3")
+        for slot, name in enumerate(names):
+            args = [1, 1, 0, 1, -1, 0]
+            args[slot] = bad
+            with pytest.raises(TypeError, match=re.escape(f"{name} must be an int, got {bad!r}")):
+                wigner3j(*args)
 
 
 class TestWigner6j:
     def test_all_zero(self):
-        assert wigner6j(*[H(0)] * 6) == SurdSum.from_rational(1)
+        assert wigner6j(*[0] * 6) == SurdSum.from_rational(1)
 
     def test_triangle_violation_is_zero(self):
-        assert wigner6j(W(1), W(1), W(3), W(1), W(1), W(1)).is_zero()
+        assert wigner6j(2, 2, 6, 2, 2, 2).is_zero()
+        # An odd triad sum is a selection rule, not an error.
+        assert wigner6j(1, 1, 1, 1, 1, 1).is_zero()
 
     def test_known_values(self):
-        assert wigner6j(W(1), W(1), W(1), W(0), W(1), W(1)) == SurdSum.from_rational(
-            Fraction(-1, 3)
-        )
-        assert wigner6j(*[W(1)] * 6) == SurdSum.from_rational(Fraction(1, 6))
+        assert wigner6j(2, 2, 2, 0, 2, 2) == SurdSum.from_rational(Fraction(-1, 3))
+        assert wigner6j(*[2] * 6) == SurdSum.from_rational(Fraction(1, 6))
+
+    def test_negative_momentum_rejected(self):
+        for slot in range(6):
+            args = [2] * 6
+            args[slot] = -2
+            with pytest.raises(ValueError, match="nonnegative"):
+                wigner6j(*args)
+
+    @pytest.mark.parametrize("bad", [True, 1.0, "2"])
+    def test_arguments_must_be_ints(self, bad):
+        for slot, name in enumerate(("ta", "tb", "tc", "td", "te", "tf")):
+            args = [2] * 6
+            args[slot] = bad
+            with pytest.raises(TypeError, match=re.escape(f"{name} must be an int, got {bad!r}")):
+                wigner6j(*args)
 
     def test_against_3j_contraction(self):
         # Collapse the 9j brute-force identity with a zero corner:
@@ -274,7 +285,7 @@ class TestWigner9j:
         for _ in range(25):
             arr = triangle_consistent_array(rng)
             value = wigner9j(arr)
-            assert value == wigner9j(arr.transposed())
+            assert value == wigner9j(transposed(arr))
             hits += not value.is_zero()
         assert hits > 10
 
@@ -284,9 +295,9 @@ class TestWigner9j:
         for _ in range(20):
             arr = triangle_consistent_array(rng)
             value = wigner9j(arr)
-            cycled = arr.swapped_rows(0, 1).swapped_rows(1, 2)
+            cycled = swapped_rows(swapped_rows(arr, 0, 1), 1, 2)
             assert value == wigner9j(cycled)
-            cycled_cols = arr.swapped_cols(0, 1).swapped_cols(1, 2)
+            cycled_cols = swapped_cols(swapped_cols(arr, 0, 1), 1, 2)
             assert value == wigner9j(cycled_cols)
             hits += not value.is_zero()
         assert hits > 8
@@ -303,7 +314,7 @@ class TestKernelMatchesSurdOracle:
     def test_6j_every_small_tuple(self):
         nonzero = 0
         for twice in itertools.product(range(5), repeat=6):
-            value = wigner6j(*map(H, twice))
+            value = wigner6j(*twice)
             assert value == surd_wigner6j_tw(*twice), twice
             nonzero += not value.is_zero()
         assert nonzero > 500
@@ -367,10 +378,10 @@ class TestKernelMatchesSurdOracle:
 # caps, whose Racah sum starts at lo = 748.
 FRESH_6J = """
 import json
-from pencils import HalfInt, wigner6j
+from pencils import wigner6j
 from pencils.angular import _factorials
 before = len(_factorials(0))
-value = wigner6j(*map(HalfInt, {twice}))
+value = wigner6j(*{twice})
 print(json.dumps({{
     "before": before,
     "after": len(_factorials(0)),
@@ -510,35 +521,48 @@ class TestOracleIndependence:
 
 
 class TestNineJArray:
-    def test_rows_are_halfints_over_the_doubled_entries(self):
+    def test_doubled_entries_and_their_str(self):
         arr = NineJArray.from_twice([[7, 7, 12], [7, 7, 8], [12, 4, 16]])
-        assert arr.rows[0] == (H(7), H(7), H(12))
-        assert arr.rows[2][1] == W(2)
         assert arr.twice_rows() == ((7, 7, 12), (7, 7, 8), (12, 4, 16))
         assert all(type(v) is int for row in arr.twice_rows() for v in row)
         assert str(arr) == "7/2 7/2 6; 7/2 7/2 4; 6 2 8"
         assert repr(arr) == "NineJArray(7/2 7/2 6; 7/2 7/2 4; 6 2 8)"
-        assert arr.entry_sum_twice() == 80
+        assert entry_sum_twice(arr) == 80
 
-    def test_halfint_constructor_matches_from_twice(self):
+    def test_equality_and_permutation_helpers(self):
         rows = [[1, 2, 3], [4, 5, 6], [7, 8, 9]]
-        arr = NineJArray([[H(v) for v in row] for row in rows])
-        assert arr == NineJArray.from_twice(rows)
+        arr = NineJArray.from_twice(rows)
+        assert arr == NineJArray.from_twice(tuple(map(tuple, rows)))
         assert arr != NineJArray.from_twice([[1, 2, 3], [4, 5, 6], [7, 8, 8]])
-        assert arr.transposed() == NineJArray.from_twice([[1, 4, 7], [2, 5, 8], [3, 6, 9]])
-        assert arr.swapped_rows(0, 2) == NineJArray.from_twice([[7, 8, 9], [4, 5, 6], [1, 2, 3]])
-        assert arr.swapped_cols(0, 1) == NineJArray.from_twice([[2, 1, 3], [5, 4, 6], [8, 7, 9]])
+        assert transposed(arr) == NineJArray.from_twice([[1, 4, 7], [2, 5, 8], [3, 6, 9]])
+        assert swapped_rows(arr, 0, 2) == NineJArray.from_twice([[7, 8, 9], [4, 5, 6], [1, 2, 3]])
+        assert swapped_cols(arr, 0, 1) == NineJArray.from_twice([[2, 1, 3], [5, 4, 6], [8, 7, 9]])
         assert arr.twice_rows() == ((1, 2, 3), (4, 5, 6), (7, 8, 9))
 
     def test_invalid_input_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="3x3"):
             NineJArray.from_twice([[0, 0], [0, 0, 0], [0, 0, 0]])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="3x3"):
             NineJArray.from_twice([[0, 0, 0], [0, 0, 0]])
-        with pytest.raises(ValueError):
-            NineJArray([[H(0)] * 3, [H(0), H(-1), H(0)], [H(0)] * 3])
-        with pytest.raises(TypeError):
-            NineJArray([[0] * 3] * 3)
+        with pytest.raises(ValueError, match="3x3"):
+            NineJArray.from_twice([[0, 0, 0], [0, 0, 0], [0, 0, 0, 0]])
+        with pytest.raises(ValueError, match="nonnegative"):
+            NineJArray.from_twice([[0] * 3, [0, -1, 0], [0] * 3])
+
+    # An entry is never read through int(): 7.9 would become 7 and give
+    # the 9j value of another array.
+    @pytest.mark.parametrize("bad", [7.9, "2", True])
+    def test_entries_must_be_ints(self, bad):
+        message = re.escape(f"array entries must be ints, got {bad!r}")
+        with pytest.raises(TypeError, match=message):
+            NineJArray.from_twice([[bad, 7, 12], [7, 7, 8], [12, 4, 16]])
+        with pytest.raises(TypeError, match=message):
+            NineJArray.from_twice([[7, 7, 12], [7, 7, 8], [12, 4, bad]])
+
+    def test_direct_construction_refused(self):
+        for args in ((), ([[0] * 3] * 3,)):
+            with pytest.raises(TypeError, match="from_twice"):
+                NineJArray(*args)
 
 
 class TestCombinantArrays:
@@ -555,12 +579,13 @@ class TestCombinantArrays:
                         if i + j > r + 1:
                             continue
                         base, permuted = combinant_9j_array(d, r, i, j)
-                        assert ninej_equivalent(base, permuted), (d, r, i, j)
+                        assert wigner9j(base) == wigner9j(permuted), (d, r, i, j)
 
     def test_permuted_array_matches_row_and_column_swaps(self):
         for args in combinant_indices(12):
             base, permuted = combinant_9j_array(*args)
-            assert permuted == base.swapped_rows(0, 1).swapped_rows(0, 2).swapped_cols(1, 2)
+            swapped = swapped_rows(swapped_rows(base, 0, 1), 0, 2)
+            assert permuted == swapped_cols(swapped, 1, 2)
 
     def test_entry_sum_parity_even(self):
         for d in (5, 6, 7, 9):
@@ -570,7 +595,7 @@ class TestCombinantArrays:
                         if i + j > r + 1:
                             continue
                         base, _ = combinant_9j_array(d, r, i, j)
-                        twice_sum = base.entry_sum_twice()
+                        twice_sum = entry_sum_twice(base)
                         assert twice_sum == 2 * (8 * d - 2 * i - 2 * j - 4 * r + 2)
                         assert twice_sum % 4 == 0  # entry sum itself is even
 

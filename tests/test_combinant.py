@@ -1,5 +1,6 @@
 """Pencil and combinant contracts: invariance, Wronskian, membership defect."""
 import random
+import re
 import sys
 import threading
 from fractions import Fraction
@@ -80,6 +81,17 @@ def test_combinants_match_the_transvectants():
             pencil.combinants(count)
         with pytest.raises(ValueError):
             pencil.combinant(count)
+
+
+@pytest.mark.parametrize("index", [True, 2.0])
+def test_combinant_index_must_be_an_int(index):
+    # True is not read as 1, nor 2.0 as 2.
+    pencil = random_pencil(7, 1)
+    message = re.escape(f"count must be an int, got {index!r}")
+    with pytest.raises(TypeError, match=message):
+        pencil.combinants(index)
+    with pytest.raises(TypeError, match=message):
+        pencil.combinant(index)
 
 
 @pytest.mark.parametrize("d", [3, 8, 13])

@@ -1,5 +1,6 @@
 """Transvectant contracts: frozen small cases, symmetry, equivariance, oracles."""
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -257,3 +258,28 @@ def test_orders_sharing_one_width_match_dot_product_oracle(case, other, data):
         result = BinaryForm._raw(*pair)
         want, den = transvectant_ints_by_dot_products(nums[x], dens[x], nums[y], dens[y], p)
         assert (result._nums, result._den) == (tuple(want), den)
+
+
+def _extremal_cases(seed, count):
+    """Pairs of forms of orders 1..5 whose coefficients are all +-A or +-B,
+    so that each has height A or B, with a random index q >= 1."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        m, n = rng.randint(1, 5), rng.randint(1, 5)
+        q = rng.randint(1, min(m, n))
+        a, b = rng.randint(1, 16), rng.randint(1, 16)
+        f = BinaryForm(m, [rng.choice((a, -a)) for _ in range(m + 1)])
+        g = BinaryForm(n, [rng.choice((b, -b)) for _ in range(n + 1)])
+        yield f, g, q
+
+
+def test_extremal_heights_fit_the_slot_bound():
+    # At extremal heights an output coefficient comes close to the kernel's
+    # slot bound, and would overflow its slot without the bound's 2^q
+    # factor (the C(q,s) sum to 2^q): the first case would raise
+    # OverflowError, and about 2% of the sweep would come back wrong.
+    assert transvectant(BinaryForm(1, [10, -10]), BinaryForm(1, [10, 10]), 1) == BinaryForm(0, [200])
+    f, g = BinaryForm(1, [-5, 5]), BinaryForm(2, [12, 12, -12])
+    assert transvectant(f, g, 1) == BinaryForm(1, [-90, 30])
+    for f, g, q in _extremal_cases(0, 500):
+        assert transvectant(f, g, q) == transvectant_by_derivatives(f, g, q), (f, g, q)
