@@ -69,6 +69,7 @@ class Pencil:
 
     def combinant(self, r: int) -> BinaryForm:
         """C_{2r-1} = (A, B)_{2r-1}, of order 2d - 4r + 2."""
+        _check_ints(r=r)
         return self.combinants(r)[r - 1]
 
     def __repr__(self):

@@ -68,8 +68,10 @@ def _monomial(*slots: int) -> tuple:
     return tuple(mono)
 
 
-# The one accepted spelling of a rational in text: [-]digits[/digits].
-_RATIONAL = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
+# The one accepted spelling of an unsigned rational in text: digits[/digits],
+# ASCII digits only.  The expression grammar of `parsing` builds on it too.
+RATIONAL = r"[0-9]+(?:/[0-9]+)?"
+_RATIONAL = re.compile(f"-?{RATIONAL}")
 
 
 def to_fraction(value) -> Fraction:
@@ -77,15 +79,23 @@ def to_fraction(value) -> Fraction:
 
     Strings are read strictly: no exponent, decimal point, sign '+',
     underscore or surrounding space, so a short string cannot stand for a
-    huge number.
+    huge number.  A zero denominator, or a part longer than Python's
+    int-string limit, raises ValueError.
     """
     if isinstance(value, float):
         raise TypeError(
             "floating-point coefficients are not supported; use Fraction or 'p/q'"
         )
-    if isinstance(value, str) and not _RATIONAL.fullmatch(value):
+    if not isinstance(value, str):
+        return Fraction(value)
+    if not _RATIONAL.fullmatch(value):
         raise ValueError(f"expected an integer or 'p/q' rational, got {value!r}")
-    return Fraction(value)
+    try:
+        return Fraction(value)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {value!r}") from None
+    except ValueError:  # more digits than int() reads, sys.get_int_max_str_digits()
+        raise ValueError(f"numeral of {len(value)} characters is too long") from None
 
 
 def _linear_pow_ints(f: LinearSymbol, n: int) -> tuple[list, int]:

@@ -8,6 +8,15 @@ with `coef` an integer or `p/q` fraction, `^1` elided, missing factors
 elided, and whitespace insignificant.  Every term must have the same total
 degree a+b; terms with equal exponents are combined.  `format_form` emits
 the same syntax, so parse/format round-trips exactly.
+
+The language is regular and every part of a term is optional, so one
+pattern, `_TERM`, matched greedily where the previous term ended, takes
+exactly the tokens a token-by-token reader would; no tokenizer is needed.
+The token after a term must be the next term's sign or the end of the
+text, and `_refuse` names any other.  A prefix scan, `_TOKENS`, runs
+first, so a character that starts no token is reported before any other
+error.  Numerals are `forms.RATIONAL` (ASCII digits), and coefficients are
+read by `to_fraction`, as in every other text reader.
 """
 from __future__ import annotations
 
@@ -15,108 +24,51 @@ import re
 from fractions import Fraction
 
 from .errors import ParseError
-from .forms import BinaryForm
+from .forms import RATIONAL, BinaryForm, to_fraction
 
 # Largest order `parse_form` accepts.  The coefficient list is allocated
 # from the first term's degree, so a larger degree is refused before that.
 MAX_ORDER = 10_000
 
-_TOKEN = re.compile(r"(?P<num>\d+(?:/\d+)?)|(?P<var>x[12])|(?P<op>[+\-*^])")
 _WS = re.compile(r"\s*")
+# Whitespace and tokens; where a match stops, a character starts no token.
+_TOKENS = re.compile(rf"(?:\s*(?:{RATIONAL}|x[12]|[-+*^]))*\s*")
+# A '*' belongs to a term only where a variable follows it.
+_STAR = r"(?:\s*\*(?=\s*x[12]))?"
+# One signed term and the whitespace after it; group `term` is the term
+# without its sign.  An exponent that runs into '/' is left unmatched.
+_TERM = re.compile(
+    rf"\s*(?P<sign>[-+]?)\s*(?P<term>(?:(?P<coef>{RATIONAL}){_STAR})?"
+    rf"(?:\s*(?P<x1>x1)(?:\s*\^\s*(?P<e1>[0-9]+(?![/0-9])))?{_STAR})?"
+    rf"(?:\s*(?P<x2>x2)(?:\s*\^\s*(?P<e2>[0-9]+(?![/0-9])))?{_STAR})?)\s*"
+)
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        pos = _WS.match(text, pos).end()
-        if pos >= len(text):
-            break
-        m = _TOKEN.match(text, pos)
-        if not m:
-            raise ParseError(f"unexpected character {text[pos]!r}", pos)
-        kind = m.lastgroup
-        tokens.append((kind, m.group(), pos))
-        pos = m.end()
-    return tokens
+def _power(m: re.Match, k: str) -> int:
+    """The exponent of x`k` in the term `m`: 0 if absent, 1 if '^' is elided."""
+    digits = m["e" + k]
+    if digits is None:
+        return 1 if m["x" + k] else 0
+    try:
+        return int(digits)
+    except ValueError:  # more digits than int() reads, sys.get_int_max_str_digits()
+        message = f"exponent of {len(digits)} digits is too long"
+        raise ParseError(message, m.start("e" + k)) from None
 
 
-class _Cursor:
-    def __init__(self, tokens, length):
-        self.tokens = tokens
-        self.pos = 0
-        self.length = length
-
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else (None, None, self.length)
-
-    def advance(self):
-        tok = self.peek()
-        self.pos += 1
-        return tok
-
-    def done(self):
-        return self.pos >= len(self.tokens)
-
-
-def _exponent(cur: _Cursor) -> int:
-    kind, value, pos = cur.peek()
-    if kind != "op" or value != "^":
-        return 1
-    cur.advance()
-    kind, value, pos = cur.peek()
-    if kind != "num" or "/" in value:
-        raise ParseError("expected an integer exponent after '^'", pos)
-    cur.advance()
-    return int(value)
-
-
-def _star(cur: _Cursor) -> None:
-    """Skip a `*`, which must be followed by a variable."""
-    kind, value, _ = cur.peek()
-    if kind == "op" and value == "*":
-        cur.advance()
-        kind, _, pos = cur.peek()
-        if kind != "var":
-            raise ParseError("expected a variable after '*'", pos)
-
-
-def _term(cur: _Cursor, text: str) -> tuple[Fraction, int, int, str]:
-    start = cur.peek()[2]
-    coef = None
-    e1 = None
-    e2 = None
-    kind, value, pos = cur.peek()
-    if kind == "num":
-        cur.advance()
-        coef = Fraction(value)
-        _star(cur)
-    kind, value, pos = cur.peek()
-    if kind == "var" and value == "x1":
-        cur.advance()
-        e1 = _exponent(cur)
-        _star(cur)
-    kind, value, pos = cur.peek()
-    if kind == "var" and value == "x2":
-        cur.advance()
-        e2 = _exponent(cur)
-        _star(cur)
-    kind, value, pos = cur.peek()
-    if kind == "var":
+def _refuse(text: str, pos: int, term: str) -> None:
+    """Raise the error for the token at `pos`, which cannot follow `term`."""
+    if text[pos] == "x":
         message = (
-            "x1 must come before x2 in a term" if value == "x1" else "repeated x2 factor"
+            "x1 must come before x2 in a term" if text[pos + 1] == "1" else "repeated x2 factor"
         )
-        raise ParseError(message, pos)
-    if coef is None and e1 is None and e2 is None:
-        raise ParseError("expected a term", start)
-    end = cur.peek()[2]
-    source = text[start:end].strip()
-    return (
-        Fraction(1) if coef is None else coef,
-        e1 or 0,
-        e2 or 0,
-        source,
-    )
+    elif text[pos] == "*":
+        message, pos = "expected a variable after '*'", _WS.match(text, pos + 1).end()
+    elif text[pos] == "^" and term.endswith(("x1", "x2")):
+        message, pos = "expected an integer exponent after '^'", _WS.match(text, pos + 1).end()
+    else:
+        message = "expected '+' or '-' between terms"
+    raise ParseError(message, pos)
 
 
 def parse_coeffs(text: str) -> list[Fraction]:
@@ -125,23 +77,27 @@ def parse_coeffs(text: str) -> list[Fraction]:
     Entry k belongs to x1^(d-k) * x2^k, as in `BinaryForm`.  The list is
     returned before a form is built, so callers can bound its size first.
     """
-    tokens = _tokenize(text)
-    if not tokens:
+    pos = _TOKENS.match(text).end()
+    if pos < len(text):
+        raise ParseError(f"unexpected character {text[pos]!r}", pos)
+    if not text.strip():
         raise ParseError("empty expression", 0)
-    cur = _Cursor(tokens, len(text))
     terms = []
-    first = True
-    while not cur.done():
-        sign = 1
-        kind, value, pos = cur.peek()
-        if kind == "op" and value in "+-":
-            cur.advance()
-            sign = -1 if value == "-" else 1
-        elif not first:
-            raise ParseError("expected '+' or '-' between terms", pos)
-        coef, e1, e2, source = _term(cur, text)
-        terms.append((sign * coef, e1, e2, source, pos))
-        first = False
+    pos = 0
+    while pos < len(text):
+        m = _TERM.match(text, pos)
+        term = m["term"]
+        if not term:
+            raise ParseError("expected a term", m.start("term"))
+        try:
+            coef = to_fraction(m["coef"]) if m["coef"] else Fraction(1)
+        except ValueError as exc:  # a zero denominator or too many digits
+            raise ParseError(str(exc), m.start("coef")) from None
+        sign = -1 if m["sign"] == "-" else 1
+        terms.append((sign * coef, _power(m, "1"), _power(m, "2"), term, m.start("sign")))
+        pos = m.end()
+        if pos < len(text) and text[pos] not in "+-":
+            _refuse(text, pos, term)
     order = terms[0][1] + terms[0][2]
     if order > MAX_ORDER:
         raise ParseError(f"degree {order} exceeds the largest order {MAX_ORDER}", terms[0][4])

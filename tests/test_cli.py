@@ -279,6 +279,21 @@ class TestOracleTheta:
         assert "error:" in err
 
 
+@pytest.mark.parametrize("source", ["--f", "json", "expr"])
+def test_zero_denominator_is_refused_by_name(capsys, tmp_path, source):
+    if source == "--f":
+        argv = ["oracle-theta", "--d", "5", "--r", "3", "--i", "1", "--j", "3", "--f", "1/0,1"]
+    else:
+        path = tmp_path / "f.json"
+        path.write_text('{"order": 1, "coeffs": ["1/0", "1"]}')
+        first = [str(path)] if source == "json" else ["--expr", "1/0*x1 + x2"]
+        argv = ["transvect", *first, "--expr", "x2", "--q", "0"]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: zero denominator in '1/0'")
+
+
 class TestInputCaps:
     """Each cap accepts its own value and refuses one more with exit 2."""
 

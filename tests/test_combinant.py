@@ -87,10 +87,10 @@ def test_combinants_match_the_transvectants():
 def test_combinant_index_must_be_an_int(index):
     # True is not read as 1, nor 2.0 as 2.
     pencil = random_pencil(7, 1)
-    message = re.escape(f"count must be an int, got {index!r}")
-    with pytest.raises(TypeError, match=message):
+    with pytest.raises(TypeError, match=re.escape(f"count must be an int, got {index!r}")):
         pencil.combinants(index)
-    with pytest.raises(TypeError, match=message):
+    # combinant names its own argument, not the one of combinants.
+    with pytest.raises(TypeError, match=re.escape(f"r must be an int, got {index!r}")):
         pencil.combinant(index)
 
 

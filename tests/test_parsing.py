@@ -24,6 +24,42 @@ from pencils.parsing import MAX_ORDER
 small_fractions = st.fractions(min_value=-9, max_value=9, max_denominator=10)
 
 
+@st.composite
+def spelled_forms(draw):
+    """A form and a random spelling of it: spacing, '*', a leading '+',
+    '^1', 'x^0', a written or elided coefficient 1, unreduced fractions."""
+    gap = st.sampled_from(["", "", " ", "  ", "\t", "\n"])
+    d = draw(st.integers(0, 6))
+    coeffs = [Fraction(0)] * (d + 1)
+    text = draw(gap)
+    for k in range(draw(st.integers(1, 5))):
+        coef, e2 = draw(small_fractions), draw(st.integers(0, d))
+        coeffs[e2] += coef
+        factors = []
+        for var, e in (("x1", d - e2), ("x2", e2)):
+            if e == 1 and draw(st.booleans()):
+                factors.append(var)
+            elif e or draw(st.booleans()):
+                factors.append(f"{var}{draw(gap)}^{draw(gap)}{e}")
+        items = factors
+        magnitude, scale = abs(coef), draw(st.integers(1, 3))
+        if magnitude != 1 or not factors or draw(st.booleans()):
+            numeral = str(magnitude.numerator * scale)
+            if magnitude.denominator * scale != 1 or draw(st.booleans()):
+                numeral += f"/{magnitude.denominator * scale}"
+            items = [numeral, *factors]
+        for i, item in enumerate(items):
+            if i:
+                text += draw(gap) + (f"*{draw(gap)}" if draw(st.booleans()) else "")
+            elif coef < 0:
+                text += f"-{draw(gap)}"
+            elif k or draw(st.booleans()):
+                text += f"+{draw(gap)}"
+            text += item
+        text += draw(gap)
+    return text, BinaryForm(d, coeffs)
+
+
 class TestParseForm:
     def test_basic_cubic(self):
         f = parse_form("x1^3 - 2*x1*x2^2")
@@ -57,34 +93,76 @@ class TestParseForm:
         f = parse_form("x1*x2 + 3*x1*x2 - x1^2")
         assert f.coeffs == (-1, 4, 0)
 
-    def test_inhomogeneous_rejected_with_term_named(self):
-        with pytest.raises(ParseError, match="x2"):
-            parse_form("x1^2 + x2")
+    # (text, message, position), as the token-by-token parser that the term
+    # pattern replaced reported them, except the rows with a non-ASCII digit
+    # or a zero denominator: that parser read such digits and raised
+    # ZeroDivisionError on '3/00'.  The last row shows that an unexpected
+    # character is still reported before a zero denominator.
+    MALFORMED = [
+        ("x1^2 + $", "unexpected character '$'", 7),
+        ("x2*x1", "x1 must come before x2 in a term", 3),
+        ("3*", "expected a variable after '*'", 2),
+        ("x1^1/2", "expected an integer exponent after '^'", 3),
+        ("x1^2^3", "expected '+' or '-' between terms", 4),
+        ("+ - x1", "expected a term", 2),
+        ("x2x2", "repeated x2 factor", 2),
+        ("1/2/3", "unexpected character '/'", 3),
+        ("2 - x1", "inhomogeneous term 'x1': degree 1 differs from 0", 2),
+        ("x1^2 + x2", "inhomogeneous term 'x2': degree 1 differs from 2", 5),
+        ("", "empty expression", 0),
+        ("   ", "empty expression", 0),
+        ("x1 +", "expected a term", 4),
+        ("3 * * x1", "expected a variable after '*'", 4),
+        ("x1*x1", "x1 must come before x2 in a term", 3),
+        ("x1^", "expected an integer exponent after '^'", 3),
+        ("x1 ^ x2", "expected an integer exponent after '^'", 5),
+        ("x1^-1", "expected an integer exponent after '^'", 3),
+        ("2 3", "expected '+' or '-' between terms", 2),
+        ("x1 2", "expected '+' or '-' between terms", 3),
+        ("3^2", "expected '+' or '-' between terms", 1),
+        ("*x1", "expected a term", 0),
+        ("x1*^2", "expected a variable after '*'", 3),
+        ("x2 *", "expected a variable after '*'", 4),
+        ("x1^2 x1*x2", "x1 must come before x2 in a term", 5),
+        ("x3", "unexpected character 'x'", 0),
+        ("1/ 2", "unexpected character '/'", 1),
+        ("x2*x1 $", "unexpected character '$'", 6),
+        ("1/2x1^2 - x1 x2^2", "inhomogeneous term 'x1 x2^2': degree 3 differs from 2", 8),
+        ("\u0663*x1^\u0662", "unexpected character '\u0663'", 0),
+        ("x1^\u0662", "unexpected character '\u0662'", 3),
+        ("x1 - \uff13*x2", "unexpected character '\uff13'", 5),
+        ("x1 - 3/00*x2", "zero denominator in '3/00'", 5),
+        ("1/0 $", "unexpected character '$'", 4),
+    ]
 
-    def test_malformed_token_reports_position(self):
+    @pytest.mark.parametrize("text, message, position", MALFORMED)
+    def test_malformed_input_message_and_position(self, text, message, position):
         with pytest.raises(ParseError) as info:
-            parse_form("x1^2 + $")
-        assert info.value.position == 7
+            parse_form(text)
+        assert str(info.value) == f"{message} (at position {position})"
+        assert info.value.position == position
 
-    def test_misordered_factors_rejected(self):
-        with pytest.raises(ParseError, match="before"):
-            parse_form("x2*x1")
+    @settings(max_examples=300)
+    @given(spelled_forms())
+    def test_every_spelling_reads_as_its_terms(self, spelled):
+        text, form = spelled
+        assert parse_form(text) == form
 
-    def test_dangling_star_rejected(self):
-        with pytest.raises(ParseError):
-            parse_form("3*")
-
-    def test_fractional_exponent_rejected(self):
-        with pytest.raises(ParseError):
-            parse_form("x1^1/2")
-
-    def test_empty_rejected(self):
-        with pytest.raises(ParseError):
-            parse_form("   ")
-
-    def test_missing_separator_rejected(self):
-        with pytest.raises(ParseError):
-            parse_form("x1^2 x1*x2")
+    @pytest.mark.parametrize(
+        "text, message, position",
+        [
+            ("1" * 4301 + "*x1", "numeral of 4301 characters is too long", 0),
+            ("x1 + 2/" + "1" * 4301 + "*x2", "numeral of 4303 characters is too long", 5),
+            ("x1^" + "1" * 4301, "exponent of 4301 digits is too long", 3),
+            ("x1 - x2^" + "0" * 4301, "exponent of 4301 digits is too long", 8),
+        ],
+        ids=["numerator", "denominator", "exponent", "zero-padded exponent"],
+    )
+    def test_numerals_beyond_the_int_string_limit_are_refused(self, text, message, position):
+        # 4301 digits is one more than Python's default int-string limit.
+        with pytest.raises(ParseError, match=message) as info:
+            parse_form(text)
+        assert info.value.position == position
 
 
 class TestFormatForm:
@@ -143,17 +221,22 @@ class TestFormJson:
             form_from_dict({"order": 2, "coeffs": ["1", "2"]})
 
 
-@pytest.mark.parametrize("text", ["5e-1", "1e10000000", "1.5", " 1_000"])
+@pytest.mark.parametrize("text", ["5e-1", "1e10000000", "1.5", " 1_000", "1/0", "-3/00"])
 @pytest.mark.parametrize(
     "read",
     [
         lambda text: form_from_dict({"order": 1, "coeffs": [text, "1"]}),
         lambda text: LinearSymbol.parse(f"{text},1"),
+        lambda text: table_from_dict(
+            {"d": 7, "r": 3, "alphas": {"1,1": text, "1,2": "1", "2,2": "1", "1,3": "1"}}
+        ),
+        lambda text: parse_form(f"{text}*x1 + x2"),
     ],
-    ids=["form_from_dict", "LinearSymbol.parse"],
+    ids=["form_from_dict", "LinearSymbol.parse", "table_from_dict", "parse_form"],
 )
 def test_rational_readers_accept_only_digits_over_digits(read, text):
-    # An exponent would let a short string stand for a huge number.
+    # An exponent would let a short string stand for a huge number, and a
+    # zero denominator is a malformed literal, not a ZeroDivisionError.
     with pytest.raises(ValueError):
         read(text)
     assert read("-0") == read("0")
