@@ -39,14 +39,11 @@ from .forms import (
     LinearSymbol,
     MultiForm,
     exact_divide,
-    linear_power,
     random_form,
 )
 from .omega import (
     CConstants,
-    OmegaChainResult,
     beta_chain,
-    bracket,
     c_aggregate,
     c_constants,
     h_factor,
@@ -55,7 +52,6 @@ from .omega import (
     omega_chain,
     verify_theta,
     zeta_image,
-    zeta_summand,
 )
 from .parsing import format_form, parse_form
 from .serialize import form_from_dict, form_to_dict, table_from_dict, table_to_dict
@@ -84,7 +80,6 @@ __all__ = [
     "MultiForm",
     "NineJArray",
     "NotDivisibleError",
-    "OmegaChainResult",
     "PAIRS",
     "ParseError",
     "Pencil",
@@ -92,7 +87,6 @@ __all__ = [
     "SurdSum",
     "SyzygyTable",
     "beta_chain",
-    "bracket",
     "c_aggregate",
     "c_constants",
     "combinant_9j_array",
@@ -105,7 +99,6 @@ __all__ = [
     "gamma",
     "h_factor",
     "index_pairs",
-    "linear_power",
     "membership_defect",
     "mu_factor",
     "ninej_magnetic_sum",
@@ -128,5 +121,4 @@ __all__ = [
     "wigner9j",
     "wronskian",
     "zeta_image",
-    "zeta_summand",
 ]

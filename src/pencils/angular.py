@@ -138,9 +138,6 @@ class SurdSum:
     def is_zero(self) -> bool:
         return not self._terms
 
-    def is_rational(self) -> bool:
-        return set(self._terms) <= {1}
-
     def single_term(self) -> tuple[Fraction, int] | None:
         """(coefficient, radicand) when the sum has exactly one term, else None."""
         if len(self._terms) != 1:
@@ -220,7 +217,7 @@ class SurdSum:
 
     def __hash__(self):
         # A rational sum equals its Fraction, so it must hash like one.
-        if self.is_rational():
+        if set(self._terms) <= {1}:
             return hash(self._terms.get(1, 0))
         return hash(frozenset(self._terms.items()))
 

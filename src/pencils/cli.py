@@ -8,12 +8,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 from .angular import NineJArray, SurdSum, combinant_9j_array, wigner9j
 from .combinant import Pencil, combinant_sequence, random_pencil
 from .errors import AlgebraError, FormulaViolationError
-from .forms import BinaryForm, LinearSymbol
+from .forms import DIGITS, BinaryForm, LinearSymbol, to_fraction
 from .omega import omega_chain
 from .parsing import format_form, parse_coeffs
 from .serialize import coeffs_from_dict, form_to_dict, table_to_dict
@@ -71,6 +72,20 @@ NINEJ_MAX_TWICE_J = 500
 NINEJ_COMBINANT_MAX_D = 500
 
 
+_INTEGER = re.compile(f"-?{DIGITS}")
+
+
+def _int(text: str) -> int:
+    """The one reader of a command-line integer: ASCII digits with an optional
+    '-', and no '+', underscore, space or other script's digits."""
+    if _INTEGER.fullmatch(text):
+        try:
+            return int(text)
+        except ValueError:  # more digits than int() reads
+            pass
+    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+
+
 def _check_cap(parser, args, option, cap):
     value = getattr(args, option[2:])
     if value > cap:
@@ -110,7 +125,9 @@ def _load_forms(args, parser, count, cap):
             parser.error(f"cannot read {path}: {exc}")
         text = text.strip()
         if text.startswith("{"):
-            lists.append(coeffs_from_dict(json.loads(text)))
+            # A bare JSON integer is read as a string coefficient's numeral is.
+            obj = json.loads(text, parse_int=lambda numeral: to_fraction(numeral).numerator)
+            lists.append(coeffs_from_dict(obj))
         else:
             lists.append(parse_coeffs(text))
     lists.extend(parse_coeffs(expr) for expr in args.expr)
@@ -226,11 +243,11 @@ def _cmd_oracle_theta(args, parser):
             f"--f numerators and denominators must have at most {ORACLE_THETA_MAX_BITS} "
             f"bits for oracle-theta, got {bits}"
         )
-    result = omega_chain(args.d, args.r, args.i, args.j, f)
+    ratio = omega_chain(args.d, args.r, args.i, args.j, f)
     formula = theta(args.d, args.r, args.i, args.j)
-    print(f"oracle ratio:  {result.ratio}")
+    print(f"oracle ratio:  {ratio}")
     print(f"formula theta: {formula}")
-    if result.ratio == formula:
+    if ratio == formula:
         print("MATCH")
         return 0
     print("MISMATCH")
@@ -270,8 +287,8 @@ def _parse_twice_j(text, parser):
     if len(parts) != 9:
         parser.error("--twice-j needs nine comma-separated integers")
     try:
-        values = [int(p) for p in parts]
-    except ValueError:
+        values = [_int(p) for p in parts]
+    except argparse.ArgumentTypeError:
         parser.error("--twice-j entries must be integers")
     if max(values) > NINEJ_MAX_TWICE_J:
         parser.error(
@@ -322,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
         "transvect", help=f"transvectant of two forms, each of order at most {TRANSVECT_MAX_ORDER}"
     )
     _add_form_inputs(p)
-    p.add_argument("--q", type=int, required=True, help="transvectant index")
+    p.add_argument("--q", type=_int, required=True, help="transvectant index")
     _add_format_flags(p)
     p.set_defaults(handler=_cmd_transvect)
 
@@ -334,47 +351,47 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_combinants)
 
     p = sub.add_parser("syzygy-table", help="syzygy coefficient table")
-    p.add_argument("--d", type=int, required=True, help=f"order, at most {SYZYGY_TABLE_MAX_D}")
-    p.add_argument("--r", type=int, required=True)
+    p.add_argument("--d", type=_int, required=True, help=f"order, at most {SYZYGY_TABLE_MAX_D}")
+    p.add_argument("--r", type=_int, required=True)
     _add_format_flags(p)
     p.set_defaults(handler=_cmd_syzygy_table)
 
     p = sub.add_parser("verify", help="check syzygy vanishing on random pencils")
-    p.add_argument("--d", type=int, required=True, help=f"order, at most {PENCIL_MAX_D}")
-    p.add_argument("--r", type=int, default=None)
-    p.add_argument("--trials", type=int, default=10, help=f"at most {VERIFY_MAX_TRIALS}")
-    p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--d", type=_int, required=True, help=f"order, at most {PENCIL_MAX_D}")
+    p.add_argument("--r", type=_int, default=None)
+    p.add_argument("--trials", type=_int, default=10, help=f"at most {VERIFY_MAX_TRIALS}")
+    p.add_argument("--seed", type=_int, default=1)
     p.add_argument(
-        "--bound", type=int, default=10, help=f"coefficient bound, at most {PENCIL_MAX_BOUND}"
+        "--bound", type=_int, default=10, help=f"coefficient bound, at most {PENCIL_MAX_BOUND}"
     )
     p.set_defaults(handler=_cmd_verify)
 
     p = sub.add_parser("recover", help="recover a combinant and compare to the direct value")
-    p.add_argument("--d", type=int, required=True, help=f"order, at most {PENCIL_MAX_D}")
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--d", type=_int, required=True, help=f"order, at most {PENCIL_MAX_D}")
+    p.add_argument("--r", type=_int, required=True)
+    p.add_argument("--seed", type=_int, default=1)
     p.add_argument(
-        "--bound", type=int, default=10, help=f"coefficient bound, at most {PENCIL_MAX_BOUND}"
+        "--bound", type=_int, default=10, help=f"coefficient bound, at most {PENCIL_MAX_BOUND}"
     )
     p.set_defaults(handler=_cmd_recover)
 
     p = sub.add_parser("oracle-theta", help="differential-operator check of a coefficient")
-    p.add_argument("--d", type=int, required=True, help=f"order, at most {ORACLE_THETA_MAX_D}")
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--i", type=int, required=True)
-    p.add_argument("--j", type=int, required=True)
+    p.add_argument("--d", type=_int, required=True, help=f"order, at most {ORACLE_THETA_MAX_D}")
+    p.add_argument("--r", type=_int, required=True)
+    p.add_argument("--i", type=_int, required=True)
+    p.add_argument("--j", type=_int, required=True)
     p.add_argument("--f", default="1,2", help="linear symbol components 'a,b'")
     p.set_defaults(handler=_cmd_oracle_theta)
 
     p = sub.add_parser("gamma", help="positivity ratio and its certificate")
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--d", type=int, required=True, help=f"order, at most {GAMMA_MAX_D}")
+    p.add_argument("--r", type=_int, required=True)
+    p.add_argument("--d", type=_int, required=True, help=f"order, at most {GAMMA_MAX_D}")
     _add_format_flags(p)
     p.set_defaults(handler=_cmd_gamma)
 
     p = sub.add_parser("dim-syzygy", help="dimension of the weight-2r syzygy space")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
+    p.add_argument("--d", type=_int, required=True)
+    p.add_argument("--r", type=_int, required=True)
     p.set_defaults(handler=_cmd_dim_syzygy)
 
     p = sub.add_parser("ninej", help="exact 9j symbol from doubled momenta")
@@ -389,10 +406,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_ninej)
 
     p = sub.add_parser("ninej-combinant", help="recoupling arrays for a coefficient")
-    p.add_argument("--d", type=int, required=True, help=f"order, at most {NINEJ_COMBINANT_MAX_D}")
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--i", type=int, required=True)
-    p.add_argument("--j", type=int, required=True)
+    p.add_argument("--d", type=_int, required=True, help=f"order, at most {NINEJ_COMBINANT_MAX_D}")
+    p.add_argument("--r", type=_int, required=True)
+    p.add_argument("--i", type=_int, required=True)
+    p.add_argument("--j", type=_int, required=True)
     p.set_defaults(handler=_cmd_ninej_combinant)
 
     return parser

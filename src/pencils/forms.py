@@ -10,8 +10,8 @@ the gcd of the denominator and all numerators is 1 (the content-times-
 primitive-part layout of FLINT's fmpq_poly).  So their arithmetic, the
 transvectant kernel, the syzygy sums and `exact_divide` all run in `int`,
 and `Fraction`s are built only at the public surface: `BinaryForm.coeffs`,
-and `MultiForm(degrees, terms)`, `.terms` and `coefficient`, which speak in
-14-slot exponent tuples.
+and `MultiForm(degrees, terms)` and `.terms`, which speak in 14-slot
+exponent tuples.
 
 Pairs are named by single letters from `PAIRS`; pair ``"x"`` stands for the
 scalar variables x1, x2, and so on.  A MultiForm monomial is its exponent
@@ -69,8 +69,10 @@ def _monomial(*slots: int) -> tuple:
 
 
 # The one accepted spelling of an unsigned rational in text: digits[/digits],
-# ASCII digits only.  The expression grammar of `parsing` builds on it too.
-RATIONAL = r"[0-9]+(?:/[0-9]+)?"
+# ASCII digits only.  The expression grammar of `parsing` and the integer
+# options of `cli` build on it too.
+DIGITS = "[0-9]+"
+RATIONAL = f"{DIGITS}(?:/{DIGITS})?"
 _RATIONAL = re.compile(f"-?{RATIONAL}")
 
 
@@ -262,19 +264,6 @@ class BinaryForm:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        if isinstance(other, _SCALARS):
-            return self * (Fraction(1) / Fraction(other))
-        return NotImplemented
-
-    def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("exponent must be a nonnegative integer")
-        result = BinaryForm._raw([1], 1)
-        for _ in range(n):
-            result = result * self
-        return result
-
     def __eq__(self, other):
         if not isinstance(other, BinaryForm):
             return NotImplemented
@@ -374,10 +363,6 @@ class MultiForm:
         value = to_fraction(value)
         return cls._raw({}, {ZERO_MONOMIAL: value.numerator} if value else {}, value.denominator)
 
-    @classmethod
-    def variable(cls, pair: str, component: int) -> "MultiForm":
-        return cls._raw({pair: 1}, {_monomial(slot_index(pair, component)): 1}, 1)
-
     @property
     def terms(self) -> dict:
         """Exponent tuple -> Fraction coefficient map, built on each call."""
@@ -393,9 +378,6 @@ class MultiForm:
         check_pair(pair)
         return self._degrees.get(pair, 0)
 
-    def active_pairs(self) -> tuple:
-        return tuple(p for p in PAIRS if p in self._degrees)
-
     def is_zero(self) -> bool:
         return not self._terms
 
@@ -406,9 +388,6 @@ class MultiForm:
                 if mono[2 * k] + mono[2 * k + 1] != self._degrees.get(pair, 0):
                     return False
         return True
-
-    def coefficient(self, mono) -> Fraction:
-        return Fraction(self._terms.get(tuple(mono), 0), self._den)
 
     def _merged_add_degrees(self, other: "MultiForm") -> dict:
         if self._degrees == other._degrees:
@@ -471,20 +450,6 @@ class MultiForm:
         for _ in range(n):
             result = result * self
         return result
-
-    def diff(self, pair: str, component: int) -> "MultiForm":
-        """Formal partial derivative; the pair's degree drops by one."""
-        s = slot_index(pair, component)
-        out = {}
-        for mono, coeff in self._terms.items():
-            e = mono[s]
-            if e:
-                out[(*mono[:s], e - 1, *mono[s + 1 :])] = coeff * e
-        deg = dict(self._degrees)
-        old = deg.pop(pair, 0)
-        if old > 1:
-            deg[pair] = old - 1
-        return MultiForm._raw(deg, out, self._den)
 
     def substituted(self, from1: str, from2: str, to: str) -> "MultiForm":
         """Replace both source pairs' variables by the target pair's.

@@ -362,16 +362,10 @@ def _stages_one_two(d: int, r: int, i: int, j: int, f: LinearSymbol) -> tuple:
     return out, g_den * h_den
 
 
-class CConstants(namedtuple("CConstants", "c1 c1p c2 c2p c3 c3p c3pp")):
-    """The seven contraction constants of the two-stage evaluation of one
-    zeta summand; primes mark the second stage, with the last two in their
-    boundary-safe unconditional forms."""
-
-    __slots__ = ()
-
-    def __repr__(self):
-        body = ", ".join(f"{n}={v}" for n, v in zip(self._fields, self))
-        return f"CConstants({body})"
+CConstants = namedtuple("CConstants", "c1 c1p c2 c2p c3 c3p c3pp")
+CConstants.__doc__ = """The seven contraction constants of the two-stage evaluation of one
+zeta summand; primes mark the second stage, with the last two in their
+boundary-safe unconditional forms."""
 
 
 def c_constants(d: int, r: int, i: int, j: int) -> CConstants:
@@ -434,19 +428,6 @@ def c_aggregate(d: int, r: int, i: int, j: int) -> Fraction:
     return h_factor(d, d, 2 * i - 1) * h_factor(d, d, 2 * j - 1) * inner
 
 
-class OmegaChainResult(namedtuple("OmegaChainResult", "d r i j f output ratio")):
-    """Outcome of one full chain evaluation: the output form and its ratio
-    against the reference power f_t^(4(d-r))."""
-
-    __slots__ = ()
-
-    def __repr__(self):
-        return (
-            f"OmegaChainResult(d={self.d}, r={self.r}, i={self.i}, j={self.j}, "
-            f"ratio={self.ratio})"
-        )
-
-
 def _proportionality(output: BinaryForm, reference: BinaryForm) -> Fraction:
     """The ratio of output to reference; raises unless the forms are proportional.
 
@@ -462,31 +443,29 @@ def _proportionality(output: BinaryForm, reference: BinaryForm) -> Fraction:
     raise FormulaViolationError("chain output is not proportional to the reference power")
 
 
-def omega_chain(
-    d: int, r: int, i: int, j: int, f: LinearSymbol = DEFAULT_SYMBOL
-) -> OmegaChainResult:
-    """Run the full chain on the constructed alternating form and read the ratio.
+def omega_chain(d: int, r: int, i: int, j: int, f: LinearSymbol = DEFAULT_SYMBOL) -> Fraction:
+    """The chain eigenvalue theta_{i,j}: the ratio of the chain's output to
+    the reference power f_t^(4(d-r)).
 
     The output equals `beta_chain(zeta_image(d, r, f), d, r, i, j)`; stages
     one and two run on the factors G and H (`_stages_one_two`), and stage
-    three takes their matrix of numerators.
+    three takes their matrix of numerators.  Raises `FormulaViolationError`
+    unless the output is proportional to the reference power.
     """
     _check_indices(d, r, i, j)
     output = _stage_three_matrix(*_stages_one_two(d, r, i, j, f), d, r, i, j)
-    reference = BinaryForm.of_linear_power(f, 4 * (d - r))
-    ratio = _proportionality(output, reference)
-    return OmegaChainResult(d, r, i, j, f, output, ratio)
+    return _proportionality(output, BinaryForm.of_linear_power(f, 4 * (d - r)))
 
 
 def verify_theta(
     d: int, r: int, i: int, j: int, f: LinearSymbol = DEFAULT_SYMBOL
 ) -> Fraction:
     """Chain eigenvalue for (d, r, i, j); raises unless it matches `theta`."""
-    result = omega_chain(d, r, i, j, f)
+    ratio = omega_chain(d, r, i, j, f)
     expected = theta(d, r, i, j)
-    if result.ratio != expected:
+    if ratio != expected:
         raise FormulaViolationError(
-            f"chain eigenvalue {result.ratio} != closed form {expected} "
+            f"chain eigenvalue {ratio} != closed form {expected} "
             f"at d={d}, r={r}, (i,j)=({i},{j})"
         )
-    return result.ratio
+    return ratio

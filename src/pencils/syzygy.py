@@ -210,26 +210,16 @@ def gamma(r: int, d: int) -> Fraction:
     )
 
 
-class PositivityCertificate(
-    namedtuple(
-        "PositivityCertificate", "r d gamma boundary_value dn_difference dn_factored"
-    )
-):
-    """Exact witnesses that gamma(r, d) < 1, hence alpha_{1,r} > 0.
+PositivityCertificate = namedtuple(
+    "PositivityCertificate", "r d gamma boundary_value dn_difference dn_factored"
+)
+PositivityCertificate.__doc__ = """Exact witnesses that gamma(r, d) < 1, hence alpha_{1,r} > 0.
 
-    `dn_difference` is D - N computed from the two displayed products in the
-    ratio gamma(r, d+1)/gamma(r, d) = N/D; `dn_factored` is the closed form
-    (r-1)(r-2)(2r-1)(d-2r+3).  The two must agree, and gamma must sit below
-    its boundary value gamma(r, 2r-1) = 2/r once d > 2r-1.
-    """
-
-    __slots__ = ()
-
-    def __repr__(self):
-        return (
-            f"PositivityCertificate(r={self.r}, d={self.d}, gamma={self.gamma}, "
-            f"boundary={self.boundary_value}, D-N={self.dn_difference})"
-        )
+`dn_difference` is D - N computed from the two displayed products in the
+ratio gamma(r, d+1)/gamma(r, d) = N/D; `dn_factored` is the closed form
+(r-1)(r-2)(2r-1)(d-2r+3).  The two must agree, and gamma must sit below
+its boundary value gamma(r, 2r-1) = 2/r once d > 2r-1.
+"""
 
 
 def positivity_certificate(r: int, d: int) -> PositivityCertificate:

@@ -15,7 +15,6 @@ from pencils import (
     NineJArray,
     SurdSum,
     beta_chain,
-    bracket,
     c_aggregate,
     combinant_9j_array,
     combinant_sequence,
@@ -36,9 +35,9 @@ from pencils import (
     verify_theta,
     wigner9j,
     wronskian,
-    zeta_summand,
 )
 from pencils.forms import BinaryForm
+from pencils.omega import bracket, zeta_summand
 
 from helpers import coefficient_rank, random_multiform
 

@@ -1,4 +1,5 @@
 """Command-line interface: dispatch, formats, exit codes, determinism."""
+import argparse
 import json
 import time
 
@@ -75,6 +76,18 @@ class TestTransvect:
         assert code == 2
         assert out == ""
         assert "error:" in err
+
+    @pytest.mark.parametrize(
+        "numeral", ["1" * 4301, '"' + "1" * 4301 + '"'], ids=["integer", "string"]
+    )
+    def test_overlong_json_numeral_has_one_message(self, capsys, tmp_path, numeral):
+        # A bare JSON integer and the same numeral as a string are refused alike.
+        path = tmp_path / "f.json"
+        path.write_text('{"order": 0, "coeffs": [%s]}' % numeral)
+        code, out, err = run(capsys, "transvect", str(path), "--expr", "x2", "--q", "0")
+        assert code == 2
+        assert out == ""
+        assert err == "error: numeral of 4301 characters is too long\n"
 
 
 class TestCombinants:
@@ -478,6 +491,80 @@ class TestNinej:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "error:" in captured.err and "--twice-j" in captured.err
+
+    @pytest.mark.parametrize(
+        "twice_j",
+        [
+            "\u0663,\u0663,\u0662,\u0663,\u0663,\u0662,\u0662,\u0662,\u0662",
+            "1_0,10,0,0,0,0,10,10,0",
+            " 2, 2 ,2,2,2,2,2,2,2",
+            "+2,2,2,2,2,2,2,2,2",
+        ],
+    )
+    def test_entries_in_other_spellings_are_refused(self, capsys, twice_j):
+        with pytest.raises(SystemExit) as info:
+            main(["ninej", "--twice-j", twice_j])
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: --twice-j entries must be integers" in captured.err
+
+
+class TestIntegerOptions:
+    """Every integer option reads ASCII digits with an optional '-', and nothing else."""
+
+    # A valid call of each command with an integer option, naming all of them.
+    VALID = {
+        "transvect": ["--expr", "x1^2", "--expr", "x2^2", "--q", "1"],
+        "syzygy-table": ["--d", "7", "--r", "3"],
+        "verify": ["--d", "5", "--r", "3", "--trials", "1", "--seed", "1", "--bound", "10"],
+        "recover": ["--d", "5", "--r", "3", "--seed", "1", "--bound", "10"],
+        "oracle-theta": ["--d", "5", "--r", "3", "--i", "1", "--j", "1"],
+        "gamma": ["--r", "3", "--d", "7"],
+        "dim-syzygy": ["--d", "7", "--r", "3"],
+        "ninej-combinant": ["--d", "7", "--r", "3", "--i", "1", "--j", "2"],
+    }
+    OPTIONS = [
+        (command, option) for command, argv in VALID.items() for option in argv[::2]
+        if option != "--expr"
+    ]
+
+    def test_every_typed_option_uses_the_reader(self):
+        sub = next(
+            a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        )
+        typed = {
+            (command, option): action.type
+            for command, parser in sub.choices.items()
+            for action in parser._actions if action.type is not None
+            for option in action.option_strings
+        }
+        assert set(typed.values()) == {cli._int}
+        assert set(typed) == set(self.OPTIONS)
+
+    @pytest.mark.parametrize("command,option", OPTIONS)
+    @pytest.mark.parametrize(
+        "spell",
+        [
+            lambda v: "".join(chr(0x0660 + int(c)) for c in v),
+            lambda v: "".join(chr(0xFF10 + int(c)) for c in v),
+            lambda v: f"{v}_0",
+            lambda v: f"+{v}",
+            lambda v: f" {v}",
+            lambda v: f"{v} ",
+        ],
+        ids=["arabic-indic", "fullwidth", "underscore", "plus", "leading-space", "trailing-space"],
+    )
+    def test_other_spellings_are_refused_by_name(self, capsys, command, option, spell):
+        argv = list(self.VALID[command])
+        k = argv.index(option) + 1
+        bad = argv[k] = spell(argv[k])
+        with pytest.raises(SystemExit) as info:
+            main([command, *argv])
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: argument {option}: invalid int value: {bad!r}" in captured.err
 
 
 class TestNinejCombinant:

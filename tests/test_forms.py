@@ -14,12 +14,11 @@ from pencils import (
     MultiForm,
     NotDivisibleError,
     exact_divide,
-    linear_power,
     omega,
     random_form,
     transvectant,
 )
-from pencils.forms import PAIRS, slot_index, to_fraction
+from pencils.forms import PAIRS, linear_power, slot_index, to_fraction
 
 from helpers import (
     exact_divide_by_fractions,
@@ -29,7 +28,6 @@ from helpers import (
     fraction_scale,
     random_multiform,
     tuple_add,
-    tuple_diff,
     tuple_mul,
     tuple_neg,
     tuple_omega,
@@ -157,7 +155,6 @@ def test_integer_layout_matches_fraction_oracle(cf, cg, q):
         assert (f + g).coeffs == fraction_add(f, g).coeffs
         assert (f - g).coeffs == fraction_add(f, fraction_scale(g, -1)).coeffs
     assert (f * g).coeffs == fraction_mul(f, g).coeffs
-    assert (f**2).coeffs == fraction_mul(f, f).coeffs
     assert (f * q).coeffs == (q * f).coeffs == fraction_scale(f, q).coeffs
     for comp in (1, 2):
         assert f.diff(comp).coeffs == fraction_diff(f, comp).coeffs
@@ -257,9 +254,7 @@ class TestRandomForm:
 
 
 class TestMultiForm:
-    def test_variable_and_constant(self):
-        x1 = MultiForm.variable("x", 1)
-        assert x1.degree("x") == 1 and x1.active_pairs() == ("x",)
+    def test_constant(self):
         one = MultiForm.constant(1)
         assert one.degree("x") == 0 and not one.is_zero()
         assert MultiForm.constant(0).is_zero()
@@ -283,20 +278,10 @@ class TestMultiForm:
         assert f + zero == f
         assert (f - f).is_zero()
 
-    def test_diff_drops_degree(self):
-        f = random_multiform({"x": 3}, 6)
-        g = f.diff("x", 1)
-        assert g.degree("x") == 2
-        assert g.is_homogeneous()
-
-    def test_diff_partials_commute(self):
-        f = random_multiform({"x": 2, "y": 2}, 7)
-        assert f.diff("x", 1).diff("y", 2) == f.diff("y", 2).diff("x", 1)
-
     def test_homogeneity_of_operations(self):
         f = random_multiform({"x": 2, "y": 2}, 8)
         g = random_multiform({"x": 2, "y": 2}, 9)
-        for value in (f + g, f * g, f.diff("y", 1), 3 * f):
+        for value in (f + g, f * g, 3 * f):
             assert value.is_homogeneous()
 
     def test_ring_axioms_sampled(self):
@@ -352,9 +337,7 @@ class TestLinearPower:
         mono = lambda a, b: tuple(
             a if k == s1 else b if k == s2 else 0 for k in range(2 * len(PAIRS))
         )
-        assert f.coefficient(mono(2, 0)) == 1
-        assert f.coefficient(mono(1, 1)) == 2
-        assert f.coefficient(mono(0, 2)) == 1
+        assert f.terms == {mono(2, 0): 1, mono(1, 1): 2, mono(0, 2): 1}
 
     def test_degenerate_symbol_rejected(self):
         with pytest.raises(ValueError):
@@ -430,9 +413,6 @@ class TestPackedMatchesTupleOracle:
         self.check(q * fa, tuple_scale(a, q))
         self.check(fa * fb, tuple_mul(a, b))
         self.check(fa * fc, tuple_mul(a, c))
-        for pair in ("x", "y", "z"):
-            for component in (1, 2):
-                self.check(fa.diff(pair, component), tuple_diff(a, pair, component))
         self.check(fa.substituted("x", "y", "u"), tuple_substituted(a, "x", "y", "u"))
         self.check(fa.substituted("z", "x", "t"), tuple_substituted(a, "z", "x", "t"))
         self.check(omega(fa, "x", "y"), tuple_omega(a, "x", "y"))
@@ -497,7 +477,7 @@ class TestPackedExponentLimit:
 
     def test_constructor(self):
         f = MultiForm({"x": BIG}, {monomial(x1=BIG): 3})
-        assert f.coefficient(monomial(x1=BIG)) == 3
+        assert f.terms[monomial(x1=BIG)] == 3
         g = MultiForm({"x": BIG + 1}, {monomial(x1=BIG + 1): 3})
         assert g.terms == {monomial(x1=BIG + 1): 3}
         with pytest.raises(DegreeMismatchError):
@@ -511,7 +491,7 @@ class TestPackedExponentLimit:
         assert top.degrees == {"t": BIG + 1}
 
     def test_product(self):
-        x1 = MultiForm.variable("x", 1)
+        x1 = MultiForm({"x": 1}, {monomial(x1=1): 1})
         high = MultiForm({"x": BIG - 1}, {monomial(x1=BIG - 1): 1})
         assert (high * x1).terms == {monomial(x1=BIG): 1}
         assert ((high * x1) * x1).terms == {monomial(x1=BIG + 1): 1}
