@@ -6,11 +6,16 @@ triangle and phase condition is plain integer arithmetic:
 `wigner3j(tj1, tj2, tj3, tm1, tm2, tm3)`, `wigner6j(ta, tb, tc, td, te, tf)`
 and `wigner9j(NineJArray.from_twice(rows))` take doubled ints only, and
 refuse a bool, a float or a string with `TypeError`.
-Values are `SurdSum`s: finite sums q0 + q1*sqrt(n1) + ... with rational
-coefficients and squarefree integer radicands, so equality tests are
-decisive.  Selection-rule violations (triangle or magnetic) are values equal
-to zero, not errors; only genuinely non-physical input (negative momenta,
-mismatched j/m parity) raises.
+Values are `SurdSum`s: one surd c*sqrt(n), c rational and n squarefree,
+so equality tests are decisive.  Each symbol is one surd by construction,
+and so is each product of six 3j symbols in the magnetic sum: each
+entry's (j+m)!(j-m)! is under the root of its row 3j and of its column
+3j, so the product's radicand is that of the six row and column Delta^2
+for every m, the single-root form of Johansson & Forssen (SIAM J. Sci.
+Comput. 38, 2016).  A sum across radicands raises, so the magnetic sum
+also checks that identity.  Selection-rule violations (triangle or
+magnetic) are values equal to zero, not errors; only genuinely
+non-physical input (negative momenta, mismatched j/m parity) raises.
 
 A 6j symbol is Delta(abc) Delta(aef) Delta(dbf) Delta(dec) times a rational
 Racah sum R, where each triangle coefficient Delta is the square root of a
@@ -79,14 +84,18 @@ def _squarefree_split(n: int) -> tuple[int, int]:
     return outer, radicand
 
 
-class SurdSum:
-    """Exact finite sum of rational multiples of square roots of squarefree
-    positive integers; radicand 1 carries the rational part."""
+_ZERO = Fraction(0)
 
-    __slots__ = ("_terms",)
+
+class SurdSum:
+    """Exact surd c*sqrt(n), c rational and n >= 1 squarefree, with zero kept
+    as (0, 1).  `SurdSum({n: c, ...})` sums its entries by squarefree
+    radicand; it, `+` and `-` refuse two nonzero radicands with ValueError."""
+
+    __slots__ = ("_coeff", "_rad")
 
     def __init__(self, terms: dict | None = None):
-        clean: dict[int, Fraction] = {}
+        sums: dict[int, Fraction] = {}
         for radicand, coeff in (terms or {}).items():
             coeff = to_fraction(coeff)
             if not coeff:
@@ -95,29 +104,25 @@ class SurdSum:
             if radicand < 1:
                 raise ValueError("radicands must be positive integers")
             outer, rad = _squarefree_split(radicand)
-            coeff *= outer
-            if rad in clean:
-                coeff += clean[rad]
-                if not coeff:
-                    del clean[rad]
-                    continue
-            clean[rad] = coeff
-        self._terms = clean
+            sums[rad] = sums.get(rad, 0) + coeff * outer
+        left = sorted(rad for rad, coeff in sums.items() if coeff)
+        if len(left) > 1:
+            raise ValueError(f"a SurdSum holds one radicand, got {left}")
+        self._coeff, self._rad = (sums[left[0]], left[0]) if left else (_ZERO, 1)
 
     @classmethod
-    def _raw(cls, terms: dict) -> "SurdSum":
+    def _raw(cls, coeff: Fraction, rad: int) -> "SurdSum":
         obj = object.__new__(cls)
-        obj._terms = terms
+        obj._coeff, obj._rad = coeff, rad
         return obj
 
     @classmethod
     def zero(cls) -> "SurdSum":
-        return cls._raw({})
+        return cls._raw(_ZERO, 1)
 
     @classmethod
     def from_rational(cls, value) -> "SurdSum":
-        value = to_fraction(value)
-        return cls._raw({1: value} if value else {})
+        return cls._raw(to_fraction(value), 1)
 
     @classmethod
     def sqrt(cls, value) -> "SurdSum":
@@ -128,117 +133,82 @@ class SurdSum:
         if not value:
             return cls.zero()
         outer, rad = _squarefree_split(value.numerator * value.denominator)
-        return cls._raw({rad: Fraction(outer, value.denominator)})
+        return cls._raw(Fraction(outer, value.denominator), rad)
 
     @property
     def terms(self) -> dict:
-        """Radicand -> coefficient map.  Treat as read-only."""
-        return self._terms
+        """{radicand: coefficient}, or {} for zero."""
+        return {self._rad: self._coeff} if self._coeff else {}
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._coeff
 
     def single_term(self) -> tuple[Fraction, int] | None:
-        """(coefficient, radicand) when the sum has exactly one term, else None."""
-        if len(self._terms) != 1:
-            return None
-        ((rad, coeff),) = self._terms.items()
-        return coeff, rad
+        """(coefficient, radicand), or None for zero."""
+        return (self._coeff, self._rad) if self._coeff else None
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
             other = SurdSum.from_rational(other)
-        if not isinstance(other, SurdSum):
+        elif not isinstance(other, SurdSum):
             return NotImplemented
-        terms = dict(self._terms)
-        for rad, coeff in other._terms.items():
-            if rad in terms:
-                coeff += terms[rad]
-                if not coeff:
-                    del terms[rad]
-                    continue
-            terms[rad] = coeff
-        return SurdSum._raw(terms)
+        if self._rad == other._rad:
+            coeff = self._coeff + other._coeff
+            return SurdSum._raw(coeff, self._rad if coeff else 1)
+        if not other._coeff:
+            return self
+        if not self._coeff:
+            return other
+        raise ValueError(f"cannot add surds of radicands {self._rad} and {other._rad}")
 
     __radd__ = __add__
 
     def __neg__(self):
-        return SurdSum._raw({r: -c for r, c in self._terms.items()})
+        return SurdSum._raw(-self._coeff, self._rad)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = SurdSum.from_rational(other)
-        if not isinstance(other, SurdSum):
-            return NotImplemented
-        return self + (-other)
+        if isinstance(other, (int, Fraction, SurdSum)):
+            return self + (-other)
+        return NotImplemented
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            q = to_fraction(other)
-            if not q:
-                return SurdSum.zero()
-            return SurdSum._raw({r: c * q for r, c in self._terms.items()})
+            coeff = self._coeff * other
+            return SurdSum._raw(coeff, self._rad if coeff else 1)
         if not isinstance(other, SurdSum):
             return NotImplemented
-        out: dict[int, Fraction] = {}
-        for r1, c1 in self._terms.items():
-            for r2, c2 in other._terms.items():
-                g = gcd(r1, r2)
-                rad = (r1 // g) * (r2 // g)
-                coeff = c1 * c2 * g
-                if rad in out:
-                    coeff += out[rad]
-                    if not coeff:
-                        del out[rad]
-                        continue
-                out[rad] = coeff
-        return SurdSum._raw(out)
+        r1, r2 = self._rad, other._rad
+        g = gcd(r1, r2)
+        coeff = self._coeff * other._coeff * g
+        return SurdSum._raw(coeff, (r1 // g) * (r2 // g) if coeff else 1)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
             return self * (Fraction(1) / to_fraction(other))
-        if isinstance(other, SurdSum):
-            single = other.single_term()
-            if single is None:
-                raise ValueError("division is only supported by single-term surd sums")
-            coeff, rad = single
-            # 1/(c*sqrt(n)) = sqrt(n)/(c*n)
-            return self * SurdSum._raw({rad: Fraction(1) / (coeff * rad)})
-        return NotImplemented
+        if not isinstance(other, SurdSum):
+            return NotImplemented
+        # 1/(c*sqrt(n)) = sqrt(n)/(c*n); a zero c raises ZeroDivisionError.
+        return self * SurdSum._raw(Fraction(1) / (other._coeff * other._rad), other._rad)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = SurdSum.from_rational(other)
+            return self._rad == 1 and self._coeff == other
         if not isinstance(other, SurdSum):
             return NotImplemented
-        return self._terms == other._terms
+        return self._coeff == other._coeff and self._rad == other._rad
 
     def __hash__(self):
-        # A rational sum equals its Fraction, so it must hash like one.
-        if set(self._terms) <= {1}:
-            return hash(self._terms.get(1, 0))
-        return hash(frozenset(self._terms.items()))
+        # A rational surd equals its Fraction, so it must hash like one.
+        return hash(self._coeff) if self._rad == 1 else hash((self._coeff, self._rad))
 
     def __str__(self):
-        if not self._terms:
-            return "0"
-        parts = []
-        for rad in sorted(self._terms):
-            coeff = self._terms[rad]
-            mag = abs(coeff)
-            if rad == 1:
-                body = str(mag)
-            elif mag == 1:
-                body = f"sqrt({rad})"
-            else:
-                body = f"{mag}*sqrt({rad})"
-            if not parts:
-                parts.append(f"-{body}" if coeff < 0 else body)
-            else:
-                parts.append(f"- {body}" if coeff < 0 else f"+ {body}")
-        return " ".join(parts)
+        coeff, rad = self._coeff, self._rad
+        if rad == 1:
+            return str(coeff)
+        body = f"sqrt({rad})" if abs(coeff) == 1 else f"{abs(coeff)}*sqrt({rad})"
+        return f"-{body}" if coeff < 0 else body
 
     def __repr__(self):
         return f"SurdSum({self})"
@@ -445,7 +415,7 @@ def wigner6j(ta: int, tb: int, tc: int, td: int, te: int, tf: int) -> SurdSum:
         return SurdSum.zero()
     triads = ((ta, tb, tc), (ta, te, tf), (td, tb, tf), (td, te, tc))
     outer, radicand, den = _delta_root(triads)
-    return SurdSum._raw({radicand: Fraction(outer * racah[0], den * racah[1])})
+    return SurdSum._raw(Fraction(outer * racah[0], den * racah[1]), radicand)
 
 
 class NineJArray:
@@ -537,7 +507,7 @@ def wigner9j(array: NineJArray) -> SurdSum:
     if not total:
         return SurdSum.zero()
     outer, radicand, den = _delta_root((*rows, *zip(*rows)))
-    return SurdSum._raw({radicand: Fraction(outer * total, den * common)})
+    return SurdSum._raw(Fraction(outer * total, den * common), radicand)
 
 
 def _nonzero_3j(tj1: int, tj2: int, tj3: int) -> dict:

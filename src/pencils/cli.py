@@ -55,6 +55,9 @@ SYZYGY_TABLE_MAX_D = 300
 # `gamma`: gamma(r, d) has about d/4 digits, and Python refuses to print an
 # int of more than 4300.
 GAMMA_MAX_D = 10000
+# `dim-syzygy`: the dimension has about 2*log10(d) digits, and Python refuses
+# to print an int of more than 4300.
+DIM_SYZYGY_MAX_D = 10**18
 # Order and coefficient bound of the random pencils of `verify` and
 # `recover`, and the most `verify` trials: the cost grows with the order,
 # the bound's bit length and the number of trials.
@@ -126,7 +129,10 @@ def _load_forms(args, parser, count, cap):
         text = text.strip()
         if text.startswith("{"):
             # A bare JSON integer is read as a string coefficient's numeral is.
-            obj = json.loads(text, parse_int=lambda numeral: to_fraction(numeral).numerator)
+            try:
+                obj = json.loads(text, parse_int=lambda numeral: to_fraction(numeral).numerator)
+            except RecursionError as exc:
+                parser.error(f"cannot read {path}: {exc}")
             lists.append(coeffs_from_dict(obj))
         else:
             lists.append(parse_coeffs(text))
@@ -278,6 +284,7 @@ def _cmd_gamma(args, parser):
 
 
 def _cmd_dim_syzygy(args, parser):
+    _check_cap(parser, args, "--d", DIM_SYZYGY_MAX_D)
     print(syzygy_space_dim(args.d, args.r))
     return 0
 
@@ -290,6 +297,8 @@ def _parse_twice_j(text, parser):
         values = [_int(p) for p in parts]
     except argparse.ArgumentTypeError:
         parser.error("--twice-j entries must be integers")
+    if min(values) < 0:
+        parser.error(f"--twice-j entries must be nonnegative, got {min(values)}")
     if max(values) > NINEJ_MAX_TWICE_J:
         parser.error(
             f"--twice-j entries must be at most {NINEJ_MAX_TWICE_J} for ninej, got {max(values)}"
@@ -320,7 +329,7 @@ def _cmd_ninej_combinant(args, parser):
     print(f"equivalent: {'yes' if equivalent else 'NO'}")
     th = theta(args.d, args.r, args.i, args.j)
     print(f"theta = {th}")
-    if not value.is_zero() and value.single_term() is not None:
+    if not value.is_zero():
         print(f"theta/ninej = {SurdSum.from_rational(th) / value}")
     else:
         print("theta/ninej = (unavailable: value is zero or not a single surd)")
@@ -390,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_gamma)
 
     p = sub.add_parser("dim-syzygy", help="dimension of the weight-2r syzygy space")
-    p.add_argument("--d", type=_int, required=True)
+    p.add_argument("--d", type=_int, required=True, help=f"order, at most {DIM_SYZYGY_MAX_D}")
     p.add_argument("--r", type=_int, required=True)
     p.set_defaults(handler=_cmd_dim_syzygy)
 
@@ -400,7 +409,8 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         dest="twice_j",
         metavar="a,b,c,d,e,f,g,h,i",
-        help=f"the nine doubled momenta row by row, each at most {NINEJ_MAX_TWICE_J}",
+        help="the nine doubled momenta row by row, each nonnegative and at most "
+        f"{NINEJ_MAX_TWICE_J}",
     )
     _add_format_flags(p)
     p.set_defaults(handler=_cmd_ninej)

@@ -3,6 +3,7 @@ import functools
 import itertools
 import json
 import math
+import operator
 import os
 import random
 import re
@@ -88,6 +89,49 @@ def half_integer_arrays(seed, count, top):
     return [bounded_array(rng, top) for _ in range(count)]
 
 
+def six_3j_radicands(arr):
+    """The set of radicands of the nonzero products of the three row and
+    three column 3j symbols of the array, over all magnetic numbers, each
+    3j from `wigner3j`.  A product's radicand is that of the product of
+    the unit surds sqrt(n) of the six 3j radicands n, so the rational
+    coefficients are left out."""
+    rows = arr.twice_rows()
+    triads = (*rows, *zip(*rows))
+    if not all((a + b + c) % 2 == 0 and abs(a - b) <= c <= a + b for a, b, c in triads):
+        return set()
+    # {(2m1, 2m2): radicand} of each triad's nonzero 3j, with 2m3 = -2m1 - 2m2.
+    row1, row2, row3, col1, col2, col3 = [
+        {
+            (tm1, tm2): value.single_term()[1]
+            for tm1 in range(-a, a + 1, 2)
+            for tm2 in range(-b, b + 1, 2)
+            if abs(tm1 + tm2) <= c
+            and not (value := wigner3j(a, b, c, tm1, tm2, -tm1 - tm2)).is_zero()
+        }
+        for a, b, c in triads
+    ]
+    sixes = set()
+    for (tm1, tm2), r1 in row1.items():
+        for (tm4, tm5), r2 in row2.items():
+            six = (
+                r1,
+                r2,
+                row3.get((-tm1 - tm4, -tm2 - tm5)),
+                col1.get((tm1, tm4)),
+                col2.get((tm2, tm5)),
+                col3.get((-tm1 - tm2, -tm4 - tm5)),
+            )
+            if None not in six:
+                sixes.add(six)
+    return {functools.reduce(product_radicand, six) for six in sixes}
+
+
+@functools.cache
+def product_radicand(r1, r2):
+    """The radicand of sqrt(r1) * sqrt(r2), as `SurdSum` multiplies them."""
+    return (SurdSum.sqrt(r1) * SurdSum.sqrt(r2)).single_term()[1]
+
+
 def ninej_triad_sets(arr):
     """The triad sets of a triangle-consistent array whose Delta^2 roots the
     6j/9j route takes: the six row and column triads, and the four triads
@@ -114,20 +158,32 @@ class TestSurdSum:
         assert SurdSum.sqrt(6) * SurdSum.sqrt(10) == 2 * SurdSum.sqrt(15)
         assert SurdSum.sqrt(3) * SurdSum.sqrt(3) == SurdSum.from_rational(3)
 
-    def test_mixed_sum_arithmetic(self):
-        a = SurdSum.from_rational(Fraction(1, 2)) + SurdSum.sqrt(2)
-        b = a - SurdSum.sqrt(2)
-        assert b == SurdSum.from_rational(Fraction(1, 2))
+    def test_sum_across_radicands_is_refused(self):
+        with pytest.raises(ValueError, match="radicands 1 and 2"):
+            SurdSum.from_rational(Fraction(1, 2)) + SurdSum.sqrt(2)
+        with pytest.raises(ValueError, match="radicands 3 and 2"):
+            SurdSum.sqrt(3) - SurdSum.sqrt(2)
+        with pytest.raises(ValueError, match="radicands 2 and 1"):
+            1 + SurdSum.sqrt(2)
+        # Zero, kept with radicand 1, adds to a surd of any radicand.
+        assert SurdSum.zero() + SurdSum.sqrt(2) == SurdSum.sqrt(2)
+        assert SurdSum.sqrt(2) - 0 == SurdSum.sqrt(2)
+        a = SurdSum.sqrt(8) + SurdSum.sqrt(2)
+        assert a == 3 * SurdSum.sqrt(2)
         assert (a - a).is_zero()
+        assert (a - a) + Fraction(1, 2) == Fraction(1, 2)
 
     def test_cancelling_terms_delete_their_radicand(self):
-        a = SurdSum({1: Fraction(1, 2), 2: 3, 5: -1})
+        a = SurdSum({5: -1})
         assert (a + (-a)).terms == {}
-        b = a + SurdSum({2: -3, 7: 1})
-        assert b.terms == {1: Fraction(1, 2), 5: -1, 7: 1}
-        # sqrt(8) = 2 sqrt(2): the second entry cancels the first inside __init__.
+        assert (a * 0).terms == {} and (a * 0) + 1 == 1
+        # sqrt(8) = 2 sqrt(2): the entries are summed by squarefree radicand
+        # inside __init__, in any order.
         assert SurdSum({2: 1, 8: Fraction(-1, 2)}).terms == {}
         assert SurdSum({2: 1, 8: Fraction(-1, 2), 3: 4}).terms == {3: 4}
+        assert SurdSum({3: 4, 2: 1, 8: Fraction(-1, 2)}).terms == {3: 4}
+        with pytest.raises(ValueError, match=r"\[1, 2\]"):
+            SurdSum({2: 3, 1: Fraction(1, 2)})
 
     def test_structural_equality(self):
         assert SurdSum.sqrt(18) == SurdSum({2: Fraction(3)})
@@ -148,10 +204,34 @@ class TestSurdSum:
         with pytest.raises(ValueError):
             (SurdSum.sqrt(2) + SurdSum.sqrt(3)) / (SurdSum.sqrt(2) + 1)
 
+    def test_division_by_zero_surd(self):
+        for zero in (SurdSum.zero(), SurdSum.sqrt(2) - SurdSum.sqrt(2), 0):
+            with pytest.raises(ZeroDivisionError):
+                SurdSum.sqrt(2) / zero
+
     def test_str_format(self):
-        value = SurdSum.from_rational(Fraction(1, 3)) - Fraction(2, 5) * SurdSum.sqrt(6)
-        assert str(value) == "1/3 - 2/5*sqrt(6)"
+        assert str(SurdSum.from_rational(Fraction(1, 3))) == "1/3"
+        assert str(SurdSum.from_rational(-3)) == "-3"
+        assert str(Fraction(-2, 5) * SurdSum.sqrt(6)) == "-2/5*sqrt(6)"
+        assert str(-SurdSum.sqrt(6)) == "-sqrt(6)"
+        assert str(SurdSum.sqrt(24) / 2) == "sqrt(6)"
+        assert repr(SurdSum.sqrt(Fraction(3, 2))) == "SurdSum(1/2*sqrt(6))"
         assert str(SurdSum.zero()) == "0"
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.fractions(min_value=0, max_value=60, max_denominator=60), min_size=1, max_size=5))
+    @example([Fraction(2), Fraction(8)])
+    @example([Fraction(3, 2), Fraction(0)])
+    def test_equal_products_hash_equal_and_rebuild_from_terms(self, values):
+        v = functools.reduce(operator.mul, map(SurdSum.sqrt, values))
+        u = functools.reduce(operator.mul, map(SurdSum.sqrt, reversed(values)))
+        w = SurdSum.sqrt(math.prod(values))
+        assert v == u == w and hash(v) == hash(u) == hash(w)
+        rebuilt = SurdSum(v.terms)
+        assert rebuilt == v and hash(rebuilt) == hash(v)
+        if set(v.terms) <= {1}:
+            rational = v.terms.get(1, 0)
+            assert v == rational and hash(v) == hash(rational)
 
     def test_negative_radicand_rejected(self):
         with pytest.raises(ValueError):
@@ -372,6 +452,25 @@ class TestKernelMatchesSurdOracle:
         ]
         for arr in arrays:
             assert len(wigner9j(arr).terms) <= 1, arr
+
+    def test_six_3j_products_share_the_9j_radicand(self):
+        # Each entry's (j+m)!(j-m)! is under the root of its row 3j and of
+        # its column 3j, so every product has the radicand of the six
+        # Delta^2, whatever the magnetic numbers.
+        arrays = [arr for args in combinant_indices(9) for arr in combinant_9j_array(*args)]
+        arrays += [
+            NineJArray.from_twice([t[0:3], t[3:6], t[6:9]])
+            for t in itertools.product(range(3), repeat=9)
+        ]
+        checked = 0
+        for arr in arrays:
+            value = wigner9j(arr)
+            radicands = six_3j_radicands(arr)
+            assert len(radicands) <= 1, arr
+            if not value.is_zero():
+                assert radicands == {value.single_term()[1]}, arr
+                checked += 1
+        assert checked > 300
 
 
 # The first angular call of a fresh interpreter: a 6j symbol near the 9j

@@ -47,6 +47,16 @@ class TestTransvect:
         assert code == 2
         assert "error" in err
 
+    def test_deeply_nested_json_is_refused(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text('{"order": ' + "[" * 200_000 + "]" * 200_000 + "}")
+        with pytest.raises(SystemExit) as info:
+            main(["transvect", str(path), "--expr", "x2", "--q", "0"])
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: cannot read {path}: " in captured.err
+
     def test_wrong_arity_exits_2(self, capsys):
         with pytest.raises(SystemExit) as info:
             run(capsys, "transvect", "--expr", "x1^2", "--q", "1")
@@ -320,6 +330,7 @@ class TestInputCaps:
         ("recover", ["--d", "5", "--r", "3"], "--bound", cli.PENCIL_MAX_BOUND),
         ("ninej-combinant", ["--r", "3", "--i", "1", "--j", "1"], "--d",
          cli.NINEJ_COMBINANT_MAX_D),
+        ("dim-syzygy", ["--r", "3"], "--d", cli.DIM_SYZYGY_MAX_D),
     ]
 
     @pytest.mark.parametrize("command,rest,option,cap", CASES)
@@ -491,6 +502,19 @@ class TestNinej:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "error:" in captured.err and "--twice-j" in captured.err
+
+    def test_negative_entry_is_refused(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["ninej", "--twice-j=2,2,2,2,-2,2,2,2,2"])
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: --twice-j entries must be nonnegative, got -2" in captured.err
+        # With a space, argparse reads a leading '-' as the next option.
+        with pytest.raises(SystemExit) as info:
+            main(["ninej", "--twice-j", "-2,2,2,2,2,2,2,2,2"])
+        assert info.value.code == 2
+        assert "argument --twice-j: expected one argument" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "twice_j",
