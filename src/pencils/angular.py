@@ -90,17 +90,20 @@ _ZERO = Fraction(0)
 class SurdSum:
     """Exact surd c*sqrt(n), c rational and n >= 1 squarefree, with zero kept
     as (0, 1).  `SurdSum({n: c, ...})` sums its entries by squarefree
-    radicand; it, `+` and `-` refuse two nonzero radicands with ValueError."""
+    radicand, which must be an int; it, `+` and `-` refuse two nonzero
+    radicands with ValueError."""
 
     __slots__ = ("_coeff", "_rad")
 
     def __init__(self, terms: dict | None = None):
         sums: dict[int, Fraction] = {}
         for radicand, coeff in (terms or {}).items():
+            # Never read through int(): 2.5 would become 2 and "3" would parse.
+            if type(radicand) is not int:
+                raise TypeError(f"radicands must be ints, got {radicand!r}")
             coeff = to_fraction(coeff)
             if not coeff:
                 continue
-            radicand = int(radicand)
             if radicand < 1:
                 raise ValueError("radicands must be positive integers")
             outer, rad = _squarefree_split(radicand)

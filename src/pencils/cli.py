@@ -43,9 +43,11 @@ COMBINANTS_MAX_D = 120
 # cost of both commands grows with it, and with distinct denominators every
 # numerator is as long as their lcm.
 COEFF_MAX_BITS = 128
-# `oracle-theta`: the split-summand walk of stages one and two visits up to
-# (d+1)^4 term pairs of the factors and sets the cost, as the weight tables
-# and the integer factors are cheap beside it; small r is slowest.
+# `oracle-theta`: stages one and two contract O(r) term pairs of the factors
+# over (d+1)x(d+1) weight tables and sum as many outer products of about 2d
+# numerators each.  At this cap with a 4-bit symbol, 70 cases (every (i, j)
+# at r = 3..5 and three corners at each r = 6..18) took 0.11-0.27 s as a
+# process (best of 2, shared 2-core host, Python 3.11).
 ORACLE_THETA_MAX_D = 36
 # Bits of the numerators and denominators of `oracle-theta --f`: the
 # chain's coefficients grow as the symbol's 4d-th power.
@@ -89,10 +91,20 @@ def _int(text: str) -> int:
     raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
 
 
+def _shown(value: int, cap: int) -> str:
+    """`value` for an error line, or its digit count once it has more digits than `cap`."""
+    digits = len(str(abs(value)))
+    if digits <= len(str(cap)):
+        return str(value)
+    return f"a {'negative ' if value < 0 else ''}number of {digits} digits"
+
+
 def _check_cap(parser, args, option, cap):
     value = getattr(args, option[2:])
     if value > cap:
-        parser.error(f"{option} must be at most {cap} for {args.command}, got {value}")
+        parser.error(
+            f"{option} must be at most {cap} for {args.command}, got {_shown(value, cap)}"
+        )
 
 
 def _bits(values) -> int:
@@ -297,11 +309,15 @@ def _parse_twice_j(text, parser):
         values = [_int(p) for p in parts]
     except argparse.ArgumentTypeError:
         parser.error("--twice-j entries must be integers")
-    if min(values) < 0:
-        parser.error(f"--twice-j entries must be nonnegative, got {min(values)}")
-    if max(values) > NINEJ_MAX_TWICE_J:
+    low, high = min(values), max(values)
+    if low < 0:
         parser.error(
-            f"--twice-j entries must be at most {NINEJ_MAX_TWICE_J} for ninej, got {max(values)}"
+            f"--twice-j entries must be nonnegative, got {_shown(low, NINEJ_MAX_TWICE_J)}"
+        )
+    if high > NINEJ_MAX_TWICE_J:
+        parser.error(
+            f"--twice-j entries must be at most {NINEJ_MAX_TWICE_J} for ninej, "
+            f"got {_shown(high, NINEJ_MAX_TWICE_J)}"
         )
     return NineJArray.from_twice([values[0:3], values[3:6], values[6:9]])
 

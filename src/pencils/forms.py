@@ -198,6 +198,7 @@ class BinaryForm:
     @classmethod
     def monomial(cls, order: int, x2_exponent: int, coeff=1) -> "BinaryForm":
         """The form coeff * x1^(order - x2_exponent) * x2^x2_exponent."""
+        _check_ints(order=order, x2_exponent=x2_exponent)
         if not 0 <= x2_exponent <= order:
             raise ValueError("exponent out of range")
         coeff = to_fraction(coeff)
@@ -208,6 +209,7 @@ class BinaryForm:
     @classmethod
     def of_linear_power(cls, f: LinearSymbol, n: int) -> "BinaryForm":
         """(f1*x1 + f2*x2)^n expanded with binomial coefficients."""
+        _check_ints(n=n)
         if n < 0:
             raise ValueError("exponent must be nonnegative")
         return cls._raw(*_linear_pow_ints(f, n))

@@ -24,23 +24,26 @@ hold to it.
 The fused route, `omega_chain` behind `verify_theta`, never builds the
 image.  Each summand is G(a, b) * H(c, e) over disjoint pairs, with
 G(a, b) = (ab) f_a^(d-1) f_b^(d-1) and H(c, e) = (ce)^(2r-1) f_c^(d-2r+1)
-f_e^(d-2r+1), held as integer matrices over x and y (`_factor_matrices`).
-After omega^n the k-th image of p1^a1 p2^a2 q1^b1 q2^b2 merges onto
-t1^(a1+b1-n) t2^(a2+b2-n) whatever k is, so a power and its merge weight
-each monomial by the sum of its n+1 factors: one cell of a table per
-(degrees, power) (`_weights`), built as n+1 outer products of integer
-vectors, since each factor is a part in the p exponents times a part in
-the q exponents.  Stage one (omega_{xy}^(2i-1), x,y into u) and stage two
-(omega_{zw}^(2j-1), z,w into v) each see only their own pairs, so
-`_stages_one_two` runs them on the factors, in three parts.  In
-G(x, y) * H(z, w) and G(z, w) * H(x, y) each factor holds both pairs of
-one stage and is contracted on its own.  The other four summands give one
-form over u and v: G, H, omega_{xy}^(2i-1) and omega_{zw}^(2j-1) are odd
-in their two pairs and the merges are symmetric, so relabelling carries
-each, times its sign, onto -G(x, z) * H(y, w).  That one is walked pair
-of terms by pair of terms, weighted by both stages' (d, d) tables, and
-counted four times.  The result is a (2d-4i+3) x (2d-4j+3) matrix of
-integer numerators, against about (d+1)^4 terms in the image;
+f_e^(d-2r+1).  Expanding the brackets makes G 2 and H 2r signed outer
+products of a form over one pair and a form over the other, each a sparse
+list of integer numerators (`_factor_terms`).  After omega^n the k-th
+image of p1^a1 p2^a2 q1^b1 q2^b2 merges onto t1^(a1+b1-n) t2^(a2+b2-n)
+whatever k is, so a power and its merge weight each monomial by the sum of
+its n+1 factors: one cell of a table per (degrees, power) (`_weights`),
+built as n+1 outer products of integer vectors, since each factor is a
+part in the p exponents times a part in the q exponents.  An outer product
+over the two merged pairs then contracts to one vector (`_contracted`).
+Stage one (omega_{xy}^(2i-1), x,y into u) and stage two (omega_{zw}^(2j-1),
+z,w into v) each see only their own pairs, so `_stages_one_two` runs them
+on the terms.  In G(x, y) * H(z, w) and G(z, w) * H(x, y) each factor
+holds both pairs of one stage, so each summand is one outer product of
+summed contractions.  The other four summands give one form over u and v:
+G, H, omega_{xy}^(2i-1) and omega_{zw}^(2j-1) are odd in their two pairs
+and the merges are symmetric, so relabelling carries each, times its sign,
+onto -G(x, z) * H(y, w), counted four times.  Each of its 4r term pairs
+contracts its x and y sides in stage one and its z and w sides in stage
+two, into one more outer product.  The sum is a (2d-4i+3) x (2d-4j+3)
+matrix of integer numerators, against about (d+1)^4 terms in the image;
 `_stage_three_matrix` weights it by one more table onto the numerators
 over t and applies the three h factors as one fraction, and the ratio to
 the reference power is read by cross-multiplying integer numerators.
@@ -50,8 +53,8 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain
-from math import comb, factorial, gcd, perm
+from math import comb, factorial, perm
+from operator import mul
 
 from .errors import FormulaViolationError
 from .forms import (
@@ -180,38 +183,28 @@ def mu_factor(p: int, q: int, ell: int, m: int) -> Fraction:
 _SUMMANDS = ((1, "xyzw"), (-1, "xzyw"), (1, "xwyz"), (-1, "ywxz"), (1, "zwxy"), (-1, "zyxw"))
 
 
-def _reduced(matrix: list, den: int) -> tuple:
-    """(matrix, den) divided by the gcd of den and every entry."""
-    common = gcd(den, *chain.from_iterable(matrix))
-    if common == 1:
-        return matrix, den
-    return [[c // common for c in row] for row in matrix], den // common
+def _factor_terms(d: int, r: int, f: LinearSymbol) -> tuple:
+    """(G's terms, G's denominator) and (H's terms, H's denominator) on the pairs x and y.
 
-
-def _factor_matrices(d: int, r: int, f: LinearSymbol) -> tuple:
-    """(G, its denominator) and (H, its denominator) on the pairs x and y, in integers.
-
-    Entry [k][l] of a matrix is the numerator of x1^(d-k) x2^k y1^(d-l) y2^l.
-    With a_k the numerators of f^(d-1), (xy) = x1 y2 - y1 x2 gives
-    g[k][l] = a_k a_(l-1) - a_(k-1) a_l.  H is the outer product of the
-    numerators of f^(d-2r+1) with themselves, convolved with the row
-    (-1)^c C(2r-1, c) x2^c y2^(2r-1-c) of (xy)^(2r-1).  Each matrix is
-    reduced by one gcd with its denominator, as `MultiForm` stores G and H.
+    A term (p, q) is the outer product of the form over x listed by p and
+    the form over y listed by q, each as (x2 exponent, integer numerator)
+    with no zero numerator; the terms sum to the factor's numerators.  With
+    a the numerators of f^(d-1), (xy) = x1 y2 - x2 y1 makes G the two
+    products (x1 a)(y2 a) - (x2 a)(y1 a).  With b those of f^(d-2r+1),
+    (xy)^(2r-1) = sum_c (-1)^c C(2r-1, c) x2^c x1^(2r-1-c) y1^c y2^(2r-1-c)
+    makes H the 2r products (-1)^c C(2r-1, c) (x2^c b)(y2^(2r-1-c) b).
     """
     a, den = _linear_pow_ints(f, d - 1)
-    a = [0, *a, 0]  # a[k + 1] is a_k, and a_(-1) = a_d = 0
-    g = [[a[k + 1] * a[l] - a[k] * a[l + 1] for l in range(d + 1)] for k in range(d + 1)]
+    a = [(k, c) for k, c in enumerate(a) if c]
+    g = [(a, [(k + 1, c) for k, c in a]), ([(k + 1, -c) for k, c in a], a)]
     b, den_b = _linear_pow_ints(f, d - 2 * r + 1)
     b = [(k, c) for k, c in enumerate(b) if c]
     m = 2 * r - 1
-    h = [[0] * (d + 1) for _ in range(d + 1)]
-    for c in range(m + 1):
-        scale = (-1) ** c * comb(m, c)
-        for k, bk in b:
-            row, x = h[k + c], scale * bk
-            for l, bl in b:
-                row[l + m - c] += x * bl
-    return _reduced(g, den * den), _reduced(h, den_b * den_b)
+    h = [
+        ([(k + c, (-1) ** c * comb(m, c) * x) for k, x in b], [(k + m - c, x) for k, x in b])
+        for c in range(m + 1)
+    ]
+    return (g, den * den), (h, den_b * den_b)
 
 
 def zeta_summand(
@@ -316,49 +309,50 @@ def _pair_contracted(m: list, w: tuple, n: int) -> list:
     return v
 
 
+def _contracted(p: list, q: list, w: tuple, n: int, size: int) -> list:
+    """v[s]: the numerator of t1^(size-1-s) t2^s after omega^n and the merge
+    into t of the outer product of the sparse forms p over one pair and q
+    over the other, with w = `_weights` of their degrees and n."""
+    v = [0] * size
+    for k, a in p:
+        w_row = w[k]
+        for l, b in q:
+            weight = w_row[l]
+            if weight:
+                v[k + l - n] += a * b * weight
+    return v
+
+
 def _stages_one_two(d: int, r: int, i: int, j: int, f: LinearSymbol) -> tuple:
     """Stages one and two of `beta_chain` on `zeta_image(d, r, f)`: (out, den).
 
     out[s][t] / den is the coefficient of u1^(du-s) u2^s v1^(dv-t) v2^t after
-    those two stages, but no product of G and H is built (see the module
-    docstring).
+    those two stages, built as a sum of outer products of contracted terms
+    of G and H (see the module docstring).
     """
     n, m = 2 * i - 1, 2 * j - 1
-    (g_mat, g_den), (h_mat, h_den) = _factor_matrices(d, r, f)
+    (g, g_den), (h, h_den) = _factor_terms(d, r, f)
     w1, w2 = _weights(d, d, n), _weights(d, d, m)
-    out = [[0] * (2 * (d - m) + 1) for _ in range(2 * (d - n) + 1)]
+    su, sv = 2 * (d - n) + 1, 2 * (d - m) + 1
+
+    def summed(terms, w, k, size):
+        return [sum(c) for c in zip(*(_contracted(p, q, w, k, size) for p, q in terms))]
+
     # G(x, y) * H(z, w) and G(z, w) * H(x, y): each factor holds both pairs
     # of one stage and is contracted on its own.
-    for u_side, v_side in (
-        (_pair_contracted(g_mat, w1, n), _pair_contracted(h_mat, w2, m)),
-        (_pair_contracted(h_mat, w1, n), _pair_contracted(g_mat, w2, m)),
-    ):
-        for row, cu in zip(out, u_side):
-            if cu:
-                for col, cv in enumerate(v_side):
-                    row[col] += cu * cv
-    # The four split summands, each -G(x, z) * H(y, w).  G's rows and
-    # columns are its x and z exponents and H's its y and w exponents, so
-    # both weight tables are read as stored.  h_weighted[l1][k2]: row l1 of
-    # H weighted for G's z exponent k2, as (column of `out`, numerator); a
-    # nonzero weight keeps k2 + l2 >= m.
-    h_weighted = [
-        [
-            [(k2 + l2 - m, hv * weight)
-             for l2, (hv, weight) in enumerate(zip(h_row, w2_row)) if hv and weight]
-            for k2, w2_row in enumerate(w2)
-        ]
-        for h_row in h_mat
+    products = [
+        (summed(g, w1, n, su), summed(h, w2, m, sv)),
+        (summed(h, w1, n, su), summed(g, w2, m, sv)),
     ]
-    for k1, (g_row, w1_row) in enumerate(zip(g_mat, w1)):
-        g_terms = [(k2, -4 * gv) for k2, gv in enumerate(g_row) if gv]
-        for l1, weight in enumerate(w1_row):
-            if weight:
-                row, h_row = out[k1 + l1 - n], h_weighted[l1]
-                for k2, gv in g_terms:
-                    cg = weight * gv
-                    for col, hv in h_row[k2]:
-                        row[col] += cg * hv
+    # The four split summands, each -G(x, z) * H(y, w): a term pair's x and
+    # y sides meet in stage one and its z and w sides in stage two.
+    products += [
+        ([-4 * c for c in _contracted(gx, hy, w1, n, su)], _contracted(gz, hw, w2, m, sv))
+        for gx, gz in g
+        for hy, hw in h
+    ]
+    u_sides, v_sides = zip(*products)
+    out = [[sum(map(mul, us, vs)) for vs in zip(*v_sides)] for us in zip(*u_sides)]
     return out, g_den * h_den
 
 
@@ -448,8 +442,8 @@ def omega_chain(d: int, r: int, i: int, j: int, f: LinearSymbol = DEFAULT_SYMBOL
     the reference power f_t^(4(d-r)).
 
     The output equals `beta_chain(zeta_image(d, r, f), d, r, i, j)`; stages
-    one and two run on the factors G and H (`_stages_one_two`), and stage
-    three takes their matrix of numerators.  Raises `FormulaViolationError`
+    one and two run on the terms of the factors G and H (`_stages_one_two`),
+    and stage three takes their matrix of numerators.  Raises `FormulaViolationError`
     unless the output is proportional to the reference power.
     """
     _check_indices(d, r, i, j)

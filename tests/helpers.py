@@ -458,7 +458,7 @@ def stage_three_by_omega(uv_form: MultiForm, d: int, r: int, i: int, j: int) -> 
 
 
 def factors_by_products(d: int, r: int, f: LinearSymbol) -> tuple:
-    """Oracle for `omega._factor_matrices`: G = (xy) f_x^(d-1) f_y^(d-1) and
+    """Oracle for `omega._factor_terms`: G = (xy) f_x^(d-1) f_y^(d-1) and
     H = (xy)^(2r-1) f_x^(d-2r+1) f_y^(d-2r+1) as `MultiForm` products."""
     xy = bracket("x", "y")
     g = xy * linear_power(f, "x", d - 1) * linear_power(f, "y", d - 1)

@@ -185,6 +185,15 @@ class TestSurdSum:
         with pytest.raises(ValueError, match=r"\[1, 2\]"):
             SurdSum({2: 3, 1: Fraction(1, 2)})
 
+    # A radicand is never read through int(): 2.5 would give sqrt(2), "3"
+    # sqrt(3) and True the rational 1.
+    @pytest.mark.parametrize("bad", [2.5, "3", True])
+    def test_radicands_must_be_ints(self, bad):
+        with pytest.raises(TypeError, match=re.escape(f"radicands must be ints, got {bad!r}")):
+            SurdSum({bad: 1})
+        with pytest.raises(TypeError, match=re.escape(f"radicands must be ints, got {bad!r}")):
+            SurdSum({2: 1, bad: 0})
+
     def test_structural_equality(self):
         assert SurdSum.sqrt(18) == SurdSum({2: Fraction(3)})
         assert SurdSum.sqrt(2) != SurdSum.sqrt(3)

@@ -348,6 +348,33 @@ class TestInputCaps:
         assert captured.out == ""
         assert "error:" in captured.err and option in captured.err
 
+    # A refused value with more digits than its cap is named by its digit
+    # count, not echoed in full.
+    LONG = "9" * 3000
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["oracle-theta", "--r", "3", "--i", "1", "--j", "1", "--d", LONG],
+             "--d must be at most 36 for oracle-theta, got a number of 3000 digits"),
+            (["verify", "--d", "5", "--trials", LONG],
+             "--trials must be at most 20 for verify, got a number of 3000 digits"),
+            (["ninej", "--twice-j", f"1,2,3,4,5,6,7,8,{LONG}"],
+             "--twice-j entries must be at most 500 for ninej, got a number of 3000 digits"),
+            (["ninej", f"--twice-j=1,2,3,4,-{LONG},6,7,8,9"],
+             "--twice-j entries must be nonnegative, got a negative number of 3000 digits"),
+        ],
+        ids=["d", "trials", "twice-j", "twice-j-negative"],
+    )
+    def test_long_refused_value_is_named_by_digit_count(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: {message}\n" in captured.err
+        assert len(captured.err.splitlines()[-1]) < 120
+
 
 class TestFormOrderCaps:
     """transvect and combinants accept forms of the capped order, refuse one more."""

@@ -635,6 +635,17 @@ _CUBIC = BinaryForm(3, [1, 2, 3, 4])
         ),
         pytest.param(lambda: transvectant(_CUBIC, _CUBIC, True), "q must be an int, got True", id="q-bool"),
         pytest.param(lambda: transvectant(_CUBIC, _CUBIC, 1.0), "q must be an int, got 1.0", id="q-float"),
+        pytest.param(lambda: BinaryForm.monomial(True, 0), "order must be an int, got True", id="monomial-order-bool"),
+        pytest.param(lambda: BinaryForm.monomial(2.0, 1), "order must be an int, got 2.0", id="monomial-order-float"),
+        pytest.param(
+            lambda: BinaryForm.monomial(3, 1.0), "x2_exponent must be an int, got 1.0", id="monomial-exponent-float"
+        ),
+        pytest.param(
+            lambda: BinaryForm.of_linear_power(LinearSymbol(1, 2), True), "n must be an int, got True", id="power-bool"
+        ),
+        pytest.param(
+            lambda: BinaryForm.of_linear_power(LinearSymbol(1, 2), 2.0), "n must be an int, got 2.0", id="power-float"
+        ),
     ],
 )
 def test_sizes_must_be_ints(build, message):

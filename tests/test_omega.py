@@ -4,8 +4,7 @@ import importlib
 import random
 import re
 from fractions import Fraction
-from itertools import chain
-from math import factorial, gcd
+from math import factorial
 
 import pytest
 from hypothesis import example, given, settings
@@ -30,7 +29,7 @@ from pencils import (
 from pencils.forms import _PAIR_INDEX, ZERO_MONOMIAL, _monomial, linear_power, slot_index
 from pencils.omega import (
     _SUMMANDS,
-    _factor_matrices,
+    _factor_terms,
     _power_terms,
     _proportionality,
     _stage_three_matrix,
@@ -375,7 +374,9 @@ class TestBetaChain:
         def fused_kernel(*args):
             raise AssertionError("the reference route reached a fused-chain kernel")
 
-        for name in ("_weights", "_pair_contracted", "_stage_three_matrix", "_factor_matrices"):
+        for name in (
+            "_weights", "_pair_contracted", "_stage_three_matrix", "_factor_terms", "_contracted"
+        ):
             monkeypatch.setattr(omega_module, name, fused_kernel)
         d, r = 7, 3
         image = zeta_image(d, r, f)
@@ -417,8 +418,8 @@ class TestFusedStages:
 
     @pytest.mark.parametrize("d", [5, 6, 7])
     def test_split_summands_give_one_form(self, d):
-        # The alternation that lets `_stages_one_two` walk one split summand
-        # for all four, pinned on the reference path alone.
+        # The alternation that lets `_stages_one_two` contract one split
+        # summand for all four, pinned on the reference path alone.
         assert len(SPLIT_SUMMANDS) == 4
         for f in FUSED_SYMBOLS:
             for r in range(3, (d + 1) // 2 + 1):
@@ -505,22 +506,32 @@ class TestWeightTables:
             assert w[k][l] == self.cell(dp, dq, n, k, l), (k, l)
 
 
-class TestFactorMatrices:
-    """The integer G and H of the chain against the `MultiForm` factors of
-    `zeta_image`, read as matrices over their reduced denominators."""
+class TestFactorTerms:
+    """The signed outer products of the chain's G and H against the
+    `MultiForm` factors of `zeta_image`, read as matrices of fractions."""
 
     # The numerators of the powers of 2/3 x1 + 4/9 x2 share the factor 3
-    # with their denominators, so this symbol's matrices need the reduction.
+    # with their denominators, and those of x1 have a single term.
     SYMBOLS = FUSED_SYMBOLS + (LinearSymbol(1, 0), LinearSymbol.parse("2/3,4/9"))
 
     @pytest.mark.parametrize("d", range(5, 13))
     def test_match_multiform_factors(self, d):
         for f in self.SYMBOLS:
             for r in range(1, (d + 1) // 2 + 1):
-                pairs = zip(_factor_matrices(d, r, f), factors_by_products(d, r, f))
-                for (matrix, den), form in pairs:
-                    assert (matrix, den) == (pair_matrix(form, "x", "y"), form._den), (d, r, f)
-                    assert gcd(den, *chain.from_iterable(matrix)) == 1, (d, r, f)
+                pairs = zip(_factor_terms(d, r, f), factors_by_products(d, r, f), (2, 2 * r))
+                for (terms, den), form, count in pairs:
+                    assert len(terms) == count, (d, r, f)
+                    matrix = [[0] * (d + 1) for _ in range(d + 1)]
+                    for p, q in terms:
+                        assert all(c for _, c in p) and all(c for _, c in q), (d, r, f)
+                        for k, a in p:
+                            for l, b in q:
+                                matrix[k][l] += a * b
+                    expected = pair_matrix(form, "x", "y")
+                    for row, expected_row in zip(matrix, expected):
+                        assert [Fraction(c, den) for c in row] == [
+                            Fraction(c, form._den) for c in expected_row
+                        ], (d, r, f)
 
 
 class TestProportionality:
@@ -625,11 +636,13 @@ class TestVerifyTheta:
                     continue
                 assert verify_theta(5, 3, i, j) == theta(5, 3, i, j)
 
-    @pytest.mark.parametrize("d", [9, 10, 11, 12])
+    @pytest.mark.parametrize("d", range(9, 19))
     def test_whole_grid(self, d):
+        # Above d = 12 on the symbol of 4-bit numerators and denominators.
+        f = F12 if d <= 12 else FUSED_SYMBOLS[2]
         for r in range(3, (d + 1) // 2 + 1):
             for i, j in chain_pairs(r):
-                assert verify_theta(d, r, i, j, F12) == theta(d, r, i, j)
+                assert verify_theta(d, r, i, j, f) == theta(d, r, i, j), (d, r, i, j)
 
     def test_two_symbols_same_ratio(self):
         first = omega_chain(5, 3, 2, 2, LinearSymbol(1, 2))
