@@ -33,13 +33,16 @@ denominator reduced by one gcd (the Racah sums cancel most of the
 Delta^2 denominators, which keeps large arrays cheap), the terms meet
 over one `math.lcm`, and one `Fraction` is built per 9j value; the
 former `Fraction` x-sum is the test oracle `wigner9j_by_fraction_xsum`.
-The 6j kernel and every Delta^2 of the 6j/9j route read factorials by
-index from one table, `_factorials`, which grows only as far as asked;
-a growth extends a copy and replaces the table whole, as
-`Pencil.combinants` does, so threads never see an entry out of place.
-Each distinct triad's Delta^2 is computed once, as a reduced pair
-(`_triad`).  A triad whose root is taken, such as a row or column of a
-9j array, also keeps the squarefree split of numerator times denominator
+Every factorial ratio of the 6j/9j route is a product of binomials.  The
+three factorials of a triad's Delta^2 take arguments that sum to its
+half-sum s = a+b+c, so Delta^2 = 1/((s+1) C(s, 2c) C(2c, a-b+c)), the
+reciprocal of an integer.  Likewise the seven parts of the t = lo term of
+the Racah sum sum to lo, so that term is (lo+1) times a multinomial
+coefficient, six `math.comb` factors.  So the route reads no factorial,
+and the angular layer keeps no state but its `lru_cache`s.
+Each distinct triad's Delta^2 is computed once, as the integer N with
+Delta^2 = 1/N (`_triad`).  A triad whose root is taken, such as a row or
+column of a 9j array, also keeps the squarefree split of N
 (`_triad_root`), by trial division by 2, 3 and the numbers 6k-1 and
 6k+1, the split that normalizes every `SurdSum` radicand.  The root of a
 product of Delta^2 combines those split roots, two squarefree radicands
@@ -50,15 +53,15 @@ arithmetic.
 An independent brute-force contraction of six 3j symbols over all magnetic
 numbers is provided as a cross-check oracle.  It lists each row's and
 column's nonzero 3j symbols once, after all six triangle tests pass.  Its
-3j symbols read `math.factorial` through `_delta_squared`, so it reaches
-neither the factorial table nor the triad caches: it shares only `SurdSum`
-and its squarefree split with the 6j route.
+3j symbols alone read `math.factorial`, through `_delta_squared`, so it
+reaches neither the binomials nor the triad caches of the 6j route: it
+shares only `SurdSum` and its squarefree split with that route.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, gcd, lcm
+from math import comb, factorial, gcd, lcm
 
 from .forms import _check_ints, to_fraction
 from .syzygy import _check_indices
@@ -246,43 +249,23 @@ def _delta_squared(ta: int, tb: int, tc: int) -> Fraction:
     )
 
 
-_FACTORIALS = [1]
-
-
-def _factorials(n: int) -> list[int]:
-    """The table of k! for k = 0, 1, ..., reaching at least k = n.  A growth
-    extends a copy and rebinds the module's table whole, so a caller that
-    holds an earlier table, or grows it in another thread, never sees an
-    entry out of place."""
-    global _FACTORIALS
-    table = _FACTORIALS
-    if len(table) <= n:
-        table = list(table)
-        f = table[-1]
-        for k in range(len(table), n + 1):
-            f *= k
-            table.append(f)
-        _FACTORIALS = table
-    return table
-
-
 @lru_cache(maxsize=None)
-def _triad(ta: int, tb: int, tc: int) -> tuple[int, int]:
-    """Delta^2 of a valid triangle as a reduced (numerator, denominator) pair."""
+def _triad(ta: int, tb: int, tc: int) -> int:
+    """The integer N with Delta^2 = 1/N for a valid triangle: with s the
+    half-sum, N = (s+1) s!/((s-ta)! (s-tb)! (s-tc)!), whose three parts sum
+    to s, so N = (s+1) C(s, tc) C(tc, s-tb)."""
     s = (ta + tb + tc) >> 1
-    f = _factorials(s + 1)
-    num, den = f[s - tc] * f[s - tb] * f[s - ta], f[s + 1]
-    g = gcd(num, den)
-    return num // g, den // g
+    return (s + 1) * comb(s, tc) * comb(tc, s - tb)
 
 
 @lru_cache(maxsize=None)
 def _triad_root(ta: int, tb: int, tc: int) -> tuple[int, int, int]:
     """(outer, radicand, den) with the root of the triad's Delta^2 equal to
-    outer * sqrt(radicand) / den, radicand squarefree.  Kept apart from
-    `_triad`, whose x-dependent triads in a 9j sum need no root."""
-    num, den = _triad(ta, tb, tc)
-    return (*_squarefree_split(num * den), den)
+    outer * sqrt(radicand) / den, radicand squarefree: the root of 1/N is
+    sqrt(N)/N.  Kept apart from `_triad`, whose x-dependent triads in a 9j
+    sum need no root."""
+    n = _triad(ta, tb, tc)
+    return (*_squarefree_split(n), n)
 
 
 def _delta_root(triads) -> tuple[int, int, int]:
@@ -369,8 +352,11 @@ def _wigner6j_tw(ta, tb, tc, td, te, tf) -> tuple[int, int] | int:
     alpha = the four triad half-sums and beta = the three quad half-sums.
     Consecutive terms differ by the factor
     -(t+2) prod_j (beta_j-t) / prod_i (t+1-alpha_i), so the sum is evaluated
-    by Horner's rule in `int` over one denominator; the t = lo term's
-    factorials come from the factorial table and one gcd reduces the pair.
+    by Horner's rule in `int` over one denominator.  The seven parts
+    t-alpha_i and beta_j-t of the t = lo term sum to lo, as the alpha_i and
+    the beta_j both sum to a+b+c+d+e+f, so that term is (lo+1) times the
+    multinomial coefficient of lo over them, six binomials; one gcd
+    reduces the pair.
     """
     a1, a2, a3, a4 = ta + tb + tc, ta + te + tf, td + tb + tf, td + te + tc
     if (a1 | a2 | a3 | a4) & 1:
@@ -395,14 +381,13 @@ def _wigner6j_tw(ta, tb, tc, td, te, tf) -> tuple[int, int] | int:
         num, den = den * q - (t + 2) * (b1 - t) * (b2 - t) * (b3 - t) * num, den * q
     if not num:
         return 0
-    # Every index is at most lo + 1: b_j - lo <= b_j - a_i, and for some i
-    # that is (x + y - z) / 2 of another triad x y z, at most its half-sum.
-    f = _factorials(lo + 1)
-    den *= (
-        f[lo - a1] * f[lo - a2] * f[lo - a3] * f[lo - a4]
-        * f[b1 - lo] * f[b2 - lo] * f[b3 - lo]
-    )
-    num *= -f[lo + 1] if lo & 1 else f[lo + 1]
+    # The t = lo term, (lo+1) lo!/prod(parts!): one binomial per part but
+    # the last, b3 - lo, which is what remains of lo.
+    term, rest = lo + 1, lo
+    for part in (lo - a1, lo - a2, lo - a3, lo - a4, b1 - lo, b2 - lo):
+        term *= comb(rest, part)
+        rest -= part
+    num *= -term if lo & 1 else term
     g = gcd(num, den)
     return num // g, den // g
 
@@ -496,12 +481,13 @@ def wigner9j(array: NineJArray) -> SurdSum:
         r3 = r2 and _wigner6j_tw(tj3, tj6, tj9, tx, tj1, tj2)
         if not r3:
             continue
-        # The x-dependent triads' square roots pair up across the three 6j.
-        n1, d1 = _triad(tj1, tj9, tx)
-        n2, d2 = _triad(tj4, tj8, tx)
-        n3, d3 = _triad(tj2, tj6, tx)
-        num = (-(tx + 1) if tx % 2 else tx + 1) * r1[0] * r2[0] * r3[0] * n1 * n2 * n3
-        den = r1[1] * r2[1] * r3[1] * d1 * d2 * d3
+        # The x-dependent triads' square roots pair up across the three 6j,
+        # each into its Delta^2 = 1/N.
+        num = (-(tx + 1) if tx % 2 else tx + 1) * r1[0] * r2[0] * r3[0]
+        den = (
+            r1[1] * r2[1] * r3[1]
+            * _triad(tj1, tj9, tx) * _triad(tj4, tj8, tx) * _triad(tj2, tj6, tx)
+        )
         g = gcd(num, den)
         nums.append(num // g)
         dens.append(den // g)

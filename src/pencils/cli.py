@@ -14,7 +14,7 @@ import sys
 from .angular import NineJArray, SurdSum, combinant_9j_array, wigner9j
 from .combinant import Pencil, combinant_sequence, random_pencil
 from .errors import AlgebraError, FormulaViolationError
-from .forms import DIGITS, BinaryForm, LinearSymbol, to_fraction
+from .forms import DIGITS, BinaryForm, LinearSymbol, _shown, to_fraction
 from .omega import omega_chain
 from .parsing import format_form, parse_coeffs
 from .serialize import coeffs_from_dict, form_to_dict, table_to_dict
@@ -67,13 +67,14 @@ PENCIL_MAX_D = 22
 PENCIL_MAX_BOUND = 10**9
 VERIFY_MAX_TRIALS = 20
 # `ninej`: the 9j cost grows about as the cube of the entries.  With all
-# nine 2j = 500, `wigner9j` takes 0.39 s and the command 0.49 s (best of
-# 3, shared 2-core host, Python 3.11).
+# nine 2j = 500, a cold `wigner9j` takes 0.33-0.56 s (median 0.47 s) and
+# the command 0.44-0.72 s (median 0.55 s), over 10 fresh processes on a
+# shared 2-core host with Python 3.11.
 NINEJ_MAX_TWICE_J = 500
 # `ninej-combinant`: the permuted array at the top weight, with i near r/2
 # and j = 1, is the slowest; its x-sum runs over about d values.  At
-# (500, 250, 125, 1) its `wigner9j` takes 0.46 s and the command 0.56 s
-# (best of 3, same host).
+# (500, 250, 125, 1) a cold `wigner9j` takes 0.31-0.50 s (median 0.42 s)
+# and the command 0.42-0.66 s (median 0.56 s), measured in the same way.
 NINEJ_COMBINANT_MAX_D = 500
 
 
@@ -89,14 +90,6 @@ def _int(text: str) -> int:
         except ValueError:  # more digits than int() reads
             pass
     raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-
-
-def _shown(value: int, cap: int) -> str:
-    """`value` for an error line, or its digit count once it has more digits than `cap`."""
-    digits = len(str(abs(value)))
-    if digits <= len(str(cap)):
-        return str(value)
-    return f"a {'negative ' if value < 0 else ''}number of {digits} digits"
 
 
 def _check_cap(parser, args, option, cap):

@@ -3,7 +3,9 @@
 Two value types live here.  `BinaryForm` is a homogeneous form of declared
 order in a single variable pair, stored densely: coefficient k belongs to
 ``x1^(order-k) * x2^k``.  `MultiForm` is a sparse multihomogeneous form
-over several named pairs, used by the differential-operator machinery.
+over several named pairs, used by the textbook reference route of the
+differential-operator oracle (`omega.beta_chain`); the fused route,
+`omega.omega_chain`, never builds one.
 
 Both keep `int` numerators over one positive denominator, reduced so that
 the gcd of the denominator and all numerators is 1 (the content-times-
@@ -46,6 +48,14 @@ def _check_ints(**values) -> None:
             raise TypeError(f"{name} must be an int, got {value!r}")
 
 
+def _shown(value: int, cap: int) -> str:
+    """`value` for an error line, or its digit count once it has more digits than `cap`."""
+    digits = len(str(abs(value)))
+    if digits <= len(str(cap)):
+        return str(value)
+    return f"a {'negative ' if value < 0 else ''}number of {digits} digits"
+
+
 def check_pair(pair: str) -> str:
     if pair not in _PAIR_INDEX:
         raise ValueError(f"unknown variable pair {pair!r}; expected one of {PAIRS}")
@@ -77,7 +87,8 @@ _RATIONAL = re.compile(f"-?{RATIONAL}")
 
 
 def to_fraction(value) -> Fraction:
-    """Coerce ints, Fractions and '[-]p[/q]' strings; floats are rejected.
+    """Coerce ints, Fractions and '[-]p[/q]' strings; floats and bools are
+    rejected.
 
     Strings are read strictly: no exponent, decimal point, sign '+',
     underscore or surrounding space, so a short string cannot stand for a
@@ -88,6 +99,8 @@ def to_fraction(value) -> Fraction:
         raise TypeError(
             "floating-point coefficients are not supported; use Fraction or 'p/q'"
         )
+    if isinstance(value, bool):
+        raise TypeError(f"bool coefficients are not supported, got {value!r}")
     if not isinstance(value, str):
         return Fraction(value)
     if not _RATIONAL.fullmatch(value):
@@ -505,6 +518,7 @@ class MultiForm:
 def linear_power(f: LinearSymbol, pair: str, n: int) -> MultiForm:
     """(f1*p1 + f2*p2)^n for the given pair, expanded with binomial coefficients."""
     check_pair(pair)
+    _check_ints(n=n)
     if n < 0:
         raise ValueError("exponent must be nonnegative")
     nums, den = _linear_pow_ints(f, n)
@@ -562,6 +576,7 @@ def exact_divide(numerator: BinaryForm, denominator: BinaryForm) -> BinaryForm:
 
 def random_form(order: int, seed: int, coefficient_bound: int = 10) -> BinaryForm:
     """Deterministic nonzero form with integer coefficients in [-bound, bound]."""
+    _check_ints(order=order, coefficient_bound=coefficient_bound)
     if order < 0:
         raise ValueError("order must be nonnegative")
     if coefficient_bound < 1:

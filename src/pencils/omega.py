@@ -61,6 +61,7 @@ from .forms import (
     BinaryForm,
     LinearSymbol,
     MultiForm,
+    _check_ints,
     _linear_pow_ints,
     _monomial,
     check_pair,
@@ -88,6 +89,7 @@ def _check_operator(pair1: str, pair2: str, n: int) -> None:
     check_pair(pair2)
     if pair1 == pair2:
         raise ValueError("operator needs two distinct pairs")
+    _check_ints(n=n)
     if n < 0:
         raise ValueError(f"operator power must be nonnegative, got {n}")
 
@@ -154,6 +156,7 @@ def omega(form: MultiForm, pair1: str, pair2: str, n: int = 1) -> MultiForm:
 
 def h_factor(m: int, n: int, q: int) -> Fraction:
     """(m + n - 2q + 1)! / ((m + n - q + 1)! * q!)."""
+    _check_ints(m=m, n=n, q=q)
     if not 0 <= q <= min(m, n):
         raise ValueError(f"h factor needs 0 <= q <= min(m, n), got m={m}, n={n}, q={q}")
     return Fraction(
@@ -167,6 +170,7 @@ def mu_factor(p: int, q: int, ell: int, m: int) -> Fraction:
     The complementary case ell < m corresponds to a map that is identically
     zero after substitution; callers handle that branch themselves.
     """
+    _check_ints(p=p, q=q, ell=ell, m=m)
     if m < 0 or ell < m:
         raise ValueError(f"mu factor needs ell >= m >= 0, got ell={ell}, m={m}")
     if p + q - ell + m + 1 < 0:

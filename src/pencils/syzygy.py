@@ -33,21 +33,25 @@ from math import factorial
 
 from .combinant import Pencil
 from .errors import FormulaViolationError
-from .forms import BinaryForm, _check_ints, exact_divide, to_fraction
+from .forms import BinaryForm, _check_ints, _shown, exact_divide, to_fraction
 from .transvectant import _transvectants
 
 
 def _check_weight(d: int, r: int) -> None:
     _check_ints(d=d, r=r)
     if r < 3 or 2 * r > d + 1:
-        raise ValueError(f"weight index r={r} outside 3..floor((d+1)/2) for d={d}")
+        raise ValueError(
+            f"weight index r={_shown(r, (d + 1) // 2)} outside 3..floor((d+1)/2) for d={d}"
+        )
 
 
 def _check_indices(d: int, r: int, i: int, j: int) -> None:
     _check_weight(d, r)
     _check_ints(i=i, j=j)
     if not (1 <= i <= r and 1 <= j <= r and i + j <= r + 1):
-        raise ValueError(f"projection indices (i,j)=({i},{j}) out of range for r={r}")
+        raise ValueError(
+            f"projection indices (i,j)=({_shown(i, r)},{_shown(j, r)}) out of range for r={r}"
+        )
 
 
 def theta(d: int, r: int, i: int, j: int) -> Fraction:
@@ -89,6 +93,9 @@ def theta(d: int, r: int, i: int, j: int) -> Fraction:
 
 def index_pairs(r: int) -> list[tuple[int, int]]:
     """Ordered index set {(i,j): 1 <= i <= j <= r, i+j <= r+1} of a weight-2r table."""
+    _check_ints(r=r)
+    if r < 1:
+        raise ValueError(f"index pairs need r >= 1, got {r}")
     pairs = [(i, j) for i in range(1, r + 1) for j in range(i, r + 2 - i)]
     pairs.sort(key=lambda p: (p[0] + p[1], p[1]))
     return pairs

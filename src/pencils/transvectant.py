@@ -57,7 +57,7 @@ import math
 from collections import defaultdict
 from functools import lru_cache
 
-from .forms import BinaryForm, _check_ints
+from .forms import BinaryForm, _check_ints, _shown
 
 
 @lru_cache(maxsize=None)
@@ -173,5 +173,5 @@ def transvectant(f: BinaryForm, g: BinaryForm, q: int) -> BinaryForm:
     _check_ints(q=q)
     m, n = f.order, g.order
     if not 0 <= q <= min(m, n):
-        raise ValueError(f"transvectant index {q} outside 0..min({m},{n})")
+        raise ValueError(f"transvectant index {_shown(q, min(m, n))} outside 0..min({m},{n})")
     return BinaryForm._raw(*_transvectants((f, g), ((0, 0 if g is f else 1, q),))[0])

@@ -9,7 +9,6 @@ import random
 import re
 import subprocess
 import sys
-import threading
 from fractions import Fraction
 from pathlib import Path
 
@@ -39,7 +38,7 @@ from pencils import (
     wigner6j,
     wigner9j,
 )
-from pencils.angular import _delta_root, _factorials, _squarefree_split
+from pencils.angular import _delta_root, _delta_squared, _squarefree_split, _triad
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -62,6 +61,17 @@ def triangle_consistent_array(rng, top=3):
             continue
         tj9 = rng.choice(range(lo, hi + 1, 2))
         return NineJArray.from_twice([[tj1, tj2, tj3], [tj4, tj5, tj6], [tj7, tj8, tj9]])
+
+
+def six_j_tuple(rng, top):
+    """A random 6j tuple with every 2j <= top whose four triads are triangles."""
+    while True:
+        ta, tb, te = (rng.randint(0, top) for _ in range(3))
+        tc = rng.choice(range(abs(ta - tb), ta + tb + 1, 2))
+        tf = rng.choice(range(abs(ta - te), ta + te + 1, 2))
+        lo, hi = max(abs(tb - tf), abs(te - tc)), min(tb + tf, te + tc, top)
+        if max(tc, tf) <= top and lo <= hi and (lo + tb + tf) % 2 == 0:
+            return ta, tb, tc, rng.choice(range(lo, hi + 1, 2)), te, tf
 
 
 def combinant_indices(d_max):
@@ -408,6 +418,17 @@ class TestKernelMatchesSurdOracle:
             nonzero += not value.is_zero()
         assert nonzero > 500
 
+    def test_6j_seeded_tuples_up_to_300(self):
+        rng = random.Random(6)
+        tuples = [six_j_tuple(rng, 300) for _ in range(300)]
+        assert max(map(max, tuples)) > 280
+        nonzero = 0
+        for twice in tuples:
+            value = wigner6j(*twice)
+            assert value == surd_wigner6j_tw(*twice), twice
+            nonzero += not value.is_zero()
+        assert nonzero > 250
+
     def test_9j_every_combinant_pair_up_to_d12(self):
         for args in combinant_indices(12):
             for arr in combinant_9j_array(*args):
@@ -487,67 +508,24 @@ class TestKernelMatchesSurdOracle:
 FRESH_6J = """
 import json
 from pencils import wigner6j
-from pencils.angular import _factorials
-before = len(_factorials(0))
 value = wigner6j(*{twice})
-print(json.dumps({{
-    "before": before,
-    "after": len(_factorials(0)),
-    "terms": {{str(rad): str(coeff) for rad, coeff in value.terms.items()}},
-}}))
+print(json.dumps({{str(rad): str(coeff) for rad, coeff in value.terms.items()}}))
 """
 
 
 class TestTriadRoots:
-    """The factorial table, and the Delta^2 roots combined triad by triad."""
+    """Delta^2 as the reciprocal of an integer, and the Delta^2 roots
+    combined triad by triad."""
 
-    def test_factorial_table_grows_as_far_as_asked(self, monkeypatch):
-        monkeypatch.setattr(angular, "_FACTORIALS", [1])
-        size = 1
-        for n in (0, 1, 4, 4, 2, 9, 10, 37, 120):
-            table = _factorials(n)
-            size = max(size, n + 1)
-            assert len(table) == size, n
-            assert all(table[k] == math.factorial(k) for k in range(size)), n
+    def test_triad_is_the_reciprocal_of_delta_squared(self):
+        checked = 0
+        for ta, tb in itertools.product(range(41), repeat=2):
+            for tc in range(abs(ta - tb), min(ta + tb, 40) + 1, 2):
+                assert Fraction(1, _triad(ta, tb, tc)) == _delta_squared(ta, tb, tc)
+                checked += 1
+        assert checked == 17_871
 
-    def test_factorial_table_shared_between_threads(self, monkeypatch):
-        # Threads grow one table from [1] to different sizes at once; a
-        # growth from a stale length would misplace or double an entry.
-        workers = 6
-        sizes = (40, 7, 300, 120, 301, 64)
-        for _ in range(10):
-            monkeypatch.setattr(angular, "_FACTORIALS", [1])
-            barrier = threading.Barrier(workers)
-            seen, errors = [], []
-
-            def work(k):
-                try:
-                    barrier.wait(timeout=30)
-                    for n in (sizes[k], sizes[-1 - k], 3, 301):
-                        seen.append((n, _factorials(n)))
-                except Exception as exc:  # reported below, after the join
-                    errors.append(exc)
-
-            old = sys.getswitchinterval()
-            sys.setswitchinterval(1e-6)
-            try:
-                threads = [threading.Thread(target=work, args=(k,)) for k in range(workers)]
-                for t in threads:
-                    t.start()
-                for t in threads:
-                    t.join(timeout=60)
-            finally:
-                sys.setswitchinterval(old)
-            assert not any(t.is_alive() for t in threads)
-            assert not errors
-            assert len(seen) == 4 * workers
-            expected = [math.factorial(k) for k in range(302)]
-            for n, table in seen:
-                assert len(table) > n
-                assert table == expected[: len(table)], n
-            assert angular._FACTORIALS == expected
-
-    def test_fresh_interpreter_grows_table_in_one_call(self):
+    def test_fresh_interpreter_6j_near_the_caps(self):
         twice = (500, 499, 497, 498, 495, 493)
         proc = subprocess.run(
             [sys.executable, "-c", FRESH_6J.format(twice=twice)],
@@ -557,12 +535,10 @@ class TestTriadRoots:
             timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
-        out = json.loads(proc.stdout)
-        # Nothing at import reads the table; the 6j kernel grows it to lo + 1.
-        assert (out["before"], out["after"]) == (1, 750)
         expected = surd_wigner6j_tw(*twice)
         assert not expected.is_zero()
-        assert out["terms"] == {str(rad): str(coeff) for rad, coeff in expected.terms.items()}
+        terms = {str(rad): str(coeff) for rad, coeff in expected.terms.items()}
+        assert json.loads(proc.stdout) == terms
 
     def test_delta_root_matches_product_split_on_combinant_arrays(self):
         for args in combinant_indices(21):
@@ -599,7 +575,7 @@ class TestOracleIndependence:
     """The magnetic sum and the 6j route to the 9j symbol share no kernel."""
 
     def test_magnetic_sum_reaches_no_6j_route_kernel(self, oracle_values, monkeypatch):
-        for name in ("_wigner6j_tw", "_triad", "_triad_root", "_factorials"):
+        for name in ("_wigner6j_tw", "_triad", "_triad_root"):
             monkeypatch.setattr(angular, name, unreachable)
         # A fresh 3j cache, so every 3j body runs under the patch.
         monkeypatch.setattr(angular, "_wigner3j_tw", functools.cache(angular._wigner3j_tw.__wrapped__))
@@ -607,7 +583,7 @@ class TestOracleIndependence:
             assert ninej_magnetic_sum(NineJArray.from_twice(rows)) == value, rows
 
     def test_6j_route_reaches_no_3j_kernel(self, oracle_values, monkeypatch):
-        for name in ("_wigner3j_tw", "_delta_squared"):
+        for name in ("_wigner3j_tw", "_delta_squared", "factorial"):
             monkeypatch.setattr(angular, name, unreachable)
         for name in ("_wigner6j_tw", "_triad", "_triad_root"):
             monkeypatch.setattr(angular, name, functools.cache(getattr(angular, name).__wrapped__))
@@ -617,7 +593,7 @@ class TestOracleIndependence:
     def test_failed_selection_rule_reaches_no_kernel(self, monkeypatch):
         # Every array with all 2j <= 2 that fails a triangle test, or whose
         # x-pairs differ in parity, is zero before any 6j kernel runs.
-        for name in ("_wigner6j_tw", "_triad", "_triad_root", "_factorials"):
+        for name in ("_wigner6j_tw", "_triad", "_triad_root"):
             monkeypatch.setattr(angular, name, unreachable)
         rejected = 0
         for twice in itertools.product(range(3), repeat=9):

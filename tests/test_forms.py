@@ -13,9 +13,15 @@ from pencils import (
     LinearSymbol,
     MultiForm,
     NotDivisibleError,
+    SurdSum,
+    SyzygyTable,
     exact_divide,
+    h_factor,
+    index_pairs,
+    mu_factor,
     omega,
     random_form,
+    random_pencil,
     transvectant,
 )
 from pencils.forms import PAIRS, linear_power, slot_index, to_fraction
@@ -64,6 +70,22 @@ class TestRationalField:
     def test_floats_rejected(self):
         with pytest.raises(TypeError):
             to_fraction(0.5)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: to_fraction(True),
+            lambda: BinaryForm(1, [True, False]),
+            lambda: LinearSymbol(True, 0),
+            lambda: MultiForm({"x": 1}, {(1,) + (0,) * 13: False}),
+            lambda: SurdSum({2: True}),
+            lambda: SyzygyTable(5, 3, {(1, 1): True, (1, 2): 0, (2, 2): 0, (1, 3): 0}),
+        ],
+        ids=["to_fraction", "BinaryForm", "LinearSymbol", "MultiForm", "SurdSum", "SyzygyTable"],
+    )
+    def test_bools_rejected(self, build):
+        with pytest.raises(TypeError, match="bool coefficients are not supported"):
+            build()
 
 
 class TestBinaryFormBasics:
@@ -646,8 +668,33 @@ _CUBIC = BinaryForm(3, [1, 2, 3, 4])
         pytest.param(
             lambda: BinaryForm.of_linear_power(LinearSymbol(1, 2), 2.0), "n must be an int, got 2.0", id="power-float"
         ),
+        pytest.param(lambda: h_factor(3, 3, 1.0), "q must be an int, got 1.0", id="h-factor-float"),
+        pytest.param(lambda: h_factor(True, 3, 1), "m must be an int, got True", id="h-factor-bool"),
+        pytest.param(lambda: mu_factor(3, 3, 1.0, 0), "ell must be an int, got 1.0", id="mu-factor-float"),
+        pytest.param(lambda: mu_factor(True, 3, 1, 0), "p must be an int, got True", id="mu-factor-bool"),
+        pytest.param(lambda: index_pairs(3.0), "r must be an int, got 3.0", id="index-pairs-float"),
+        pytest.param(lambda: random_form(2.0, 1), "order must be an int, got 2.0", id="random-form-float"),
+        pytest.param(
+            lambda: random_form(2, 1, True), "coefficient_bound must be an int, got True", id="random-form-bound-bool"
+        ),
+        pytest.param(lambda: random_pencil(3.0, 1), "order must be an int, got 3.0", id="random-pencil-float"),
+        pytest.param(
+            lambda: linear_power(LinearSymbol(1, 2), "x", 1.0), "n must be an int, got 1.0", id="linear-power-float"
+        ),
+        pytest.param(
+            lambda: linear_power(LinearSymbol(1, 2), "x", True), "n must be an int, got True", id="linear-power-bool"
+        ),
+        pytest.param(
+            lambda: omega(MultiForm({"x": 1, "y": 1}, {}), "x", "y", True), "n must be an int, got True", id="omega-bool"
+        ),
     ],
 )
 def test_sizes_must_be_ints(build, message):
     with pytest.raises(TypeError, match=re.escape(message)):
         build()
+
+
+def test_index_pairs_need_a_positive_weight():
+    for r in (0, -1):
+        with pytest.raises(ValueError, match=re.escape(f"index pairs need r >= 1, got {r}")):
+            index_pairs(r)

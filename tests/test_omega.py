@@ -4,7 +4,7 @@ import importlib
 import random
 import re
 from fractions import Fraction
-from math import factorial
+from math import factorial, perm
 
 import pytest
 from hypothesis import example, given, settings
@@ -23,12 +23,14 @@ from pencils import (
     omega,
     omega_chain,
     theta,
+    transvectant,
     verify_theta,
     zeta_image,
 )
 from pencils.forms import _PAIR_INDEX, ZERO_MONOMIAL, _monomial, linear_power, slot_index
 from pencils.omega import (
     _SUMMANDS,
+    _contracted,
     _factor_terms,
     _power_terms,
     _proportionality,
@@ -504,6 +506,23 @@ class TestWeightTables:
         cells |= {(rng.randint(0, dp), rng.randint(0, dq)) for _ in range(200)}
         for k, l in sorted(cells):
             assert w[k][l] == self.cell(dp, dq, n, k, l), (k, l)
+
+
+    def test_contraction_is_a_scaled_transvectant(self):
+        # The chain's pair contraction and the transvectant kernel share no
+        # code: omega^n then the merge is perm(dp, n) perm(dq, n) times the
+        # n-th transvectant of the two forms.
+        rng = random.Random(26)
+        for dp in range(9):
+            for dq in range(9):
+                for n in range(min(dp, dq) + 1):
+                    a = [rng.choice((0, rng.randint(-9, 9))) for _ in range(dp + 1)]
+                    b = [rng.choice((0, rng.randint(-9, 9))) for _ in range(dq + 1)]
+                    p = [(k, c) for k, c in enumerate(a) if c]
+                    q = [(l, c) for l, c in enumerate(b) if c]
+                    v = _contracted(p, q, _weights(dp, dq, n), n, dp + dq - 2 * n + 1)
+                    expected = transvectant(BinaryForm(dp, a), BinaryForm(dq, b), n).coeffs
+                    assert v == [perm(dp, n) * perm(dq, n) * c for c in expected], (dp, dq, n)
 
 
 class TestFactorTerms:
