@@ -63,7 +63,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, gcd, lcm
 
-from .forms import _check_ints, to_fraction
+from .forms import _check_range, to_fraction
 from .syzygy import _check_indices
 
 
@@ -224,17 +224,6 @@ def _twice_str(twice: int) -> str:
     return str(twice // 2) if twice % 2 == 0 else f"{twice}/2"
 
 
-def _check_momentum(tj: int) -> None:
-    if tj < 0:
-        raise ValueError("angular momenta must be nonnegative")
-
-
-def _check_jm(tj: int, tm: int) -> None:
-    _check_momentum(tj)
-    if (tj + tm) % 2:
-        raise ValueError(f"non-physical parity: 2j={tj} and 2m={tm} differ mod 2")
-
-
 def _triangle_ok(ta: int, tb: int, tc: int) -> bool:
     return (ta + tb + tc) % 2 == 0 and abs(ta - tb) <= tc <= ta + tb
 
@@ -334,10 +323,11 @@ def _wigner3j_tw(tj1, tj2, tj3, tm1, tm2, tm3) -> SurdSum:
 def wigner3j(tj1: int, tj2: int, tj3: int, tm1: int, tm2: int, tm3: int) -> SurdSum:
     """Exact 3j symbol (j1 j2 j3; m1 m2 m3) of the doubled momenta 2j and
     2m; zero on any selection-rule violation."""
-    _check_ints(tj1=tj1, tj2=tj2, tj3=tj3, tm1=tm1, tm2=tm2, tm3=tm3)
-    _check_jm(tj1, tm1)
-    _check_jm(tj2, tm2)
-    _check_jm(tj3, tm3)
+    for k, (tj, tm) in enumerate(((tj1, tm1), (tj2, tm2), (tj3, tm3)), 1):
+        _check_range(f"tj{k}", tj, 0)
+        _check_range(f"tm{k}", tm)
+        if (tj + tm) % 2:
+            raise ValueError(f"non-physical parity: 2j={tj} and 2m={tm} differ mod 2")
     return _wigner3j_tw(tj1, tj2, tj3, tm1, tm2, tm3)
 
 
@@ -395,9 +385,8 @@ def _wigner6j_tw(ta, tb, tc, td, te, tf) -> tuple[int, int] | int:
 def wigner6j(ta: int, tb: int, tc: int, td: int, te: int, tf: int) -> SurdSum:
     """Exact 6j symbol {a b c; d e f} of the doubled momenta 2a, ..., 2f;
     zero on triangle violations."""
-    _check_ints(ta=ta, tb=tb, tc=tc, td=td, te=te, tf=tf)
-    for tj in (ta, tb, tc, td, te, tf):
-        _check_momentum(tj)
+    for name, tj in zip(("ta", "tb", "tc", "td", "te", "tf"), (ta, tb, tc, td, te, tf)):
+        _check_range(name, tj, 0)
     racah = _wigner6j_tw(ta, tb, tc, td, te, tf)
     if not racah:
         return SurdSum.zero()

@@ -15,7 +15,7 @@ from fractions import Fraction
 from itertools import starmap
 
 from .errors import DegeneratePencilError, DegreeMismatchError
-from .forms import BinaryForm, _check_ints, random_form
+from .forms import BinaryForm, _check_range, random_form
 from .transvectant import _transvectants, transvectant
 
 
@@ -35,8 +35,7 @@ class Pencil:
             raise DegreeMismatchError(
                 f"pencil members must have equal orders, got {a.order} and {b.order}"
             )
-        if a.order < 2:
-            raise ValueError("pencil order must be at least 2")
+        _check_range("pencil order", a.order, 2)
         self.a = a
         self.b = b
         self.order = a.order
@@ -55,11 +54,7 @@ class Pencil:
         replaces it whole so that concurrent callers never see a partial
         list.
         """
-        _check_ints(count=count)
-        if not 1 <= count <= self.max_combinant_index():
-            raise ValueError(
-                f"combinant index {count} outside 1..{self.max_combinant_index()}"
-            )
+        _check_range("count", count, 1, self.max_combinant_index())
         kept = self._combinants
         if len(kept) < count:
             terms = [(0, 1, q) for q in range(2 * len(kept) + 1, 2 * count, 2)]
@@ -69,7 +64,7 @@ class Pencil:
 
     def combinant(self, r: int) -> BinaryForm:
         """C_{2r-1} = (A, B)_{2r-1}, of order 2d - 4r + 2."""
-        _check_ints(r=r)
+        _check_range("r", r, 1, self.max_combinant_index())
         return self.combinants(r)[r - 1]
 
     def __repr__(self):
@@ -107,8 +102,7 @@ def membership_defect(pencil: Pencil, form: BinaryForm) -> BinaryForm:
     test applies.
     """
     d = pencil.order
-    if d < 3:
-        raise ValueError("defect expression needs order at least 3")
+    _check_range("pencil order", d, 3)
     if form.order != d:
         raise DegreeMismatchError(
             f"membership test needs a form of order {d}, got {form.order}"

@@ -20,6 +20,10 @@ scalar variables x1, x2, and so on.  A MultiForm monomial is its exponent
 tuple over the fixed ordering x1,x2,y1,y2,...,t1,t2, stored as the public
 surface gives it.
 
+Every size and index argument in the package passes `_check_range`: a
+non-int or a bool raises TypeError, a value out of range ValueError, and a
+long value is named by its digit count.
+
 All coefficients are exact rationals, so every operation is exact and
 equality is decisive.  Values are immutable once constructed; operations
 return new objects and are safe to share between threads.
@@ -42,18 +46,34 @@ ZERO_MONOMIAL = (0,) * _NSLOTS
 _SCALARS = (int, Fraction)
 
 
-def _check_ints(**values) -> None:
-    for name, value in values.items():
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise TypeError(f"{name} must be an int, got {value!r}")
-
-
 def _shown(value: int, cap: int) -> str:
     """`value` for an error line, or its digit count once it has more digits than `cap`."""
     digits = len(str(abs(value)))
     if digits <= len(str(cap)):
         return str(value)
     return f"a {'negative ' if value < 0 else ''}number of {digits} digits"
+
+
+_LONG = 10**20 - 1  # the widest number an error line names in full
+
+
+def _check_range(name: str, value, low: int | None = None, high: int | None = None) -> None:
+    """Refuse `value` unless it is an int, not a bool, in low..high.
+
+    A non-int or a bool raises TypeError; a value below `low` or above
+    `high` raises ValueError.  Without `low` only the type is checked.  The
+    message names the value by its digit count once it has more digits
+    than `high` (than 20 digits where there is no `high`), and a bound once
+    it has more than 20.
+    """
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TypeError(f"{name} must be an int, got {value!r}")
+    if low is None or low <= value and (high is None or value <= high):
+        return
+    if high is None:
+        raise ValueError(f"{name} must be at least {_shown(low, _LONG)}, got {_shown(value, _LONG)}")
+    span = f"{_shown(low, _LONG)}..{_shown(high, _LONG)}"
+    raise ValueError(f"{name} must be in {span}, got {_shown(value, min(abs(high), _LONG))}")
 
 
 def check_pair(pair: str) -> str:
@@ -65,8 +85,7 @@ def check_pair(pair: str) -> str:
 def slot_index(pair: str, component: int) -> int:
     """Flat slot of scalar variable `component` (1 or 2) of `pair`."""
     check_pair(pair)
-    if component not in (1, 2):
-        raise ValueError("variable component must be 1 or 2")
+    _check_range("component", component, 1, 2)
     return 2 * _PAIR_INDEX[pair] + component - 1
 
 
@@ -169,9 +188,7 @@ class BinaryForm:
     __slots__ = ("order", "_nums", "_den")
 
     def __init__(self, order: int, coeffs):
-        _check_ints(order=order)
-        if order < 0:
-            raise ValueError("order must be nonnegative")
+        _check_range("order", order, 0)
         coeffs = [to_fraction(c) for c in coeffs]
         if len(coeffs) != order + 1:
             raise DegreeMismatchError(
@@ -211,9 +228,8 @@ class BinaryForm:
     @classmethod
     def monomial(cls, order: int, x2_exponent: int, coeff=1) -> "BinaryForm":
         """The form coeff * x1^(order - x2_exponent) * x2^x2_exponent."""
-        _check_ints(order=order, x2_exponent=x2_exponent)
-        if not 0 <= x2_exponent <= order:
-            raise ValueError("exponent out of range")
+        _check_range("order", order)
+        _check_range("x2_exponent", x2_exponent, 0, order)
         coeff = to_fraction(coeff)
         nums = [0] * (order + 1)
         nums[x2_exponent] = coeff.numerator
@@ -222,9 +238,7 @@ class BinaryForm:
     @classmethod
     def of_linear_power(cls, f: LinearSymbol, n: int) -> "BinaryForm":
         """(f1*x1 + f2*x2)^n expanded with binomial coefficients."""
-        _check_ints(n=n)
-        if n < 0:
-            raise ValueError("exponent must be nonnegative")
+        _check_range("n", n, 0)
         return cls._raw(*_linear_pow_ints(f, n))
 
     def is_zero(self) -> bool:
@@ -232,8 +246,7 @@ class BinaryForm:
 
     def diff(self, component: int) -> "BinaryForm":
         """Formal partial derivative with respect to x1 or x2."""
-        if component not in (1, 2):
-            raise ValueError("component must be 1 or 2")
+        _check_range("component", component, 1, 2)
         d, nums = self.order, self._nums
         if d == 0:
             return BinaryForm.zero(0)
@@ -330,9 +343,7 @@ class MultiForm:
         clean_deg = {}
         for pair, n in degrees.items():
             check_pair(pair)
-            _check_ints(degree=n)
-            if n < 0:
-                raise ValueError(f"negative degree for pair {pair!r}")
+            _check_range(f"degree of pair {pair!r}", n, 0)
             if n:
                 clean_deg[pair] = n
         fracs = {}
@@ -342,7 +353,7 @@ class MultiForm:
                 continue
             mono = tuple(mono)
             for e in mono:
-                _check_ints(exponent=e)
+                _check_range("exponent", e)
             if len(mono) != _NSLOTS or any(e < 0 for e in mono):
                 raise ValueError(f"bad exponent vector {mono!r}")
             fracs[mono] = coeff
@@ -459,8 +470,7 @@ class MultiForm:
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("exponent must be a nonnegative integer")
+        _check_range("n", n, 0)
         result = MultiForm.constant(1)
         for _ in range(n):
             result = result * self
@@ -518,9 +528,7 @@ class MultiForm:
 def linear_power(f: LinearSymbol, pair: str, n: int) -> MultiForm:
     """(f1*p1 + f2*p2)^n for the given pair, expanded with binomial coefficients."""
     check_pair(pair)
-    _check_ints(n=n)
-    if n < 0:
-        raise ValueError("exponent must be nonnegative")
+    _check_range("n", n, 0)
     nums, den = _linear_pow_ints(f, n)
     s = slot_index(pair, 1)
     head, tail = ZERO_MONOMIAL[:s], ZERO_MONOMIAL[s + 2 :]
@@ -576,11 +584,8 @@ def exact_divide(numerator: BinaryForm, denominator: BinaryForm) -> BinaryForm:
 
 def random_form(order: int, seed: int, coefficient_bound: int = 10) -> BinaryForm:
     """Deterministic nonzero form with integer coefficients in [-bound, bound]."""
-    _check_ints(order=order, coefficient_bound=coefficient_bound)
-    if order < 0:
-        raise ValueError("order must be nonnegative")
-    if coefficient_bound < 1:
-        raise ValueError("coefficient bound must be at least 1")
+    _check_range("order", order, 0)
+    _check_range("coefficient_bound", coefficient_bound, 1)
     rng = random.Random(seed)
     while True:
         coeffs = [rng.randint(-coefficient_bound, coefficient_bound) for _ in range(order + 1)]

@@ -61,7 +61,7 @@ from .forms import (
     BinaryForm,
     LinearSymbol,
     MultiForm,
-    _check_ints,
+    _check_range,
     _linear_pow_ints,
     _monomial,
     check_pair,
@@ -89,9 +89,7 @@ def _check_operator(pair1: str, pair2: str, n: int) -> None:
     check_pair(pair2)
     if pair1 == pair2:
         raise ValueError("operator needs two distinct pairs")
-    _check_ints(n=n)
-    if n < 0:
-        raise ValueError(f"operator power must be nonnegative, got {n}")
+    _check_range("n", n, 0)
 
 
 def _lowered_degrees(degrees: dict, pair1: str, pair2: str, n: int) -> dict:
@@ -156,9 +154,9 @@ def omega(form: MultiForm, pair1: str, pair2: str, n: int = 1) -> MultiForm:
 
 def h_factor(m: int, n: int, q: int) -> Fraction:
     """(m + n - 2q + 1)! / ((m + n - q + 1)! * q!)."""
-    _check_ints(m=m, n=n, q=q)
-    if not 0 <= q <= min(m, n):
-        raise ValueError(f"h factor needs 0 <= q <= min(m, n), got m={m}, n={n}, q={q}")
+    _check_range("m", m)
+    _check_range("n", n)
+    _check_range("q", q, 0, min(m, n))
     return Fraction(
         factorial(m + n - 2 * q + 1), factorial(m + n - q + 1) * factorial(q)
     )
@@ -170,13 +168,11 @@ def mu_factor(p: int, q: int, ell: int, m: int) -> Fraction:
     The complementary case ell < m corresponds to a map that is identically
     zero after substitution; callers handle that branch themselves.
     """
-    _check_ints(p=p, q=q, ell=ell, m=m)
-    if m < 0 or ell < m:
-        raise ValueError(f"mu factor needs ell >= m >= 0, got ell={ell}, m={m}")
-    if p + q - ell + m + 1 < 0:
-        raise ValueError(
-            f"mu factor undefined: operator power ell={ell} exceeds the orders p={p}, q={q}"
-        )
+    _check_range("p", p)
+    _check_range("q", q)
+    _check_range("m", m, 0)
+    # The upper bound on ell is p + q - ell + m + 1 >= 0.
+    _check_range("ell", ell, m, p + q + m + 1)
     return Fraction(
         factorial(ell) * factorial(p + q - ell + 2 * m + 1),
         factorial(ell - m) * factorial(p + q - ell + m + 1),

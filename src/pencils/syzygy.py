@@ -33,25 +33,20 @@ from math import factorial
 
 from .combinant import Pencil
 from .errors import FormulaViolationError
-from .forms import BinaryForm, _check_ints, _shown, exact_divide, to_fraction
+from .forms import BinaryForm, _check_range, exact_divide, to_fraction
 from .transvectant import _transvectants
 
 
 def _check_weight(d: int, r: int) -> None:
-    _check_ints(d=d, r=r)
-    if r < 3 or 2 * r > d + 1:
-        raise ValueError(
-            f"weight index r={_shown(r, (d + 1) // 2)} outside 3..floor((d+1)/2) for d={d}"
-        )
+    _check_range("d", d)
+    _check_range("r", r, 3, (d + 1) // 2)
 
 
 def _check_indices(d: int, r: int, i: int, j: int) -> None:
+    """1 <= i, j <= r with i + j <= r + 1: the bound on j carries the sum."""
     _check_weight(d, r)
-    _check_ints(i=i, j=j)
-    if not (1 <= i <= r and 1 <= j <= r and i + j <= r + 1):
-        raise ValueError(
-            f"projection indices (i,j)=({_shown(i, r)},{_shown(j, r)}) out of range for r={r}"
-        )
+    _check_range("i", i, 1, r)
+    _check_range("j", j, 1, r + 1 - i)
 
 
 def theta(d: int, r: int, i: int, j: int) -> Fraction:
@@ -93,9 +88,7 @@ def theta(d: int, r: int, i: int, j: int) -> Fraction:
 
 def index_pairs(r: int) -> list[tuple[int, int]]:
     """Ordered index set {(i,j): 1 <= i <= j <= r, i+j <= r+1} of a weight-2r table."""
-    _check_ints(r=r)
-    if r < 1:
-        raise ValueError(f"index pairs need r >= 1, got {r}")
+    _check_range("r", r, 1)
     pairs = [(i, j) for i in range(1, r + 1) for j in range(i, r + 2 - i)]
     pairs.sort(key=lambda p: (p[0] + p[1], p[1]))
     return pairs
@@ -111,6 +104,9 @@ class SyzygyTable:
         expected = set(index_pairs(r))
         if set(entries) != expected:
             raise ValueError("entry keys do not match the weight-2r index set")
+        for i, j in entries:  # True and 1.0 equal 1, so the match lets them in
+            _check_range("i", i)
+            _check_range("j", j)
         self.d = d
         self.r = r
         self.entries = {key: to_fraction(entries[key]) for key in index_pairs(r)}
@@ -269,9 +265,6 @@ def syzygy_space_dim(d: int, r: int) -> int:
     1, 2 and 3, whose number is the integer nearest (r-3+3)^2/12, that is
     (r*r + 6) // 12.  This is 0 for r = 1, 2, where no syzygy exists.
     """
-    _check_ints(d=d, r=r)
-    if d < 4:
-        raise ValueError("need order at least 4")
-    if not 1 <= r <= (d + 1) // 2:
-        raise ValueError(f"weight index r={r} outside 1..floor((d+1)/2) for d={d}")
+    _check_range("d", d, 4)
+    _check_range("r", r, 1, (d + 1) // 2)
     return (r * r + 6) // 12

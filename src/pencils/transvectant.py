@@ -57,7 +57,7 @@ import math
 from collections import defaultdict
 from functools import lru_cache
 
-from .forms import BinaryForm, _check_ints, _shown
+from .forms import BinaryForm, _check_range
 
 
 @lru_cache(maxsize=None)
@@ -170,8 +170,5 @@ def transvectant(f: BinaryForm, g: BinaryForm, q: int) -> BinaryForm:
     0 <= q <= min(m, n); out-of-range q is an error rather than a silent
     zero, so caller bugs do not vanish into selection rules.
     """
-    _check_ints(q=q)
-    m, n = f.order, g.order
-    if not 0 <= q <= min(m, n):
-        raise ValueError(f"transvectant index {_shown(q, min(m, n))} outside 0..min({m},{n})")
+    _check_range("q", q, 0, min(f.order, g.order))
     return BinaryForm._raw(*_transvectants((f, g), ((0, 0 if g is f else 1, q),))[0])

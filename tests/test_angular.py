@@ -339,7 +339,7 @@ class TestWigner6j:
         for slot in range(6):
             args = [2] * 6
             args[slot] = -2
-            with pytest.raises(ValueError, match="nonnegative"):
+            with pytest.raises(ValueError, match="must be at least 0"):
                 wigner6j(*args)
 
     @pytest.mark.parametrize("bad", [True, 1.0, "2"])

@@ -1,7 +1,11 @@
 """Command-line interface: dispatch, formats, exit codes, determinism."""
 import argparse
+import importlib
 import json
+import re
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -364,11 +368,11 @@ class TestInputCaps:
             (["ninej", f"--twice-j=1,2,3,4,-{LONG},6,7,8,9"],
              "--twice-j entries must be nonnegative, got a negative number of 3000 digits"),
             (["transvect", "--expr", "x1", "--expr", "x2", "--q", LONG],
-             "transvectant index a number of 3000 digits outside 0..min(1,1)"),
+             "q must be in 0..1, got a number of 3000 digits"),
             (["syzygy-table", "--d", "7", "--r", LONG],
-             "weight index r=a number of 3000 digits outside 3..floor((d+1)/2) for d=7"),
+             "r must be in 3..4, got a number of 3000 digits"),
             (["oracle-theta", "--d", "7", "--r", "3", "--i", LONG, "--j", "1"],
-             "projection indices (i,j)=(a number of 3000 digits,1) out of range for r=3"),
+             "i must be in 1..3, got a number of 3000 digits"),
         ],
         ids=["d", "trials", "twice-j", "twice-j-negative", "q", "r", "i"],
     )
@@ -669,11 +673,11 @@ class TestDispatchContract:
         "argv, message",
         [
             (["gamma", "--r", "2", "--d", "7"],
-             "weight index r=2 outside 3..floor((d+1)/2) for d=7"),
+             "r must be in 3..4, got 2"),
             (["syzygy-table", "--d", "7", "--r", "5"],
-             "weight index r=5 outside 3..floor((d+1)/2) for d=7"),
+             "r must be in 3..4, got 5"),
             (["ninej-combinant", "--d", "7", "--r", "3", "--i", "3", "--j", "3"],
-             "projection indices (i,j)=(3,3) out of range for r=3"),
+             "j must be in 1..1, got 3"),
         ],
     )
     def test_range_errors_exit_2_with_one_message(self, capsys, argv, message):
@@ -695,3 +699,22 @@ class TestDispatchContract:
         second = capsys.readouterr().out
         assert code1 == code2 == 0
         assert first == second
+
+
+PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+
+
+def test_console_script_runs_dim_syzygy(monkeypatch, capsys):
+    # The `pencils` entry point that an install writes as a script, read
+    # with a regex because Python 3.10 has no tomllib, then called as that
+    # script calls it.
+    text = PYPROJECT.read_text(encoding="utf-8")
+    section = re.search(r"^\[project\.scripts\]\n(.*?)(?=^\[|\Z)", text, re.M | re.S).group(1)
+    module, name = re.search(r'^pencils\s*=\s*"([\w.]+):(\w+)"\s*$', section, re.M).groups()
+    entry = getattr(importlib.import_module(module), name)
+    assert entry is cli.run
+    monkeypatch.setattr(sys, "argv", ["pencils", "dim-syzygy", "--d", "7", "--r", "3"])
+    with pytest.raises(SystemExit) as info:
+        entry()
+    assert info.value.code == 0
+    assert capsys.readouterr().out == "1\n"

@@ -22,9 +22,14 @@ from pencils import (
     omega,
     random_form,
     random_pencil,
+    syzygy_space_dim,
+    theta,
     transvectant,
+    wigner3j,
+    wigner6j,
 )
 from pencils.forms import PAIRS, linear_power, slot_index, to_fraction
+from pencils.omega import bracket
 
 from helpers import (
     exact_divide_by_fractions,
@@ -400,7 +405,7 @@ XW_DEGREES = st.fixed_dictionaries({"x": st.integers(0, 2), "w": st.integers(0, 
 F = Fraction
 
 
-class TestPackedMatchesTupleOracle:
+class TestMultiFormMatchesTupleOracle:
     """MultiForm's int numerators over one denominator against the
     tuple/Fraction oracle, term for term."""
 
@@ -482,7 +487,7 @@ class TestOmegaPower:
             expected = tuple_omega(expected, *pairs)
             stepped = omega(stepped, *pairs)
         result = omega(fa, *pairs, n)
-        TestPackedMatchesTupleOracle.check(result, expected)
+        TestMultiFormMatchesTupleOracle.check(result, expected)
         assert result.degrees == stepped.degrees
 
     def test_negative_power_rejected(self):
@@ -490,10 +495,10 @@ class TestOmegaPower:
             omega(MultiForm.constant(1), "x", "y", -1)
 
 
-BIG = 2**16 - 1  # the largest exponent that fits in 16 bits
+BIG = 2**16 - 1  # an exponent of 16 bits; BIG + 1 takes a 17th
 
 
-class TestPackedExponentLimit:
+class TestLargeExponentsStayExact:
     """Exponents at 2^16 - 1, at 2^16 and at 40000 + 40000 come back exact
     from every entry point: an exponent is a tuple entry, with no width."""
 
@@ -579,7 +584,7 @@ class TestOmegaThenMerge:
         composed = outcome(lambda: omega(form, p, q, n).substituted(p, q, to))
         if not isinstance(composed, str):
             expected = tuple_substituted(self.stepped(a, p, q, n), p, q, to)
-            TestPackedMatchesTupleOracle.check(composed, expected)
+            TestMultiFormMatchesTupleOracle.check(composed, expected)
         return composed
 
     @given(
@@ -629,7 +634,7 @@ class TestOmegaThenMerge:
     @example(s=1, t=0, coeffs={(1, 0): F(1, 3)}, n=0, z=1, swap=False)
     @example(s=2, t=0, coeffs={(0, 0): F(1, 2), (1, 1): F(-2, 3)}, n=1, z=0, swap=True)
     @settings(max_examples=150, deadline=None)
-    def test_near_the_packed_limit(self, s, t, coeffs, n, z, swap):
+    def test_merges_around_2_to_16(self, s, t, coeffs, n, z, swap):
         # Degrees just under and over 2^15 in x and y, so that merging them
         # reaches BIG or passes it: every case composes, exactly.
         da, db = NEAR_HALF + s, BIG - NEAR_HALF + t
@@ -649,7 +654,7 @@ _CUBIC = BinaryForm(3, [1, 2, 3, 4])
     [
         pytest.param(lambda: BinaryForm(3.7, [1, 2, 3, 4]), "order must be an int, got 3.7", id="order-float"),
         pytest.param(lambda: BinaryForm(True, [1, 2]), "order must be an int, got True", id="order-bool"),
-        pytest.param(lambda: MultiForm({"x": 1.9}, {}), "degree must be an int, got 1.9", id="degree-float"),
+        pytest.param(lambda: MultiForm({"x": 1.9}, {}), "degree of pair 'x' must be an int, got 1.9", id="degree-float"),
         pytest.param(
             lambda: MultiForm({"x": 1}, {(1.5, 0) + (0,) * 12: 1}),
             "exponent must be an int, got 1.5",
@@ -687,6 +692,10 @@ _CUBIC = BinaryForm(3, [1, 2, 3, 4])
         pytest.param(
             lambda: omega(MultiForm({"x": 1, "y": 1}, {}), "x", "y", True), "n must be an int, got True", id="omega-bool"
         ),
+        pytest.param(lambda: _CUBIC.diff(True), "component must be an int, got True", id="diff-bool"),
+        pytest.param(lambda: _CUBIC.diff(1.0), "component must be an int, got 1.0", id="diff-float"),
+        pytest.param(lambda: slot_index("x", True), "component must be an int, got True", id="slot-index-bool"),
+        pytest.param(lambda: bracket("x", "y") ** True, "n must be an int, got True", id="pow-bool"),
     ],
 )
 def test_sizes_must_be_ints(build, message):
@@ -696,5 +705,52 @@ def test_sizes_must_be_ints(build, message):
 
 def test_index_pairs_need_a_positive_weight():
     for r in (0, -1):
-        with pytest.raises(ValueError, match=re.escape(f"index pairs need r >= 1, got {r}")):
+        with pytest.raises(ValueError, match=re.escape(f"r must be at least 1, got {r}")):
             index_pairs(r)
+
+
+LONG = 10**3000
+
+
+# A refused value of 3,001 digits at each argument that the range check
+# guards and that can hold one (a form's order cannot), or a bound derived
+# from one.  A check with an upper bound refuses +LONG; one with only a
+# lower bound refuses -LONG, since +LONG would be accepted and worked on.
+@pytest.mark.parametrize(
+    "build",
+    [
+        pytest.param(lambda: BinaryForm(-LONG, []), id="order"),
+        pytest.param(lambda: BinaryForm.monomial(3, LONG), id="monomial"),
+        pytest.param(lambda: BinaryForm.of_linear_power(LinearSymbol(1, 2), -LONG), id="of-linear-power"),
+        pytest.param(lambda: _CUBIC.diff(LONG), id="diff"),
+        pytest.param(lambda: slot_index("x", -LONG), id="slot-index"),
+        pytest.param(lambda: MultiForm({"x": -LONG}, {}), id="degree"),
+        pytest.param(lambda: MultiForm.constant(1) ** -LONG, id="pow"),
+        pytest.param(lambda: linear_power(LinearSymbol(1, 2), "x", -LONG), id="linear-power"),
+        pytest.param(lambda: random_form(-LONG, 1), id="random-form-order"),
+        pytest.param(lambda: random_form(2, 1, -LONG), id="random-form-bound"),
+        pytest.param(lambda: transvectant(_CUBIC, _CUBIC, LONG), id="transvectant"),
+        pytest.param(lambda: random_pencil(5, 1).combinants(LONG), id="combinants"),
+        pytest.param(lambda: random_pencil(5, 1).combinant(-LONG), id="combinant"),
+        pytest.param(lambda: theta(7, LONG, 1, 1), id="weight-r"),
+        pytest.param(lambda: theta(-LONG, 3, 1, 1), id="weight-d"),
+        pytest.param(lambda: theta(7, 3, LONG, 1), id="index-i"),
+        pytest.param(lambda: theta(7, 3, 1, -LONG), id="index-j"),
+        pytest.param(lambda: index_pairs(-LONG), id="index-pairs"),
+        pytest.param(lambda: syzygy_space_dim(7, LONG), id="dim-r"),
+        pytest.param(lambda: syzygy_space_dim(LONG, -1), id="dim-long-bound"),
+        pytest.param(lambda: syzygy_space_dim(-LONG, 3), id="dim-d"),
+        pytest.param(lambda: omega(MultiForm.constant(1), "x", "y", -LONG), id="omega"),
+        pytest.param(lambda: h_factor(3, 3, LONG), id="h-factor-q"),
+        pytest.param(lambda: h_factor(-LONG, 3, 1), id="h-factor-m"),
+        pytest.param(lambda: mu_factor(3, 3, 1, LONG), id="mu-factor-m"),
+        pytest.param(lambda: mu_factor(-LONG, 3, 1, 0), id="mu-factor-p"),
+        pytest.param(lambda: mu_factor(3, 3, LONG, 0), id="mu-factor-ell"),
+        pytest.param(lambda: wigner3j(-LONG, 1, 1, 0, 1, 1), id="wigner3j"),
+        pytest.param(lambda: wigner6j(2, 2, 2, 2, 2, -LONG), id="wigner6j"),
+    ],
+)
+def test_long_values_are_named_by_digit_count(build):
+    with pytest.raises(ValueError) as info:
+        build()
+    assert len(str(info.value)) <= 200, str(info.value)[:200]

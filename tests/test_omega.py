@@ -455,13 +455,13 @@ class TestFusedStages:
 
     @pytest.mark.parametrize("check", [omega_chain, verify_theta])
     def test_weight_out_of_range_message(self, check):
-        message = "weight index r=4 outside 3..floor((d+1)/2) for d=6"
+        message = "r must be in 3..3, got 4"
         with pytest.raises(ValueError, match=re.escape(message)):
             check(6, 4, 1, 1)
 
     @pytest.mark.parametrize("check", [omega_chain, verify_theta])
     def test_indices_out_of_range_message(self, check):
-        message = "projection indices (i,j)=(2,3) out of range for r=3"
+        message = "j must be in 1..2, got 3"
         with pytest.raises(ValueError, match=re.escape(message)):
             check(6, 3, 2, 3)
 
@@ -626,7 +626,7 @@ class TestCConstants:
                             assert c.c3 == 0
 
     def test_indices_out_of_range_message(self):
-        message = "projection indices (i,j)=(2,3) out of range for r=3"
+        message = "j must be in 1..2, got 3"
         with pytest.raises(ValueError, match=re.escape(message)):
             c_constants(6, 3, 2, 3)
 

@@ -383,13 +383,13 @@ INT_WEIGHT_ENTRY_POINTS = {**WEIGHT_ENTRY_POINTS, "syzygy_space_dim": syzygy_spa
 class TestRangeChecks:
     @pytest.mark.parametrize("name", sorted(WEIGHT_ENTRY_POINTS))
     def test_one_weight_message(self, name):
-        message = "weight index r=4 outside 3..floor((d+1)/2) for d=6"
+        message = "r must be in 3..3, got 4"
         with pytest.raises(ValueError, match=re.escape(message)):
             WEIGHT_ENTRY_POINTS[name](6, 4)
 
     @pytest.mark.parametrize("name", sorted(INDEX_ENTRY_POINTS))
     def test_one_index_message(self, name):
-        message = "projection indices (i,j)=(2,3) out of range for r=3"
+        message = "j must be in 1..2, got 3"
         with pytest.raises(ValueError, match=re.escape(message)):
             INDEX_ENTRY_POINTS[name](6, 3, 2, 3)
 
@@ -422,3 +422,12 @@ class TestRangeChecks:
     def test_index_arguments_must_be_ints(self, name, args, message):
         with pytest.raises(TypeError, match=re.escape(message)):
             INDEX_ENTRY_POINTS[name](*args)
+
+    # True and 1.0 equal 1, so the key set alone would match and re-key them.
+    @pytest.mark.parametrize("key, message", [((True, True), "i must be an int, got True"),
+                                              ((1.0, 1), "i must be an int, got 1.0"),
+                                              ((1, True), "j must be an int, got True")])
+    def test_table_keys_must_be_ints(self, key, message):
+        entries = {key: 1, (1, 2): 0, (2, 2): 0, (1, 3): 0}
+        with pytest.raises(TypeError, match=re.escape(message)):
+            SyzygyTable(5, 3, entries)
