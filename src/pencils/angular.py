@@ -63,7 +63,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, gcd, lcm
 
-from .forms import _check_range, to_fraction
+from .forms import _LONG, _check_range, _shown, to_fraction
 from .syzygy import _check_indices
 
 
@@ -327,7 +327,9 @@ def wigner3j(tj1: int, tj2: int, tj3: int, tm1: int, tm2: int, tm3: int) -> Surd
         _check_range(f"tj{k}", tj, 0)
         _check_range(f"tm{k}", tm)
         if (tj + tm) % 2:
-            raise ValueError(f"non-physical parity: 2j={tj} and 2m={tm} differ mod 2")
+            raise ValueError(
+                f"non-physical parity: 2j={_shown(tj, _LONG)} and 2m={_shown(tm, _LONG)} differ mod 2"
+            )
     return _wigner3j_tw(tj1, tj2, tj3, tm1, tm2, tm3)
 
 

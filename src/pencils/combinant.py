@@ -57,8 +57,8 @@ class Pencil:
         _check_range("count", count, 1, self.max_combinant_index())
         kept = self._combinants
         if len(kept) < count:
-            terms = [(0, 1, q) for q in range(2 * len(kept) + 1, 2 * count, 2)]
-            kept += tuple(starmap(BinaryForm._raw, _transvectants((self.a, self.b), terms)))
+            sums = [((0, 1, q, 1, 1),) for q in range(2 * len(kept) + 1, 2 * count, 2)]
+            kept += tuple(starmap(BinaryForm._raw, _transvectants((self.a, self.b), sums)))
             self._combinants = kept
         return kept[:count]
 

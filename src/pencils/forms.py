@@ -55,6 +55,7 @@ def _shown(value: int, cap: int) -> str:
 
 
 _LONG = 10**20 - 1  # the widest number an error line names in full
+_LONG_REPR = 40  # the longest repr of a non-int that an error line shows
 
 
 def _check_range(name: str, value, low: int | None = None, high: int | None = None) -> None:
@@ -64,10 +65,14 @@ def _check_range(name: str, value, low: int | None = None, high: int | None = No
     `high` raises ValueError.  Without `low` only the type is checked.  The
     message names the value by its digit count once it has more digits
     than `high` (than 20 digits where there is no `high`), and a bound once
-    it has more than 20.
+    it has more than 20; a non-int whose repr is longer than 40 characters
+    is named by its type alone.
     """
     if not isinstance(value, int) or isinstance(value, bool):
-        raise TypeError(f"{name} must be an int, got {value!r}")
+        shown = repr(value)
+        if len(shown) > _LONG_REPR:
+            shown = f"a value of type {type(value).__name__}"
+        raise TypeError(f"{name} must be an int, got {shown}")
     if low is None or low <= value and (high is None or value <= high):
         return
     if high is None:
@@ -192,7 +197,8 @@ class BinaryForm:
         coeffs = [to_fraction(c) for c in coeffs]
         if len(coeffs) != order + 1:
             raise DegreeMismatchError(
-                f"order {order} needs {order + 1} coefficients, got {len(coeffs)}"
+                f"order {_shown(order, _LONG)} needs {_shown(order + 1, _LONG)} coefficients, "
+                f"got {len(coeffs)}"
             )
         # Over the lcm of reduced denominators, gcd(den, *numerators) is 1.
         den = math.lcm(*(c.denominator for c in coeffs))

@@ -11,11 +11,12 @@ C_1 * C_{2r-1} up to the positive factor alpha_{1,r}, the identity recovers
 C_{2r-1} from the earlier combinants by one exact division.
 
 Both run in integers.  Each combinant, and each transvectant of two of
-them, is a form of integer numerators over one denominator.  One call of
-the transvectant kernel `_transvectants` gives every term
-(C_{2i-1}, C_{2j-1})_q of a sum, packing each combinant once for all the
-orders it meets, and the terms alpha * (C_{2i-1}, C_{2j-1})_q go into one
-integer accumulator over the lcm of their denominators.  Recovery divides
+them, is a form of integer numerators over one denominator.  The whole sum
+is one weighted sum of the transvectant kernel `_transvectants`, with a
+term (C_{2i-1}, C_{2j-1})_q of weight alpha_{i,j} for each pair: the kernel
+packs each combinant once for all the orders it meets and keeps the
+integer accumulator over the lcm of the terms' denominators itself, so
+the sum is unpacked once and this module keeps no loop.  Recovery divides
 that sum by C_1 with `exact_divide`, where Gauss's lemma makes every
 quotient step an exact `//`, and scales the quotient by -1/alpha_{1,r}.
 
@@ -25,7 +26,6 @@ weight-2r syzygies by weight multiplicity counting.
 """
 from __future__ import annotations
 
-import math
 from collections import namedtuple
 from functools import lru_cache
 from fractions import Fraction
@@ -158,21 +158,13 @@ def _alphas(d: int, r: int) -> tuple:
 def _syzygy_sum(d: int, r: int, alphas, combinants, skip=None) -> BinaryForm:
     """sum alpha_{i,j} (C_{2i-1}, C_{2j-1})_{2(r-i-j+1)} over `alphas` but `skip`.
 
-    `alphas` is `_alphas(d, r)` and `combinants[i-1]` is C_{2i-1}.  One
-    kernel call gives every term as v / s; with alpha = p / a and
-    L = lcm of the a*s, a term adds p * (L // (a*s)) * v to one integer
-    accumulator, and the sum is that accumulator over L.
+    `alphas` is `_alphas(d, r)` and `combinants[i-1]` is C_{2i-1}; the sum
+    is one weighted sum of the transvectant kernel.
     """
-    kept = [(i, j, p, a) for i, j, p, a in alphas if (i, j) != skip]
-    terms = [(i - 1, j - 1, 2 * (r - i - j + 1)) for i, j, _, _ in kept]
-    values = _transvectants(combinants, terms)
-    scaled = [(p, a * s, v) for (_, _, p, a), (v, s) in zip(kept, values)]
-    lcm = math.lcm(*(s for _, s, _ in scaled))
-    total = [0] * (4 * (d - r) + 1)
-    for p, s, v in scaled:
-        c = p * (lcm // s)
-        total = [t + c * x for t, x in zip(total, v)]
-    return BinaryForm._raw(total, lcm)
+    terms = [(i - 1, j - 1, 2 * (r - i - j + 1), p, a) for i, j, p, a in alphas if (i, j) != skip]
+    if not terms:
+        return BinaryForm.zero(4 * (d - r))
+    return BinaryForm._raw(*_transvectants(combinants, (terms,))[0])
 
 
 def evaluate_syzygy(pencil: Pencil, r: int) -> BinaryForm:

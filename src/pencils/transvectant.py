@@ -27,29 +27,53 @@ C(m-q,u) = C(m-q-1,u) + C(m-q-1,u-1) then gives each lower level as
 
 one shift and one add per pack.
 
-Every transvectant in the package is a term (a, b, q) of one kernel call,
-`_transvectants(forms, terms)`, which packs each form once for every
-order its terms meet: `transvectant` is one term, the combinants of a
-pencil are the terms (0, 1, 2r-1) of (A, B), and a syzygy sum has one
-term per (C_{2i-1}, C_{2j-1})_q.
+Every transvectant in the package is a term of one kernel call,
+`_transvectants(forms, sums)`, which packs each form once for every order
+its terms meet.  Its unit of work is a weighted sum: the terms
+(a, b, q, p, d) of one sum share an output order, and the kernel returns
+sum (p/d) (forms[a], forms[b])_q.  `transvectant` is a one-term sum of
+weight 1/1, the combinants of a pencil are the one-term sums
+(0, 1, 2r-1, 1, 1) of (A, B), and a syzygy is one sum with a term per
+alpha (C_{2i-1}, C_{2j-1})_q.
 
-The slot width k comes from a bound on the output.  C(m-q,u) <= C(m,u+s)
-(Vandermonde), so |P_s[u]| <= L_m max|a|, the form's height; at most
-min(m,n)-q+1 pairs (u, v) meet in an output slot, and the C(q,s) sum to
-2^q, so
+The slot width k comes from a bound on the output.  As
+a'_k = a_k L_m / C(m,k), |P_s[u]| <= H_f C(m-q,u) / C(m,u+s), where
+H_f = L_m max|a| is the form's height; likewise for g, and that ratio of
+binomials is at most 1 (Vandermonde), so |Q_t[v]| <= H_g.  By the exact
+identity
 
-    |out[w]| <= (min(m,n)-q+1) * L_m max|a| * L_n max|b| * 2^q  <  2^(k-1),
+    sum_s C(q,s) C(m-q,u) / C(m,u+s)  =  (m+1) / (m-q+1)   for every u
 
-with k the bound's bit length plus a sign bit, rounded up to whole bytes.
-The unpack is then exact: adding H = 2^(k-1) to every slot makes each
-digit out[w] + H lie in [0, 2^k), so the one `int` addition
-S + H sum_w 2^(kw) carries every borrow between slots, and its bytes read
-off in k-bit slots are the out[w] + H.  The packs themselves are exact at
-any k, being values of integer polynomials at 2^k, so levels that share
-one width are unpacked exactly whenever that width is the largest of
-their bounds: a wider slot only leaves more room for each digit.  Each
-term comes back as its numerators over L_m L_n D_f D_g, unreduced, so a
-caller that sums terms reduces once; `transvectant` reduces by one gcd.
+(each summand is C(u+s,u) C(m-u-s,q-s) / C(m,q), and those numerators sum
+to C(m+1,q)), the q+1 terms C(q,s) P_s[u] Q_{q-s}[v] of one pair (u, v)
+add up in size to at most H_f H_g (m+1)/(m-q+1).  The identity holds on
+either side, so it is taken on the larger order M = max(m, n), where the
+factor is smallest; at most min(m,n)-q+1 pairs (u, v) meet in an output
+slot, so
+
+    |out[w]| <= (min(m,n)-q+1) H_f H_g (M+1)/(M-q+1)  <  2^(k-1),
+
+with k the bound's bit length plus a sign bit, rounded up to whole bytes;
+one k, the largest of the call's term bounds, serves every pack.  An
+unpack is then exact: adding H = 2^(k-1) to every slot makes each digit
+out[w] + H lie in [0, 2^k), so the one `int` addition S + H sum_w 2^(kw)
+carries every borrow between slots, and its bytes read off in k-bit slots
+are the out[w] + H.  The packs themselves are exact at any k, being values
+of integer polynomials at 2^k, and a wider slot only leaves more room for
+each digit.
+
+A one-term sum unpacks its product S at once and comes back over
+d L_m L_n D_f D_g (D_f, D_g the inputs' denominators).  A longer sum runs
+over the lcm L of its terms' denominators d_t L_m L_n D_f D_g, and term t
+enters with the integer weight c_t = p_t L / (d_t L_m L_n D_f D_g).  Every
+product keeps the call's width k, and the sum's digits are bounded by
+sum |c_t| bound_t.  If that fits in k bits, the c_t S_t go into one `int`
+as they are.  Otherwise each product moves to the wider layout that bound
+needs: S_t + H sum_w 2^(kw) holds the nonnegative digits out[w] + H, whose
+bytes are copied, one byte of every slot at a time, into the wider slots;
+c_t times that value goes into one `int`, and the offsets sum_t c_t H are
+taken off once.  Either way each sum is unpacked once.  Nothing is
+reduced, so a caller reduces once; `transvectant` reduces by one gcd.
 """
 from __future__ import annotations
 
@@ -132,17 +156,21 @@ def _slots(total: int, kb: int, size: int) -> list:
     return [read(raw[j : j + kb], "little") - half for j in range(0, kb * size, kb)]
 
 
-def _transvectants(forms, terms) -> list:
-    """For each term (a, b, q), (forms[a], forms[b])_q as an unreduced
-    (numerators, denominator) pair; each 0 <= q <= min of the two orders, unchecked.
+def _transvectants(forms, sums) -> list:
+    """For each nonempty sum of terms (a, b, q, p, d), all of one output
+    order, sum (p/d) (forms[a], forms[b])_q as an unreduced (numerators,
+    denominator) pair; each 0 <= q <= min of the two orders and each d > 0,
+    unchecked.
 
-    The one slot width is the largest of the terms' output bounds, so every
+    The one pack width is the largest of the terms' output bounds, and a
+    sum whose weighted bound needs more unpacks from wider slots, so every
     unpack is exact; a term (a, a, q) pairs s with q-s in `_product_sum`.
     """
     orders = defaultdict(set)
-    for a, b, q in terms:
-        orders[a].add(q)
-        orders[b].add(q)
+    for terms in sums:
+        for a, b, q, _, _ in terms:
+            orders[a].add(q)
+            orders[b].add(q)
     size, height, scale = {}, {}, {}
     for a in orders:
         f = forms[a]
@@ -150,17 +178,46 @@ def _transvectants(forms, terms) -> list:
         top = _weights(f.order)[1]
         height[a] = top * max(map(abs, f._nums))
         scale[a] = top * f._den
-    bound = max(
-        (height[a] * height[b] * (min(size[a], size[b]) - q + 1) << q for a, b, q in terms),
-        default=0,
-    )
-    kb = (bound.bit_length() + 8) // 8  # the bound's bits and a sign bit, in whole bytes
+
+    def bound(a, b, q):
+        m, n = size[a], size[b]
+        top = max(m, n)
+        return (min(m, n) - q + 1) * height[a] * height[b] * (top + 1) // (top - q + 1)
+
+    bounds = [[bound(a, b, q) for a, b, q, _, _ in terms] for terms in sums]
+    kb = (max(map(max, bounds), default=0).bit_length() + 8) // 8  # a sign bit, whole bytes
     packs = {a: _packs(forms[a], 8 * kb, qs) for a, qs in orders.items()}
-    return [
-        (_slots(_product_sum(packs[a][q], packs[b][q], q), kb, size[a] + size[b] - 2 * q + 1),
-         scale[a] * scale[b])
-        for a, b, q in terms
-    ]
+    results = []
+    for terms, term_bounds in zip(sums, bounds):
+        a, b, q, p, d = terms[0]
+        width = size[a] + size[b] - 2 * q + 1
+        products = [_product_sum(packs[a][q], packs[b][q], q) for a, b, q, _, _ in terms]
+        if len(terms) == 1:
+            nums = _slots(products[0], kb, width)
+            results.append((nums if p == 1 else [p * x for x in nums], d * scale[a] * scale[b]))
+            continue
+        dens = [d * scale[a] * scale[b] for a, b, _, _, d in terms]
+        lcm = math.lcm(*dens)
+        weights = [p * (lcm // den) for (_, _, _, p, _), den in zip(terms, dens)]
+        wide = sum(abs(c) * x for c, x in zip(weights, term_bounds))
+        wb = (wide.bit_length() + 8) // 8
+        if wb <= kb:
+            total = sum(c * x for c, x in zip(weights, products))
+            results.append((_slots(total, kb, width), lcm))
+            continue
+        half = 1 << (8 * kb - 1)
+        offset = int.from_bytes(half.to_bytes(kb, "little") * width, "little")
+        total = 0
+        for c, x in zip(weights, products):
+            raw = (x + offset).to_bytes(kb * width, "little")
+            slots = bytearray(wb * width)
+            for j in range(kb):
+                slots[j::wb] = raw[j::kb]
+            total += c * int.from_bytes(slots, "little")
+        ones = int.from_bytes((b"\1" + bytes(wb - 1)) * width, "little")
+        total -= sum(weights) * half * ones
+        results.append((_slots(total, wb, width), lcm))
+    return results
 
 
 def transvectant(f: BinaryForm, g: BinaryForm, q: int) -> BinaryForm:
@@ -171,4 +228,4 @@ def transvectant(f: BinaryForm, g: BinaryForm, q: int) -> BinaryForm:
     zero, so caller bugs do not vanish into selection rules.
     """
     _check_range("q", q, 0, min(f.order, g.order))
-    return BinaryForm._raw(*_transvectants((f, g), ((0, 0 if g is f else 1, q),))[0])
+    return BinaryForm._raw(*_transvectants((f, g), (((0, 0 if g is f else 1, q, 1, 1),),))[0])

@@ -754,3 +754,26 @@ def test_long_values_are_named_by_digit_count(build):
     with pytest.raises(ValueError) as info:
         build()
     assert len(str(info.value)) <= 200, str(info.value)[:200]
+
+
+# Refusals that are not range checks, naming a value of 3,001 digits.
+@pytest.mark.parametrize(
+    "build",
+    [
+        pytest.param(lambda: BinaryForm(LONG, [1]), id="coefficient-count"),
+        pytest.param(lambda: wigner3j(1, 1, 0, LONG, -1, 0), id="wigner3j-parity"),
+    ],
+)
+def test_other_refusals_name_long_values_by_digit_count(build):
+    with pytest.raises(ValueError) as info:
+        build()
+    assert len(str(info.value)) <= 200, str(info.value)[:200]
+    assert "a number of 3001 digits" in str(info.value)
+
+
+def test_long_non_int_is_named_by_its_type():
+    with pytest.raises(TypeError) as info:
+        index_pairs("9" * 3000)
+    assert str(info.value) == "r must be an int, got a value of type str"
+    with pytest.raises(TypeError, match=re.escape("r must be an int, got '99'")):
+        index_pairs("99")

@@ -193,6 +193,12 @@ class TestSharedPackSum:
                     assert got == syzygy_sum_by_fractions(seq, t, skip)
                     assert got.order == 4 * (d - r)
 
+    def test_empty_sum_is_the_zero_form_of_its_order(self):
+        seq = combinant_sequence(random_pencil(9, 5))
+        for alphas, skip in (((), None), (((1, 4, 5, 2),), (1, 4))):
+            got = _syzygy_sum(9, 4, alphas, seq, skip)
+            assert got.is_zero() and got.order == 20
+
     def test_alphas_are_kept_and_the_public_table_is_not(self):
         assert _alphas(16, 8) is _alphas(16, 8)
         table = syzygy_table(7, 3)

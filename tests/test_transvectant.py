@@ -240,8 +240,9 @@ def test_self_transvectant_pairs_its_terms(case):
 @settings(max_examples=60, deadline=None)
 @given(_integer_cases(), _integer_cases(), st.data())
 def test_orders_sharing_one_width_match_dot_product_oracle(case, other, data):
-    # Three forms, one kernel call: terms across every pair of them, with
-    # self terms (c, c, q), all unpacked from one shared slot width.
+    # Three forms, one kernel call: one-term sums of weight 1/1 across every
+    # pair of them, with self terms (c, c, q), all unpacked from one shared
+    # slot width.
     a, da, b, db, q = case
     nums, dens = (a, b, other[0]), (da, db, other[1])
     forms = [BinaryForm(len(x) - 1, [Fraction(y, dx) for y in x]) for x, dx in zip(nums, dens)]
@@ -252,12 +253,101 @@ def test_orders_sharing_one_width_match_dot_product_oracle(case, other, data):
 
     pairs = st.tuples(st.integers(0, 2), st.integers(0, 2))
     terms = [(0, 1, q), data.draw(term((2, 2)))] + data.draw(st.lists(pairs.flatmap(term), max_size=8))
-    results = _transvectants(forms, terms)
+    results = _transvectants(forms, [((x, y, p, 1, 1),) for x, y, p in terms])
     assert len(results) == len(terms)
     for (x, y, p), pair in zip(terms, results):
         result = BinaryForm._raw(*pair)
         want, den = transvectant_ints_by_dot_products(nums[x], dens[x], nums[y], dens[y], p)
         assert (result._nums, result._den) == (tuple(want), den)
+
+
+_WEIGHT_MAX = 2**200
+
+
+@st.composite
+def _weighted_sums(draw):
+    """Up to four forms and up to three sums over them, each sum a list of
+    terms (a, b, q, p, d) of one output order.  Weights run up to 2^200
+    in size and of both signs, and terms include self terms (a, a, q).  A
+    sum may carry, for each of its terms, the mirror term
+    (b, a, q, -(-1)^q p, d), which cancels it as (g, f)_q = (-1)^q (f, g)_q."""
+    count = draw(st.integers(1, 4))
+    orders = [draw(st.integers(0, 10)) for _ in range(count)]
+    dense = [
+        draw(st.just([0] * (m + 1)) | st.lists(st.integers(-(10**30), 10**30), min_size=m + 1, max_size=m + 1))
+        for m in orders
+    ]
+    dens = [draw(st.integers(1, 10**6)) for _ in orders]
+    numerator = st.integers(-3, 3) | st.integers(-_WEIGHT_MAX, _WEIGHT_MAX)
+    denominator = st.integers(1, 3) | st.integers(1, _WEIGHT_MAX)
+    sums = []
+    for _ in range(draw(st.integers(1, 3))):
+        a, b = draw(st.integers(0, count - 1)), draw(st.integers(0, count - 1))
+        out = orders[a] + orders[b] - 2 * draw(st.integers(0, min(orders[a], orders[b])))
+        reach = [
+            (x, y, (orders[x] + orders[y] - out) // 2)
+            for x in range(count)
+            for y in range(count)
+            if orders[x] + orders[y] >= out
+            and (orders[x] + orders[y] - out) % 2 == 0
+            and orders[x] + orders[y] - out <= 2 * min(orders[x], orders[y])
+        ]
+        picked = draw(st.lists(st.sampled_from(reach), min_size=1, max_size=6))
+        terms = [(x, y, q, draw(numerator), draw(denominator)) for x, y, q in picked]
+        if draw(st.booleans()):
+            terms += [(y, x, q, p if q % 2 else -p, d) for x, y, q, p, d in terms]
+        sums.append(draw(st.permutations(terms)))
+    return dense, dens, sums
+
+
+def _weighted_sum_by_dot_products(dense, dens, terms):
+    """sum (p/d) (F_a, F_b)_q as a reduced form, one oracle transvectant per term."""
+    a, b, q, _, _ = terms[0]
+    total = [Fraction(0)] * (len(dense[a]) + len(dense[b]) - 2 * q - 1)
+    for a, b, q, p, d in terms:
+        out, den = transvectant_ints_by_dot_products(dense[a], dens[a], dense[b], dens[b], q)
+        total = [t + Fraction(p * x, d * den) for t, x in zip(total, out)]
+    return BinaryForm(len(total) - 1, total)
+
+
+_SQUARE = ([[5, -7, 2], [-3, 0, 11]], [4, 9])
+
+
+@settings(max_examples=120, deadline=None)
+@given(_weighted_sums())
+@example((*_SQUARE, [[(0, 1, 1, 1, 1), (1, 0, 1, 1, 1)]]))
+@example((*_SQUARE, [[(0, 1, 1, 1, 1), (0, 0, 1, 1, 1)], [(0, 1, 0, 1, 1), (1, 1, 0, -1, 2)]]))
+@example((*_SQUARE, [[(0, 0, 2, _WEIGHT_MAX, 3), (1, 1, 2, -_WEIGHT_MAX + 1, 1), (0, 1, 2, 7, _WEIGHT_MAX)]]))
+@example((*_SQUARE, [[(0, 1, 0, _WEIGHT_MAX, 1), (0, 1, 0, -_WEIGHT_MAX, 1)]]))
+@example(([[0, 0, 0], [1, 2]], [1, 1], [[(1, 1, 0, 3, 2), (0, 0, 1, -5, 1)], [(0, 1, 1, 5, 1)]]))
+# (10x1 - 10x2, 10x1 + 10x2)_1 = 200 meets its term bound, so the sum,
+# 8,388,800, meets its weighted bound, a 24-bit number: its wide slots need
+# the bound's sign bit and a fourth byte.
+@example(([[10, -10], [10, 10]], [1, 1], [[(0, 1, 1, 20972, 1), (0, 1, 1, 20972, 1)]]))
+def test_weighted_sums_match_dot_product_oracle(case):
+    # Each sum, unpacked once, from the call's slot width or from wider
+    # slots where its weights need them, equals its terms summed one by one.
+    dense, dens, sums = case
+    forms = [BinaryForm(len(x) - 1, [Fraction(y, dx) for y in x]) for x, dx in zip(dense, dens)]
+    results = _transvectants(forms, sums)
+    assert len(results) == len(sums)
+    for terms, pair in zip(sums, results):
+        result = BinaryForm._raw(*pair)
+        expected = _weighted_sum_by_dot_products(dense, dens, terms)
+        assert (result.order, result._nums, result._den) == (expected.order, expected._nums, expected._den)
+        mirrored = {(b, a, q, p if q % 2 else -p, d) for a, b, q, p, d in terms}
+        if mirrored == set(terms):
+            assert result.is_zero()
+
+
+def test_slot_bound_identity():
+    # The identity behind the kernel's slot bound: for every order m, index
+    # q and slot u, sum_s C(q,s) C(m-q,u) / C(m,u+s) = (m+1)/(m-q+1).
+    for m in range(41):
+        for q in range(m + 1):
+            for u in range(m - q + 1):
+                total = sum(Fraction(math.comb(q, s) * math.comb(m - q, u), math.comb(m, u + s)) for s in range(q + 1))
+                assert total == Fraction(m + 1, m - q + 1), (m, q, u)
 
 
 def _extremal_cases(seed, count):
@@ -275,9 +365,11 @@ def _extremal_cases(seed, count):
 
 def test_extremal_heights_fit_the_slot_bound():
     # At extremal heights an output coefficient comes close to the kernel's
-    # slot bound, and would overflow its slot without the bound's 2^q
-    # factor (the C(q,s) sum to 2^q): the first case would raise
-    # OverflowError, and about 2% of the sweep would come back wrong.
+    # slot bound, and the first case meets it: 200 is exactly
+    # (min(m,n)-q+1) H_f H_g (M+1)/(M-q+1), whose last factor, here 2, is
+    # the sum of C(q,s) C(m-q,u) / C(m,u+s) over s.  Without that factor
+    # the first case would raise OverflowError, and 12 of the sweep's 500
+    # cases would fail: 10 by OverflowError and 2 with a wrong value.
     assert transvectant(BinaryForm(1, [10, -10]), BinaryForm(1, [10, 10]), 1) == BinaryForm(0, [200])
     f, g = BinaryForm(1, [-5, 5]), BinaryForm(2, [12, 12, -12])
     assert transvectant(f, g, 1) == BinaryForm(1, [-90, 30])
