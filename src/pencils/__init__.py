@@ -9,6 +9,8 @@ operator verification of the coefficient formula, and exact Wigner
 over the rationals, extended by square roots where recoupling coefficients
 need them.
 """
+from types import ModuleType as _ModuleType
+
 from .angular import (
     NineJArray,
     SurdSum,
@@ -33,16 +35,11 @@ from .errors import (
     NotDivisibleError,
     ParseError,
 )
-from .forms import (
-    PAIRS,
-    BinaryForm,
-    LinearSymbol,
-    MultiForm,
-    exact_divide,
-    random_form,
-)
+from .forms import BinaryForm, LinearSymbol, exact_divide, random_form
 from .omega import (
+    PAIRS,
     CConstants,
+    MultiForm,
     beta_chain,
     c_aggregate,
     c_constants,
@@ -69,56 +66,9 @@ from .syzygy import (
 )
 from .transvectant import transvectant
 
-__all__ = [
-    "AlgebraError",
-    "BinaryForm",
-    "CConstants",
-    "DegeneratePencilError",
-    "DegreeMismatchError",
-    "FormulaViolationError",
-    "LinearSymbol",
-    "MultiForm",
-    "NineJArray",
-    "NotDivisibleError",
-    "PAIRS",
-    "ParseError",
-    "Pencil",
-    "PositivityCertificate",
-    "SurdSum",
-    "SyzygyTable",
-    "beta_chain",
-    "c_aggregate",
-    "c_constants",
-    "combinant_9j_array",
-    "combinant_sequence",
-    "evaluate_syzygy",
-    "exact_divide",
-    "form_from_dict",
-    "form_to_dict",
-    "format_form",
-    "gamma",
-    "h_factor",
-    "index_pairs",
-    "membership_defect",
-    "mu_factor",
-    "ninej_magnetic_sum",
-    "omega",
-    "omega_chain",
-    "parse_form",
-    "positivity_certificate",
-    "random_form",
-    "random_pencil",
-    "recover_combinant",
-    "syzygy_space_dim",
-    "syzygy_table",
-    "table_from_dict",
-    "table_to_dict",
-    "theta",
-    "transvectant",
-    "verify_theta",
-    "wigner3j",
-    "wigner6j",
-    "wigner9j",
-    "wronskian",
-    "zeta_image",
-]
+# Every public name imported above, in sorted order; the submodules bound
+# by those imports are not part of it.
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

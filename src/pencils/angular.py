@@ -179,7 +179,7 @@ class SurdSum:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            coeff = self._coeff * other
+            coeff = self._coeff * to_fraction(other)  # refuses a bool
             return SurdSum._raw(coeff, self._rad if coeff else 1)
         if not isinstance(other, SurdSum):
             return NotImplemented

@@ -1,24 +1,16 @@
-"""Exact rational arithmetic on homogeneous forms in binary variable pairs.
+"""Exact rational arithmetic on homogeneous binary forms.
 
-Two value types live here.  `BinaryForm` is a homogeneous form of declared
-order in a single variable pair, stored densely: coefficient k belongs to
-``x1^(order-k) * x2^k``.  `MultiForm` is a sparse multihomogeneous form
-over several named pairs, used by the textbook reference route of the
-differential-operator oracle (`omega.beta_chain`); the fused route,
-`omega.omega_chain`, never builds one.
-
-Both keep `int` numerators over one positive denominator, reduced so that
+`BinaryForm` is a homogeneous form of declared order in a single variable
+pair, stored densely: coefficient k belongs to ``x1^(order-k) * x2^k``.
+It keeps `int` numerators over one positive denominator, reduced so that
 the gcd of the denominator and all numerators is 1 (the content-times-
-primitive-part layout of FLINT's fmpq_poly).  So their arithmetic, the
+primitive-part layout of FLINT's fmpq_poly).  So its arithmetic, the
 transvectant kernel, the syzygy sums and `exact_divide` all run in `int`,
-and `Fraction`s are built only at the public surface: `BinaryForm.coeffs`,
-and `MultiForm(degrees, terms)` and `.terms`, which speak in 14-slot
-exponent tuples.
-
-Pairs are named by single letters from `PAIRS`; pair ``"x"`` stands for the
-scalar variables x1, x2, and so on.  A MultiForm monomial is its exponent
-tuple over the fixed ordering x1,x2,y1,y2,...,t1,t2, stored as the public
-surface gives it.
+and `Fraction`s are built only at the public surface, `BinaryForm.coeffs`.
+`to_fraction` is the one coercion of a coefficient, and `LinearSymbol` is
+the linear form f1*p1 + f2*p2 whose powers the operator chain expands.
+The sparse forms over several pairs of the textbook reference route live
+with that route, in `omega`.
 
 Every size and index argument in the package passes `_check_range`: a
 non-int or a bool raises TypeError, a value out of range ValueError, and a
@@ -34,14 +26,8 @@ import math
 import random
 import re
 from fractions import Fraction
-from operator import add
 
 from .errors import DegreeMismatchError, NotDivisibleError
-
-PAIRS = ("x", "y", "z", "w", "u", "v", "t")
-_PAIR_INDEX = {pair: k for k, pair in enumerate(PAIRS)}
-_NSLOTS = 2 * len(PAIRS)
-ZERO_MONOMIAL = (0,) * _NSLOTS
 
 _SCALARS = (int, Fraction)
 
@@ -79,27 +65,6 @@ def _check_range(name: str, value, low: int | None = None, high: int | None = No
         raise ValueError(f"{name} must be at least {_shown(low, _LONG)}, got {_shown(value, _LONG)}")
     span = f"{_shown(low, _LONG)}..{_shown(high, _LONG)}"
     raise ValueError(f"{name} must be in {span}, got {_shown(value, min(abs(high), _LONG))}")
-
-
-def check_pair(pair: str) -> str:
-    if pair not in _PAIR_INDEX:
-        raise ValueError(f"unknown variable pair {pair!r}; expected one of {PAIRS}")
-    return pair
-
-
-def slot_index(pair: str, component: int) -> int:
-    """Flat slot of scalar variable `component` (1 or 2) of `pair`."""
-    check_pair(pair)
-    _check_range("component", component, 1, 2)
-    return 2 * _PAIR_INDEX[pair] + component - 1
-
-
-def _monomial(*slots: int) -> tuple:
-    """The exponent tuple of the product of the scalar variables in `slots`."""
-    mono = [0] * _NSLOTS
-    for k in slots:
-        mono[k] += 1
-    return tuple(mono)
 
 
 # The one accepted spelling of an unsigned rational in text: digits[/digits],
@@ -283,7 +248,7 @@ class BinaryForm:
 
     def __mul__(self, other):
         if isinstance(other, _SCALARS):
-            q = Fraction(other)
+            q = to_fraction(other)  # refuses a bool
             n = q.numerator
             return BinaryForm._raw([c * n for c in self._nums], self._den * q.denominator)
         if not isinstance(other, BinaryForm):
@@ -309,237 +274,6 @@ class BinaryForm:
     def __repr__(self):
         body = ", ".join(str(c) for c in self.coeffs)
         return f"BinaryForm({self.order}, [{body}])"
-
-
-def _merged_degrees(degrees: dict, from1: str, from2: str, to: str) -> dict:
-    """The degrees after merging pairs from1 and from2 into the inactive pair to."""
-    check_pair(from1)
-    check_pair(from2)
-    check_pair(to)
-    if len({from1, from2, to}) != 3:
-        raise ValueError("substitution pairs must be three distinct pairs")
-    if to in degrees:
-        raise ValueError(f"target pair {to!r} is already active")
-    deg = dict(degrees)
-    merged_degree = deg.pop(from1, 0) + deg.pop(from2, 0)
-    if merged_degree:
-        deg[to] = merged_degree
-    return deg
-
-
-class MultiForm:
-    """Sparse multihomogeneous form over named variable pairs.
-
-    `degrees` declares the homogeneous degree in each active pair, and every
-    term must have it: the constructor refuses one that does not with
-    `DegreeMismatchError`.  A zero form keeps whatever degrees it was
-    declared with.  Equality compares the stored monomials only; the degree
-    declaration is metadata (two zero forms produced along different routes
-    always compare equal).
-
-    The form is stored as ``{exponent tuple: int numerator}`` over one
-    positive denominator `_den`, kept reduced so that
-    ``gcd(_den, *numerators) == 1`` and ``_den == 1`` for the zero form;
-    the stored pair is therefore canonical.
-    """
-
-    __slots__ = ("_degrees", "_terms", "_den")
-
-    def __init__(self, degrees: dict, terms: dict):
-        clean_deg = {}
-        for pair, n in degrees.items():
-            check_pair(pair)
-            _check_range(f"degree of pair {pair!r}", n, 0)
-            if n:
-                clean_deg[pair] = n
-        fracs = {}
-        for mono, coeff in terms.items():
-            coeff = to_fraction(coeff)
-            if not coeff:
-                continue
-            mono = tuple(mono)
-            for e in mono:
-                _check_range("exponent", e)
-            if len(mono) != _NSLOTS or any(e < 0 for e in mono):
-                raise ValueError(f"bad exponent vector {mono!r}")
-            fracs[mono] = coeff
-        # Over the lcm of reduced denominators, gcd(den, *numerators) is 1.
-        den = math.lcm(*(c.denominator for c in fracs.values()))
-        clean_terms = {m: c.numerator * (den // c.denominator) for m, c in fracs.items()}
-        self._degrees = clean_deg
-        self._terms = clean_terms
-        self._den = den
-        if not self.is_homogeneous():
-            raise DegreeMismatchError(f"a term does not have the declared degrees {clean_deg}")
-
-    @classmethod
-    def _raw(cls, degrees: dict, terms: dict, den: int) -> "MultiForm":
-        # Internal fast path: `terms` maps exponent tuples to int numerators
-        # over den > 0 and becomes the form's own dict.  Zero numerators are
-        # deleted in place, which hashes no other key again.
-        for m in [m for m, c in terms.items() if not c]:
-            del terms[m]
-        if den != 1:
-            g = math.gcd(den, *terms.values())
-            if g != 1:
-                den //= g
-                terms = {m: c // g for m, c in terms.items()}
-        obj = object.__new__(cls)
-        obj._degrees = degrees
-        obj._terms = terms
-        obj._den = den
-        return obj
-
-    @classmethod
-    def constant(cls, value) -> "MultiForm":
-        value = to_fraction(value)
-        return cls._raw({}, {ZERO_MONOMIAL: value.numerator} if value else {}, value.denominator)
-
-    @property
-    def terms(self) -> dict:
-        """Exponent tuple -> Fraction coefficient map, built on each call."""
-        den = self._den
-        return {m: Fraction(c, den) for m, c in self._terms.items()}
-
-    @property
-    def degrees(self) -> dict:
-        """Declared degree per active pair.  Treat as read-only."""
-        return self._degrees
-
-    def degree(self, pair: str) -> int:
-        check_pair(pair)
-        return self._degrees.get(pair, 0)
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def is_homogeneous(self) -> bool:
-        """Check every monomial against the declared multidegree."""
-        for mono in self._terms:
-            for k, pair in enumerate(PAIRS):
-                if mono[2 * k] + mono[2 * k + 1] != self._degrees.get(pair, 0):
-                    return False
-        return True
-
-    def _merged_add_degrees(self, other: "MultiForm") -> dict:
-        if self._degrees == other._degrees:
-            return dict(self._degrees)
-        if not self._terms:
-            return dict(other._degrees)
-        if not other._terms:
-            return dict(self._degrees)
-        raise DegreeMismatchError(
-            f"cannot add multidegrees {self._degrees} and {other._degrees}"
-        )
-
-    def __add__(self, other):
-        if not isinstance(other, MultiForm):
-            return NotImplemented
-        deg = self._merged_add_degrees(other)
-        den = math.lcm(self._den, other._den)
-        scale, other_scale = den // self._den, den // other._den
-        terms = {m: c * scale for m, c in self._terms.items()}
-        get = terms.get
-        for mono, coeff in other._terms.items():
-            terms[mono] = get(mono, 0) + coeff * other_scale
-        return MultiForm._raw(deg, terms, den)
-
-    def __sub__(self, other):
-        if not isinstance(other, MultiForm):
-            return NotImplemented
-        return self + (-other)
-
-    def __neg__(self):
-        terms = {m: -c for m, c in self._terms.items()}
-        return MultiForm._raw(dict(self._degrees), terms, self._den)
-
-    def __mul__(self, other):
-        if isinstance(other, _SCALARS):
-            q = Fraction(other)
-            n = q.numerator
-            terms = {m: c * n for m, c in self._terms.items()}
-            return MultiForm._raw(dict(self._degrees), terms, self._den * q.denominator)
-        if not isinstance(other, MultiForm):
-            return NotImplemented
-        deg = dict(self._degrees)
-        for pair, n in other._degrees.items():
-            deg[pair] = deg.get(pair, 0) + n
-        out: dict = {}
-        get = out.get
-        inner = other._terms.items()
-        for m1, c1 in self._terms.items():
-            for m2, c2 in inner:
-                key = tuple(map(add, m1, m2))
-                out[key] = get(key, 0) + c1 * c2
-        return MultiForm._raw(deg, out, self._den * other._den)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        _check_range("n", n, 0)
-        result = MultiForm.constant(1)
-        for _ in range(n):
-            result = result * self
-        return result
-
-    def substituted(self, from1: str, from2: str, to: str) -> "MultiForm":
-        """Replace both source pairs' variables by the target pair's.
-
-        The target pair must be distinct from the sources and not already
-        active.  Source pairs of degree zero substitute trivially.
-        """
-        deg = _merged_degrees(self._degrees, from1, from2, to)
-        sa, sb, st = slot_index(from1, 1), slot_index(from2, 1), slot_index(to, 1)
-        out: dict = {}
-        get = out.get
-        for mono, coeff in self._terms.items():
-            key = list(mono)
-            key[sa] = key[sa + 1] = key[sb] = key[sb + 1] = 0
-            key[st], key[st + 1] = mono[sa] + mono[sb], mono[sa + 1] + mono[sb + 1]
-            key = tuple(key)
-            out[key] = get(key, 0) + coeff
-        return MultiForm._raw(deg, out, self._den)
-
-    def as_binary_form(self, pair: str) -> BinaryForm:
-        """Convert a form whose only active pair is `pair` to a BinaryForm.
-
-        Every term must be a monomial in that pair alone, of its declared
-        degree; any other term raises `DegreeMismatchError`.
-        """
-        check_pair(pair)
-        stray = [p for p in self._degrees if p != pair]
-        if stray:
-            raise ValueError(f"form still involves pairs {stray}")
-        order = self._degrees.get(pair, 0)
-        s = slot_index(pair, 1)
-        head, tail = ZERO_MONOMIAL[:s], ZERO_MONOMIAL[s + 2 :]
-        nums = [0] * (order + 1)
-        for mono, coeff in self._terms.items():
-            k = mono[s + 1]
-            # Two terms that differ outside the pair would land on one k.
-            if mono != (*head, order - k, k, *tail):
-                raise DegreeMismatchError("form is not homogeneous of its declared degree")
-            nums[k] = coeff
-        return BinaryForm._raw(nums, self._den)
-
-    def __eq__(self, other):
-        if not isinstance(other, MultiForm):
-            return NotImplemented
-        return self._den == other._den and self._terms == other._terms
-
-    def __repr__(self):
-        return f"<MultiForm degrees={self._degrees} terms={len(self._terms)}>"
-
-
-def linear_power(f: LinearSymbol, pair: str, n: int) -> MultiForm:
-    """(f1*p1 + f2*p2)^n for the given pair, expanded with binomial coefficients."""
-    check_pair(pair)
-    _check_range("n", n, 0)
-    nums, den = _linear_pow_ints(f, n)
-    s = slot_index(pair, 1)
-    head, tail = ZERO_MONOMIAL[:s], ZERO_MONOMIAL[s + 2 :]
-    terms = {(*head, n - k, k, *tail): c for k, c in enumerate(nums) if c}
-    return MultiForm._raw({pair: n} if n else {}, terms, den)
 
 
 def exact_divide(numerator: BinaryForm, denominator: BinaryForm) -> BinaryForm:

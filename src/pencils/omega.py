@@ -15,11 +15,18 @@ omega^n = sum_k (-1)^k C(n,k) (d_p1 d_q2)^(n-k) (d_q1 d_p2)^k.
 
 The reference route is the textbook Omega-process construction (Olver,
 *Classical Invariant Theory*, ch. 5), written as its definition on sparse
-`MultiForm`s: `zeta_summand` multiplies out its brackets and linear
-powers, `zeta_image` sums the six signed summands, and `beta_chain` makes
-three passes of `omega` then `MultiForm.substituted`, each scaled by its
-`h_factor`.  It shares no kernel with the fused route, which the tests
-hold to it.
+`MultiForm`s, which live here with it.  A MultiForm is a multihomogeneous
+form over pairs named by single letters from `PAIRS`: pair ``"x"`` stands
+for the scalar variables x1, x2, and so on.  A monomial is its exponent
+tuple over the fixed ordering x1,x2,y1,y2,...,t1,t2 (`slot_index`), and a
+form keeps ``{exponent tuple: int numerator}`` over one positive
+denominator, reduced as a `BinaryForm`'s numerators are; `Fraction`s are
+built only at its public surface, `MultiForm(degrees, terms)` and `.terms`,
+which speak in those 14-slot tuples.  `zeta_summand` multiplies out its
+brackets and linear powers, `zeta_image` sums the six signed summands,
+and `beta_chain` makes three passes of `omega` then
+`MultiForm.substituted`, each scaled by its `h_factor`.  It shares no
+kernel with the fused route, which the tests hold to it.
 
 The fused route, `omega_chain` behind `verify_theta`, never builds the
 image.  Each summand is G(a, b) * H(c, e) over disjoint pairs, with
@@ -53,52 +60,269 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, perm
-from operator import mul
+from math import comb, factorial, gcd, lcm, perm
+from operator import add, mul
 
-from .errors import FormulaViolationError
-from .forms import (
-    BinaryForm,
-    LinearSymbol,
-    MultiForm,
-    _check_range,
-    _linear_pow_ints,
-    _monomial,
-    check_pair,
-    linear_power,
-    slot_index,
-)
+from .errors import DegreeMismatchError, FormulaViolationError
+from .forms import _SCALARS, BinaryForm, LinearSymbol, _check_range, _linear_pow_ints, to_fraction
 from .syzygy import _check_indices, _check_weight, theta
+
+PAIRS = ("x", "y", "z", "w", "u", "v", "t")
+_PAIR_INDEX = {pair: k for k, pair in enumerate(PAIRS)}
+_NSLOTS = 2 * len(PAIRS)
+ZERO_MONOMIAL = (0,) * _NSLOTS
+
+
+def _slot(pair: str) -> int:
+    """The flat slot of scalar variable 1 of `pair`; variable 2 sits in the next one."""
+    if pair not in _PAIR_INDEX:
+        raise ValueError(f"unknown variable pair {pair!r}; expected one of {PAIRS}")
+    return 2 * _PAIR_INDEX[pair]
+
+
+def _distinct_slots(pairs: tuple, repeated: str) -> list:
+    """`_slot` of each of `pairs`; raises ValueError(repeated) if a pair repeats."""
+    slots = [_slot(pair) for pair in pairs]
+    if len(set(slots)) != len(slots):
+        raise ValueError(repeated)
+    return slots
+
+
+def slot_index(pair: str, component: int) -> int:
+    """Flat slot of scalar variable `component` (1 or 2) of `pair`."""
+    slot = _slot(pair)
+    _check_range("component", component, 1, 2)
+    return slot + component - 1
+
+
+class MultiForm:
+    """Sparse multihomogeneous form over named variable pairs.
+
+    `degrees` declares the homogeneous degree in each active pair, and every
+    term must have it: the constructor refuses one that does not with
+    `DegreeMismatchError`.  A zero form keeps whatever degrees it was
+    declared with.  Equality compares the stored monomials only; the degree
+    declaration is metadata (two zero forms produced along different routes
+    always compare equal).
+
+    The form is stored as ``{exponent tuple: int numerator}`` over one
+    positive denominator `_den`, kept reduced so that
+    ``gcd(_den, *numerators) == 1`` and ``_den == 1`` for the zero form;
+    the stored pair is therefore canonical.
+    """
+
+    __slots__ = ("_degrees", "_terms", "_den")
+
+    def __init__(self, degrees: dict, terms: dict):
+        clean_deg = {}
+        for pair, n in degrees.items():
+            _slot(pair)
+            _check_range(f"degree of pair {pair!r}", n, 0)
+            if n:
+                clean_deg[pair] = n
+        fracs = {}
+        for mono, coeff in terms.items():
+            coeff = to_fraction(coeff)
+            if not coeff:
+                continue
+            mono = tuple(mono)
+            for e in mono:
+                _check_range("exponent", e)
+            if len(mono) != _NSLOTS or any(e < 0 for e in mono):
+                raise ValueError(f"bad exponent vector {mono!r}")
+            fracs[mono] = coeff
+        # Over the lcm of reduced denominators, gcd(den, *numerators) is 1.
+        den = lcm(*(c.denominator for c in fracs.values()))
+        clean_terms = {m: c.numerator * (den // c.denominator) for m, c in fracs.items()}
+        self._degrees = clean_deg
+        self._terms = clean_terms
+        self._den = den
+        if not self.is_homogeneous():
+            raise DegreeMismatchError(f"a term does not have the declared degrees {clean_deg}")
+
+    @classmethod
+    def _raw(cls, degrees: dict, terms: dict, den: int) -> "MultiForm":
+        # Internal fast path: `terms` maps exponent tuples to int numerators
+        # over den > 0 and becomes the form's own dict.  Zero numerators are
+        # deleted in place, which hashes no other key again.
+        for m in [m for m, c in terms.items() if not c]:
+            del terms[m]
+        if den != 1:
+            g = gcd(den, *terms.values())
+            if g != 1:
+                den //= g
+                terms = {m: c // g for m, c in terms.items()}
+        obj = object.__new__(cls)
+        obj._degrees = degrees
+        obj._terms = terms
+        obj._den = den
+        return obj
+
+    @classmethod
+    def constant(cls, value) -> "MultiForm":
+        value = to_fraction(value)
+        return cls._raw({}, {ZERO_MONOMIAL: value.numerator} if value else {}, value.denominator)
+
+    @property
+    def terms(self) -> dict:
+        """Exponent tuple -> Fraction coefficient map, built on each call."""
+        den = self._den
+        return {m: Fraction(c, den) for m, c in self._terms.items()}
+
+    @property
+    def degrees(self) -> dict:
+        """Declared degree per active pair.  Treat as read-only."""
+        return self._degrees
+
+    def degree(self, pair: str) -> int:
+        _slot(pair)
+        return self._degrees.get(pair, 0)
+
+    def is_zero(self) -> bool:
+        return not self._terms
+
+    def is_homogeneous(self) -> bool:
+        """Check every monomial against the declared multidegree."""
+        for mono in self._terms:
+            for k, pair in enumerate(PAIRS):
+                if mono[2 * k] + mono[2 * k + 1] != self._degrees.get(pair, 0):
+                    return False
+        return True
+
+    def _merged_add_degrees(self, other: "MultiForm") -> dict:
+        if self._degrees == other._degrees:
+            return dict(self._degrees)
+        if not self._terms:
+            return dict(other._degrees)
+        if not other._terms:
+            return dict(self._degrees)
+        raise DegreeMismatchError(
+            f"cannot add multidegrees {self._degrees} and {other._degrees}"
+        )
+
+    def __add__(self, other):
+        if not isinstance(other, MultiForm):
+            return NotImplemented
+        deg = self._merged_add_degrees(other)
+        den = lcm(self._den, other._den)
+        scale, other_scale = den // self._den, den // other._den
+        terms = {m: c * scale for m, c in self._terms.items()}
+        get = terms.get
+        for mono, coeff in other._terms.items():
+            terms[mono] = get(mono, 0) + coeff * other_scale
+        return MultiForm._raw(deg, terms, den)
+
+    def __sub__(self, other):
+        if not isinstance(other, MultiForm):
+            return NotImplemented
+        return self + (-other)
+
+    def __neg__(self):
+        terms = {m: -c for m, c in self._terms.items()}
+        return MultiForm._raw(dict(self._degrees), terms, self._den)
+
+    def __mul__(self, other):
+        if isinstance(other, _SCALARS):
+            q = to_fraction(other)  # refuses a bool
+            n = q.numerator
+            terms = {m: c * n for m, c in self._terms.items()}
+            return MultiForm._raw(dict(self._degrees), terms, self._den * q.denominator)
+        if not isinstance(other, MultiForm):
+            return NotImplemented
+        deg = dict(self._degrees)
+        for pair, n in other._degrees.items():
+            deg[pair] = deg.get(pair, 0) + n
+        out: dict = {}
+        get = out.get
+        inner = other._terms.items()
+        for m1, c1 in self._terms.items():
+            for m2, c2 in inner:
+                key = tuple(map(add, m1, m2))
+                out[key] = get(key, 0) + c1 * c2
+        return MultiForm._raw(deg, out, self._den * other._den)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, n: int):
+        _check_range("n", n, 0)
+        result = MultiForm.constant(1)
+        for _ in range(n):
+            result = result * self
+        return result
+
+    def substituted(self, from1: str, from2: str, to: str) -> "MultiForm":
+        """Replace both source pairs' variables by the target pair's.
+
+        The target pair must be distinct from the sources and not already
+        active.  Source pairs of degree zero substitute trivially.
+        """
+        repeated = "substitution pairs must be three distinct pairs"
+        sa, sb, st = _distinct_slots((from1, from2, to), repeated)
+        if to in self._degrees:
+            raise ValueError(f"target pair {to!r} is already active")
+        deg = dict(self._degrees)
+        merged_degree = deg.pop(from1, 0) + deg.pop(from2, 0)
+        if merged_degree:
+            deg[to] = merged_degree
+        out: dict = {}
+        get = out.get
+        for mono, coeff in self._terms.items():
+            key = list(mono)
+            key[sa] = key[sa + 1] = key[sb] = key[sb + 1] = 0
+            key[st], key[st + 1] = mono[sa] + mono[sb], mono[sa + 1] + mono[sb + 1]
+            key = tuple(key)
+            out[key] = get(key, 0) + coeff
+        return MultiForm._raw(deg, out, self._den)
+
+    def as_binary_form(self, pair: str) -> BinaryForm:
+        """Convert a form whose only active pair is `pair` to a BinaryForm.
+
+        Every term must be a monomial in that pair alone, of its declared
+        degree; any other term raises `DegreeMismatchError`.
+        """
+        s = _slot(pair)
+        stray = [p for p in self._degrees if p != pair]
+        if stray:
+            raise ValueError(f"form still involves pairs {stray}")
+        order = self._degrees.get(pair, 0)
+        head, tail = ZERO_MONOMIAL[:s], ZERO_MONOMIAL[s + 2 :]
+        nums = [0] * (order + 1)
+        for mono, coeff in self._terms.items():
+            k = mono[s + 1]
+            # Two terms that differ outside the pair would land on one k.
+            if mono != (*head, order - k, k, *tail):
+                raise DegreeMismatchError("form is not homogeneous of its declared degree")
+            nums[k] = coeff
+        return BinaryForm._raw(nums, self._den)
+
+    def __eq__(self, other):
+        if not isinstance(other, MultiForm):
+            return NotImplemented
+        return self._den == other._den and self._terms == other._terms
+
+    def __repr__(self):
+        return f"<MultiForm degrees={self._degrees} terms={len(self._terms)}>"
+
+
+def linear_power(f: LinearSymbol, pair: str, n: int) -> MultiForm:
+    """(f1*p1 + f2*p2)^n for the given pair, expanded with binomial coefficients."""
+    s = _slot(pair)
+    _check_range("n", n, 0)
+    nums, den = _linear_pow_ints(f, n)
+    head, tail = ZERO_MONOMIAL[:s], ZERO_MONOMIAL[s + 2 :]
+    terms = {(*head, n - k, k, *tail): c for k, c in enumerate(nums) if c}
+    return MultiForm._raw({pair: n} if n else {}, terms, den)
+
 
 DEFAULT_SYMBOL = LinearSymbol(1, 2)
 
 
 def bracket(pair1: str, pair2: str) -> MultiForm:
     """The determinant form p1*q2 - q1*p2 of two distinct pairs."""
-    check_pair(pair1)
-    check_pair(pair2)
-    if pair1 == pair2:
-        raise ValueError("bracket needs two distinct pairs")
-    plus = _monomial(slot_index(pair1, 1), slot_index(pair2, 2))
-    minus = _monomial(slot_index(pair2, 1), slot_index(pair1, 2))
-    return MultiForm._raw({pair1: 1, pair2: 1}, {plus: 1, minus: -1}, 1)
-
-
-def _check_operator(pair1: str, pair2: str, n: int) -> None:
-    check_pair(pair1)
-    check_pair(pair2)
-    if pair1 == pair2:
-        raise ValueError("operator needs two distinct pairs")
-    _check_range("n", n, 0)
-
-
-def _lowered_degrees(degrees: dict, pair1: str, pair2: str, n: int) -> dict:
-    deg = dict(degrees)
-    for pair in (pair1, pair2):
-        old = deg.pop(pair, 0)
-        if old > n:
-            deg[pair] = old - n
-    return deg
+    p, q = _distinct_slots((pair1, pair2), "bracket needs two distinct pairs")
+    plus, minus = [0] * _NSLOTS, [0] * _NSLOTS
+    plus[p] = plus[q + 1] = minus[q] = minus[p + 1] = 1
+    return MultiForm._raw({pair1: 1, pair2: 1}, {tuple(plus): 1, tuple(minus): -1}, 1)
 
 
 def _power_terms(p1: int, p2: int, q1: int, q2: int, n: int) -> list:
@@ -126,8 +350,8 @@ def omega(form: MultiForm, pair1: str, pair2: str, n: int = 1) -> MultiForm:
     power n above either degree gives the zero form; n = 0 returns the
     form unchanged.
     """
-    _check_operator(pair1, pair2, n)
-    a, b = slot_index(pair1, 1), slot_index(pair2, 1)
+    a, b = _distinct_slots((pair1, pair2), "operator needs two distinct pairs")
+    _check_range("n", n, 0)
     # A monomial's image depends only on its exponents p1, p2, q1, q2 in the
     # two pairs: `images` keeps, per such four, the new four and the integer
     # factor of each term.
@@ -148,7 +372,11 @@ def omega(form: MultiForm, pair1: str, pair2: str, n: int = 1) -> MultiForm:
             slots[a], slots[a + 1], slots[b], slots[b + 1] = new
             key = tuple(slots)
             out[key] = get(key, 0) + coeff * factor
-    deg = _lowered_degrees(form.degrees, pair1, pair2, n)
+    deg = dict(form._degrees)
+    for pair in (pair1, pair2):
+        old = deg.pop(pair, 0)
+        if old > n:
+            deg[pair] = old - n
     return MultiForm._raw(deg, out, form._den)
 
 

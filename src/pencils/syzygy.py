@@ -38,7 +38,8 @@ from .transvectant import _transvectants
 
 
 def _check_weight(d: int, r: int) -> None:
-    _check_range("d", d)
+    """3 <= r <= (d+1)/2, so d >= 5; a smaller d is named before r."""
+    _check_range("d", d, 5)
     _check_range("r", r, 3, (d + 1) // 2)
 
 

@@ -10,15 +10,16 @@ from math import factorial
 
 from pencils.angular import NineJArray, SurdSum, _delta_squared, _squarefree_split, _triangle_ok
 from pencils.errors import DegreeMismatchError, FormulaViolationError, NotDivisibleError
-from pencils.forms import (
-    BinaryForm,
-    LinearSymbol,
-    MultiForm,
+from pencils.forms import BinaryForm, LinearSymbol
+from pencils.omega import (
     ZERO_MONOMIAL,
+    MultiForm,
+    bracket,
+    h_factor,
     linear_power,
+    omega,
     slot_index,
 )
-from pencils.omega import bracket, h_factor, omega
 from pencils.syzygy import syzygy_table
 from pencils.transvectant import transvectant
 

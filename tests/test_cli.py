@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from pencils import BinaryForm, cli, theta
+from pencils import BinaryForm, cli, index_pairs, theta
 from pencils.cli import main
 
 
@@ -352,6 +352,27 @@ class TestInputCaps:
         assert captured.out == ""
         assert "error:" in captured.err and option in captured.err
 
+    # Each cap also holds at the slow corner of the other arguments, with
+    # full output: the top weight of the widest table, and the widest
+    # pencils with the largest coefficients in the most trials.
+    def test_syzygy_table_cap_at_top_weight(self, capsys):
+        d = cli.SYZYGY_TABLE_MAX_D
+        r = (d + 1) // 2
+        code, out, _ = run(capsys, "syzygy-table", "--d", str(d), "--r", str(r))
+        assert code == 0
+        keys = [line.split(" = ")[0] for line in out.splitlines()]
+        assert keys == [f"alpha[{i},{j}]" for i, j in index_pairs(r)]
+
+    def test_verify_caps_together(self, capsys):
+        d, trials = cli.PENCIL_MAX_D, cli.VERIFY_MAX_TRIALS
+        code, out, _ = run(
+            capsys, "verify", "--d", str(d), "--bound", str(cli.PENCIL_MAX_BOUND),
+            "--trials", str(trials),
+        )
+        assert code == 0
+        expected = [f"r={r}: {trials}/{trials} syzygies vanish" for r in range(3, (d + 1) // 2 + 1)]
+        assert out.splitlines() == expected
+
     # A refused value with more digits than its cap is named by its digit
     # count, not echoed in full.
     LONG = "9" * 3000
@@ -676,6 +697,8 @@ class TestDispatchContract:
              "r must be in 3..4, got 2"),
             (["syzygy-table", "--d", "7", "--r", "5"],
              "r must be in 3..4, got 5"),
+            (["syzygy-table", "--d", "4", "--r", "3"],
+             "d must be at least 5, got 4"),
             (["ninej-combinant", "--d", "7", "--r", "3", "--i", "3", "--j", "3"],
              "j must be in 1..1, got 3"),
         ],

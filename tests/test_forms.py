@@ -28,8 +28,8 @@ from pencils import (
     wigner3j,
     wigner6j,
 )
-from pencils.forms import PAIRS, linear_power, slot_index, to_fraction
-from pencils.omega import bracket
+from pencils.forms import to_fraction
+from pencils.omega import PAIRS, bracket, linear_power, slot_index
 
 from helpers import (
     exact_divide_by_fractions,
@@ -85,8 +85,19 @@ class TestRationalField:
             lambda: MultiForm({"x": 1}, {(1,) + (0,) * 13: False}),
             lambda: SurdSum({2: True}),
             lambda: SyzygyTable(5, 3, {(1, 1): True, (1, 2): 0, (2, 2): 0, (1, 3): 0}),
+            # A scalar `*` reads no bool as 0 or 1, on either side.
+            lambda: BinaryForm(2, [1, 2, 3]) * True,
+            lambda: False * BinaryForm(2, [1, 2, 3]),
+            lambda: MultiForm.constant(2) * True,
+            lambda: False * MultiForm.constant(2),
+            lambda: SurdSum.sqrt(2) * True,
+            lambda: False * SurdSum.sqrt(2),
         ],
-        ids=["to_fraction", "BinaryForm", "LinearSymbol", "MultiForm", "SurdSum", "SyzygyTable"],
+        ids=[
+            "to_fraction", "BinaryForm", "LinearSymbol", "MultiForm", "SurdSum", "SyzygyTable",
+            "BinaryForm-times-bool", "bool-times-BinaryForm", "MultiForm-times-bool",
+            "bool-times-MultiForm", "SurdSum-times-bool", "bool-times-SurdSum",
+        ],
     )
     def test_bools_rejected(self, build):
         with pytest.raises(TypeError, match="bool coefficients are not supported"):

@@ -393,6 +393,14 @@ class TestRangeChecks:
         with pytest.raises(ValueError, match=re.escape(message)):
             WEIGHT_ENTRY_POINTS[name](6, 4)
 
+    # Below d = 5 the range 3..(d+1)//2 of r is empty: whatever r is, the
+    # message names d, not an empty range of r.
+    @pytest.mark.parametrize("name", sorted(WEIGHT_ENTRY_POINTS))
+    @pytest.mark.parametrize("r", [3, 9])
+    def test_small_d_is_named_first(self, name, r):
+        with pytest.raises(ValueError, match=re.escape("d must be at least 5, got 4")):
+            WEIGHT_ENTRY_POINTS[name](4, r)
+
     @pytest.mark.parametrize("name", sorted(INDEX_ENTRY_POINTS))
     def test_one_index_message(self, name):
         message = "j must be in 1..2, got 3"

@@ -7,7 +7,23 @@ from pathlib import Path
 
 import pytest
 
+import pencils
+
 ROOT = Path(__file__).resolve().parents[1]
+
+# The public surface, in the order that the tracer and the CI listing read.
+PUBLIC = [
+    "AlgebraError", "BinaryForm", "CConstants", "DegeneratePencilError", "DegreeMismatchError",
+    "FormulaViolationError", "LinearSymbol", "MultiForm", "NineJArray", "NotDivisibleError",
+    "PAIRS", "ParseError", "Pencil", "PositivityCertificate", "SurdSum", "SyzygyTable",
+    "beta_chain", "c_aggregate", "c_constants", "combinant_9j_array", "combinant_sequence",
+    "evaluate_syzygy", "exact_divide", "form_from_dict", "form_to_dict", "format_form", "gamma",
+    "h_factor", "index_pairs", "membership_defect", "mu_factor", "ninej_magnetic_sum", "omega",
+    "omega_chain", "parse_form", "positivity_certificate", "random_form", "random_pencil",
+    "recover_combinant", "syzygy_space_dim", "syzygy_table", "table_from_dict", "table_to_dict",
+    "theta", "transvectant", "verify_theta", "wigner3j", "wigner6j", "wigner9j", "wronskian",
+    "zeta_image",
+]
 
 # Import the tracer and install it; then report the public functions, how
 # many of them it rebound, and the per-layer metrics none of whose spans
@@ -61,3 +77,8 @@ def test_install_rebinds_every_public_function(installed):
 def test_every_layer_names_a_traced_function(installed):
     # A per-layer metric none of whose spans is traced reads 0.
     assert installed["dead"] == []
+
+
+def test_public_surface_is_pinned():
+    assert len(PUBLIC) == 51
+    assert pencils.__all__ == PUBLIC
