@@ -63,7 +63,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, gcd, lcm
 
-from .forms import _LONG, _check_range, _shown, to_fraction
+from .forms import _check_range, _shown, to_fraction
 from .syzygy import _check_indices
 
 
@@ -103,7 +103,7 @@ class SurdSum:
         for radicand, coeff in (terms or {}).items():
             # Never read through int(): 2.5 would become 2 and "3" would parse.
             if type(radicand) is not int:
-                raise TypeError(f"radicands must be ints, got {radicand!r}")
+                raise TypeError(f"radicands must be ints, got {_shown(radicand)}")
             coeff = to_fraction(coeff)
             if not coeff:
                 continue
@@ -113,7 +113,7 @@ class SurdSum:
             sums[rad] = sums.get(rad, 0) + coeff * outer
         left = sorted(rad for rad, coeff in sums.items() if coeff)
         if len(left) > 1:
-            raise ValueError(f"a SurdSum holds one radicand, got {left}")
+            raise ValueError(f"a SurdSum holds one radicand, got {_shown(left)}")
         self._coeff, self._rad = (sums[left[0]], left[0]) if left else (_ZERO, 1)
 
     @classmethod
@@ -165,7 +165,8 @@ class SurdSum:
             return self
         if not self._coeff:
             return other
-        raise ValueError(f"cannot add surds of radicands {self._rad} and {other._rad}")
+        radicands = f"{_shown(self._rad)} and {_shown(other._rad)}"
+        raise ValueError(f"cannot add surds of radicands {radicands}")
 
     __radd__ = __add__
 
@@ -328,7 +329,7 @@ def wigner3j(tj1: int, tj2: int, tj3: int, tm1: int, tm2: int, tm3: int) -> Surd
         _check_range(f"tm{k}", tm)
         if (tj + tm) % 2:
             raise ValueError(
-                f"non-physical parity: 2j={_shown(tj, _LONG)} and 2m={_shown(tm, _LONG)} differ mod 2"
+                f"non-physical parity: 2j={_shown(tj)} and 2m={_shown(tm)} differ mod 2"
             )
     return _wigner3j_tw(tj1, tj2, tj3, tm1, tm2, tm3)
 
@@ -417,7 +418,7 @@ class NineJArray:
         entries = (a, b, c, d, e, f, g, h, i)
         for v in entries:
             if type(v) is not int:
-                raise TypeError(f"array entries must be ints, got {v!r}")
+                raise TypeError(f"array entries must be ints, got {_shown(v)}")
         if min(entries) < 0:
             raise ValueError("array entries must be nonnegative")
         obj = object.__new__(cls)

@@ -89,15 +89,13 @@ def _int(text: str) -> int:
             return int(text)
         except ValueError:  # more digits than int() reads
             pass
-    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    raise argparse.ArgumentTypeError(f"invalid int value: {_shown(text)}")
 
 
 def _check_cap(parser, args, option, cap):
     value = getattr(args, option[2:])
     if value > cap:
-        parser.error(
-            f"{option} must be at most {cap} for {args.command}, got {_shown(value, cap)}"
-        )
+        parser.error(f"{option} must be at most {cap} for {args.command}, got {_shown(value)}")
 
 
 def _bits(values) -> int:
@@ -204,7 +202,7 @@ def _check_pencil_caps(args, parser):
 
 def _cmd_verify(args, parser):
     if args.trials < 1:
-        parser.error(f"--trials must be at least 1, got {args.trials}")
+        parser.error(f"--trials must be at least 1, got {_shown(args.trials)}")
     _check_pencil_caps(args, parser)
     _check_cap(parser, args, "--trials", VERIFY_MAX_TRIALS)
     d = args.d
@@ -213,7 +211,7 @@ def _cmd_verify(args, parser):
     else:
         r_values = list(range(3, (d + 1) // 2 + 1))
         if not r_values:
-            parser.error(f"no valid weight indices for d={d}")
+            parser.error(f"no valid weight indices for d={_shown(d)}")
     # The pencils depend only on the trial; each one, with the combinants it
     # keeps, serves every weight.
     good = dict.fromkeys(r_values, 0)
@@ -304,13 +302,10 @@ def _parse_twice_j(text, parser):
         parser.error("--twice-j entries must be integers")
     low, high = min(values), max(values)
     if low < 0:
-        parser.error(
-            f"--twice-j entries must be nonnegative, got {_shown(low, NINEJ_MAX_TWICE_J)}"
-        )
+        parser.error(f"--twice-j entries must be nonnegative, got {_shown(low)}")
     if high > NINEJ_MAX_TWICE_J:
         parser.error(
-            f"--twice-j entries must be at most {NINEJ_MAX_TWICE_J} for ninej, "
-            f"got {_shown(high, NINEJ_MAX_TWICE_J)}"
+            f"--twice-j entries must be at most {NINEJ_MAX_TWICE_J} for ninej, got {_shown(high)}"
         )
     return NineJArray.from_twice([values[0:3], values[3:6], values[6:9]])
 

@@ -13,8 +13,11 @@ The sparse forms over several pairs of the textbook reference route live
 with that route, in `omega`.
 
 Every size and index argument in the package passes `_check_range`: a
-non-int or a bool raises TypeError, a value out of range ValueError, and a
-long value is named by its digit count.
+non-int or a bool raises TypeError, and a value out of range ValueError.
+Every error line of the package names a refused value by one rule,
+`_shown`: an int in full up to 20 digits, else by its exact digit count;
+any other value by its repr if that prints within 40 characters, else by
+its type (a str also by its length).  So no message echoes a long value.
 
 All coefficients are exact rationals, so every operation is exact and
 equality is decisive.  Values are immutable once constructed; operations
@@ -32,39 +35,44 @@ from .errors import DegreeMismatchError, NotDivisibleError
 _SCALARS = (int, Fraction)
 
 
-def _shown(value: int, cap: int) -> str:
-    """`value` for an error line, or its digit count once it has more digits than `cap`."""
-    digits = len(str(abs(value)))
-    if digits <= len(str(cap)):
-        return str(value)
-    return f"a {'negative ' if value < 0 else ''}number of {digits} digits"
+_SHORT_INT = 10**20  # ints below it in magnitude are named in full
+_SHORT_REPR = 40  # the longest repr of any other value that is named in full
 
 
-_LONG = 10**20 - 1  # the widest number an error line names in full
-_LONG_REPR = 40  # the longest repr of a non-int that an error line shows
+def _shown(value) -> str:
+    """`value` as an error line names it, by the rule of the module docstring."""
+    if isinstance(value, int):
+        n = abs(value)
+        if n < _SHORT_INT:
+            return str(value)
+        # At most two below the digit count, which str() refuses past 4,300 digits.
+        digits = int((n.bit_length() - 1) * math.log10(2))
+        while n >= 10**digits:
+            digits += 1
+        return f"a {'negative ' if value < 0 else ''}number of {digits} digits"
+    try:
+        if len(shown := repr(value)) <= _SHORT_REPR:
+            return shown
+    except ValueError:  # it holds an int of more digits than Python prints
+        pass
+    if isinstance(value, str):
+        return f"a str of {len(value)} characters"
+    return f"a value of type {type(value).__name__}"
 
 
 def _check_range(name: str, value, low: int | None = None, high: int | None = None) -> None:
     """Refuse `value` unless it is an int, not a bool, in low..high.
 
     A non-int or a bool raises TypeError; a value below `low` or above
-    `high` raises ValueError.  Without `low` only the type is checked.  The
-    message names the value by its digit count once it has more digits
-    than `high` (than 20 digits where there is no `high`), and a bound once
-    it has more than 20; a non-int whose repr is longer than 40 characters
-    is named by its type alone.
+    `high` raises ValueError.  Without `low` only the type is checked.
     """
     if not isinstance(value, int) or isinstance(value, bool):
-        shown = repr(value)
-        if len(shown) > _LONG_REPR:
-            shown = f"a value of type {type(value).__name__}"
-        raise TypeError(f"{name} must be an int, got {shown}")
+        raise TypeError(f"{name} must be an int, got {_shown(value)}")
     if low is None or low <= value and (high is None or value <= high):
         return
     if high is None:
-        raise ValueError(f"{name} must be at least {_shown(low, _LONG)}, got {_shown(value, _LONG)}")
-    span = f"{_shown(low, _LONG)}..{_shown(high, _LONG)}"
-    raise ValueError(f"{name} must be in {span}, got {_shown(value, min(abs(high), _LONG))}")
+        raise ValueError(f"{name} must be at least {_shown(low)}, got {_shown(value)}")
+    raise ValueError(f"{name} must be in {_shown(low)}..{_shown(high)}, got {_shown(value)}")
 
 
 # The one accepted spelling of an unsigned rational in text: digits[/digits],
@@ -89,15 +97,15 @@ def to_fraction(value) -> Fraction:
             "floating-point coefficients are not supported; use Fraction or 'p/q'"
         )
     if isinstance(value, bool):
-        raise TypeError(f"bool coefficients are not supported, got {value!r}")
+        raise TypeError(f"bool coefficients are not supported, got {_shown(value)}")
     if not isinstance(value, str):
         return Fraction(value)
     if not _RATIONAL.fullmatch(value):
-        raise ValueError(f"expected an integer or 'p/q' rational, got {value!r}")
+        raise ValueError(f"expected an integer or 'p/q' rational, got {_shown(value)}")
     try:
         return Fraction(value)
     except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {value!r}") from None
+        raise ValueError(f"zero denominator in {_shown(value)}") from None
     except ValueError:  # more digits than int() reads, sys.get_int_max_str_digits()
         raise ValueError(f"numeral of {len(value)} characters is too long") from None
 
@@ -129,7 +137,7 @@ class LinearSymbol:
         """Parse 'a,b' with rational components, e.g. '1,2' or '1/2,-3'."""
         parts = text.split(",")
         if len(parts) != 2:
-            raise ValueError(f"expected two comma-separated rationals, got {text!r}")
+            raise ValueError(f"expected two comma-separated rationals, got {_shown(text)}")
         return cls(parts[0].strip(), parts[1].strip())
 
     def __eq__(self, other):
@@ -162,7 +170,7 @@ class BinaryForm:
         coeffs = [to_fraction(c) for c in coeffs]
         if len(coeffs) != order + 1:
             raise DegreeMismatchError(
-                f"order {_shown(order, _LONG)} needs {_shown(order + 1, _LONG)} coefficients, "
+                f"order {_shown(order)} needs {_shown(order + 1)} coefficients, "
                 f"got {len(coeffs)}"
             )
         # Over the lcm of reduced denominators, gcd(den, *numerators) is 1.

@@ -64,7 +64,9 @@ from math import comb, factorial, gcd, lcm, perm
 from operator import add, mul
 
 from .errors import DegreeMismatchError, FormulaViolationError
-from .forms import _SCALARS, BinaryForm, LinearSymbol, _check_range, _linear_pow_ints, to_fraction
+from .forms import (
+    _SCALARS, BinaryForm, LinearSymbol, _check_range, _linear_pow_ints, _shown, to_fraction
+)
 from .syzygy import _check_indices, _check_weight, theta
 
 PAIRS = ("x", "y", "z", "w", "u", "v", "t")
@@ -76,7 +78,7 @@ ZERO_MONOMIAL = (0,) * _NSLOTS
 def _slot(pair: str) -> int:
     """The flat slot of scalar variable 1 of `pair`; variable 2 sits in the next one."""
     if pair not in _PAIR_INDEX:
-        raise ValueError(f"unknown variable pair {pair!r}; expected one of {PAIRS}")
+        raise ValueError(f"unknown variable pair {_shown(pair)}; expected one of {PAIRS}")
     return 2 * _PAIR_INDEX[pair]
 
 
@@ -117,7 +119,7 @@ class MultiForm:
         clean_deg = {}
         for pair, n in degrees.items():
             _slot(pair)
-            _check_range(f"degree of pair {pair!r}", n, 0)
+            _check_range(f"degree of pair {_shown(pair)}", n, 0)
             if n:
                 clean_deg[pair] = n
         fracs = {}
@@ -126,10 +128,12 @@ class MultiForm:
             if not coeff:
                 continue
             mono = tuple(mono)
+            # A full vector's repr is too long to show, so its negative entry is named.
+            full = len(mono) == _NSLOTS
             for e in mono:
-                _check_range("exponent", e)
-            if len(mono) != _NSLOTS or any(e < 0 for e in mono):
-                raise ValueError(f"bad exponent vector {mono!r}")
+                _check_range("exponent", e, 0 if full else None)
+            if not full:
+                raise ValueError(f"bad exponent vector {_shown(mono)}")
             fracs[mono] = coeff
         # Over the lcm of reduced denominators, gcd(den, *numerators) is 1.
         den = lcm(*(c.denominator for c in fracs.values()))
@@ -259,7 +263,7 @@ class MultiForm:
         repeated = "substitution pairs must be three distinct pairs"
         sa, sb, st = _distinct_slots((from1, from2, to), repeated)
         if to in self._degrees:
-            raise ValueError(f"target pair {to!r} is already active")
+            raise ValueError(f"target pair {_shown(to)} is already active")
         deg = dict(self._degrees)
         merged_degree = deg.pop(from1, 0) + deg.pop(from2, 0)
         if merged_degree:
@@ -444,7 +448,7 @@ def zeta_summand(
     """
     pairs = (pair_a, pair_b, pair_c, pair_e)
     if len(set(pairs)) != 4:
-        raise ValueError(f"a zeta summand needs four distinct pairs, got {pairs}")
+        raise ValueError(f"a zeta summand needs four distinct pairs, got {_shown(pairs)}")
     e = d - 2 * r + 1
     # Grouped as G(a, b) * H(c, e), the factors of the module docstring, so
     # that only the last product is large.
@@ -478,7 +482,7 @@ def beta_chain(q_form: MultiForm, d: int, r: int, i: int, j: int) -> BinaryForm:
     for pair in ("x", "y", "z", "w"):
         if q_form.degree(pair) != d:
             raise ValueError(
-                f"input must have degree {d} in pair {pair!r}, got {q_form.degree(pair)}"
+                f"input must have degree {d} in pair {_shown(pair)}, got {q_form.degree(pair)}"
             )
     n, m, q3 = 2 * i - 1, 2 * j - 1, 2 * (r - i - j + 1)
     out = omega(q_form, "x", "y", n).substituted("x", "y", "u") * h_factor(d, d, n)
@@ -495,7 +499,11 @@ def _stage_three_matrix(out: list, den: int, d: int, r: int, i: int, j: int) -> 
     """
     q3 = 2 * (r - i - j + 1)
     du, dv = 2 * (d - 2 * i + 1), 2 * (d - 2 * j + 1)
-    nums = _pair_contracted(out, _weights(du, dv, q3), q3)
+    nums = [0] * (du + dv - 2 * q3 + 1)
+    for s, (row, w_row) in enumerate(zip(out, _weights(du, dv, q3))):
+        for t, (c, weight) in enumerate(zip(row, w_row)):
+            if c and weight:
+                nums[s + t - q3] += c * weight
     h = h_factor(d, d, 2 * i - 1) * h_factor(d, d, 2 * j - 1) * h_factor(du, dv, q3)
     return BinaryForm._raw([c * h.numerator for c in nums], den * h.denominator)
 
@@ -523,18 +531,6 @@ def _weights(dp: int, dq: int, n: int) -> tuple:
             row = rows[k]
             row[lo:hi] = [c + x * y for c, y in zip(row[lo:hi], right)]
     return tuple(map(tuple, rows))
-
-
-def _pair_contracted(m: list, w: tuple, n: int) -> list:
-    """v[s]: the numerator of t1^(dp+dq-2n-s) t2^s after omega^n and the merge
-    into t of the form over p and q whose numerators m[k][l] sit where
-    w = `_weights(dp, dq, n)` puts its cells."""
-    v = [0] * (len(w) + len(w[0]) - 2 * n - 1)
-    for k, (row, w_row) in enumerate(zip(m, w)):
-        for l, (c, weight) in enumerate(zip(row, w_row)):
-            if c and weight:
-                v[k + l - n] += c * weight
-    return v
 
 
 def _contracted(p: list, q: list, w: tuple, n: int, size: int) -> list:

@@ -24,7 +24,7 @@ import re
 from fractions import Fraction
 
 from .errors import ParseError
-from .forms import RATIONAL, BinaryForm, to_fraction
+from .forms import RATIONAL, BinaryForm, _shown, to_fraction
 
 # Largest order `parse_form` accepts.  The coefficient list is allocated
 # from the first term's degree, so a larger degree is refused before that.
@@ -79,7 +79,7 @@ def parse_coeffs(text: str) -> list[Fraction]:
     """
     pos = _TOKENS.match(text).end()
     if pos < len(text):
-        raise ParseError(f"unexpected character {text[pos]!r}", pos)
+        raise ParseError(f"unexpected character {_shown(text[pos])}", pos)
     if not text.strip():
         raise ParseError("empty expression", 0)
     terms = []
@@ -100,12 +100,14 @@ def parse_coeffs(text: str) -> list[Fraction]:
             _refuse(text, pos, term)
     order = terms[0][1] + terms[0][2]
     if order > MAX_ORDER:
-        raise ParseError(f"degree {order} exceeds the largest order {MAX_ORDER}", terms[0][4])
+        message = f"degree {_shown(order)} exceeds the largest order {MAX_ORDER}"
+        raise ParseError(message, terms[0][4])
     coeffs = [Fraction(0)] * (order + 1)
     for coef, e1, e2, source, pos in terms:
         if e1 + e2 != order:
             raise ParseError(
-                f"inhomogeneous term '{source}': degree {e1 + e2} differs from {order}",
+                f"inhomogeneous term {_shown(source)}: "
+                f"degree {_shown(e1 + e2)} differs from {order}",
                 pos,
             )
         coeffs[e2] += coef

@@ -63,8 +63,6 @@ def theta(d: int, r: int, i: int, j: int) -> Fraction:
     Symmetric in i and j; i > j is allowed.
     """
     _check_indices(d, r, i, j)
-    assert d - 2 * i + 1 >= 0 and d - 2 * j + 1 >= 0
-    assert 2 * r - 2 * i - 2 * j + 2 >= 0
     head = 2 * d * i + 2 * d * j - d * r - 2 * i * i - 2 * j * j - 2 * d + 3 * i + 3 * j - 2
     n1 = (
         head

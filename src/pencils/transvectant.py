@@ -163,8 +163,9 @@ def _transvectants(forms, sums) -> list:
     unchecked.
 
     The one pack width is the largest of the terms' output bounds, and a
-    sum whose weighted bound needs more unpacks from wider slots, so every
-    unpack is exact; a term (a, a, q) pairs s with q-s in `_product_sum`.
+    sum of several terms is re-laid in slots of that width or of the wider
+    one its weighted bound needs, so every unpack is exact; a term (a, a, q)
+    pairs s with q-s in `_product_sum`.
     """
     orders = defaultdict(set)
     for terms in sums:
@@ -200,11 +201,7 @@ def _transvectants(forms, sums) -> list:
         lcm = math.lcm(*dens)
         weights = [p * (lcm // den) for (_, _, _, p, _), den in zip(terms, dens)]
         wide = sum(abs(c) * x for c, x in zip(weights, term_bounds))
-        wb = (wide.bit_length() + 8) // 8
-        if wb <= kb:
-            total = sum(c * x for c, x in zip(weights, products))
-            results.append((_slots(total, kb, width), lcm))
-            continue
+        wb = max(kb, (wide.bit_length() + 8) // 8)
         half = 1 << (8 * kb - 1)
         offset = int.from_bytes(half.to_bytes(kb, "little") * width, "little")
         total = 0

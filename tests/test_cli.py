@@ -103,6 +103,27 @@ class TestTransvect:
         assert out == ""
         assert err == "error: numeral of 4301 characters is too long\n"
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"order": %s, "coeffs": [1]}' % ("9" * 3000),
+             "'coeffs' must be a list of a number of 3001 digits entries"),
+            (json.dumps({"order": 0, "coeffs": [list(range(1500))]}),
+             "coefficients must be integers or 'p/q' strings, got a value of type list"),
+            (json.dumps({"order": 0, "coeffs": ["x" * 3000]}),
+             "expected an integer or 'p/q' rational, got a str of 3000 characters"),
+        ],
+        ids=["long-order", "list-coefficient", "long-string-coefficient"],
+    )
+    def test_long_json_value_is_named_in_one_short_line(self, capsys, tmp_path, text, message):
+        path = tmp_path / "f.json"
+        path.write_text(text)
+        code, out, err = run(capsys, "transvect", str(path), "--expr", "x2", "--q", "0")
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
+        assert len(err) < 120
+
 
 class TestCombinants:
     def test_json_array(self, capsys):
@@ -373,9 +394,11 @@ class TestInputCaps:
         expected = [f"r={r}: {trials}/{trials} syzygies vanish" for r in range(3, (d + 1) // 2 + 1)]
         assert out.splitlines() == expected
 
-    # A refused value with more digits than its cap is named by its digit
-    # count, not echoed in full.
+    # A refused int of more than 20 digits is named by its digit count, and
+    # a refused text of more than 40 characters by its length, not echoed in
+    # full; a shorter value is echoed whatever the cap.
     LONG = "9" * 3000
+    EXPONENT = "1" * 4000
 
     @pytest.mark.parametrize(
         "argv, message",
@@ -394,8 +417,22 @@ class TestInputCaps:
              "r must be in 3..4, got a number of 3000 digits"),
             (["oracle-theta", "--d", "7", "--r", "3", "--i", LONG, "--j", "1"],
              "i must be in 1..3, got a number of 3000 digits"),
+            (["oracle-theta", "--r", "3", "--i", "1", "--j", "1", "--d", "1000"],
+             "--d must be at most 36 for oracle-theta, got 1000"),
+            (["oracle-theta", "--d", "7", "--r", "3", "--i", "1", "--j", "1", "--f",
+              "1," + "x" * 3000],
+             "expected an integer or 'p/q' rational, got a str of 3000 characters"),
+            (["oracle-theta", "--d", "7", "--r", "3", "--i", "1", "--j", "1", "--f",
+              ",".join(["1"] * 1500)],
+             "expected two comma-separated rationals, got a str of 2999 characters"),
+            (["transvect", "--expr", f"x1^{EXPONENT}", "--expr", "x2", "--q", "0"],
+             "degree a number of 4000 digits exceeds the largest order 10000 (at position 0)"),
+            (["transvect", "--expr", f"x1^2 + x1^{EXPONENT}", "--expr", "x2", "--q", "0"],
+             "inhomogeneous term a str of 4003 characters: degree a number of 4000 digits "
+             "differs from 2 (at position 5)"),
         ],
-        ids=["d", "trials", "twice-j", "twice-j-negative", "q", "r", "i"],
+        ids=["d", "trials", "twice-j", "twice-j-negative", "q", "r", "i", "d-mid-length",
+             "f-long-part", "f-many-parts", "expr-degree", "expr-inhomogeneous"],
     )
     def test_long_refused_value_is_named_by_digit_count(self, capsys, argv, message):
         # A capped option is refused by the parser, a range by the library.
@@ -650,6 +687,22 @@ class TestIntegerOptions:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"error: argument {option}: invalid int value: {bad!r}" in captured.err
+
+    @pytest.mark.parametrize("command,option", OPTIONS)
+    @pytest.mark.parametrize("bad", ["9" * 5000, "x" * 3000], ids=["5000-digits", "3000-letters"])
+    def test_long_spellings_are_refused_in_one_short_line(self, capsys, command, option, bad):
+        # Past Python's 4,300-digit limit int() refuses the digits, so both
+        # spellings reach the reader's refusal, which names them by length.
+        argv = list(self.VALID[command])
+        argv[argv.index(option) + 1] = bad
+        with pytest.raises(SystemExit) as info:
+            main([command, *argv])
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        last = captured.err.splitlines()[-1]
+        assert last.endswith(f"error: argument {option}: invalid int value: a str of {len(bad)} characters")
+        assert len(last) < 120
 
 
 class TestNinejCombinant:

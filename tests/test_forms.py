@@ -1,7 +1,9 @@
 """Core exact-algebra contracts: rationals, BinaryForm, MultiForm, division."""
+import ast
 import itertools
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -12,6 +14,7 @@ from pencils import (
     DegreeMismatchError,
     LinearSymbol,
     MultiForm,
+    NineJArray,
     NotDivisibleError,
     SurdSum,
     SyzygyTable,
@@ -23,12 +26,13 @@ from pencils import (
     random_form,
     random_pencil,
     syzygy_space_dim,
+    table_from_dict,
     theta,
     transvectant,
     wigner3j,
     wigner6j,
 )
-from pencils.forms import to_fraction
+from pencils.forms import _shown, to_fraction
 from pencils.omega import PAIRS, bracket, linear_power, slot_index
 
 from helpers import (
@@ -785,6 +789,85 @@ def test_other_refusals_name_long_values_by_digit_count(build):
 def test_long_non_int_is_named_by_its_type():
     with pytest.raises(TypeError) as info:
         index_pairs("9" * 3000)
-    assert str(info.value) == "r must be an int, got a value of type str"
+    assert str(info.value) == "r must be an int, got a str of 3000 characters"
+    with pytest.raises(TypeError) as info:
+        index_pairs([9] * 3000)
+    assert str(info.value) == "r must be an int, got a value of type list"
     with pytest.raises(TypeError, match=re.escape("r must be an int, got '99'")):
         index_pairs("99")
+
+
+HUGE = 10**5000  # past the 4,300 digits that str() prints
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        pytest.param(lambda: h_factor(3, 3, HUGE), id="h-factor-q"),
+        pytest.param(lambda: index_pairs(-HUGE), id="index-pairs"),
+        pytest.param(lambda: BinaryForm(HUGE, [1]), id="coefficient-count"),
+    ],
+)
+def test_values_past_the_print_limit_are_named_by_digit_count(build):
+    with pytest.raises(ValueError) as info:
+        build()
+    assert "number of 5001 digits" in str(info.value)
+    assert len(str(info.value)) < 120
+
+
+def test_non_int_past_the_print_limit_is_a_type_error():
+    # Its repr cannot be printed, so it is named by its type.
+    with pytest.raises(TypeError, match="^r must be an int, got a value of type Fraction$"):
+        index_pairs(Fraction(HUGE, 3))
+
+
+# Refusals of a long text outside the range check, each named by its length.
+@pytest.mark.parametrize(
+    "build, error",
+    [
+        pytest.param(
+            lambda: table_from_dict({"d": 7, "r": "9" * 3000, "alphas": {}}), ValueError,
+            id="table-r",
+        ),
+        pytest.param(lambda: LinearSymbol.parse("x" * 3000), ValueError, id="linear-symbol"),
+        pytest.param(lambda: SurdSum({"9" * 3000: 1}), TypeError, id="surd-radicand"),
+        pytest.param(
+            lambda: NineJArray.from_twice([[1, 2, 3], [4, 5, 6], [7, 8, "9" * 3000]]), TypeError,
+            id="ninej-entry",
+        ),
+    ],
+)
+def test_long_text_is_named_by_its_length(build, error):
+    with pytest.raises(error) as info:
+        build()
+    assert str(info.value).endswith("a str of 3000 characters")
+    assert len(str(info.value)) < 120
+
+
+def test_negative_exponent_of_a_full_vector_is_named():
+    # A full exponent vector's repr is longer than an error line shows.
+    with pytest.raises(ValueError, match="^exponent must be at least 0, got -1$"):
+        MultiForm({}, {(0,) * 13 + (-1,): 1})
+    with pytest.raises(ValueError, match=re.escape("bad exponent vector (-1, 2)")):
+        MultiForm({}, {(-1, 2): 1})
+
+
+def test_digit_count_is_exact():
+    assert _shown(10**100000) == "a number of 100001 digits"
+    assert _shown(1 - 10**100000) == "a negative number of 100000 digits"
+    for k in (20, 21, 300, 4300, 4301):
+        for n in (10**k - 1, 10**k):
+            digits = k + (n == 10**k)
+            assert _shown(n) == (str(n) if digits <= 20 else f"a number of {digits} digits")
+
+
+def test_no_error_text_uses_the_repr_conversion():
+    # A refused value reaches an error line only through `forms._shown`.
+    source = Path(__file__).resolve().parents[1] / "src" / "pencils"
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(source.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.FormattedValue) and node.conversion == ord("r")
+    ]
+    assert found == []

@@ -381,9 +381,7 @@ class TestBetaChain:
         def fused_kernel(*args):
             raise AssertionError("the reference route reached a fused-chain kernel")
 
-        for name in (
-            "_weights", "_pair_contracted", "_stage_three_matrix", "_factor_terms", "_contracted"
-        ):
+        for name in ("_weights", "_stage_three_matrix", "_factor_terms", "_contracted"):
             monkeypatch.setattr(omega_module, name, fused_kernel)
         d, r = 7, 3
         image = zeta_image(d, r, f)

@@ -315,6 +315,8 @@ _SQUARE = ([[5, -7, 2], [-3, 0, 11]], [4, 9])
 
 @settings(max_examples=120, deadline=None)
 @given(_weighted_sums())
+# The weighted bounds of the next two examples' sums fit the call's
+# two-byte slots, so each re-layout keeps the width and is a plain copy.
 @example((*_SQUARE, [[(0, 1, 1, 1, 1), (1, 0, 1, 1, 1)]]))
 @example((*_SQUARE, [[(0, 1, 1, 1, 1), (0, 0, 1, 1, 1)], [(0, 1, 0, 1, 1), (1, 1, 0, -1, 2)]]))
 @example((*_SQUARE, [[(0, 0, 2, _WEIGHT_MAX, 3), (1, 1, 2, -_WEIGHT_MAX + 1, 1), (0, 1, 2, 7, _WEIGHT_MAX)]]))
