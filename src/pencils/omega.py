@@ -97,6 +97,11 @@ def slot_index(pair: str, component: int) -> int:
     return slot + component - 1
 
 
+def _shown_degrees(degrees: dict) -> str:
+    """A degree declaration as an error line names it: each degree by `_shown`."""
+    return "{" + ", ".join(f"{_shown(pair)}: {_shown(n)}" for pair, n in degrees.items()) + "}"
+
+
 class MultiForm:
     """Sparse multihomogeneous form over named variable pairs.
 
@@ -142,7 +147,9 @@ class MultiForm:
         self._terms = clean_terms
         self._den = den
         if not self.is_homogeneous():
-            raise DegreeMismatchError(f"a term does not have the declared degrees {clean_deg}")
+            raise DegreeMismatchError(
+                f"a term does not have the declared degrees {_shown_degrees(clean_deg)}"
+            )
 
     @classmethod
     def _raw(cls, degrees: dict, terms: dict, den: int) -> "MultiForm":
@@ -201,7 +208,8 @@ class MultiForm:
         if not other._terms:
             return dict(self._degrees)
         raise DegreeMismatchError(
-            f"cannot add multidegrees {self._degrees} and {other._degrees}"
+            f"cannot add multidegrees {_shown_degrees(self._degrees)} and "
+            f"{_shown_degrees(other._degrees)}"
         )
 
     def __add__(self, other):

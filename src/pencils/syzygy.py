@@ -8,7 +8,9 @@ vanishing combination
 quantified over 1 <= i <= j <= r with i+j <= r+1.  The coefficients come
 from the explicit `theta` formula below; since the (1, r) term is
 C_1 * C_{2r-1} up to the positive factor alpha_{1,r}, the identity recovers
-C_{2r-1} from the earlier combinants by one exact division.
+C_{2r-1} from the earlier combinants by one exact division.  A table is one
+integer pass over that formula: one list of factorials, the factors every
+entry shares formed once, and one `Fraction` per entry.
 
 Both run in integers.  Each combinant, and each transvectant of two of
 them, is a form of integer numerators over one denominator.  The whole sum
@@ -29,7 +31,9 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import lru_cache
 from fractions import Fraction
+from itertools import accumulate
 from math import factorial
+from operator import mul
 
 from .combinant import Pencil
 from .errors import FormulaViolationError
@@ -63,26 +67,32 @@ def theta(d: int, r: int, i: int, j: int) -> Fraction:
     Symmetric in i and j; i > j is allowed.
     """
     _check_indices(d, r, i, j)
-    head = 2 * d * i + 2 * d * j - d * r - 2 * i * i - 2 * j * j - 2 * d + 3 * i + 3 * j - 2
-    n1 = (
-        head
-        * factorial(d)
-        * factorial(d - 1)
-        * factorial(2 * r - 1)
-        * factorial(2 * d - 4 * i + 3)
-        * factorial(2 * d - 4 * j + 3)
-    )
-    n2 = (
-        factorial(2 * i - 1)
-        * factorial(2 * j - 1)
-        * factorial(d - 2 * i + 1)
-        * factorial(d - 2 * j + 1)
-        * factorial(2 * d - 2 * i + 2)
-        * factorial(2 * d - 2 * j + 2)
-        * factorial(2 * r - 2 * i - 2 * j + 2)
-    )
-    delta = int(i == 1 and j == r) + int(i == r and j == 1)
-    return Fraction(delta) - 8 * Fraction(n1, n2)
+    ((num, den),) = _theta_ratios(d, r, ((i, j),), factorial)
+    return Fraction(num, den)
+
+
+def _theta_ratios(d: int, r: int, pairs, fact):
+    """`theta(d, r, i, j)` for each (i, j) of `pairs`, as an unreduced
+    (numerator, denominator) pair of ints, with fact(n) = n!; unchecked.
+
+    The one implementation of the formula: 8 d! (d-1)! (2r-1)! is shared by
+    every pair, so it is formed once.
+    """
+    shared = 8 * fact(d) * fact(d - 1) * fact(2 * r - 1)
+    for i, j in pairs:
+        head = 2 * d * i + 2 * d * j - d * r - 2 * i * i - 2 * j * j - 2 * d + 3 * i + 3 * j - 2
+        n1 = head * shared * fact(2 * d - 4 * i + 3) * fact(2 * d - 4 * j + 3)
+        n2 = (
+            fact(2 * i - 1)
+            * fact(2 * j - 1)
+            * fact(d - 2 * i + 1)
+            * fact(d - 2 * j + 1)
+            * fact(2 * d - 2 * i + 2)
+            * fact(2 * d - 2 * j + 2)
+            * fact(2 * r - 2 * i - 2 * j + 2)
+        )
+        delta = int(i == 1 and j == r) + int(i == r and j == 1)
+        yield delta * n2 - n1, n2
 
 
 def index_pairs(r: int) -> list[tuple[int, int]]:
@@ -110,6 +120,16 @@ class SyzygyTable:
         self.r = r
         self.entries = {key: to_fraction(entries[key]) for key in index_pairs(r)}
 
+    @classmethod
+    def _raw(cls, d: int, r: int, entries: dict) -> "SyzygyTable":
+        # Internal fast path: `entries` maps `index_pairs(r)`, in its order,
+        # to Fractions and becomes the table's own dict, with no check.
+        obj = object.__new__(cls)
+        obj.d = d
+        obj.r = r
+        obj.entries = entries
+        return obj
+
     def alpha(self, i: int, j: int) -> Fraction:
         if i > j:
             i, j = j, i
@@ -128,16 +148,21 @@ class SyzygyTable:
 
 
 def syzygy_table(d: int, r: int) -> SyzygyTable:
-    """alpha_{i,j} = theta_{i,j}, doubled off the diagonal where (i,j) and (j,i) merge."""
+    """alpha_{i,j} = theta_{i,j}, doubled off the diagonal where (i,j) and (j,i) merge.
+
+    One integer pass: every factorial comes from one list of 0! .. (2d)!,
+    and each entry is reduced once, as one `Fraction`.
+    """
     _check_weight(d, r)
-    entries = {}
-    for i, j in index_pairs(r):
-        eps = 1 if i == j else 2
-        entries[(i, j)] = eps * theta(d, r, i, j)
-    table = SyzygyTable(d, r, entries)
-    if table.alpha(1, r) <= 0:
+    fact = list(accumulate(range(1, 2 * d + 1), mul, initial=1))
+    pairs = index_pairs(r)
+    entries = {
+        (i, j): Fraction(num if i == j else 2 * num, den)
+        for (i, j), (num, den) in zip(pairs, _theta_ratios(d, r, pairs, fact.__getitem__))
+    }
+    if entries[(1, r)] <= 0:
         raise FormulaViolationError(f"alpha(1,{r}) is not positive at d={d}")
-    return table
+    return SyzygyTable._raw(d, r, entries)
 
 
 @lru_cache(maxsize=256)

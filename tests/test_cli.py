@@ -1,7 +1,9 @@
 """Command-line interface: dispatch, formats, exit codes, determinism."""
 import argparse
+import errno
 import importlib
 import json
+import os
 import re
 import sys
 import time
@@ -11,6 +13,7 @@ import pytest
 
 from pencils import BinaryForm, cli, index_pairs, theta
 from pencils.cli import main
+from pencils.forms import _shown
 
 
 def run(capsys, *argv):
@@ -59,7 +62,23 @@ class TestTransvect:
         assert info.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert f"error: cannot read {path}: " in captured.err
+        assert f"error: cannot read {_shown(str(path))}: " in captured.err
+
+    def test_unreadable_path_is_named_once_with_its_reason(self, capsys, tmp_path, monkeypatch):
+        # The OSError's own text repeats the path, so only its reason is shown.
+        monkeypatch.chdir(tmp_path)
+        for path, shown, reason in (
+            ("missing.form", "'missing.form'", errno.ENOENT),
+            ("a" * 3000, "a str of 3000 characters", errno.ENAMETOOLONG),
+        ):
+            with pytest.raises(SystemExit) as info:
+                main(["transvect", path, "--expr", "x2", "--q", "0"])
+            assert info.value.code == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            line = captured.err.splitlines()[-1]
+            assert line == f"pencils: error: cannot read {shown}: {os.strerror(reason)}"
+            assert len(line) < 200
 
     def test_wrong_arity_exits_2(self, capsys):
         with pytest.raises(SystemExit) as info:
@@ -169,6 +188,19 @@ class TestSyzygyTable:
         code, _, _ = run(capsys, "syzygy-table", "--d", "7", "--r", "5")
         assert code == 2
 
+    @pytest.mark.parametrize("d", [5, 8, 13])
+    def test_lines_match_theta(self, capsys, d):
+        for r in range(3, (d + 1) // 2 + 1):
+            alphas = [((i, j), (1 if i == j else 2) * theta(d, r, i, j)) for i, j in index_pairs(r)]
+            code, out, _ = run(capsys, "syzygy-table", "--d", str(d), "--r", str(r))
+            assert code == 0
+            assert out.splitlines() == [f"alpha[{i},{j}] = {a}" for (i, j), a in alphas]
+            code, out, _ = run(capsys, "syzygy-table", "--d", str(d), "--r", str(r), "--json")
+            assert code == 0
+            payload = json.loads(out)
+            assert (payload["d"], payload["r"]) == (d, r)
+            assert list(payload["alphas"].items()) == [(f"{i},{j}", str(a)) for (i, j), a in alphas]
+
 
 class TestVerify:
     def test_reports_all_vanishing(self, capsys):
@@ -253,8 +285,23 @@ class TestRecover:
         assert lines[0] == "recovered C7 matches direct transvectant"
         assert lines[1] == "VERIFIED"
 
+    def test_wrong_direct_value_prints_failed(self, capsys, monkeypatch):
+        real = cli.transvectant
+        monkeypatch.setattr(cli, "transvectant", lambda f, g, q: real(f, g, q) * 2)
+        code, out, _ = run(capsys, "recover", "--d", "7", "--r", "4", "--seed", "5")
+        assert code == 1
+        assert out.splitlines() == ["recovered C7 differs from direct transvectant", "FAILED"]
+
 
 class TestOracleTheta:
+    def test_wrong_formula_prints_mismatch(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "theta", lambda d, r, i, j: theta(d, r, i, j) + 1)
+        code, out, _ = run(
+            capsys, "oracle-theta", "--d", "5", "--r", "3", "--i", "2", "--j", "2"
+        )
+        assert code == 1
+        assert out.splitlines() == ["oracle ratio:  -75/49", "formula theta: -26/49", "MISMATCH"]
+
     def test_match(self, capsys):
         code, out, _ = run(
             capsys, "oracle-theta", "--d", "5", "--r", "3", "--i", "2", "--j", "2"
@@ -381,8 +428,10 @@ class TestInputCaps:
         r = (d + 1) // 2
         code, out, _ = run(capsys, "syzygy-table", "--d", str(d), "--r", str(r))
         assert code == 0
-        keys = [line.split(" = ")[0] for line in out.splitlines()]
-        assert keys == [f"alpha[{i},{j}]" for i, j in index_pairs(r)]
+        table = dict(line.split(" = ") for line in out.splitlines())
+        assert list(table) == [f"alpha[{i},{j}]" for i, j in index_pairs(r)]
+        for i, j in ((1, 1), (1, r), (2, r - 1), (r // 2, r // 2), (r // 2, r // 2 + 1)):
+            assert table[f"alpha[{i},{j}]"] == str((1 if i == j else 2) * theta(d, r, i, j))
 
     def test_verify_caps_together(self, capsys):
         d, trials = cli.PENCIL_MAX_D, cli.VERIFY_MAX_TRIALS
@@ -717,6 +766,17 @@ class TestNinejCombinant:
         assert "equivalent: yes" in out
         assert "theta = -40/11" in out
         assert "theta/ninej = " in out
+
+    def test_unequal_symbols_print_no(self, capsys, monkeypatch):
+        real = cli.wigner9j
+        monkeypatch.setattr(
+            cli, "wigner9j", lambda array: real(array) * (2 if array.twice_rows()[0][0] == 12 else 1)
+        )
+        code, out, _ = run(
+            capsys, "ninej-combinant", "--d", "7", "--r", "3", "--i", "1", "--j", "2"
+        )
+        assert code == 1
+        assert "equivalent: NO" in out.splitlines()
 
     def test_slowest_case_at_the_cap(self, capsys):
         # The top weight with i near r/2 and j = 1 gives the permuted array

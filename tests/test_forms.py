@@ -821,6 +821,18 @@ def test_non_int_past_the_print_limit_is_a_type_error():
         index_pairs(Fraction(HUGE, 3))
 
 
+def test_declared_degree_past_the_print_limit_is_named_by_digit_count():
+    with pytest.raises(DegreeMismatchError) as info:
+        MultiForm({"x": HUGE}, {monomial(x1=1): 1})
+    assert str(info.value) == (
+        "a term does not have the declared degrees {'x': a number of 5001 digits}"
+    )
+    f = MultiForm({"x": HUGE}, {monomial(x1=HUGE): 1})
+    with pytest.raises(DegreeMismatchError) as info:
+        f + MultiForm({"x": 1}, {monomial(x1=1): 1})
+    assert str(info.value) == "cannot add multidegrees {'x': a number of 5001 digits} and {'x': 1}"
+
+
 # Refusals of a long text outside the range check, each named by its length.
 @pytest.mark.parametrize(
     "build, error",

@@ -682,6 +682,14 @@ class TestVerifyTheta:
         for (i, j), value in expected.items():
             assert omega_chain(7, 3, i, j, f) == value
 
+    def test_wrong_closed_form_is_refused(self, monkeypatch):
+        real = omega_module.theta
+        monkeypatch.setattr(omega_module, "theta", lambda d, r, i, j: real(d, r, i, j) + 1)
+        with pytest.raises(FormulaViolationError, match=re.escape(
+            "chain eigenvalue -175/121 != closed form -54/121 at d=7, r=3, (i,j)=(2,2)"
+        )):
+            verify_theta(7, 3, 2, 2)
+
     def test_mismatch_raises(self):
         with pytest.raises(FormulaViolationError):
             # Feeding a wrong reference through the private check.

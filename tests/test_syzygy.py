@@ -1,4 +1,5 @@
 """Syzygy engine: closed-form coefficients, vanishing, recovery, positivity."""
+import importlib
 import random
 import re
 from fractions import Fraction
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from pencils import (
     BinaryForm,
     DegeneratePencilError,
+    FormulaViolationError,
     NotDivisibleError,
     Pencil,
     beta_chain,
@@ -44,6 +46,8 @@ from helpers import (
     syzygy_sum_by_fractions,
     syzygy_sum_by_terms,
 )
+
+syzygy_module = importlib.import_module("pencils.syzygy")
 
 
 class TestTheta:
@@ -123,6 +127,39 @@ class TestSyzygyTable:
         for (i, j), value in table.items():
             eps = 1 if i == j else 2
             assert value == eps * theta(9, 4, i, j)
+
+    # The table's one integer pass against `theta`'s own factorials: every
+    # (d, r) with d <= 60, and a few larger orders.
+    @pytest.mark.parametrize(
+        "weights",
+        [[(d, r) for r in range(3, (d + 1) // 2 + 1)] for d in range(5, 61)]
+        + [[(101, 50), (211, 7), (300, 3), (300, 12)]],
+        ids=[f"d={d}" for d in range(5, 61)] + ["large"],
+    )
+    def test_every_entry_is_symmetrized_theta(self, weights):
+        for d, r in weights:
+            table = syzygy_table(d, r)
+            assert list(table.entries) == index_pairs(r)
+            for (i, j), value in table.items():
+                assert value == (1 if i == j else 2) * theta(d, r, i, j), (d, r, i, j)
+
+    @pytest.mark.parametrize("spoil", [lambda num: -num, lambda num: 0], ids=["negative", "zero"])
+    def test_nonpositive_pivot_is_refused_and_not_kept(self, monkeypatch, spoil):
+        real = syzygy_module._theta_ratios
+
+        def spoiled(d, r, pairs, fact):
+            for (i, j), (num, den) in zip(pairs, real(d, r, pairs, fact)):
+                yield (spoil(num) if (i, j) == (1, r) else num), den
+
+        monkeypatch.setattr(syzygy_module, "_theta_ratios", spoiled)
+        _alphas.cache_clear()
+        with pytest.raises(FormulaViolationError, match=r"^alpha\(1,4\) is not positive at d=11$"):
+            syzygy_table(11, 4)
+        with pytest.raises(FormulaViolationError):
+            _alphas(11, 4)
+        assert _alphas.cache_info().currsize == 0
+        monkeypatch.undo()
+        assert _alphas(11, 4) == _alpha_ints(syzygy_table(11, 4))
 
 
 class TestEvaluateSyzygy:
@@ -322,6 +359,19 @@ class TestPositivityCertificate:
     def test_r_two_rejected(self):
         with pytest.raises(ValueError):
             positivity_certificate(2, 5)
+
+    def test_gamma_not_below_one_is_refused(self, monkeypatch):
+        monkeypatch.setattr(syzygy_module, "gamma", lambda r, d: Fraction(1))
+        with pytest.raises(FormulaViolationError, match=r"^gamma\(r=3, d=9\) = 1 is not below 1$"):
+            positivity_certificate(3, 9)
+
+    def test_wrong_boundary_value_is_refused(self, monkeypatch):
+        real = syzygy_module.gamma
+        monkeypatch.setattr(
+            syzygy_module, "gamma", lambda r, d: real(r, d) + (Fraction(1, 9) if d == 2 * r - 1 else 0)
+        )
+        with pytest.raises(FormulaViolationError, match=r"^boundary value gamma\(3,5\) != 2/3$"):
+            positivity_certificate(3, 9)
 
 
 class TestSyzygySpaceDim:

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pencils import BinaryForm, random_form, transvectant
-from pencils.transvectant import _packs, _product_sum, _transvectants, _weights
+from pencils.transvectant import _packs, _product_sum, _row, _transvectants, _weights
 
 from helpers import (
     compose,
@@ -186,6 +186,17 @@ def test_kernel_matches_dot_product_oracle(case):
     result = transvectant(f, g, q)
     assert (result._nums, result._den) == expected
     assert _weights.cache_info().misses == info.misses
+
+
+def test_kernel_caches_stay_bounded():
+    # Every order m meets _weights(m) and _row(m) once.
+    bounds = {cache: cache.cache_info().maxsize for cache in (_row, _weights)}
+    assert None not in bounds.values()
+    for m in range(1, max(bounds.values()) + 9):
+        f = BinaryForm.monomial(m, 0)
+        assert transvectant(f, f, 0) == f * f
+    for cache, bound in bounds.items():
+        assert cache.cache_info().currsize == bound
 
 
 def _pack_at(f, k, q, s):
