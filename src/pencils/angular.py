@@ -28,11 +28,16 @@ each x-dependent triad (j1 j9 x), (j4 j8 x), (j2 j6 x) occurs in two of the
 three 6j symbols, so its two square roots multiply to the rational Delta^2.
 So a 9j value is one square root, of the product of the six fixed Delta^2,
 times one rational sum over x: a single surd, with no surd arithmetic in
-the loop.  The x-sum runs in `int`: each term is a numerator and a
-denominator reduced by one gcd (the Racah sums cancel most of the
-Delta^2 denominators, which keeps large arrays cheap), the terms meet
-over one `math.lcm`, and one `Fraction` is built per 9j value; the
-former `Fraction` x-sum is the test oracle `wigner9j_by_fraction_xsum`.
+the loop.  The x-sum runs in `int`, in one pass: each term is a numerator
+and a denominator reduced by one gcd (the Racah sums cancel most of the
+Delta^2 denominators, which keeps large arrays cheap), then merged into one
+running fraction whose denominator is the lcm of those so far, and one
+`Fraction` is built per 9j value; the former `Fraction` x-sum is the test
+oracle `wigner9j_by_fraction_xsum`.  A Racah sum whose denominator is 1,
+as it is for every one-term sum, skips its gcd.  `combinant_9j_array`
+builds its arrays through `NineJArray._raw`, unchecked, as its checked
+indices already make every entry a nonnegative int; every other array
+comes through the checks of `from_twice`.
 Every factorial ratio of the 6j/9j route is a product of binomials.  The
 three factorials of a triad's Delta^2 take arguments that sum to its
 half-sum s = a+b+c, so Delta^2 = 1/((s+1) C(s, 2c) C(2c, a-b+c)), the
@@ -61,7 +66,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, gcd, lcm
+from math import comb, factorial, gcd
 
 from .forms import _check_range, _shown, to_fraction
 from .syzygy import _check_indices
@@ -349,7 +354,8 @@ def _wigner6j_tw(ta, tb, tc, td, te, tf) -> tuple[int, int] | int:
     t-alpha_i and beta_j-t of the t = lo term sum to lo, as the alpha_i and
     the beta_j both sum to a+b+c+d+e+f, so that term is (lo+1) times the
     multinomial coefficient of lo over them, six binomials; one gcd
-    reduces the pair.
+    reduces the pair, unless its denominator is 1, as it is for every
+    one-term sum.
     """
     a1, a2, a3, a4 = ta + tb + tc, ta + te + tf, td + tb + tf, td + te + tc
     if (a1 | a2 | a3 | a4) & 1:
@@ -381,6 +387,8 @@ def _wigner6j_tw(ta, tb, tc, td, te, tf) -> tuple[int, int] | int:
         term *= comb(rest, part)
         rest -= part
     num *= -term if lo & 1 else term
+    if den == 1:
+        return num, 1
     g = gcd(num, den)
     return num // g, den // g
 
@@ -421,6 +429,12 @@ class NineJArray:
                 raise TypeError(f"array entries must be ints, got {_shown(v)}")
         if min(entries) < 0:
             raise ValueError("array entries must be nonnegative")
+        return cls._raw(rows)
+
+    @classmethod
+    def _raw(cls, rows) -> "NineJArray":
+        # Internal fast path: `rows` is a tuple of three triples of
+        # nonnegative ints and becomes the array's own, with no check.
         obj = object.__new__(cls)
         obj._twice = rows
         return obj
@@ -466,7 +480,9 @@ def wigner9j(array: NineJArray) -> SurdSum:
         return SurdSum.zero()
     tx_min = max(abs(tj1 - tj9), abs(tj4 - tj8), abs(tj2 - tj6))
     tx_max = min(tj1 + tj9, tj4 + tj8, tj2 + tj6)
-    nums, dens = [], []
+    # The running sum total/common, with common the lcm of the terms'
+    # denominators so far.
+    total, common = 0, 1
     for tx in range(tx_min, tx_max + 1, 2):
         r1 = _wigner6j_tw(tj1, tj4, tj7, tj8, tj9, tx)
         r2 = r1 and _wigner6j_tw(tj2, tj5, tj8, tj4, tx, tj6)
@@ -481,10 +497,10 @@ def wigner9j(array: NineJArray) -> SurdSum:
             * _triad(tj1, tj9, tx) * _triad(tj4, tj8, tx) * _triad(tj2, tj6, tx)
         )
         g = gcd(num, den)
-        nums.append(num // g)
-        dens.append(den // g)
-    common = lcm(*dens)
-    total = sum(n * (common // d) for n, d in zip(nums, dens))
+        num, den = num // g, den // g
+        g = gcd(common, den)
+        total = total * (den // g) + num * (common // g)
+        common = common // g * den
     if not total:
         return SurdSum.zero()
     outer, radicand, den = _delta_root((*rows, *zip(*rows)))
@@ -541,9 +557,11 @@ def combinant_9j_array(d: int, r: int, i: int, j: int) -> tuple[NineJArray, Nine
     same 9j value.
     """
     _check_indices(d, r, i, j)
+    # The checked indices make all nine entries nonnegative ints: 2i, 2j and
+    # 2r are at most d + 1.
     a = (d, d, 2 * (d - 2 * i + 1))
     b = (d, d, 2 * (d - 2 * j + 1))
     c = (2 * (d - 1), 2 * (d - 2 * r + 1), 2 * (2 * d - 2 * r))
-    base = NineJArray.from_twice((a, b, c))
-    permuted = NineJArray.from_twice(tuple((x, z, y) for x, y, z in (c, a, b)))
+    base = NineJArray._raw((a, b, c))
+    permuted = NineJArray._raw(tuple((x, z, y) for x, y, z in (c, a, b)))
     return base, permuted

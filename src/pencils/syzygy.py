@@ -110,8 +110,9 @@ class SyzygyTable:
 
     def __init__(self, d: int, r: int, entries: dict):
         _check_weight(d, r)
-        expected = set(index_pairs(r))
-        if set(entries) != expected:
+        # The index set has (r+1)^2 // 4 pairs; counting first keeps a huge
+        # r from building them.
+        if len(entries) != (r + 1) ** 2 // 4 or set(entries) != set(index_pairs(r)):
             raise ValueError("entry keys do not match the weight-2r index set")
         for i, j in entries:  # True and 1.0 equal 1, so the match lets them in
             _check_range("i", i)

@@ -1,0 +1,158 @@
+"""Mutation runner: each verdict of `pencils` must fail some test when broken.
+
+    python tests/mutants.py
+
+Run from anywhere; it needs only the standard library and pytest, as the
+suite does.  A mutant is one exact text replacement in one module of
+`src/pencils`, with the test ids that must kill it.  For each mutant the
+runner copies `src/` into a temporary directory, applies the replacement
+there, and runs its tests against the copy, so the checkout is never
+changed.  Before any mutant, the listed tests must pass on an unmutated
+copy, so a broken test cannot pass for a kill.
+
+A mutant that no test can kill yet stays in the table with no tests and the
+reason why; its text is still looked up, so it cannot go stale unnoticed.
+The exit code is 1 if a mutant survives its tests, if a mutant's text is
+not found exactly once in its module, or if pytest fails in any way other
+than failing tests (an unknown test id, for example); otherwise 0.
+
+pytest does not collect this file: its name does not start with `test_`.
+"""
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+class Mutant(NamedTuple):
+    name: str
+    module: str  # a file name under src/pencils
+    old: str
+    new: str
+    tests: tuple = ()
+    reason: str = ""  # why no test can kill it yet; only when `tests` is empty
+
+
+MUTANTS = (
+    # Verdicts: each test corrupts the one value the verdict compares.
+    Mutant(
+        "verify_theta accepts any ratio", "omega.py",
+        "    if ratio != expected:\n", "    if False:\n",
+        ("tests/test_omega.py::TestVerifyTheta::test_wrong_closed_form_is_refused",),
+    ),
+    Mutant(
+        "recover command always verified", "cli.py",
+        "    if recovered == direct:\n", "    if True:\n",
+        ("tests/test_cli.py::TestRecover::test_wrong_direct_value_prints_failed",),
+    ),
+    Mutant(
+        "oracle-theta command always matches", "cli.py",
+        "    if ratio == formula:\n", "    if True:\n",
+        ("tests/test_cli.py::TestOracleTheta::test_wrong_formula_prints_mismatch",),
+    ),
+    Mutant(
+        "ninej-combinant command always equivalent", "cli.py",
+        "    equivalent = value == value_p\n", "    equivalent = True\n",
+        ("tests/test_cli.py::TestNinejCombinant::test_unequal_symbols_print_no",),
+    ),
+    Mutant(
+        "positivity certificate skips gamma < 1", "syzygy.py",
+        "    if not g < 1:\n", "    if False:\n",
+        ("tests/test_syzygy.py::TestPositivityCertificate::test_gamma_not_below_one_is_refused",),
+    ),
+    Mutant(
+        "positivity certificate skips the boundary value 2/r", "syzygy.py",
+        "    if boundary != Fraction(2, r):\n", "    if False:\n",
+        ("tests/test_syzygy.py::TestPositivityCertificate::test_wrong_boundary_value_is_refused",),
+    ),
+    Mutant(
+        "syzygy_table keeps a nonpositive alpha(1, r)", "syzygy.py",
+        "    if entries[(1, r)] <= 0:\n", "    if False:\n",
+        ("tests/test_syzygy.py::TestSyzygyTable::test_nonpositive_pivot_is_refused_and_not_kept",),
+    ),
+    Mutant(
+        "positivity certificate skips the D - N factorization", "syzygy.py",
+        "    if difference != factored:\n", "    if False:\n",
+        reason="both sides are computed inline from (r, d) by one polynomial "
+        "identity, so no input and no patched name reaches the refusal",
+    ),
+    # The 9j route: each piece of its integer arithmetic, against the oracles.
+    Mutant(
+        "9j x-sum adds numerators over unlike denominators", "angular.py",
+        "        total = total * (den // g) + num * (common // g)\n",
+        "        total = total + num\n",
+        ("tests/test_angular.py::TestKernelMatchesSurdOracle::test_9j_xsum_merges_unlike_denominators",),
+    ),
+    Mutant(
+        "one-term Racah sum returns a wrong denominator", "angular.py",
+        "        return num, 1\n", "        return num, 2\n",
+        ("tests/test_angular.py::TestKernelMatchesSurdOracle::test_6j_every_small_tuple",),
+    ),
+    Mutant(
+        "B' built without its column swap", "angular.py",
+        "(x, z, y) for x, y, z in (c, a, b)", "(x, y, z) for x, y, z in (c, a, b)",
+        ("tests/test_angular.py::TestCombinantArrays::test_arrays_match_their_rows_written_out",),
+    ),
+)
+
+
+def pytest_status(src: Path, tests) -> int:
+    """pytest's exit code for `tests`, importing `pencils` from `src`."""
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    argv = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
+    return subprocess.run(argv, cwd=ROOT, env=env, stdout=subprocess.DEVNULL).returncode
+
+
+def copy_src(into: Path) -> Path:
+    src = into / "src"
+    shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+    return src
+
+
+def run(mutant: Mutant, scratch: Path) -> str | None:
+    """None when the mutant is killed (or has its reason), else what went wrong."""
+    src = copy_src(Path(tempfile.mkdtemp(dir=scratch)))
+    path = src / "pencils" / mutant.module
+    text = path.read_text(encoding="utf-8")
+    if text.count(mutant.old) != 1:
+        return f"its text occurs {text.count(mutant.old)} times in {mutant.module}, not once"
+    if not mutant.tests:
+        return None if mutant.reason else "it lists no test and no reason"
+    path.write_text(text.replace(mutant.old, mutant.new), encoding="utf-8")
+    status = pytest_status(src, mutant.tests)
+    if status == 1:
+        return None
+    return "it survived its tests" if status == 0 else f"pytest exited {status}"
+
+
+def main() -> int:
+    failed = 0
+    with tempfile.TemporaryDirectory() as scratch:
+        scratch = Path(scratch)
+        tests = sorted({t for m in MUTANTS for t in m.tests})
+        status = pytest_status(copy_src(scratch), tests)
+        if status != 0:
+            print(f"FAIL  the listed tests do not pass unmutated (pytest exited {status})")
+            return 1
+        for mutant in MUTANTS:
+            problem = run(mutant, scratch)
+            if problem:
+                failed += 1
+                print(f"FAIL  {mutant.name}: {problem}")
+            elif mutant.tests:
+                print(f"ok    {mutant.name}: killed")
+            else:
+                print(f"kept  {mutant.name}: no test can kill it yet; {mutant.reason}")
+    print(f"{len(MUTANTS) - failed} of {len(MUTANTS)} mutants as expected")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -450,6 +450,15 @@ class TestKernelMatchesSurdOracle:
             for arr in combinant_9j_array(*args):
                 assert wigner9j(arr) == wigner9j_by_fraction_xsum(arr), args
 
+    # Big-int x-sums, with terms of hundreds of digits, beyond d = 21.
+    @pytest.mark.parametrize("args", [(60, 30, 15, 1), (120, 60, 30, 1)])
+    def test_9j_large_combinant_pairs_match_fraction_xsum(self, args):
+        base, permuted = combinant_9j_array(*args)
+        value = wigner9j(base)
+        assert not value.is_zero()
+        assert value == wigner9j_by_fraction_xsum(base)
+        assert wigner9j(permuted) == wigner9j_by_fraction_xsum(permuted) == value
+
     @settings(max_examples=200, deadline=None)
     @given(
         st.randoms(use_true_random=False).map(
@@ -466,6 +475,21 @@ class TestKernelMatchesSurdOracle:
         value = wigner9j(arr)
         assert value == wigner9j_by_fraction_xsum(arr)
         assert len(value.terms) <= 1
+
+    # On every array tried, the reduced x-terms of one 9j share one
+    # denominator, so a plain sum of numerators would pass every test above.
+    # Racah sums of 1 leave each term (-1)^(2x) (2x+1) over its three
+    # x-dependent N, whose denominators differ across x.
+    def test_9j_xsum_merges_unlike_denominators(self, monkeypatch):
+        arr = NineJArray.from_twice([[4, 4, 4], [4, 4, 4], [4, 4, 4]])
+        monkeypatch.setattr(angular, "_wigner6j_tw", lambda *twice: (1, 1))
+        terms = [
+            Fraction(-(tx + 1) if tx % 2 else tx + 1, _triad(4, 4, tx) ** 3)
+            for tx in range(0, 9, 2)
+        ]
+        assert len({term.denominator for term in terms}) > 1
+        fixed = Fraction(1, _triad(4, 4, 4) ** 6)
+        assert wigner9j(arr) == SurdSum.sqrt(fixed) * sum(terms)
 
     def test_9j_named_arrays_are_zero(self):
         for twice in ((0, 3, 3, 4, 3, 3, 4, 4, 4), (7, 6, 7, 5, 8, 5, 2, 4, 2)):
@@ -664,6 +688,20 @@ class TestCombinantArrays:
                             continue
                         base, permuted = combinant_9j_array(d, r, i, j)
                         assert wigner9j(base) == wigner9j(permuted), (d, r, i, j)
+
+    def test_arrays_match_their_rows_written_out(self):
+        for d, r, i, j in combinant_indices(40):
+            a = [d, d, 2 * d - 4 * i + 2]
+            b = [d, d, 2 * d - 4 * j + 2]
+            c = [2 * d - 2, 2 * d - 4 * r + 2, 4 * d - 4 * r]
+            expected = (
+                NineJArray.from_twice([a, b, c]),
+                NineJArray.from_twice([[c[0], c[2], c[1]], [a[0], a[2], a[1]], [b[0], b[2], b[1]]]),
+            )
+            arrays = combinant_9j_array(d, r, i, j)
+            assert arrays == expected, (d, r, i, j)
+            for arr in arrays:
+                assert all(type(v) is int for row in arr.twice_rows() for v in row)
 
     def test_permuted_array_matches_row_and_column_swaps(self):
         for args in combinant_indices(12):

@@ -433,6 +433,26 @@ class TestInputCaps:
         for i, j in ((1, 1), (1, r), (2, r - 1), (r // 2, r // 2), (r // 2, r // 2 + 1)):
             assert table[f"alpha[{i},{j}]"] == str((1 if i == j else 2) * theta(d, r, i, j))
 
+    # The top weight with i near r/2 and j = 1 gives the permuted array of
+    # `ninej-combinant` its widest x-sum.
+    def test_ninej_combinant_cap_at_slow_corner(self, capsys):
+        d = cli.NINEJ_COMBINANT_MAX_D
+        r, i = d // 2, d // 4
+        code, out, _ = run(
+            capsys, "ninej-combinant", "--d", str(d), "--r", str(r), "--i", str(i), "--j", "1"
+        )
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[:2] == [
+            "B  = [250 250 251; 250 250 499; 499 1 500]",
+            "B' = [499 500 1; 250 251 250; 250 499 250]",
+        ]
+        assert lines[2].startswith("ninej(B)  = ") and lines[3].startswith("ninej(B') = ")
+        assert lines[2].split(" = ")[1] == lines[3].split(" = ")[1] != "0"
+        assert lines[4:6] == ["equivalent: yes", f"theta = {theta(d, r, i, 1)}"]
+        assert lines[6].startswith("theta/ninej = ") and "unavailable" not in lines[6]
+        assert len(lines) == 7
+
     def test_verify_caps_together(self, capsys):
         d, trials = cli.PENCIL_MAX_D, cli.VERIFY_MAX_TRIALS
         code, out, _ = run(
@@ -777,17 +797,6 @@ class TestNinejCombinant:
         )
         assert code == 1
         assert "equivalent: NO" in out.splitlines()
-
-    def test_slowest_case_at_the_cap(self, capsys):
-        # The top weight with i near r/2 and j = 1 gives the permuted array
-        # its widest x-sum.
-        d = cli.NINEJ_COMBINANT_MAX_D
-        code, out, _ = run(
-            capsys, "ninej-combinant", "--d", str(d), "--r", str(d // 2),
-            "--i", str(d // 4), "--j", "1",
-        )
-        assert code == 0
-        assert "equivalent: yes" in out
 
 
 class TestDispatchContract:

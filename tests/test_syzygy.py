@@ -495,3 +495,18 @@ class TestRangeChecks:
         entries = {key: 1, (1, 2): 0, (2, 2): 0, (1, 3): 0}
         with pytest.raises(TypeError, match=re.escape(message)):
             SyzygyTable(5, 3, entries)
+
+    # The key count is compared before any pair is built: with the pair
+    # builder failing on a huge r, a regression fails here instead of
+    # allocating pairs until it is stopped.
+    def test_table_counts_keys_before_building_pairs(self, monkeypatch):
+        def bounded_pairs(r):
+            assert r <= 10**6, "index_pairs built for a huge r"
+            return index_pairs(r)
+
+        monkeypatch.setattr("pencils.syzygy.index_pairs", bounded_pairs)
+        message = "entry keys do not match the weight-2r index set"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            SyzygyTable(10**5000, 10**30, {})
+        with pytest.raises(ValueError, match=re.escape(message)):
+            SyzygyTable(7, 3, {(1, 1): 0, (1, 2): 0, (2, 2): 0, (2, 3): 0})
