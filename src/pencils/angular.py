@@ -17,34 +17,34 @@ also checks that identity.  Selection-rule violations (triangle or
 magnetic) are values equal to zero, not errors; only genuinely
 non-physical input (negative momenta, mismatched j/m parity) raises.
 
-A 6j symbol is Delta(abc) Delta(aef) Delta(dbf) Delta(dec) times a rational
+A 6j symbol is Delta(abc) Delta(aef) Delta(dbf) Delta(dec) times the
 Racah sum R, where each triangle coefficient Delta is the square root of a
-ratio of factorials.  The 6j kernel returns only R, computed in `int` as a
-reduced (numerator, denominator) pair.  The 9j symbol is the single-sum
-contraction sum_x (-1)^(2x) (2x+1) {j1 j4 j7; j8 j9 x} {j2 j5 j8; j4 x j6}
+ratio of factorials.  R is an integer, and the 6j kernel returns it as one
+`int`.  The 9j symbol is the single-sum contraction
+sum_x (-1)^(2x) (2x+1) {j1 j4 j7; j8 j9 x} {j2 j5 j8; j4 x j6}
 {j3 j6 j9; x j1 j2}.  Of the twelve Deltas in each product, the six row and
 column triads of the array occur once each and do not depend on x, while
 each x-dependent triad (j1 j9 x), (j4 j8 x), (j2 j6 x) occurs in two of the
 three 6j symbols, so its two square roots multiply to the rational Delta^2.
 So a 9j value is one square root, of the product of the six fixed Delta^2,
 times one rational sum over x: a single surd, with no surd arithmetic in
-the loop.  The x-sum runs in `int`, in one pass: each term is a numerator
-and a denominator reduced by one gcd (the Racah sums cancel most of the
-Delta^2 denominators, which keeps large arrays cheap), then merged into one
-running fraction whose denominator is the lcm of those so far, and one
-`Fraction` is built per 9j value; the former `Fraction` x-sum is the test
-oracle `wigner9j_by_fraction_xsum`.  A Racah sum whose denominator is 1,
-as it is for every one-term sum, skips its gcd.  `combinant_9j_array`
+the loop.  The x-sum runs in `int`, in one pass: each term, (2x+1) R1 R2 R3
+over the three x-dependent N, is reduced by one gcd (the Racah sums cancel
+most of the Delta^2 denominators, which keeps large arrays cheap), then
+merged into one running fraction whose denominator is the lcm of those so
+far, and one `Fraction` is built per 9j value; the former `Fraction` x-sum
+is the test oracle `wigner9j_by_fraction_xsum`.  `combinant_9j_array`
 builds its arrays through `NineJArray._raw`, unchecked, as its checked
 indices already make every entry a nonnegative int; every other array
 comes through the checks of `from_twice`.
 Every factorial ratio of the 6j/9j route is a product of binomials.  The
 three factorials of a triad's Delta^2 take arguments that sum to its
 half-sum s = a+b+c, so Delta^2 = 1/((s+1) C(s, 2c) C(2c, a-b+c)), the
-reciprocal of an integer.  Likewise the seven parts of the t = lo term of
-the Racah sum sum to lo, so that term is (lo+1) times a multinomial
-coefficient, six `math.comb` factors.  So the route reads no factorial,
-and the angular layer keeps no state but its `lru_cache`s.
+reciprocal of an integer.  Likewise the seven parts of the term t of the
+Racah sum sum to t, so that term is (t+1) times a multinomial coefficient:
+R is an integer, and its t = lo term is six `math.comb` factors.  So the
+route reads no factorial, and the angular layer keeps no state but its
+`lru_cache`s.
 Each distinct triad's Delta^2 is computed once, as the integer N with
 Delta^2 = 1/N (`_triad`).  A triad whose root is taken, such as a row or
 column of a 9j array, also keeps the squarefree split of N
@@ -340,22 +340,20 @@ def wigner3j(tj1: int, tj2: int, tj3: int, tm1: int, tm2: int, tm3: int) -> Surd
 
 
 @lru_cache(maxsize=None)
-def _wigner6j_tw(ta, tb, tc, td, te, tf) -> tuple[int, int] | int:
+def _wigner6j_tw(ta, tb, tc, td, te, tf) -> int:
     """Racah sum R of {a b c; d e f}: the 6j symbol over the product of the
-    square roots of its four triangle coefficients, as a reduced
-    (numerator, positive denominator) pair.  The falsy 0 when R is zero,
-    which includes a triad that fails the triangle condition.
+    square roots of its four triangle coefficients, an `int`.  0 when R is
+    zero, which includes a triad that fails the triangle condition.
 
     R = sum_t (-1)^t (t+1)! / (prod_i (t-alpha_i)! prod_j (beta_j-t)!) over
     alpha = the four triad half-sums and beta = the three quad half-sums.
+    The seven parts t-alpha_i and beta_j-t sum to t for every t, as the
+    alpha_i and the beta_j both sum to a+b+c+d+e+f, so each term is (t+1)
+    times the multinomial coefficient of t over them, and R is an integer.
     Consecutive terms differ by the factor
-    -(t+2) prod_j (beta_j-t) / prod_i (t+1-alpha_i), so the sum is evaluated
-    by Horner's rule in `int` over one denominator.  The seven parts
-    t-alpha_i and beta_j-t of the t = lo term sum to lo, as the alpha_i and
-    the beta_j both sum to a+b+c+d+e+f, so that term is (lo+1) times the
-    multinomial coefficient of lo over them, six binomials; one gcd
-    reduces the pair, unless its denominator is 1, as it is for every
-    one-term sum.
+    -(t+2) prod_j (beta_j-t) / prod_i (t+1-alpha_i), so the sum over its
+    t = lo term is num/den by Horner's rule in `int`; that term is six
+    binomials, and R = num * term / den divides exactly.
     """
     a1, a2, a3, a4 = ta + tb + tc, ta + te + tf, td + tb + tf, td + te + tc
     if (a1 | a2 | a3 | a4) & 1:
@@ -372,8 +370,12 @@ def _wigner6j_tw(ta, tb, tc, td, te, tf) -> tuple[int, int] | int:
     b1 = (ta + tb + td + te) >> 1
     b2 = (tb + tc + te + tf) >> 1
     b3 = (ta + tc + td + tf) >> 1
-    lo, hi = max(a1, a2, a3, a4), min(b1, b2, b3)
-    # The sum divided by its t = lo term is num/den.
+    # Inline bounds: most sums have one or two terms, whose cost is fixed.
+    lo = a1 if a1 > a2 else a2
+    lo = lo if lo > a3 else a3
+    lo = lo if lo > a4 else a4
+    hi = b1 if b1 < b2 else b2
+    hi = hi if hi < b3 else b3
     num = den = 1
     for t in range(hi - 1, lo - 1, -1):
         q = (t + 1 - a1) * (t + 1 - a2) * (t + 1 - a3) * (t + 1 - a4)
@@ -386,11 +388,7 @@ def _wigner6j_tw(ta, tb, tc, td, te, tf) -> tuple[int, int] | int:
     for part in (lo - a1, lo - a2, lo - a3, lo - a4, b1 - lo, b2 - lo):
         term *= comb(rest, part)
         rest -= part
-    num *= -term if lo & 1 else term
-    if den == 1:
-        return num, 1
-    g = gcd(num, den)
-    return num // g, den // g
+    return (-num if lo & 1 else num) * term // den
 
 
 def wigner6j(ta: int, tb: int, tc: int, td: int, te: int, tf: int) -> SurdSum:
@@ -403,7 +401,7 @@ def wigner6j(ta: int, tb: int, tc: int, td: int, te: int, tf: int) -> SurdSum:
         return SurdSum.zero()
     triads = ((ta, tb, tc), (ta, te, tf), (td, tb, tf), (td, te, tc))
     outer, radicand, den = _delta_root(triads)
-    return SurdSum._raw(Fraction(outer * racah[0], den * racah[1]), radicand)
+    return SurdSum._raw(Fraction(outer * racah, den), radicand)
 
 
 class NineJArray:
@@ -491,11 +489,8 @@ def wigner9j(array: NineJArray) -> SurdSum:
             continue
         # The x-dependent triads' square roots pair up across the three 6j,
         # each into its Delta^2 = 1/N.
-        num = (-(tx + 1) if tx % 2 else tx + 1) * r1[0] * r2[0] * r3[0]
-        den = (
-            r1[1] * r2[1] * r3[1]
-            * _triad(tj1, tj9, tx) * _triad(tj4, tj8, tx) * _triad(tj2, tj6, tx)
-        )
+        num = (-(tx + 1) if tx % 2 else tx + 1) * r1 * r2 * r3
+        den = _triad(tj1, tj9, tx) * _triad(tj4, tj8, tx) * _triad(tj2, tj6, tx)
         g = gcd(num, den)
         num, den = num // g, den // g
         g = gcd(common, den)

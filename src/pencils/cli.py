@@ -69,14 +69,14 @@ PENCIL_MAX_D = 22
 PENCIL_MAX_BOUND = 10**9
 VERIFY_MAX_TRIALS = 20
 # `ninej`: the 9j cost grows about as the cube of the entries.  With all
-# nine 2j = 500, a cold `wigner9j` takes 0.33-0.56 s (median 0.47 s) and
-# the command 0.44-0.72 s (median 0.55 s), over 10 fresh processes on a
+# nine 2j = 500, a cold `wigner9j` takes 0.24-0.27 s (median 0.26 s) and
+# the command 0.30-0.44 s (median 0.33 s), over 10 fresh processes on a
 # shared 2-core host with Python 3.11.
 NINEJ_MAX_TWICE_J = 500
 # `ninej-combinant`: the permuted array at the top weight, with i near r/2
 # and j = 1, is the slowest; its x-sum runs over about d values.  At
-# (500, 250, 125, 1) a cold `wigner9j` takes 0.31-0.50 s (median 0.42 s)
-# and the command 0.42-0.66 s (median 0.56 s), measured in the same way.
+# (500, 250, 125, 1) a cold `wigner9j` takes 0.25-0.33 s (median 0.26 s)
+# and the command 0.29-0.41 s (median 0.36 s), measured in the same way.
 NINEJ_COMBINANT_MAX_D = 500
 
 

@@ -91,14 +91,78 @@ MUTANTS = (
         ("tests/test_angular.py::TestKernelMatchesSurdOracle::test_9j_xsum_merges_unlike_denominators",),
     ),
     Mutant(
-        "one-term Racah sum returns a wrong denominator", "angular.py",
-        "        return num, 1\n", "        return num, 2\n",
+        "Racah sum divided by twice its Horner denominator", "angular.py",
+        "* term // den\n", "* term // (2 * den)\n",
+        ("tests/test_angular.py::TestRacahSumIsAnInteger::test_every_tuple_up_to_8",),
+    ),
+    Mutant(
+        "Racah sum starts below its fourth triad's half-sum", "angular.py",
+        "    lo = lo if lo > a4 else a4\n", "",
+        ("tests/test_angular.py::TestRacahSumIsAnInteger::test_every_tuple_up_to_8",),
+    ),
+    Mutant(
+        "Racah sum runs past its third quad's half-sum", "angular.py",
+        "    hi = hi if hi < b3 else b3\n", "",
+        reason="the Horner step at t = b3 multiplies by b3 - t = 0, so the "
+        "terms above b3 drop out and the sum is unchanged",
+    ),
+    Mutant(
+        "Racah sum drops the sign of an odd lo", "angular.py",
+        "(-num if lo & 1 else num)", "num",
+        ("tests/test_angular.py::TestRacahSumIsAnInteger::test_every_tuple_up_to_8",),
+    ),
+    Mutant(
+        "6j symbol drops its Racah sum", "angular.py",
+        "Fraction(outer * racah, den)", "Fraction(outer, den)",
         ("tests/test_angular.py::TestKernelMatchesSurdOracle::test_6j_every_small_tuple",),
+    ),
+    Mutant(
+        "9j x-term drops its third Racah sum", "angular.py",
+        " * r1 * r2 * r3\n", " * r1 * r2\n",
+        ("tests/test_angular.py::TestKernelMatchesSurdOracle::test_9j_random_half_integer_arrays",),
     ),
     Mutant(
         "B' built without its column swap", "angular.py",
         "(x, z, y) for x, y, z in (c, a, b)", "(x, y, z) for x, y, z in (c, a, b)",
         ("tests/test_angular.py::TestCombinantArrays::test_arrays_match_their_rows_written_out",),
+    ),
+    Mutant(
+        "combinant_9j_array returns B as B'", "angular.py",
+        "    return base, permuted\n", "    return base, base\n",
+        ("tests/test_angular.py::TestCombinantArrays::test_arrays_match_their_rows_written_out",),
+    ),
+    # The first list of mutants run against the whole suite, each with the
+    # test that kills it.
+    Mutant(
+        "theta's head constant -2 made -1", "syzygy.py",
+        " + 3 * j - 2\n", " + 3 * j - 1\n",
+        ("tests/test_acceptance.py::test_criterion_03_coefficient_table_and_bridge",),
+    ),
+    Mutant(
+        "the chain's proportionality check always passes", "omega.py",
+        "        if all(x * b == y * a for x, y in zip(out, ref)):\n", "        if True:\n",
+        ("tests/test_omega.py::TestVerifyTheta::test_mismatch_raises",),
+    ),
+    Mutant(
+        "verify command counts every trial as vanishing", "cli.py",
+        "            if evaluate_syzygy(pencil, r).is_zero():\n", "            if True:\n",
+        ("tests/test_cli.py::TestVerify::test_failures_are_counted_per_weight",),
+    ),
+    Mutant(
+        "exact_divide ignores an inexact quotient step", "forms.py",
+        "        if r:\n", "        if False:\n",
+        ("tests/test_forms.py::TestExactDivide::test_remainder_in_a_quotient_step",),
+    ),
+    Mutant(
+        "exact_divide ignores its final remainder", "forms.py",
+        "    if any(rem[:e0]):\n", "    if False:\n",
+        ("tests/test_forms.py::TestExactDivide::test_not_divisible",),
+    ),
+    Mutant(
+        "membership_defect without its C3 term", "combinant.py",
+        "    return transvectant(c1, form, 2) - Fraction(d - 2, 4 * d - 6) * (form * c3)\n",
+        "    return transvectant(c1, form, 2)\n",
+        ("tests/test_combinant.py::TestMembershipDefect::test_members_vanish",),
     ),
 )
 

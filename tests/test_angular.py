@@ -13,13 +13,14 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from helpers import (
     _ninej_triads,
     delta_root_by_product_split,
     entry_sum_twice,
+    fraction_racah_sum,
     surd_wigner6j_tw,
     swapped_cols,
     swapped_rows,
@@ -38,7 +39,13 @@ from pencils import (
     wigner6j,
     wigner9j,
 )
-from pencils.angular import _delta_root, _delta_squared, _squarefree_split, _triad
+from pencils.angular import (
+    _delta_root,
+    _delta_squared,
+    _squarefree_split,
+    _triad,
+    _wigner6j_tw,
+)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -142,21 +149,31 @@ def product_radicand(r1, r2):
     return (SurdSum.sqrt(r1) * SurdSum.sqrt(r2)).single_term()[1]
 
 
+def xsum_6j_tuples(arr):
+    """The arguments of the three 6j symbols of each x of the x-sum of a
+    triangle-consistent array."""
+    (tj1, tj2, tj3), (tj4, tj5, tj6), (tj7, tj8, tj9) = arr.twice_rows()
+    _, pairs = _ninej_triads(arr)
+    return [
+        twice
+        for tx in range(max(abs(a - b) for a, b in pairs), min(a + b for a, b in pairs) + 1, 2)
+        for twice in (
+            (tj1, tj4, tj7, tj8, tj9, tx),
+            (tj2, tj5, tj8, tj4, tx, tj6),
+            (tj3, tj6, tj9, tx, tj1, tj2),
+        )
+    ]
+
+
 def ninej_triad_sets(arr):
     """The triad sets of a triangle-consistent array whose Delta^2 roots the
     6j/9j route takes: the six row and column triads, and the four triads
     of each 6j symbol of the x-sum."""
-    (tj1, tj2, tj3), (tj4, tj5, tj6), (tj7, tj8, tj9) = arr.twice_rows()
-    triads, pairs = _ninej_triads(arr)
-    sets = [triads]
-    for tx in range(max(abs(a - b) for a, b in pairs), min(a + b for a, b in pairs) + 1, 2):
-        for ta, tb, tc, td, te, tf in (
-            (tj1, tj4, tj7, tj8, tj9, tx),
-            (tj2, tj5, tj8, tj4, tx, tj6),
-            (tj3, tj6, tj9, tx, tj1, tj2),
-        ):
-            sets.append(((ta, tb, tc), (ta, te, tf), (td, tb, tf), (td, te, tc)))
-    return sets
+    triads, _ = _ninej_triads(arr)
+    return [triads] + [
+        ((ta, tb, tc), (ta, te, tf), (td, tb, tf), (td, te, tc))
+        for ta, tb, tc, td, te, tf in xsum_6j_tuples(arr)
+    ]
 
 
 class TestSurdSum:
@@ -482,7 +499,7 @@ class TestKernelMatchesSurdOracle:
     # x-dependent N, whose denominators differ across x.
     def test_9j_xsum_merges_unlike_denominators(self, monkeypatch):
         arr = NineJArray.from_twice([[4, 4, 4], [4, 4, 4], [4, 4, 4]])
-        monkeypatch.setattr(angular, "_wigner6j_tw", lambda *twice: (1, 1))
+        monkeypatch.setattr(angular, "_wigner6j_tw", lambda *twice: 1)
         terms = [
             Fraction(-(tx + 1) if tx % 2 else tx + 1, _triad(4, 4, tx) ** 3)
             for tx in range(0, 9, 2)
@@ -525,6 +542,46 @@ class TestKernelMatchesSurdOracle:
                 assert radicands == {value.single_term()[1]}, arr
                 checked += 1
         assert checked > 300
+
+
+def assert_integer_racah_sum(twice):
+    value = _wigner6j_tw(*twice)
+    assert type(value) is int, twice
+    assert value == fraction_racah_sum(*twice), twice
+
+
+class TestRacahSumIsAnInteger:
+    """`_wigner6j_tw` returns Racah's sum as one `int`, equal to its textbook
+    definition: `fraction_racah_sum` sums its terms in `Fraction` from
+    `math.factorial`, with no binomial and no Horner step."""
+
+    def test_every_tuple_up_to_8(self):
+        # Uncached on both sides: 9^6 entries would stay in each cache.
+        kernel, oracle = _wigner6j_tw.__wrapped__, fraction_racah_sum.__wrapped__
+        nonzero = 0
+        for twice in itertools.product(range(9), repeat=6):
+            value = kernel(*twice)
+            assert type(value) is int and value == oracle(*twice), twice
+            nonzero += value != 0
+        assert nonzero == 13_597
+
+    @seed(34)
+    @settings(max_examples=300, deadline=None)
+    @given(st.randoms(use_true_random=False).map(lambda rng: six_j_tuple(rng, 60)))
+    def test_seeded_tuples_up_to_60(self, twice):
+        assert_integer_racah_sum(twice)
+
+    def test_every_tuple_of_the_combinant_arrays_at_d21(self):
+        tuples = {
+            twice
+            for args in combinant_indices(21)
+            if args[0] == 21
+            for arr in combinant_9j_array(*args)
+            for twice in xsum_6j_tuples(arr)
+        }
+        assert len(tuples) == 4_295
+        for twice in tuples:
+            assert_integer_racah_sum(twice)
 
 
 # The first angular call of a fresh interpreter: a 6j symbol near the 9j

@@ -4,6 +4,7 @@ import errno
 import importlib
 import json
 import os
+import random
 import re
 import sys
 import time
@@ -11,9 +12,18 @@ from pathlib import Path
 
 import pytest
 
-from pencils import BinaryForm, cli, index_pairs, theta
+from pencils import (
+    BinaryForm,
+    Pencil,
+    cli,
+    combinant_sequence,
+    index_pairs,
+    theta,
+    transvectant,
+)
 from pencils.cli import main
 from pencils.forms import _shown
+from pencils.serialize import form_from_dict, form_to_dict
 
 
 def run(capsys, *argv):
@@ -452,6 +462,41 @@ class TestInputCaps:
         assert lines[4:6] == ["equivalent: yes", f"theta = {theta(d, r, i, 1)}"]
         assert lines[6].startswith("theta/ninej = ") and "unavailable" not in lines[6]
         assert len(lines) == 7
+
+    # The widest forms with every numerator at the bit cap: the output must
+    # read back equal to the library's value.
+    @staticmethod
+    def capped_forms(tmp_path, order):
+        """Two seeded forms of the order, each numerator of exactly the capped
+        bit length, and the paths of their JSON files."""
+        rng = random.Random(order)
+        bits = cli.COEFF_MAX_BITS
+        forms, paths = [], []
+        for name in ("f.json", "g.json"):
+            coeffs = [
+                rng.choice((-1, 1)) * (rng.getrandbits(bits - 1) | 1 << bits - 1)
+                for _ in range(order + 1)
+            ]
+            forms.append(BinaryForm(order, coeffs))
+            path = tmp_path / name
+            path.write_text(json.dumps(form_to_dict(forms[-1])))
+            paths.append(str(path))
+        return forms, paths
+
+    def test_combinants_cap_at_widest_coefficients(self, capsys, tmp_path):
+        (a, b), paths = self.capped_forms(tmp_path, cli.COMBINANTS_MAX_D)
+        code, out, _ = run(capsys, "combinants", *paths, "--json")
+        assert code == 0
+        seq = [form_from_dict(obj) for obj in json.loads(out)]
+        assert len(seq) == (cli.COMBINANTS_MAX_D + 1) // 2
+        assert seq == list(combinant_sequence(Pencil(a, b)))
+
+    def test_transvect_cap_at_widest_coefficients(self, capsys, tmp_path):
+        (f, g), paths = self.capped_forms(tmp_path, cli.TRANSVECT_MAX_ORDER)
+        q = cli.TRANSVECT_MAX_ORDER // 3
+        code, out, _ = run(capsys, "transvect", *paths, "--q", str(q), "--json")
+        assert code == 0
+        assert form_from_dict(json.loads(out)) == transvectant(f, g, q)
 
     def test_verify_caps_together(self, capsys):
         d, trials = cli.PENCIL_MAX_D, cli.VERIFY_MAX_TRIALS
