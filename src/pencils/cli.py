@@ -52,9 +52,9 @@ ORACLE_THETA_MAX_D = 36
 # Bits of the numerators and denominators of `oracle-theta --f`: the
 # chain's coefficients grow as the symbol's 4d-th power.
 ORACLE_THETA_MAX_BITS = 4
-# `syzygy-table`: about r^2/4 entries, each one product of factorials of up
-# to 2d reduced once.  At (300, 150) the table takes 0.76-0.82 s in-process
-# and the command 0.82-1.06 s (4 processes; shared 2-core host, Python 3.11).
+# `syzygy-table`: about r^2/4 entries, each two binomials and three falling
+# factorials reduced once.  At (300, 150) the table takes 0.13-0.20 s in-process
+# and the command 0.24-0.37 s (4 processes; shared 2-core host, Python 3.11).
 SYZYGY_TABLE_MAX_D = 300
 # `gamma`: gamma(r, d) has about d/4 digits, and Python refuses to print an
 # int of more than 4300.

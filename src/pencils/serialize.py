@@ -13,7 +13,9 @@ from fractions import Fraction
 from .forms import BinaryForm, _shown, to_fraction
 from .syzygy import SyzygyTable
 
-_INDEX_KEY = re.compile(r"[1-9][0-9]*,[1-9][0-9]*")
+# At most 20 digits an index, so `int` never meets a numeral it refuses: a
+# larger index needs r >= 10^20, and so more keys than a dict can hold.
+_INDEX_KEY = re.compile(r"[1-9][0-9]{0,19},[1-9][0-9]{0,19}")
 
 
 def _read_rational(entry) -> Fraction:

@@ -8,9 +8,9 @@ vanishing combination
 quantified over 1 <= i <= j <= r with i+j <= r+1.  The coefficients come
 from the explicit `theta` formula below; since the (1, r) term is
 C_1 * C_{2r-1} up to the positive factor alpha_{1,r}, the identity recovers
-C_{2r-1} from the earlier combinants by one exact division.  A table is one
-integer pass over that formula: one list of factorials, the factors every
-entry shares formed once, and one `Fraction` per entry.
+C_{2r-1} from the earlier combinants by one exact division.  The formula's
+factorials regroup into two binomials and three falling factorials, one
+integer expression per entry, so a table is one `Fraction` per entry.
 
 Both run in integers.  Each combinant, and each transvectant of two of
 them, is a form of integer numerators over one denominator.  The whole sum
@@ -31,9 +31,7 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import lru_cache
 from fractions import Fraction
-from itertools import accumulate
-from math import factorial
-from operator import mul
+from math import comb, factorial, perm
 
 from .combinant import Pencil
 from .errors import FormulaViolationError
@@ -64,35 +62,27 @@ def theta(d: int, r: int, i: int, j: int) -> Fraction:
       N2 = (2i-1)! (2j-1)! (d-2i+1)! (d-2j+1)!
            * (2d-2i+2)! (2d-2j+2)! (2r-2i-2j+2)!
 
-    Symmetric in i and j; i > j is allowed.
+    It is computed from four identities, with perm(n, k) = n!/(n-k)!:
+
+      d!/((2i-1)! (d-2i+1)!)      = C(d, 2i-1)
+      (d-1)!/((2j-1)! (d-2j+1)!)  = C(d, 2j-1)/d
+      (2r-1)!/(2r-2i-2j+2)!       = perm(2r-1, 2i+2j-3)
+      (2d-2i+2)!/(2d-4i+3)!       = perm(2d-2i+2, 2i-1), and likewise for j.
+
+    The second is not C(d-1, 2j-1)/(d-2j+1), which is 0/0 at (i, j) = (1, r)
+    when d = 2r-1.  Symmetric in i and j; i > j is allowed.
     """
     _check_indices(d, r, i, j)
-    ((num, den),) = _theta_ratios(d, r, ((i, j),), factorial)
-    return Fraction(num, den)
+    return Fraction(*_theta_ratio(d, r, i, j))
 
 
-def _theta_ratios(d: int, r: int, pairs, fact):
-    """`theta(d, r, i, j)` for each (i, j) of `pairs`, as an unreduced
-    (numerator, denominator) pair of ints, with fact(n) = n!; unchecked.
-
-    The one implementation of the formula: 8 d! (d-1)! (2r-1)! is shared by
-    every pair, so it is formed once.
-    """
-    shared = 8 * fact(d) * fact(d - 1) * fact(2 * r - 1)
-    for i, j in pairs:
-        head = 2 * d * i + 2 * d * j - d * r - 2 * i * i - 2 * j * j - 2 * d + 3 * i + 3 * j - 2
-        n1 = head * shared * fact(2 * d - 4 * i + 3) * fact(2 * d - 4 * j + 3)
-        n2 = (
-            fact(2 * i - 1)
-            * fact(2 * j - 1)
-            * fact(d - 2 * i + 1)
-            * fact(d - 2 * j + 1)
-            * fact(2 * d - 2 * i + 2)
-            * fact(2 * d - 2 * j + 2)
-            * fact(2 * r - 2 * i - 2 * j + 2)
-        )
-        delta = int(i == 1 and j == r) + int(i == r and j == 1)
-        yield delta * n2 - n1, n2
+def _theta_ratio(d: int, r: int, i: int, j: int) -> tuple[int, int]:
+    """`theta(d, r, i, j)` as an unreduced (numerator, denominator) pair of ints; unchecked."""
+    head = 2 * d * i + 2 * d * j - d * r - 2 * i * i - 2 * j * j - 2 * d + 3 * i + 3 * j - 2
+    n1 = 8 * head * comb(d, 2 * i - 1) * comb(d, 2 * j - 1) * perm(2 * r - 1, 2 * i + 2 * j - 3)
+    n2 = d * perm(2 * d - 2 * i + 2, 2 * i - 1) * perm(2 * d - 2 * j + 2, 2 * j - 1)
+    delta = int(i == 1 and j == r) + int(i == r and j == 1)
+    return delta * n2 - n1, n2
 
 
 def index_pairs(r: int) -> list[tuple[int, int]]:
@@ -151,16 +141,14 @@ class SyzygyTable:
 def syzygy_table(d: int, r: int) -> SyzygyTable:
     """alpha_{i,j} = theta_{i,j}, doubled off the diagonal where (i,j) and (j,i) merge.
 
-    One integer pass: every factorial comes from one list of 0! .. (2d)!,
-    and each entry is reduced once, as one `Fraction`.
+    Each entry is `theta`'s one integer expression, reduced once as one
+    `Fraction`.
     """
     _check_weight(d, r)
-    fact = list(accumulate(range(1, 2 * d + 1), mul, initial=1))
-    pairs = index_pairs(r)
-    entries = {
-        (i, j): Fraction(num if i == j else 2 * num, den)
-        for (i, j), (num, den) in zip(pairs, _theta_ratios(d, r, pairs, fact.__getitem__))
-    }
+    entries = {}
+    for i, j in index_pairs(r):
+        num, den = _theta_ratio(d, r, i, j)
+        entries[(i, j)] = Fraction(num if i == j else 2 * num, den)
     if entries[(1, r)] <= 0:
         raise FormulaViolationError(f"alpha(1,{r}) is not positive at d={d}")
     return SyzygyTable._raw(d, r, entries)

@@ -292,6 +292,33 @@ def syzygy_sum_by_terms(table, combinants, skip=None) -> BinaryForm:
     return BinaryForm._raw(total, lcm)
 
 
+def theta_by_factorials(d: int, r: int, i: int, j: int) -> Fraction:
+    """Oracle for `theta`: the paper's quotient N1/N2 of factorials, as printed.
+
+    No binomial and no falling factorial; each factorial is `math.factorial`.
+    """
+    head = 2 * d * i + 2 * d * j - d * r - 2 * i * i - 2 * j * j - 2 * d + 3 * i + 3 * j - 2
+    n1 = (
+        head
+        * factorial(d)
+        * factorial(d - 1)
+        * factorial(2 * r - 1)
+        * factorial(2 * d - 4 * i + 3)
+        * factorial(2 * d - 4 * j + 3)
+    )
+    n2 = (
+        factorial(2 * i - 1)
+        * factorial(2 * j - 1)
+        * factorial(d - 2 * i + 1)
+        * factorial(d - 2 * j + 1)
+        * factorial(2 * d - 2 * i + 2)
+        * factorial(2 * d - 2 * j + 2)
+        * factorial(2 * r - 2 * i - 2 * j + 2)
+    )
+    delta = int(i == 1 and j == r) + int(i == r and j == 1)
+    return delta - Fraction(8 * n1, n2)
+
+
 def _pencil_order(seq) -> int:
     # C_1 has order 2d - 2.
     return seq[0].order // 2 + 1

@@ -131,6 +131,22 @@ MUTANTS = (
         "    return base, permuted\n", "    return base, base\n",
         ("tests/test_angular.py::TestCombinantArrays::test_arrays_match_their_rows_written_out",),
     ),
+    # theta's one integer expression, against the paper's factorial quotient.
+    Mutant(
+        "theta's second binomial taken over d - 1", "syzygy.py",
+        "comb(d, 2 * j - 1)", "comb(d - 1, 2 * j - 1)",
+        ("tests/test_syzygy.py::TestSyzygyTable::test_every_entry_is_symmetrized_theta[d=7]",),
+    ),
+    Mutant(
+        "theta's denominator drops its factor d", "syzygy.py",
+        "n2 = d * perm(", "n2 = perm(",
+        ("tests/test_syzygy.py::TestSyzygyTable::test_every_entry_is_symmetrized_theta[d=7]",),
+    ),
+    Mutant(
+        "theta's falling factorial of 2r - 1 one factor short", "syzygy.py",
+        "2 * i + 2 * j - 3)", "2 * i + 2 * j - 4)",
+        ("tests/test_syzygy.py::TestSyzygyTable::test_every_entry_is_symmetrized_theta[d=7]",),
+    ),
     # The first list of mutants run against the whole suite, each with the
     # test that kills it.
     Mutant(

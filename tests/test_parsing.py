@@ -280,6 +280,17 @@ class TestTableJson:
         with pytest.raises(ValueError, match="alpha keys must read"):
             table_from_dict(payload)
 
+    def test_index_past_twenty_digits_is_refused_by_the_key_rule(self):
+        alphas = {"1" * 5000 + ",1": "1"}
+        with pytest.raises(ValueError) as info:
+            table_from_dict({"d": 7, "r": 3, "alphas": alphas})
+        message = str(info.value)
+        assert message.startswith("alpha keys must read")
+        assert message.endswith("a str of 5002 characters") and len(message) < 120
+        # Twenty digits pass the key rule and reach the table's key-set check.
+        with pytest.raises(ValueError, match="^entry keys do not match"):
+            table_from_dict({"d": 7, "r": 3, "alphas": {"9" * 20 + ",1": "1"}})
+
     def test_float_alpha_refused(self):
         entries = dict(syzygy_table(7, 3).items())
         entries[(1, 1)] = 0.5

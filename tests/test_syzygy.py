@@ -45,6 +45,7 @@ from helpers import (
     recover_by_fractions,
     syzygy_sum_by_fractions,
     syzygy_sum_by_terms,
+    theta_by_factorials,
 )
 
 syzygy_module = importlib.import_module("pencils.syzygy")
@@ -80,6 +81,14 @@ class TestTheta:
             theta(7, 3, 0, 1)
         with pytest.raises(ValueError):
             theta(7, 3, 3, 2)  # i + j > r + 1
+
+    def test_every_grid_point_matches_the_factorial_quotient(self):
+        # Both orders of (i, j), so i > j is checked too.
+        for d in range(5, 41):
+            for r in range(3, (d + 1) // 2 + 1):
+                for i in range(1, r + 1):
+                    for j in range(1, r + 2 - i):
+                        assert theta(d, r, i, j) == theta_by_factorials(d, r, i, j), (d, r, i, j)
 
     def test_connection_to_gamma(self):
         for d in range(5, 20):
@@ -128,30 +137,32 @@ class TestSyzygyTable:
             eps = 1 if i == j else 2
             assert value == eps * theta(9, 4, i, j)
 
-    # The table's one integer pass against `theta`'s own factorials: every
-    # (d, r) with d <= 60, and a few larger orders.
+    # `theta` and the table share one expression, so each entry is checked
+    # against the paper's factorial quotient: every (d, r) with d <= 60, a
+    # few larger orders, and the CLI cap (300, 150).
     @pytest.mark.parametrize(
         "weights",
         [[(d, r) for r in range(3, (d + 1) // 2 + 1)] for d in range(5, 61)]
-        + [[(101, 50), (211, 7), (300, 3), (300, 12)]],
-        ids=[f"d={d}" for d in range(5, 61)] + ["large"],
+        + [[(101, 50), (211, 7), (300, 3), (300, 12)], [(300, 150)]],
+        ids=[f"d={d}" for d in range(5, 61)] + ["large", "cap"],
     )
     def test_every_entry_is_symmetrized_theta(self, weights):
         for d, r in weights:
             table = syzygy_table(d, r)
             assert list(table.entries) == index_pairs(r)
             for (i, j), value in table.items():
-                assert value == (1 if i == j else 2) * theta(d, r, i, j), (d, r, i, j)
+                eps = 1 if i == j else 2
+                assert value == eps * theta_by_factorials(d, r, i, j), (d, r, i, j)
 
     @pytest.mark.parametrize("spoil", [lambda num: -num, lambda num: 0], ids=["negative", "zero"])
     def test_nonpositive_pivot_is_refused_and_not_kept(self, monkeypatch, spoil):
-        real = syzygy_module._theta_ratios
+        real = syzygy_module._theta_ratio
 
-        def spoiled(d, r, pairs, fact):
-            for (i, j), (num, den) in zip(pairs, real(d, r, pairs, fact)):
-                yield (spoil(num) if (i, j) == (1, r) else num), den
+        def spoiled(d, r, i, j):
+            num, den = real(d, r, i, j)
+            return (spoil(num) if (i, j) == (1, r) else num), den
 
-        monkeypatch.setattr(syzygy_module, "_theta_ratios", spoiled)
+        monkeypatch.setattr(syzygy_module, "_theta_ratio", spoiled)
         _alphas.cache_clear()
         with pytest.raises(FormulaViolationError, match=r"^alpha\(1,4\) is not positive at d=11$"):
             syzygy_table(11, 4)
