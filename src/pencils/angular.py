@@ -5,7 +5,8 @@ or 2m, as the paper indexes each irreducible by its order d = 2j, so every
 triangle and phase condition is plain integer arithmetic:
 `wigner3j(tj1, tj2, tj3, tm1, tm2, tm3)`, `wigner6j(ta, tb, tc, td, te, tf)`
 and `wigner9j(NineJArray.from_twice(rows))` take doubled ints only, and
-refuse a bool, a float or a string with `TypeError`.
+refuse a bool, a float or a string with `TypeError`; `wigner9j` and
+`ninej_magnetic_sum` refuse anything but a `NineJArray` in the same way.
 Values are `SurdSum`s: one surd c*sqrt(n), c rational and n squarefree,
 so equality tests are decisive.  Each symbol is one surd by construction,
 and so is each product of six 3j symbols in the magnetic sum: each
@@ -33,7 +34,25 @@ over the three x-dependent N, is reduced by one gcd (the Racah sums cancel
 most of the Delta^2 denominators, which keeps large arrays cheap), then
 merged into one running fraction whose denominator is the lcm of those so
 far, and one `Fraction` is built per 9j value; the former `Fraction` x-sum
-is the test oracle `wigner9j_by_fraction_xsum`.  `combinant_9j_array`
+is the test oracle `wigner9j_by_fraction_xsum`.
+The 72 orientations of a 9j array (row and column permutations and the
+transpose; Varshalovich, Moskalev & Khersonskii, Quantum Theory of Angular
+Momentum, 1988, ch. 10) give six distinct x-sums, one per row order.  The
+three cyclic row orders keep the value; the three odd ones multiply it by
+(-1)^S, S the sum of the nine j, and never reach a shorter x-sum.  The span
+of an x-sum, min sum less max |difference| over its three pairs, is the
+least of u+v-|w-z| over the pairs (u v) and (w z) of that x-sum, equal or
+not, and the 45 linear forms u+v+w-z and u+v-w+z of the cyclic orders are
+the 45 of the odd ones.  So `wigner9j` compares the three cyclic spans in
+integers, before any 6j, and contracts along the shortest, the shortest of
+all six, with no sign; the first of equal spans keeps the given order.
+It compares them only once the row and column triads hold, so an array
+that fails the selection rules costs no more than before.  A 9j is equal
+along every x-sum, so the permuted companion B' of a combinant array is
+checked against B by `_ninej_as_given`, the same triad checks and x-sum
+kernel run along B' as given: `wigner9j(B')` takes the shortest x-sum of
+B', which is that of `wigner9j(B)` or as short, so the check could
+compare one contraction with itself.  `combinant_9j_array`
 builds its arrays through `NineJArray._raw`, unchecked, as its checked
 indices already make every entry a nonnegative int; every other array
 comes through the checks of `from_twice`.
@@ -454,28 +473,61 @@ class NineJArray:
 
 def wigner9j(array: NineJArray) -> SurdSum:
     """Exact 9j symbol by the single-sum contraction of three 6j symbols,
-    taken as one square root times one rational sum over x.
+    taken as one square root times one rational sum over x, along the
+    shortest of the array's six x-sums.
 
     Zero whenever any row or column triad fails the triangle condition.
     """
-    (tj1, tj2, tj3), (tj4, tj5, tj6), (tj7, tj8, tj9) = rows = array.twice_rows()
+    if not isinstance(array, NineJArray):
+        raise TypeError(f"array must be a NineJArray, got {_shown(array)}")
+    rows = array._twice
+    if not _triads_hold(rows):
+        return SurdSum.zero()
+    (a, b, c), (d, e, f), (g, h, i) = rows
+    # Rows P, Q, R bound x by the pairs (P1 R3), (Q1 R2), (P2 Q3), so x
+    # runs from max |difference| to min sum; one span per cyclic row order.
+    spans = (
+        min(a + i, d + h, b + f) - max(abs(a - i), abs(d - h), abs(b - f)),
+        min(d + c, g + b, e + i) - max(abs(d - c), abs(g - b), abs(e - i)),
+        min(g + f, a + e, h + c) - max(abs(g - f), abs(a - e), abs(h - c)),
+    )
+    k = spans.index(min(spans))
+    return _xsum(rows[k:] + rows[:k])
+
+
+def _ninej_as_given(rows) -> SurdSum:
+    """The 9j symbol of the three rows of doubled ints, summed over x along
+    the array as given.  Called only where a second contraction is wanted:
+    to check B against B'."""
+    return _xsum(rows) if _triads_hold(rows) else SurdSum.zero()
+
+
+def _triads_hold(rows) -> bool:
+    """Whether each row and column of the array is a triangle of doubled
+    ints with an even sum."""
+    (tj1, tj2, tj3), (tj4, tj5, tj6), (tj7, tj8, tj9) = rows
     # The row sums s1, s2, s3 and column sums s4, s5, s6, halved once even.
     s1, s2, s3 = tj1 + tj2 + tj3, tj4 + tj5 + tj6, tj7 + tj8 + tj9
     s4, s5, s6 = tj1 + tj4 + tj7, tj2 + tj5 + tj8, tj3 + tj6 + tj9
     # Even sums also give the x-pairs (j1 j9), (j4 j8), (j2 j6) one parity:
     # tj1 + tj9 + tj4 + tj8 = s4 + s3 - 2 tj7, tj1 + tj9 + tj2 + tj6 = s1 + s6 - 2 tj3.
     if (s1 | s2 | s3 | s4 | s5 | s6) & 1:
-        return SurdSum.zero()
+        return False
     s1, s2, s3, s4, s5, s6 = s1 >> 1, s2 >> 1, s3 >> 1, s4 >> 1, s5 >> 1, s6 >> 1
-    if (
+    return not (
         tj1 > s1 or tj2 > s1 or tj3 > s1
         or tj4 > s2 or tj5 > s2 or tj6 > s2
         or tj7 > s3 or tj8 > s3 or tj9 > s3
         or tj1 > s4 or tj4 > s4 or tj7 > s4
         or tj2 > s5 or tj5 > s5 or tj8 > s5
         or tj3 > s6 or tj6 > s6 or tj9 > s6
-    ):
-        return SurdSum.zero()
+    )
+
+
+def _xsum(rows) -> SurdSum:
+    """The x-sum kernel: the 9j symbol of rows whose triads hold, summed
+    over x along the array as given."""
+    (tj1, tj2, tj3), (tj4, tj5, tj6), (tj7, tj8, tj9) = rows
     tx_min = max(abs(tj1 - tj9), abs(tj4 - tj8), abs(tj2 - tj6))
     tx_max = min(tj1 + tj9, tj4 + tj8, tj2 + tj6)
     # The running sum total/common, with common the lcm of the terms'
@@ -524,6 +576,8 @@ def ninej_magnetic_sum(array: NineJArray) -> SurdSum:
     entry, which fix every other magnetic number.  Independent of the 6j
     contraction route; intended as a test oracle for small momenta.
     """
+    if not isinstance(array, NineJArray):
+        raise TypeError(f"array must be a NineJArray, got {_shown(array)}")
     rows = array.twice_rows()
     triads = (*rows, *zip(*rows))
     if not all(_triangle_ok(*triad) for triad in triads):

@@ -11,7 +11,7 @@ import json
 import re
 import sys
 
-from .angular import NineJArray, SurdSum, combinant_9j_array, wigner9j
+from .angular import NineJArray, SurdSum, _ninej_as_given, combinant_9j_array, wigner9j
 from .combinant import Pencil, combinant_sequence, random_pencil
 from .errors import AlgebraError, FormulaViolationError
 from .forms import DIGITS, BinaryForm, LinearSymbol, _shown, to_fraction
@@ -74,9 +74,10 @@ VERIFY_MAX_TRIALS = 20
 # shared 2-core host with Python 3.11.
 NINEJ_MAX_TWICE_J = 500
 # `ninej-combinant`: the permuted array at the top weight, with i near r/2
-# and j = 1, is the slowest; its x-sum runs over about d values.  At
-# (500, 250, 125, 1) a cold `wigner9j` takes 0.25-0.33 s (median 0.26 s)
-# and the command 0.29-0.41 s (median 0.36 s), measured in the same way.
+# and j = 1, is the slowest, as the check sums B' along x as given, over
+# about d values.  At (500, 250, 125, 1) a cold `wigner9j(B)` takes 1.3-1.6
+# ms, the cold sum of B' 0.24-0.33 s (median 0.26 s) and the command
+# 0.30-0.39 s (median 0.32 s), measured in the same way.
 NINEJ_COMBINANT_MAX_D = 500
 
 
@@ -326,7 +327,9 @@ def _cmd_ninej_combinant(args, parser):
     _check_cap(parser, args, "--d", NINEJ_COMBINANT_MAX_D)
     base, permuted = combinant_9j_array(args.d, args.r, args.i, args.j)
     value = wigner9j(base)
-    value_p = wigner9j(permuted)
+    # B' summed along x as given: `wigner9j(B')` takes the shortest x-sum,
+    # that of B or one as short, so it could repeat B's contraction.
+    value_p = _ninej_as_given(permuted.twice_rows())
     print(f"B  = [{base}]")
     print(f"B' = [{permuted}]")
     print(f"ninej(B)  = {value}")

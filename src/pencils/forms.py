@@ -297,6 +297,9 @@ def exact_divide(numerator: BinaryForm, denominator: BinaryForm) -> BinaryForm:
     input or a bug in the caller, never a rounding artifact.  The divisor's
     content and the two denominators make up the quotient's denominator.
     """
+    for name, form in (("numerator", numerator), ("denominator", denominator)):
+        if not isinstance(form, BinaryForm):
+            raise TypeError(f"{name} must be a BinaryForm, got {_shown(form)}")
     divisor = denominator._nums
     if not any(divisor):
         raise ZeroDivisionError("division by the zero form")

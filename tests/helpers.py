@@ -5,9 +5,10 @@ import math
 import random
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, permutations
 from math import factorial
 
+from pencils import angular
 from pencils.angular import NineJArray, SurdSum, _delta_squared, _squarefree_split, _triangle_ok
 from pencils.errors import DegreeMismatchError, FormulaViolationError, NotDivisibleError
 from pencils.forms import BinaryForm, LinearSymbol
@@ -662,6 +663,59 @@ def swapped_rows(array: NineJArray, a: int, b: int) -> NineJArray:
 
 def swapped_cols(array: NineJArray, a: int, b: int) -> NineJArray:
     return transposed(swapped_rows(transposed(array), a, b))
+
+
+# Each permutation of three rows or columns as a sequence of swaps.
+_SWAPS = ((), ((0, 1),), ((1, 2),), ((0, 2),), ((0, 1), (1, 2)), ((1, 2), (0, 1)))
+
+
+def orientations(array: NineJArray):
+    """The 72 orientations of the array, each with 1 when it takes an odd
+    number of row and column swaps, else 0: an odd one multiplies the 9j
+    symbol by (-1)^S, S the sum of the nine j."""
+    out = []
+    for start in (array, transposed(array)):
+        for row_swaps in _SWAPS:
+            for col_swaps in _SWAPS:
+                oriented = start
+                for a, b in row_swaps:
+                    oriented = swapped_rows(oriented, a, b)
+                for a, b in col_swaps:
+                    oriented = swapped_cols(oriented, a, b)
+                out.append((oriented, (len(row_swaps) + len(col_swaps)) % 2))
+    return out
+
+
+def canonical_6j(twice) -> tuple:
+    """The least of the 24 argument tuples of the 6j symbol {a b c; d e f}
+    (doubled) that its symmetries give: any order of the columns, and the
+    upper and lower entries exchanged in two of them.  Two contractions of
+    a 9j use the same 6j symbols when their canonical keys agree."""
+    a, b, c, d, e, f = twice
+    keys = []
+    for columns in permutations(((a, d), (b, e), (c, f))):
+        for flips in ((0, 0, 0), (1, 1, 0), (1, 0, 1), (0, 1, 1)):
+            (u1, l1), (u2, l2), (u3, l3) = (
+                column[::-1] if flip else column for column, flip in zip(columns, flips)
+            )
+            keys.append((u1, u2, u3, l1, l2, l3))
+    return min(keys)
+
+
+def sixj_keys(monkeypatch, compute) -> set:
+    """The `canonical_6j` keys of the 6j symbols that `compute()` evaluates
+    through `angular._wigner6j_tw`, cached or not."""
+    keys = set()
+    real = angular._wigner6j_tw
+
+    def recorded(*twice):
+        keys.add(canonical_6j(twice))
+        return real(*twice)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(angular, "_wigner6j_tw", recorded)
+        compute()
+    return keys
 
 
 def entry_sum_twice(array: NineJArray) -> int:

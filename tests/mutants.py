@@ -63,6 +63,12 @@ MUTANTS = (
         ("tests/test_cli.py::TestNinejCombinant::test_unequal_symbols_print_no",),
     ),
     Mutant(
+        "ninej-combinant orients B' like B", "cli.py",
+        "    value_p = _ninej_as_given(permuted.twice_rows())\n",
+        "    value_p = wigner9j(permuted)\n",
+        ("tests/test_cli.py::TestNinejCombinant::test_b_prime_is_summed_along_its_own_x",),
+    ),
+    Mutant(
         "positivity certificate skips gamma < 1", "syzygy.py",
         "    if not g < 1:\n", "    if False:\n",
         ("tests/test_syzygy.py::TestPositivityCertificate::test_gamma_not_below_one_is_refused",),
@@ -120,6 +126,21 @@ MUTANTS = (
         "9j x-term drops its third Racah sum", "angular.py",
         " * r1 * r2 * r3\n", " * r1 * r2\n",
         ("tests/test_angular.py::TestKernelMatchesSurdOracle::test_9j_random_half_integer_arrays",),
+    ),
+    Mutant(
+        "9j contracted along the given row order", "angular.py",
+        "_xsum(rows[k:] + rows[:k])", "_xsum(rows)",
+        ("tests/test_angular.py::TestBPrimeCheck::test_cold_6j_misses_at_the_cap_corner",),
+    ),
+    Mutant(
+        "wigner9j sums an array whose triads fail", "angular.py",
+        "    if not _triads_hold(rows):\n        return SurdSum.zero()\n", "",
+        ("tests/test_angular.py::TestOracleIndependence::test_failed_selection_rule_reaches_no_kernel",),
+    ),
+    Mutant(
+        "9j orientation picks the longest x-sum", "angular.py",
+        "spans.index(min(spans))", "spans.index(max(spans))",
+        ("tests/test_angular.py::TestBPrimeCheck::test_cold_6j_misses_at_the_cap_corner",),
     ),
     Mutant(
         "B' built without its column swap", "angular.py",

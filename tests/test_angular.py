@@ -21,6 +21,8 @@ from helpers import (
     delta_root_by_product_split,
     entry_sum_twice,
     fraction_racah_sum,
+    orientations,
+    sixj_keys,
     surd_wigner6j_tw,
     swapped_cols,
     swapped_rows,
@@ -29,6 +31,7 @@ from helpers import (
     wigner9j_by_fraction_xsum,
 )
 from pencils import (
+    LinearSymbol,
     NineJArray,
     SurdSum,
     angular,
@@ -42,6 +45,7 @@ from pencils import (
 from pencils.angular import (
     _delta_root,
     _delta_squared,
+    _ninej_as_given,
     _squarefree_split,
     _triad,
     _wigner6j_tw,
@@ -422,6 +426,39 @@ class TestWigner9j:
         with pytest.raises(ValueError):
             NineJArray.from_twice([[0, 0, 0], [0, -2, 0], [0, 0, 0]])
 
+    # An odd orientation is contracted along a cyclic row order of itself,
+    # so its sign (-1)^S comes from the x-sum kernel alone.
+    def test_every_orientation_gives_the_signed_value(self):
+        odd_nonzero = 0
+        for arr in half_integer_arrays(36, 12, 7):
+            value = wigner9j_by_fraction_xsum(arr)
+            odd = entry_sum_twice(arr) // 2 % 2
+            odd_nonzero += odd and not value.is_zero()
+            for oriented, parity in orientations(arr):
+                assert wigner9j(oriented) == (-value if odd and parity else value), oriented
+        assert odd_nonzero >= 3
+
+    # `wigner9j` compares only the three cyclic row orders.
+    def test_a_cyclic_row_order_has_the_shortest_x_range(self):
+        def x_range(arr):
+            (tj1, tj2, _), (tj4, _, tj6), (_, tj8, tj9) = arr.twice_rows()
+            pairs = ((tj1, tj9), (tj4, tj8), (tj2, tj6))
+            return min(a + b for a, b in pairs) - max(abs(a - b) for a, b in pairs)
+
+        rng = random.Random(37)
+        for _ in range(300):
+            twice = [rng.randint(0, 12) for _ in range(9)]
+            arr = NineJArray.from_twice([twice[0:3], twice[3:6], twice[6:9]])
+            cycled = swapped_rows(swapped_rows(arr, 0, 1), 1, 2)
+            cyclic = (arr, cycled, swapped_rows(swapped_rows(cycled, 0, 1), 1, 2))
+            assert min(map(x_range, cyclic)) == min(x_range(o) for o, _ in orientations(arr))
+
+    @pytest.mark.parametrize("function", [wigner9j, ninej_magnetic_sum])
+    @pytest.mark.parametrize("bad", [LinearSymbol(1, 2), ((1, 1, 0), (1, 1, 0), (0, 0, 0))])
+    def test_non_array_argument_is_refused(self, function, bad):
+        with pytest.raises(TypeError, match="^array must be a NineJArray, got "):
+            function(bad)
+
 
 class TestKernelMatchesSurdOracle:
     """The rational-Racah 6j kernel and the one-surd 9j contraction against
@@ -728,6 +765,34 @@ class TestNineJArray:
         for args in ((), ([[0] * 3] * 3,)):
             with pytest.raises(TypeError, match="from_twice"):
                 NineJArray(*args)
+
+
+class TestBPrimeCheck:
+    """`wigner9j` contracts B' along its shortest x-sum, as it does B, so the
+    check of B against B' sums B' as given, by `_ninej_as_given`."""
+
+    # At these pairs `wigner9j` takes the same 6j symbols for B' as for B,
+    # so the key sets tell the two routes apart.
+    @pytest.mark.parametrize("args", [(5, 3, 1, 1), (6, 3, 2, 2), (15, 6, 3, 3)])
+    def test_the_check_compares_two_contractions(self, monkeypatch, args):
+        base, permuted = combinant_9j_array(*args)
+        keys = sixj_keys(monkeypatch, lambda: wigner9j(base))
+        assert sixj_keys(monkeypatch, lambda: wigner9j(permuted)) == keys
+        given = sixj_keys(monkeypatch, lambda: _ninej_as_given(permuted.twice_rows()))
+        assert given != keys
+        assert _ninej_as_given(permuted.twice_rows()) == wigner9j(base)
+
+    def test_cold_6j_misses_at_the_cap_corner(self):
+        base, permuted = combinant_9j_array(500, 250, 125, 1)
+
+        def cold_misses(compute):
+            _wigner6j_tw.cache_clear()
+            compute()
+            return _wigner6j_tw.cache_info().misses
+
+        misses = cold_misses(lambda: wigner9j(base))
+        assert cold_misses(lambda: wigner9j(permuted)) <= misses
+        assert cold_misses(lambda: _ninej_as_given(permuted.twice_rows())) >= 100 * misses
 
 
 class TestCombinantArrays:

@@ -16,14 +16,18 @@ from pencils import (
     BinaryForm,
     Pencil,
     cli,
+    combinant_9j_array,
     combinant_sequence,
     index_pairs,
     theta,
     transvectant,
+    wigner9j,
 )
 from pencils.cli import main
 from pencils.forms import _shown
 from pencils.serialize import form_from_dict, form_to_dict
+
+from helpers import sixj_keys
 
 
 def run(capsys, *argv):
@@ -833,15 +837,21 @@ class TestNinejCombinant:
         assert "theta/ninej = " in out
 
     def test_unequal_symbols_print_no(self, capsys, monkeypatch):
-        real = cli.wigner9j
-        monkeypatch.setattr(
-            cli, "wigner9j", lambda array: real(array) * (2 if array.twice_rows()[0][0] == 12 else 1)
-        )
+        real = cli._ninej_as_given
+        monkeypatch.setattr(cli, "_ninej_as_given", lambda rows: real(rows) * 2)
         code, out, _ = run(
             capsys, "ninej-combinant", "--d", "7", "--r", "3", "--i", "1", "--j", "2"
         )
         assert code == 1
         assert "equivalent: NO" in out.splitlines()
+
+    def test_b_prime_is_summed_along_its_own_x(self, capsys, monkeypatch):
+        # At (6, 3, 2, 2) B and B' have one shortest x-sum, so B' oriented
+        # as B is would take only the 6j symbols of B.
+        base, _ = combinant_9j_array(6, 3, 2, 2)
+        keys = sixj_keys(monkeypatch, lambda: wigner9j(base))
+        argv = ("ninej-combinant", "--d", "6", "--r", "3", "--i", "2", "--j", "2")
+        assert keys < sixj_keys(monkeypatch, lambda: run(capsys, *argv))
 
 
 class TestDispatchContract:

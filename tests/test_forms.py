@@ -241,6 +241,14 @@ class TestExactDivide:
             exact_divide(BinaryForm(2, [1, 0, 1]), BinaryForm(1, [1, 1]))
 
     @pytest.mark.parametrize(
+        "num, den, name",
+        [(-3, True, "numerator"), (BinaryForm(1, [1, 1]), [1, 1], "denominator")],
+    )
+    def test_non_form_argument_is_refused(self, num, den, name):
+        with pytest.raises(TypeError, match=f"^{name} must be a BinaryForm, got "):
+            exact_divide(num, den)
+
+    @pytest.mark.parametrize(
         "num,den",
         [
             (BinaryForm(1, [0, 1]), BinaryForm(1, [1, 2])),
