@@ -68,11 +68,11 @@ Each distinct triad's Delta^2 is computed once, as the integer N with
 Delta^2 = 1/N (`_triad`).  A triad whose root is taken, such as a row or
 column of a 9j array, also keeps the squarefree split of N
 (`_triad_root`), by trial division by 2, 3 and the numbers 6k-1 and
-6k+1, the split that normalizes every `SurdSum` radicand.  The root of a
-product of Delta^2 combines those split roots, two squarefree radicands
-r and s by g = gcd(r, s) into g * sqrt((r/g)(s/g)), so no product is
-ever factored.  The selection rules are tested inline, in plain integer
-arithmetic.
+6k+1 below `SPLIT_BOUND`, the split that normalizes every `SurdSum`
+radicand.  The root of a product of Delta^2 combines those split roots,
+two squarefree radicands r and s by g = gcd(r, s) into
+g * sqrt((r/g)(s/g)), so no product is ever factored.  The selection
+rules are tested inline, in plain integer arithmetic.
 
 An independent brute-force contraction of six 3j symbols over all magnetic
 numbers is provided as a cross-check oracle.  It lists each row's and
@@ -85,17 +85,30 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, gcd
+from math import comb, factorial, gcd, isqrt
 
 from .forms import _check_range, _shown, to_fraction
 from .syzygy import _check_indices
 
+# `_squarefree_split` trial-divides only by factors below this bound: at most
+# about 350,000 divisions, 60-100 ms with CPython 3.11.  The integers of
+# the 9j route have no prime factor above a triad's s + 1, so no array it
+# can sum in practice meets the bound.
+SPLIT_BOUND = 2**20
+
 
 def _squarefree_split(n: int) -> tuple[int, int]:
-    """n = outer^2 * radicand with radicand squarefree; n must be positive."""
+    """n = outer^2 * radicand with radicand squarefree; n must be positive.
+
+    Trial division stops below SPLIT_BOUND.  What is left of n then has no
+    prime factor below the bound, so it is 1 or a prime when it is below
+    SPLIT_BOUND**2; above, it is split only if it is a square, and any
+    other n raises ValueError.
+    """
+    given = n
     outer, radicand = 1, 1
     f = 2
-    while f * f <= n:
+    while f * f <= n and f < SPLIT_BOUND:
         if n % f == 0:
             e = 0
             while n % f == 0:
@@ -106,6 +119,15 @@ def _squarefree_split(n: int) -> tuple[int, int]:
                 radicand *= f
         # 2, 3, then only the numbers 6k-1 and 6k+1.
         f += 1 if f == 2 else 4 if f % 6 == 1 else 2
+    if f * f <= n:  # stopped at the bound
+        root = isqrt(n)
+        if root * root != n:
+            raise ValueError(
+                f"cannot split {_shown(given)} into a square and a squarefree part: "
+                f"trial division below SPLIT_BOUND = {SPLIT_BOUND} leaves a part above "
+                f"SPLIT_BOUND**2 that is not a square"
+            )
+        return outer * root, radicand
     if n > 1:
         radicand *= n
     return outer, radicand
@@ -118,7 +140,8 @@ class SurdSum:
     """Exact surd c*sqrt(n), c rational and n >= 1 squarefree, with zero kept
     as (0, 1).  `SurdSum({n: c, ...})` sums its entries by squarefree
     radicand, which must be an int; it, `+` and `-` refuse two nonzero
-    radicands with ValueError."""
+    radicands with ValueError.  It and `SurdSum.sqrt` also refuse a
+    radicand that `_squarefree_split` cannot split below SPLIT_BOUND."""
 
     __slots__ = ("_coeff", "_rad")
 

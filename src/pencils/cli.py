@@ -7,7 +7,8 @@ diagnostics to stderr.
 from __future__ import annotations
 
 import argparse
-import json
+import atexit
+import os
 import re
 import sys
 
@@ -134,6 +135,8 @@ def _load_forms(args, parser, count, cap):
             parser.error(f"cannot read {_shown(path)}: {exc.strerror}")
         text = text.strip()
         if text.startswith("{"):
+            import json
+
             # A bare JSON integer is read as a string coefficient's numeral is.
             try:
                 obj = json.loads(text, parse_int=lambda numeral: to_fraction(numeral).numerator)
@@ -163,9 +166,17 @@ def _load_forms(args, parser, count, cap):
     return forms
 
 
+def _print_json(obj):
+    # `json` is imported only here and in `_load_forms`, so that a command
+    # that neither reads nor writes JSON does not pay for its import.
+    import json
+
+    print(json.dumps(obj))
+
+
 def _print_form(form, args):
     if args.json:
-        print(json.dumps(form_to_dict(form)))
+        _print_json(form_to_dict(form))
     else:
         print(format_form(form))
 
@@ -180,7 +191,7 @@ def _cmd_combinants(args, parser):
     a, b = _load_forms(args, parser, 2, COMBINANTS_MAX_D)
     seq = combinant_sequence(Pencil(a, b))
     if args.json:
-        print(json.dumps([form_to_dict(c) for c in seq]))
+        _print_json([form_to_dict(c) for c in seq])
     else:
         for r, c in enumerate(seq, start=1):
             print(f"C{2 * r - 1} = {format_form(c)}")
@@ -191,7 +202,7 @@ def _cmd_syzygy_table(args, parser):
     _check_cap(parser, args, "--d", SYZYGY_TABLE_MAX_D)
     table = syzygy_table(args.d, args.r)
     if args.json:
-        print(json.dumps(table_to_dict(table)))
+        _print_json(table_to_dict(table))
     else:
         for (i, j), value in table.items():
             print(f"alpha[{i},{j}] = {value}")
@@ -270,17 +281,15 @@ def _cmd_gamma(args, parser):
     _check_cap(parser, args, "--d", GAMMA_MAX_D)
     cert = positivity_certificate(args.r, args.d)
     if args.json:
-        print(
-            json.dumps(
-                {
-                    "r": cert.r,
-                    "d": cert.d,
-                    "gamma": str(cert.gamma),
-                    "boundary_gamma": str(cert.boundary_value),
-                    "dn_difference": str(cert.dn_difference),
-                    "dn_factored": str(cert.dn_factored),
-                }
-            )
+        _print_json(
+            {
+                "r": cert.r,
+                "d": cert.d,
+                "gamma": str(cert.gamma),
+                "boundary_gamma": str(cert.boundary_value),
+                "dn_difference": str(cert.dn_difference),
+                "dn_factored": str(cert.dn_factored),
+            }
         )
     else:
         print(f"gamma({cert.r},{cert.d}) = {cert.gamma}")
@@ -317,7 +326,7 @@ def _cmd_ninej(args, parser):
     array = _parse_twice_j(args.twice_j, parser)
     value = wigner9j(array)
     if args.json:
-        print(json.dumps({str(rad): str(c) for rad, c in sorted(value.terms.items())}))
+        _print_json({str(rad): str(c) for rad, c in sorted(value.terms.items())})
     else:
         print(value)
     return 0
@@ -435,6 +444,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command on `argv` (by default `sys.argv[1:]`) and return its
+    exit code.  A usage error or `--help` raises argparse's SystemExit."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
@@ -442,13 +453,36 @@ def main(argv=None) -> int:
     except FormulaViolationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (AlgebraError, ValueError, ZeroDivisionError, json.JSONDecodeError) as exc:
+    # A JSON file that does not parse raises JSONDecodeError, a ValueError.
+    except (AlgebraError, ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
 
 def run() -> None:
-    sys.exit(main())
+    """The `pencils` script: run `main()` on `sys.argv`, then end the process.
+
+    Once the command is done, the exit handlers run and stdout and stderr
+    are flushed, as at any exit, and `os._exit` ends the process without
+    tearing the interpreter down, about a sixth of a short command's time.
+    If a flush raises (a closed pipe, say) or the exit code is neither an
+    int nor None, `sys.exit` ends the process instead, so the exit status
+    and the broken-pipe message stay those of a normal exit.  A program
+    that goes on after a command calls `main()`.
+    """
+    try:
+        code = main()
+    except SystemExit as exc:  # a usage error or --help
+        code = exc.code
+    atexit._run_exitfuncs()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except (AttributeError, OSError, ValueError):  # no stdout, a closed pipe or file
+        sys.exit(code)
+    if code is None or isinstance(code, int):
+        os._exit(code or 0)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

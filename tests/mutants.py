@@ -89,6 +89,23 @@ MUTANTS = (
         reason="both sides are computed inline from (r, d) by one polynomial "
         "identity, so no input and no patched name reaches the refusal",
     ),
+    # The script's ending: what run() must do before os._exit.
+    Mutant(
+        "run exits before flushing stdout", "cli.py",
+        "        sys.stdout.flush()\n", "",
+        ("tests/test_cli.py::test_console_script_runs_dim_syzygy",),
+    ),
+    Mutant(
+        "run skips atexit handlers", "cli.py",
+        "    atexit._run_exitfuncs()\n", "",
+        ("tests/test_cli.py::TestRunEndsTheProcess::test_exit_handlers_run_before_the_flush",),
+    ),
+    Mutant(
+        "squarefree split keeps a large part that is not a square", "angular.py",
+        "        if root * root != n:\n", "        if False:\n",
+        ("tests/test_angular.py::TestSurdSum::"
+         "test_split_refuses_a_large_part_that_is_not_a_square_quickly",),
+    ),
     # The 9j route: each piece of its integer arithmetic, against the oracles.
     Mutant(
         "9j x-sum adds numerators over unlike denominators", "angular.py",

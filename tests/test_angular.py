@@ -9,6 +9,7 @@ import random
 import re
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -43,6 +44,7 @@ from pencils import (
     wigner9j,
 )
 from pencils.angular import (
+    SPLIT_BOUND,
     _delta_root,
     _delta_squared,
     _ninej_as_given,
@@ -286,6 +288,43 @@ class TestSurdSum:
                 outer, rad = _squarefree_split(n)
                 assert outer**2 * rad == n, (k, m)
                 assert all(rad % (p * p) for p in range(2, k + 1)), (k, m)
+
+    def test_smooth_values_split_as_before(self):
+        # Seeded products of primes below 200, against the outer part and
+        # radicand read off their exponents.
+        rng = random.Random(20)
+        primes = [p for p in range(2, 200) if all(p % q for q in range(2, p))]
+        for _ in range(300):
+            exponents = {p: rng.randrange(6) for p in rng.sample(primes, 5)}
+            n = math.prod(p**e for p, e in exponents.items())
+            outer = math.prod(p ** (e // 2) for p, e in exponents.items())
+            rad = math.prod(p for p, e in exponents.items() if e % 2)
+            assert _squarefree_split(n) == (outer, rad), exponents
+
+    def test_split_past_the_bound_keeps_primes_and_squares(self):
+        # Trial division stops below SPLIT_BOUND = 2**20.  The part left is
+        # a prime below SPLIT_BOUND**2, or a square.
+        p, q, big = 10**12 + 39, 1048583, 10**14 + 31  # primes
+        assert q > SPLIT_BOUND and p < SPLIT_BOUND**2 < big
+        assert _squarefree_split(p) == (1, p)
+        assert _squarefree_split(12 * p) == (2, 3 * p)
+        assert _squarefree_split(12 * p * p) == (2 * p, 3)
+        assert _squarefree_split(7 * (q * big) ** 2) == (q * big, 7)
+        assert SurdSum({p: 1}).terms == {p: 1}
+        assert SurdSum.sqrt(Fraction(p * p, 3)) == SurdSum({3: Fraction(p, 3)})
+
+    def test_split_refuses_a_large_part_that_is_not_a_square_quickly(self):
+        # Past SPLIT_BOUND**2 a prime cannot be told from a product of two
+        # primes above the bound, so both are refused by name of the bound.
+        # Without the bound 10**14 + 31 is split in about 0.4 s, and
+        # 2**89 - 1 never; each refusal takes about 0.1 s.
+        for n in (10**14 + 31, 2**89 - 1, 1048583 * 1048589):
+            start = time.perf_counter()
+            with pytest.raises(ValueError, match=f"SPLIT_BOUND = {SPLIT_BOUND} "):
+                SurdSum({n: 1})
+            with pytest.raises(ValueError, match=f"SPLIT_BOUND = {SPLIT_BOUND} "):
+                SurdSum.sqrt(Fraction(5, n))
+            assert time.perf_counter() - start < 2.0, n
 
 
 class TestWigner3j:

@@ -6,6 +6,7 @@ import json
 import os
 import random
 import re
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -902,19 +903,132 @@ class TestDispatchContract:
 
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+# The directory the tests import `pencils` from, so that a child runs the
+# same copy.
+SRC = Path(cli.__file__).resolve().parents[1]
+RUN = "from pencils.cli import run; run()"
 
 
-def test_console_script_runs_dim_syzygy(monkeypatch, capsys):
+def child(argv, launch=("-c", RUN), stdout=subprocess.PIPE):
+    """(exit code, stdout, stderr) of a fresh interpreter started with the
+    options `launch` and the arguments `argv`.  Its stdout is
+    block-buffered, as a script's is on a pipe, so output that is never
+    flushed is lost."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env.update(PYTHONPATH=str(SRC), COLUMNS="80")
+    proc = subprocess.run(
+        [sys.executable, *launch, *argv], env=env, stdout=stdout, stderr=subprocess.PIPE,
+        text=True, timeout=120,
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_console_script_runs_dim_syzygy():
     # The `pencils` entry point that an install writes as a script, read
     # with a regex because Python 3.10 has no tomllib, then called as that
-    # script calls it.
+    # script calls it, in a child: `run()` ends the process.
     text = PYPROJECT.read_text(encoding="utf-8")
     section = re.search(r"^\[project\.scripts\]\n(.*?)(?=^\[|\Z)", text, re.M | re.S).group(1)
     module, name = re.search(r'^pencils\s*=\s*"([\w.]+):(\w+)"\s*$', section, re.M).groups()
     entry = getattr(importlib.import_module(module), name)
     assert entry is cli.run
-    monkeypatch.setattr(sys, "argv", ["pencils", "dim-syzygy", "--d", "7", "--r", "3"])
-    with pytest.raises(SystemExit) as info:
-        entry()
-    assert info.value.code == 0
-    assert capsys.readouterr().out == "1\n"
+    script = ("-c", f"from {module} import {name}; {name}()")
+    code, out, _ = child(["dim-syzygy", "--d", "7", "--r", "3"], script)
+    assert code == 0
+    assert out == "1\n"
+
+
+# Every command once, some with --json, the three refused inputs of the
+# benchmark's cli-small workload, and the paths that end in argparse's
+# SystemExit.  "{json}" stands for a JSON form file.
+RUN_CASES = {
+    "transvect": ["transvect", "{json}", "--expr", "x2^2", "--q", "1", "--json"],
+    "combinants": ["combinants", "--expr", "x1^3", "--expr", "x2^3"],
+    "syzygy-table": ["syzygy-table", "--d", "7", "--r", "3", "--json"],
+    "verify": ["verify", "--d", "7", "--trials", "2"],
+    "recover": ["recover", "--d", "7", "--r", "4", "--seed", "5"],
+    "oracle-theta": ["oracle-theta", "--d", "5", "--r", "3", "--i", "2", "--j", "2"],
+    "gamma": ["gamma", "--r", "3", "--d", "7", "--json"],
+    "dim-syzygy": ["dim-syzygy", "--d", "60", "--r", "11"],
+    "ninej": ["ninej", "--twice-j", "7,7,12,7,7,8,12,4,16", "--json"],
+    "ninej-combinant": ["ninej-combinant", "--d", "7", "--r", "3", "--i", "1", "--j", "2"],
+    "refused-range": ["syzygy-table", "--d", "7", "--r", "5"],
+    "refused-form": ["transvect", "--expr", "x1^2 + x2", "--expr", "x2^2", "--q", "1"],
+    "refused-twice-j": ["ninej", "--twice-j", "1,2,3"],
+    "refused-json-file": ["transvect", "{bad}", "--expr", "x2", "--q", "0"],
+    "missing-option": ["syzygy-table", "--d", "7"],
+    "help": ["--help"],
+    "command-help": ["gamma", "--help"],
+}
+
+
+class TestRunEndsTheProcess:
+    """`run()` ends the process with `os._exit` once its output is flushed;
+    what a command prints and its exit code stay those of `main()`."""
+
+    @pytest.fixture
+    def argv_of(self, tmp_path):
+        (tmp_path / "g.json").write_text(json.dumps({"order": 2, "coeffs": ["1", "0", "0"]}))
+        (tmp_path / "bad.json").write_text("{order: 2}")
+        paths = {"{json}": str(tmp_path / "g.json"), "{bad}": str(tmp_path / "bad.json")}
+        return lambda case: [paths.get(a, a) for a in RUN_CASES[case]]
+
+    @staticmethod
+    def in_process(capsys, monkeypatch, argv):
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to it
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    @pytest.mark.parametrize("case", RUN_CASES)
+    def test_child_matches_main_in_process(self, capsys, monkeypatch, argv_of, case):
+        argv = argv_of(case)
+        expected = self.in_process(capsys, monkeypatch, argv)
+        assert child(argv) == expected
+        assert expected[0] in (0, 2)
+        assert expected[1] or expected[2]
+
+    def test_python_m_matches_main_in_process(self, capsys, monkeypatch, argv_of):
+        for case in ("gamma", "refused-range", "help"):
+            argv = argv_of(case)
+            expected = self.in_process(capsys, monkeypatch, argv)
+            assert child(argv, ("-m", "pencils.cli")) == expected, case
+
+    def test_exit_handlers_run_before_the_flush(self):
+        code = "import atexit; atexit.register(print, 'handler ran'); " + RUN
+        argv = ["dim-syzygy", "--d", "7", "--r", "3"]
+        assert child(argv, ("-c", code)) == (0, "1\nhandler ran\n", "")
+
+    def test_broken_pipe_ends_as_sys_exit_does(self):
+        # stdout is a pipe whose reader is gone: the final flush fails.
+        results = []
+        for code in (RUN, "import sys; from pencils.cli import main; sys.exit(main())"):
+            read, write = os.pipe()
+            os.close(read)
+            try:
+                argv = ["syzygy-table", "--d", "7", "--r", "3"]
+                results.append(child(argv, ("-c", code), stdout=write))
+            finally:
+                os.close(write)
+        assert results[0] == results[1]
+        status, _, err = results[0]
+        assert status == 120
+        assert "BrokenPipeError" in err
+
+    def test_json_is_imported_only_by_a_json_command(self):
+        code = (
+            "import sys; from pencils.cli import main\n"
+            "print('json' in sys.modules)\n"
+            "main(['dim-syzygy', '--d', '7', '--r', '3'])\n"
+            "print('json' in sys.modules)\n"
+            "main(['gamma', '--r', '3', '--d', '7', '--json'])\n"
+            "print('json' in sys.modules)\n"
+        )
+        status, out, err = child([], ("-c", code))
+        assert (status, err) == (0, "")
+        lines = out.splitlines()
+        assert lines[:3] == ["False", "1", "False"]
+        assert lines[4] == "True"
