@@ -9,8 +9,8 @@ quantified over 1 <= i <= j <= r with i+j <= r+1.  The coefficients come
 from the explicit `theta` formula below; since the (1, r) term is
 C_1 * C_{2r-1} up to the positive factor alpha_{1,r}, the identity recovers
 C_{2r-1} from the earlier combinants by one exact division.  The formula's
-factorials regroup into two binomials and three falling factorials, one
-integer expression per entry, so a table is one `Fraction` per entry.
+quotient of products n! regroups into two `comb` and three `perm` values,
+one integer expression per entry, so a table is one `Fraction` per entry.
 
 Both run in integers.  Each combinant, and each transvectant of two of
 them, is a form of integer numerators over one denominator.  The whole sum
@@ -22,8 +22,9 @@ the sum is unpacked once and this module keeps no loop.  Recovery divides
 that sum by C_1 with `exact_divide`, where Gauss's lemma makes every
 quotient step an exact `//`, and scales the quotient by -1/alpha_{1,r}.
 
-The module also computes the ratio `gamma` controlling positivity of
-alpha_{1,r}, its telescoping certificate, and the dimension of the space of
+The module also computes the ratio `gamma` = 1 - theta(d, r, 1, r)
+controlling positivity of alpha_{1,r}, from the same expression, its
+telescoping certificate, and the dimension of the space of
 weight-2r syzygies by weight multiplicity counting.
 """
 from __future__ import annotations
@@ -31,7 +32,7 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import lru_cache
 from fractions import Fraction
-from math import comb, factorial, perm
+from math import comb, perm
 
 from .combinant import Pencil
 from .errors import FormulaViolationError
@@ -206,16 +207,15 @@ def recover_combinant(pencil: Pencil, r: int) -> BinaryForm:
 
 
 def gamma(r: int, d: int) -> Fraction:
-    """4*(dr - 2r^2 + 3r - 1) * (d-1)! (2d-4r+3)! / ((d-2r+1)! (2d-2r+2)!).
+    """1 - theta(d, r, 1, r): the ratio whose bound gamma < 1 makes alpha_{1,r} positive.
 
-    Strictly below 1 on r >= 3, d >= 2r - 1; equals 1 - theta(d, r, 1, r).
+    The paper prints it as 4*(dr - 2r^2 + 3r - 1) * (d-1)! (2d-4r+3)! /
+    ((d-2r+1)! (2d-2r+2)!); here it is read from `theta`'s one integer
+    expression.  Strictly below 1 on r >= 3, d >= 2r - 1.
     """
     _check_weight(d, r)
-    head = 4 * (d * r - 2 * r * r + 3 * r - 1)
-    return Fraction(
-        head * factorial(d - 1) * factorial(2 * d - 4 * r + 3),
-        factorial(d - 2 * r + 1) * factorial(2 * d - 2 * r + 2),
-    )
+    num, den = _theta_ratio(d, r, 1, r)
+    return Fraction(den - num, den)
 
 
 PositivityCertificate = namedtuple(

@@ -67,13 +67,14 @@ d L_m L_n D_f D_g (D_f, D_g the inputs' denominators).  A longer sum runs
 over the lcm L of its terms' denominators d_t L_m L_n D_f D_g, and term t
 enters with the integer weight c_t = p_t L / (d_t L_m L_n D_f D_g).  Every
 product keeps the call's width k, and the sum's digits are bounded by
-sum |c_t| bound_t.  If that fits in k bits, the c_t S_t go into one `int`
-as they are.  Otherwise each product moves to the wider layout that bound
-needs: S_t + H sum_w 2^(kw) holds the nonnegative digits out[w] + H, whose
-bytes are copied, one byte of every slot at a time, into the wider slots;
-c_t times that value goes into one `int`, and the offsets sum_t c_t H are
-taken off once.  Either way each sum is unpacked once.  Nothing is
-reduced, so a caller reduces once; `transvectant` reduces by one gcd.
+sum |c_t| bound_t; the sum's slot width k' is the bit length of that
+bound plus a sign bit, in whole bytes, and never less than k.  Every
+product of a longer sum is re-laid in k'-bit slots, even when k' = k:
+S_t + H sum_w 2^(kw) holds the nonnegative digits out[w] + H, whose bytes
+are copied, one byte of every slot at a time, into the k'-bit slots; c_t
+times that value goes into one `int`, and the offsets sum_t c_t H are
+taken off once.  So each sum is unpacked once.  Nothing is reduced, so a
+caller reduces once; `transvectant` reduces by one gcd.
 """
 from __future__ import annotations
 
@@ -176,10 +177,11 @@ def _transvectants(forms, sums) -> list:
     denominator) pair; each 0 <= q <= min of the two orders and each d > 0,
     unchecked.
 
-    The one pack width is the largest of the terms' output bounds, and a
-    sum of several terms is re-laid in slots of that width or of the wider
-    one its weighted bound needs, so every unpack is exact; a term (a, a, q)
-    pairs s with q-s in `_product_sum`.
+    The one pack width is the largest of the terms' output bounds.  A
+    one-term sum is unpacked from its product as it is; every product of a
+    longer sum is re-laid in the slots its weighted bound needs, at least
+    the pack width, before the products are added, so every unpack is
+    exact.  A term (a, a, q) pairs s with q-s in `_product_sum`.
     """
     orders = defaultdict(set)
     for terms in sums:

@@ -2,12 +2,15 @@
 from __future__ import annotations
 
 import math
+import os
 import random
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
 from math import factorial
+from pathlib import Path
 
+import pencils
 from pencils import angular
 from pencils.angular import NineJArray, SurdSum, _delta_squared, _squarefree_split, _triangle_ok
 from pencils.errors import DegreeMismatchError, FormulaViolationError, NotDivisibleError
@@ -23,6 +26,16 @@ from pencils.omega import (
 )
 from pencils.syzygy import syzygy_table
 from pencils.transvectant import transvectant
+
+# The directory the tests import `pencils` from: the checkout's `src/`, or
+# the mutated copy that `tests/mutants.py` puts on PYTHONPATH.
+SRC = Path(pencils.__file__).resolve().parents[1]
+
+
+def child_env(*paths) -> dict:
+    """The environment of a fresh interpreter that imports the same
+    `pencils` as the tests, then anything in the directories `paths`."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(map(str, (SRC, *paths))))
 
 
 def random_multiform(pair_degrees: dict, seed: int, bound: int = 4) -> MultiForm:
@@ -318,6 +331,18 @@ def theta_by_factorials(d: int, r: int, i: int, j: int) -> Fraction:
     )
     delta = int(i == 1 and j == r) + int(i == r and j == 1)
     return delta - Fraction(8 * n1, n2)
+
+
+def gamma_by_factorials(r: int, d: int) -> Fraction:
+    """Oracle for `gamma`: the paper's quotient of factorials, as printed.
+
+    4(dr - 2r^2 + 3r - 1) (d-1)! (2d-4r+3)! / ((d-2r+1)! (2d-2r+2)!).
+    """
+    head = 4 * (d * r - 2 * r * r + 3 * r - 1)
+    return Fraction(
+        head * factorial(d - 1) * factorial(2 * d - 4 * r + 3),
+        factorial(d - 2 * r + 1) * factorial(2 * d - 2 * r + 2),
+    )
 
 
 def _pencil_order(seq) -> int:

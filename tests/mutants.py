@@ -165,11 +165,18 @@ MUTANTS = (
         ("tests/test_angular.py::TestCombinantArrays::test_arrays_match_their_rows_written_out",),
     ),
     Mutant(
+        "6j's t = lo term drops its binomial of b2 - lo", "angular.py",
+        "b1 - lo, b2 - lo)", "b1 - lo)",
+        # A child interpreter must import the mutated copy for this to die.
+        ("tests/test_angular.py::TestTriadRoots::test_fresh_interpreter_6j_near_the_caps",),
+    ),
+    Mutant(
         "combinant_9j_array returns B as B'", "angular.py",
         "    return base, permuted\n", "    return base, base\n",
         ("tests/test_angular.py::TestCombinantArrays::test_arrays_match_their_rows_written_out",),
     ),
-    # theta's one integer expression, against the paper's factorial quotient.
+    # theta's one integer expression, and gamma read from it, against the
+    # paper's factorial quotients.
     Mutant(
         "theta's second binomial taken over d - 1", "syzygy.py",
         "comb(d, 2 * j - 1)", "comb(d - 1, 2 * j - 1)",
@@ -184,6 +191,17 @@ MUTANTS = (
         "theta's falling factorial of 2r - 1 one factor short", "syzygy.py",
         "2 * i + 2 * j - 3)", "2 * i + 2 * j - 4)",
         ("tests/test_syzygy.py::TestSyzygyTable::test_every_entry_is_symmetrized_theta[d=7]",),
+    ),
+    Mutant(
+        "gamma read from theta at (1, r - 1)", "syzygy.py",
+        "_theta_ratio(d, r, 1, r)", "_theta_ratio(d, r, 1, r - 1)",
+        ("tests/test_syzygy.py::TestGamma::test_matches_the_factorial_quotient[d=5..120]",),
+    ),
+    # The seven contraction constants, against theta's closed form.
+    Mutant(
+        "c_aggregate drops its c3 c3'' term", "omega.py",
+        "        + c.c3 * c.c3pp\n", "",
+        ("tests/test_omega.py::TestCConstants::test_theta_off_its_deltas_is_four_times_the_aggregate",),
     ),
     # The first list of mutants run against the whole suite, each with the
     # test that kills it.

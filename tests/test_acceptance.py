@@ -40,7 +40,7 @@ from pencils.angular import _ninej_as_given
 from pencils.forms import BinaryForm
 from pencils.omega import bracket, zeta_summand
 
-from helpers import coefficient_rank, random_multiform
+from helpers import coefficient_rank, gamma_by_factorials, random_multiform
 
 
 @contextmanager
@@ -225,7 +225,7 @@ def test_criterion_10_positivity():
                 if previous is not None:
                     assert cert.gamma < previous
                 previous = cert.gamma
-                assert theta(d, r, 1, r) == 1 - cert.gamma
+                assert theta(d, r, 1, r) == 1 - gamma_by_factorials(r, d)
 
 
 def test_criterion_11_dimension_counts():

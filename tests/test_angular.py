@@ -4,14 +4,12 @@ import itertools
 import json
 import math
 import operator
-import os
 import random
 import re
 import subprocess
 import sys
 import time
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from hypothesis import example, given, seed, settings
@@ -19,6 +17,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     _ninej_triads,
+    child_env,
     delta_root_by_product_split,
     entry_sum_twice,
     fraction_racah_sum,
@@ -52,8 +51,6 @@ from pencils.angular import (
     _triad,
     _wigner6j_tw,
 )
-
-ROOT = Path(__file__).resolve().parents[1]
 
 
 def ninej(*twice):
@@ -686,7 +683,7 @@ class TestTriadRoots:
         twice = (500, 499, 497, 498, 495, 493)
         proc = subprocess.run(
             [sys.executable, "-c", FRESH_6J.format(twice=twice)],
-            env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+            env=child_env(),
             capture_output=True,
             text=True,
             timeout=120,

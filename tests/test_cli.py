@@ -15,6 +15,7 @@ import pytest
 
 from pencils import (
     BinaryForm,
+    FormulaViolationError,
     Pencil,
     cli,
     combinant_9j_array,
@@ -28,7 +29,7 @@ from pencils.cli import main
 from pencils.forms import _shown
 from pencils.serialize import form_from_dict, form_to_dict
 
-from helpers import sixj_keys
+from helpers import child_env, sixj_keys
 
 
 def run(capsys, *argv):
@@ -114,6 +115,14 @@ class TestTransvect:
         assert code == 2
         assert out == ""
         assert "error:" in err and "exceeds" in err
+
+    def test_json_form_of_the_wrong_shape_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "f.json"
+        path.write_text('{"order": 2}')
+        code, out, err = run(capsys, "transvect", str(path), "--expr", "x2", "--q", "0")
+        assert code == 2
+        assert out == ""
+        assert err == "error: expected an object with exactly 'order' and 'coeffs'\n"
 
     def test_exponent_notation_in_json_is_refused_quickly(self, capsys, tmp_path):
         path = tmp_path / "f.json"
@@ -243,6 +252,13 @@ class TestVerify:
         assert captured.out == ""
         assert "error:" in captured.err and "--trials" in captured.err
 
+    def test_order_without_weights_is_refused(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["verify", "--d", "4"])
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1] == "pencils: error: no valid weight indices for d=4"
 
     @pytest.mark.parametrize(
         "argv,expected",
@@ -316,6 +332,18 @@ class TestOracleTheta:
         )
         assert code == 1
         assert out.splitlines() == ["oracle ratio:  -75/49", "formula theta: -26/49", "MISMATCH"]
+
+    def test_formula_violation_exits_1(self, capsys, monkeypatch):
+        def violating(*args):
+            raise FormulaViolationError("chain output is not proportional to the reference power")
+
+        monkeypatch.setattr(cli, "omega_chain", violating)
+        code, out, err = run(
+            capsys, "oracle-theta", "--d", "5", "--r", "3", "--i", "2", "--j", "2"
+        )
+        assert code == 1
+        assert out == ""
+        assert err == "error: chain output is not proportional to the reference power\n"
 
     def test_match(self, capsys):
         code, out, _ = run(
@@ -837,6 +865,20 @@ class TestNinejCombinant:
         assert "theta = -40/11" in out
         assert "theta/ninej = " in out
 
+    def test_zero_symbols_are_equivalent_with_no_ratio(self, capsys):
+        # theta(10, 5, 1, 3) = 0, and both 9j symbols vanish.
+        code, out, _ = run(
+            capsys, "ninej-combinant", "--d", "10", "--r", "5", "--i", "1", "--j", "3"
+        )
+        assert code == 0
+        assert out.splitlines()[2:] == [
+            "ninej(B)  = 0",
+            "ninej(B') = 0",
+            "equivalent: yes",
+            "theta = 0",
+            "theta/ninej = (unavailable: value is zero or not a single surd)",
+        ]
+
     def test_unequal_symbols_print_no(self, capsys, monkeypatch):
         real = cli._ninej_as_given
         monkeypatch.setattr(cli, "_ninej_as_given", lambda rows: real(rows) * 2)
@@ -903,9 +945,6 @@ class TestDispatchContract:
 
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
-# The directory the tests import `pencils` from, so that a child runs the
-# same copy.
-SRC = Path(cli.__file__).resolve().parents[1]
 RUN = "from pencils.cli import run; run()"
 
 
@@ -914,8 +953,9 @@ def child(argv, launch=("-c", RUN), stdout=subprocess.PIPE):
     options `launch` and the arguments `argv`.  Its stdout is
     block-buffered, as a script's is on a pipe, so output that is never
     flushed is lost."""
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-    env.update(PYTHONPATH=str(SRC), COLUMNS="80")
+    env = child_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    env["COLUMNS"] = "80"
     proc = subprocess.run(
         [sys.executable, *launch, *argv], env=env, stdout=stdout, stderr=subprocess.PIPE,
         text=True, timeout=120,

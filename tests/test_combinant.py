@@ -204,9 +204,25 @@ class TestMembershipDefect:
         pencil = random_pencil(6, 14)
         assert membership_defect(pencil, random_form(6, 2)).order == 3 * 6 - 6
 
+    def test_form_of_another_order_is_refused(self):
+        pencil = random_pencil(5, 15)
+        message = "membership test needs a form of order 5, got 4"
+        with pytest.raises(DegreeMismatchError, match=f"^{message}$"):
+            membership_defect(pencil, random_form(4, 3))
+
 
 def test_random_pencil_deterministic_and_valid():
     p1 = random_pencil(7, 42)
     p2 = random_pencil(7, 42)
     assert p1.a == p2.a and p1.b == p2.b
     assert not transvectant(p1.a, p1.b, 1).is_zero()
+
+
+def test_random_pencil_retries_a_dependent_pair():
+    # Seed 6 at order 2 and bound 1 draws -x2^2 twice, so the second pair
+    # of derived seeds is the pencil.
+    base = 6 * 1_000_003
+    first = random_form(2, base, 1), random_form(2, base + 1, 1)
+    assert first[0] == first[1] == BinaryForm(2, [0, 0, -1])
+    pencil = random_pencil(2, 6, 1)
+    assert (pencil.a, pencil.b) == (random_form(2, base + 2, 1), random_form(2, base + 3, 1))

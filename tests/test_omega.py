@@ -649,6 +649,22 @@ class TestCConstants:
                         lhs = beta_chain(summand, d, r, i, j)
                         assert lhs == c_aggregate(d, r, i, j) * reference
 
+    def test_theta_off_its_deltas_is_four_times_the_aggregate(self):
+        # theta(d, r, i, j) - [i=1, j=r] - [i=r, j=1] = 4 c_aggregate(d, r, i, j)
+        # at every point with d <= 21, i > j included: the seven contraction
+        # constants against the closed form, with no chain.
+        points = zeros = 0
+        for d in range(5, 22):
+            for r in range(3, (d + 1) // 2 + 1):
+                for i in range(1, r + 1):
+                    for j in range(1, r + 2 - i):
+                        delta = int(i == 1 and j == r) + int(i == r and j == 1)
+                        lhs = theta(d, r, i, j) - delta
+                        assert lhs == 4 * c_aggregate(d, r, i, j), (d, r, i, j)
+                        points += 1
+                        zeros += lhs == 0
+        assert (points, zeros) == (1638, 11)
+
 
 class TestVerifyTheta:
     def test_degree_five_full_grid(self):

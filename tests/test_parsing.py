@@ -20,6 +20,7 @@ from pencils import (
     table_to_dict,
 )
 from pencils.parsing import MAX_ORDER
+from pencils.serialize import coeffs_from_dict
 
 small_fractions = st.fractions(min_value=-9, max_value=9, max_denominator=10)
 
@@ -220,6 +221,23 @@ class TestFormJson:
         with pytest.raises(ValueError):
             form_from_dict({"order": 2, "coeffs": ["1", "2"]})
 
+    @pytest.mark.parametrize(
+        "obj",
+        [["1"], "x1^2", None, {"order": 2}, {"order": 0, "coeffs": ["1"], "name": "f"}],
+        ids=["list", "str", "null", "missing-key", "extra-key"],
+    )
+    def test_wrong_shape_rejected(self, obj):
+        with pytest.raises(ValueError, match="^expected an object with exactly 'order' and 'coeffs'$"):
+            coeffs_from_dict(obj)
+
+    @pytest.mark.parametrize(
+        "order, shown", [(True, "True"), (-1, "-1"), (1.0, "1.0"), ("1", "'1'")]
+    )
+    def test_order_must_be_a_nonnegative_int(self, order, shown):
+        message = f"^'order' must be a nonnegative integer, got {shown}$"
+        with pytest.raises(ValueError, match=message):
+            coeffs_from_dict({"order": order, "coeffs": ["1", "1"]})
+
 
 @pytest.mark.parametrize("text", ["5e-1", "1e10000000", "1.5", " 1_000", "1/0", "-3/00"])
 @pytest.mark.parametrize(
@@ -255,6 +273,15 @@ class TestTableJson:
         for d, r in ((7, 3), (7, 4), (9, 5), (11, 4)):
             table = syzygy_table(d, r)
             assert table_from_dict(json.loads(json.dumps(table_to_dict(table)))) == table
+
+    @pytest.mark.parametrize(
+        "obj",
+        [[7, 3], {"d": 7, "r": 3}, {"d": 7, "r": 3, "alphas": {}, "name": "t"}],
+        ids=["list", "missing-key", "extra-key"],
+    )
+    def test_wrong_shape_rejected(self, obj):
+        with pytest.raises(ValueError, match="^expected an object with exactly 'd', 'r' and 'alphas'$"):
+            table_from_dict(obj)
 
     @pytest.mark.parametrize(
         "field, value, message",

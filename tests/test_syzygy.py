@@ -41,6 +41,7 @@ from helpers import (
     enumerated_syzygy_dims,
     evaluate_syzygy_by_fractions,
     exact_divide_by_fractions,
+    gamma_by_factorials,
     gaussian_binomial_head,
     recover_by_fractions,
     syzygy_sum_by_fractions,
@@ -91,9 +92,11 @@ class TestTheta:
                         assert theta(d, r, i, j) == theta_by_factorials(d, r, i, j), (d, r, i, j)
 
     def test_connection_to_gamma(self):
+        # `gamma` is read from theta's expression, so theta meets the
+        # paper's quotient for gamma here.
         for d in range(5, 20):
             for r in range(3, (d + 1) // 2 + 1):
-                assert theta(d, r, 1, r) == 1 - gamma(r, d)
+                assert theta(d, r, 1, r) == 1 - gamma_by_factorials(r, d)
 
 
 class TestSyzygyTable:
@@ -332,6 +335,23 @@ class TestGamma:
 
     def test_value_at_three_seven(self):
         assert gamma(3, 7) == Fraction(11, 21)
+
+    # `gamma` is 1 - theta(d, r, 1, r) from theta's expression, so it is
+    # checked against the paper's printed quotient: every r at d = 5..120,
+    # and sampled points up to the CLI cap d = 10,000.
+    @pytest.mark.parametrize(
+        "points",
+        [
+            [(r, d) for d in range(5, 121) for r in range(3, (d + 1) // 2 + 1)],
+            [(3, 10_000), (2_500, 10_000), (4_999, 10_000), (5_000, 10_000), (4, 9_999),
+             (5_000, 9_999), (1_000, 5_000), (2_500, 5_000), (17, 777), (250, 1_000),
+             (500, 1_000), (100, 2_001), (1_001, 2_001), (700, 3_001)],
+        ],
+        ids=["d=5..120", "large"],
+    )
+    def test_matches_the_factorial_quotient(self, points):
+        for r, d in points:
+            assert gamma(r, d) == gamma_by_factorials(r, d), (r, d)
 
     def test_strictly_decreasing_in_d(self):
         for r in range(3, 9):

@@ -1,6 +1,5 @@
 """The benchmark's tracer against the public names of `pencils`."""
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -8,6 +7,8 @@ from pathlib import Path
 import pytest
 
 import pencils
+
+from helpers import child_env
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -54,10 +55,9 @@ print(json.dumps({
 @pytest.fixture(scope="module")
 def installed():
     # A fresh interpreter, as the benchmark's worker imports the tracer.
-    path = os.pathsep.join(str(ROOT / part) for part in ("src", "benchmark"))
     proc = subprocess.run(
         [sys.executable, "-c", INSTALL],
-        env=dict(os.environ, PYTHONPATH=path),
+        env=child_env(ROOT / "benchmark"),
         capture_output=True,
         text=True,
         timeout=120,
